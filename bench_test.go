@@ -2,7 +2,9 @@
 // EXPERIMENTS.md. The paper itself reports no timings (it is a theory
 // paper); these benchmarks characterize the constructions' costs and
 // reproduce the paper's qualitative claims: who wins, what is bounded, what
-// grows.
+// grows. They are the paper-experiment sweep (E25–E27, E31–E32 among them),
+// not performance evidence: a perf claim is measured with `bash bench/run.sh`
+// (see bench/README.md).
 package waitfree_test
 
 import (
@@ -493,7 +495,7 @@ func BenchmarkShardScaling(b *testing.B) {
 // exclusively, while worker 0 — and any workers beyond n, since RunParallel
 // spawns GOMAXPROCS goroutines — share pid 0 under a lock. The -cpu flag
 // therefore sets the real writer concurrency (up to n), which is what the
-// contended rows in BENCH_PR5.json sweep.
+// contended benchmarks sweep.
 func benchParallelPids(b *testing.B, n int, fn func(pid, i int)) {
 	var next int32
 	var mu sync.Mutex

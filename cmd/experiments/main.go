@@ -1,253 +1,85 @@
-// Command experiments runs the measurable experiments of EXPERIMENTS.md
-// (E13–E18 plus the extensions) in one pass and prints a compact report:
-// replay-length bounds, consensus rounds per operation, fetch-and-cons
-// costs, the lock-vs-wait-free stall contrast, combining-network traffic,
-// and randomized register-only consensus rounds.
-//
-// The verification experiments (exhaustive checking, synthesis) live in
-// `go test` and `cmd/hierarchy` / `cmd/impossibility`.
+// Command experiments is the paper-side command line. Bare, it prints the
+// measurable-experiment report; `experiments <command> [flags]` runs one
+// kind of evidence — the commands table below is the list, `experiments -h`
+// prints it, and `experiments <command> -h` prints that command's flags.
+// The verification experiments proper (exhaustive checking, synthesis at
+// full depth) live in `go test`.
 //
 //wf:blocking driver: spawns worker goroutines and waits for them with sync.WaitGroup, which is the point of a demo harness
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"runtime"
-	"runtime/debug"
+	"io"
+	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"waitfree"
-	"waitfree/internal/baseline"
-	"waitfree/internal/combine"
-	"waitfree/internal/consensus"
-	"waitfree/internal/core"
-	"waitfree/internal/randcons"
-	"waitfree/internal/seqspec"
-	"waitfree/internal/wfstats"
 )
 
-func main() {
-	n := flag.Int("n", 4, "worker processes")
-	ops := flag.Int("ops", 2000, "operations per worker")
-	flag.Parse()
-
-	fmt.Printf("waitfree experiment report (n=%d, %d ops/worker)\n", *n, *ops)
-	fmt.Println()
-	e16Truncation(*n, *ops)
-	e15e18Rounds(*n, *ops)
-	e14FetchAndCons(*ops)
-	e17Motivation(*n)
-	e19Combining(*n, *ops)
-	e20Randomized(*n)
-	e29Metrics(*n, *ops)
+// command is one subcommand. setup declares the command's flags on its own
+// FlagSet and returns what to run once they are parsed; the returned
+// function's result is the process exit code.
+type command struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) func(stdout, stderr io.Writer) int
 }
 
-func runWorkers(n, per int, invoke func(pid int, op seqspec.Op) int64, op func(p, i int) seqspec.Op) time.Duration {
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				invoke(p, op(p, i))
-			}
-		}()
-	}
-	wg.Wait()
-	return time.Since(start)
+// commands lists every subcommand; "report" is what a bare invocation runs.
+var commands = []command{
+	{"report", "measurable experiments in one pass (E14–E20, E29); the default", reportCmd},
+	{"hierarchy", "regenerate Figure 1-1 from machine evidence (E1)", hierarchyCmd},
+	{"classify", "estimate an object's consensus number by bounded synthesis", classifyCmd},
+	{"impossibility", "impossibility evidence: synthesis, interference, valency (E2, E4, E6)", impossibilityCmd},
+	{"modelcheck", "exhaustive checker, schedule fuzzer or valency analysis on a protocol", modelcheckCmd},
+	{"metrics", "drive a mixed workload and dump one wfstats registry (E29)", metricsCmd},
 }
 
-func inc(p, i int) seqspec.Op { return seqspec.Op{Kind: "inc"} }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func e16Truncation(n, per int) {
-	fmt.Println("E16: strongly wait-free truncation (Section 4.1)")
-	for _, truncate := range []bool{true, false} {
-		var opts []waitfree.Option
-		label := "snapshots on "
-		if !truncate {
-			opts = append(opts, waitfree.WithoutTruncation())
-			label = "snapshots off"
-		}
-		u := waitfree.New(waitfree.Counter{}, waitfree.NewSwapFetchAndCons(), n, opts...)
-		d := runWorkers(n, per, u.Invoke, inc)
-		_, mean, max := u.ReplayStats()
-		fmt.Printf("  %s: %8v total, replay mean %7.1f max %5d (bound: n=%d with snapshots)\n",
-			label, d.Round(time.Millisecond), mean, max, n)
-	}
-	fmt.Println()
-}
-
-func e15e18Rounds(n, per int) {
-	fmt.Println("E15/E18: consensus rounds per fetch-and-cons (Figure 4-5; bound n+1)")
-	for _, nn := range []int{2, n, 2 * n} {
-		fac := core.NewConsFAC(nn, func() consensus.Object { return consensus.NewCAS(nn) })
-		u := core.NewUniversal(seqspec.Counter{}, fac, nn)
-		runWorkers(nn, per/2, u.Invoke, inc)
-		fmt.Printf("  n=%2d: %.3f rounds/op (bound %d)\n", nn, fac.RoundsPerOp(), nn+1)
-	}
-	fmt.Println()
-}
-
-func e14FetchAndCons(per int) {
-	fmt.Println("E14: constant-time fetch-and-cons from memory-to-memory swap (Figs 4-3/4-4)")
-	// The operation itself is one primitive step; disable the garbage
-	// collector during the probes so its list-proportional marking work
-	// (absent from the paper's model) does not pollute the measurement.
-	old := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(old)
-	fac := core.NewSwapFAC()
-	var seq int64
-	for _, size := range []int{1000, 10000, 100000} {
-		for fac.Head() == nil || fac.Head().Len < size {
-			seq++
-			fac.FetchAndCons(0, &core.Entry{Pid: 0, Seq: seq})
-		}
-		runtime.GC()
-		start := time.Now()
-		const probe = 5000
-		for i := 0; i < probe; i++ {
-			seq++
-			fac.FetchAndCons(0, &core.Entry{Pid: 0, Seq: seq})
-		}
-		fmt.Printf("  list length %6d: %6.0f ns/op (independent of length)\n",
-			size, float64(time.Since(start).Nanoseconds())/probe)
-	}
-	fmt.Println()
-}
-
-func e17Motivation(n int) {
-	fmt.Println("E17: a stalled process in a critical section vs wait-free (Section 1)")
-	const stall = 10 * time.Millisecond
-	const per = 150
-
-	lock := baseline.NewLocked(seqspec.Counter{})
-	var k int
-	lock.CriticalSection = func(pid int) {
-		if pid == 0 {
-			k++
-			if k%10 == 0 {
-				time.Sleep(stall)
-			}
+func lookup(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
 		}
 	}
-	worst := func(invoke func(int, seqspec.Op) int64) time.Duration {
-		var w atomic.Int64
-		runWorkers(n, per, func(pid int, op seqspec.Op) int64 {
-			s := time.Now()
-			r := invoke(pid, op)
-			if pid != 0 {
-				if d := time.Since(s); int64(d) > w.Load() {
-					w.Store(int64(d))
-				}
-			}
-			return r
-		}, inc)
-		return time.Duration(w.Load())
+	return nil
+}
+
+// run dispatches args to a subcommand and returns the exit code: the
+// command's own, or 2 for an unknown command or a flag it does not define.
+func run(args []string, stdout, stderr io.Writer) int {
+	name := "report"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-	lockWorst := worst(lock.Invoke)
-
-	fac := &stallFAC{inner: core.NewSwapFAC(), stall: stall}
-	u := core.NewUniversal(seqspec.Counter{}, fac, n)
-	wfWorst := worst(u.Invoke)
-
-	fmt.Printf("  worst healthy-worker op latency: lock-based %v, wait-free %v (stall %v)\n",
-		lockWorst.Round(time.Microsecond), wfWorst.Round(time.Microsecond), stall)
-	fmt.Println()
-}
-
-type stallFAC struct {
-	inner core.FetchAndCons
-	stall time.Duration
-	k     atomic.Int64
-}
-
-func (s *stallFAC) FetchAndCons(pid int, e *core.Entry) *core.Node {
-	out := s.inner.FetchAndCons(pid, e)
-	if pid == 0 && s.k.Add(1)%10 == 0 {
-		time.Sleep(s.stall)
+	c := lookup(name)
+	if c == nil {
+		fmt.Fprintf(stderr, "experiments: unknown command %q\n", name)
+		usage(stderr)
+		return 2
 	}
-	return out
-}
-
-func (s *stallFAC) Observe() *core.Node { return s.inner.Observe() }
-
-func e19Combining(n, per int) {
-	fmt.Println("E19: combining network (Ultracomputer, Sections 1/5)")
-	net := combine.New(n, 0)
-	defer net.Close()
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				net.FetchAndAdd(p, 1)
-			}
-		}()
+	fs := flag.NewFlagSet("experiments "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		usage(stderr)
+		fmt.Fprintf(stderr, "\nflags of %s:\n", name)
+		fs.PrintDefaults()
 	}
-	wg.Wait()
-	waves, maxCombined := net.Stats()
-	fmt.Printf("  %d fetch-and-adds reached the root memory in %d waves (max %d combined);\n",
-		n*per, waves, maxCombined)
-	fmt.Printf("  combining cuts root traffic %0.1fx — and changes nothing about the\n",
-		float64(n*per)/float64(waves))
-	fmt.Println("  consensus number: fetch-and-add stays at level 2 (Theorem 6).")
-	fmt.Println()
-}
-
-func e20Randomized(n int) {
-	fmt.Println("E20 (Section 5 future work): randomized consensus from registers only")
-	const trials = 200
-	var total, worst int64
-	for trial := 0; trial < trials; trial++ {
-		obj := randcons.New(n, int64(trial))
-		var wg sync.WaitGroup
-		for p := 0; p < n; p++ {
-			p := p
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				obj.Decide(p, int64(p))
-			}()
+	exec := c.setup(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		wg.Wait()
-		r := obj.Rounds()
-		total += r
-		if r > worst {
-			worst = r
-		}
+		return 2
 	}
-	fmt.Printf("  %d elections, n=%d: mean %.2f adopt-commit rounds, worst %d —\n",
-		trials, n, float64(total)/trials, worst)
-	fmt.Println("  agreement/validity deterministic, termination probabilistic: Theorem 2's")
-	fmt.Println("  impossibility is strictly about deterministic protocols.")
-	fmt.Println()
+	return exec(stdout, stderr)
 }
 
-func e29Metrics(n, per int) {
-	fmt.Println("E29: wait-free observability (internal/wfstats)")
-	fmt.Println("  One registry instrumenting every layer of the Figure 4-5 stack; the")
-	fmt.Println("  record path is itself wait-free (atomics only, wfvet-verified).")
-	reg := wfstats.NewRegistry()
-	consensus.Instrument(reg)
-	fac := core.NewConsFAC(n, func() consensus.Object { return consensus.NewCAS(n) })
-	fac.Instrument(reg)
-	u := core.NewUniversal(seqspec.Counter{}, fac, n, core.WithMetrics(reg))
-	runWorkers(n, per, u.Invoke, inc)
-	consensus.Instrument(nil) // detach the package-level counters again
-	var buf strings.Builder
-	if err := reg.WriteText(&buf); err != nil {
-		fmt.Println("  metrics export failed:", err)
-		return
-	}
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		fmt.Println("  " + line)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: experiments [command] [flags]")
+	fmt.Fprintln(w, "\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-14s %s\n", c.name, c.summary)
 	}
 }

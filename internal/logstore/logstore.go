@@ -24,7 +24,7 @@
 //
 // # Group commit
 //
-// Append blocks until its records are durable (file + directory fsync).
+// AppendBatch blocks until its records are durable (file + directory fsync).
 // One flusher goroutine drains concurrently queued appends into a single
 // log file with a single fsync pair, so the fsync cost amortizes across
 // however many appliers are committing at once — the classic group-commit
@@ -37,6 +37,9 @@
 // acknowledged operation is in a durable log file (or covered by a durable
 // snapshot) and survives kill -9; an unacknowledged operation may or may
 // not survive, which is the standard ambiguity of any storage interface.
+// The first write that fails poisons the store: every later AppendBatch and
+// WriteSnapshot returns that error until the directory is reopened, so no
+// batch is ever acknowledged on top of a hole.
 //
 // Wait-freedom claims stop at the wait-free core this store feeds: the
 // public methods carry function-level //wf:blocking (fsync, rename and
@@ -84,7 +87,7 @@ var (
 	snapMagic = [4]byte{'W', 'F', 'S', '1'}
 )
 
-// ErrClosed is returned by Append after Close.
+// ErrClosed is returned by AppendBatch after Close.
 var ErrClosed = errors.New("logstore: store is closed")
 
 // ErrCorrupt wraps integrity failures in committed log files. A torn or
@@ -128,6 +131,12 @@ type Store struct {
 	snaps     map[uint32]snapRef
 	snapFiles []snapRef
 	validated map[uint32]Snapshot
+	// failed is the first error a log or snapshot write returned. It is
+	// sticky: after a failed fsync the kernel may have dropped the dirty
+	// pages and a retry can report success over a hole, so the store stops
+	// writing and every later AppendBatch/WriteSnapshot returns this error
+	// until the directory is reopened.
+	failed error
 
 	reqs        chan appendReq
 	quit        chan struct{}
@@ -228,12 +237,6 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Append durably commits recs; it is AppendBatch under its original name,
-// kept for callers that think in single records or pre-gathered slices.
-//
-//wf:blocking blocks until the group commit's fsync pair completes
-func (s *Store) Append(recs []Record) error { return s.AppendBatch(recs) }
-
 // AppendBatch durably commits recs as one batch: it returns only after the
 // records are in a CRC-sealed log file whose name is fsynced into the
 // directory. This is the batch-drained applier's entry point — a shard
@@ -314,13 +317,18 @@ func (s *Store) commitGroup(group []appendReq) {
 	s.mu.Lock()
 	idx := s.nextIdx
 	s.nextIdx++
+	err := s.failed
 	s.mu.Unlock()
 
 	var recs []Record
 	for _, req := range group {
 		recs = append(recs, req.recs...)
 	}
-	err := s.writeLogFile(idx, recs)
+	if err == nil {
+		if err = s.writeLogFile(idx, recs); err != nil {
+			err = s.fail(err)
+		}
+	}
 	if err == nil {
 		max := make(map[uint32]uint64)
 		for _, r := range recs {
@@ -338,6 +346,19 @@ func (s *Store) commitGroup(group []appendReq) {
 	for _, req := range group {
 		req.err <- err
 	}
+}
+
+// fail makes err the store's sticky failure unless an earlier write already
+// failed, and returns the failure that stuck.
+//
+//wf:blocking takes the store mutex to record the failure
+func (s *Store) fail(err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed == nil {
+		s.failed = err
+	}
+	return s.failed
 }
 
 // writeLogFile writes one sealed log file through the write-once
@@ -485,6 +506,12 @@ func (s *Store) readSnapshot(ref snapRef) (Snapshot, error) {
 //
 //wf:blocking fsyncs the snapshot file and updates the index under the store mutex
 func (s *Store) WriteSnapshot(snap Snapshot) error {
+	s.mu.Lock()
+	err := s.failed
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	buf := snapMagic[:4:4]
 	buf = binary.BigEndian.AppendUint32(buf, snap.Shard)
 	buf = binary.BigEndian.AppendUint64(buf, snap.Seq)
@@ -501,7 +528,7 @@ func (s *Store) WriteSnapshot(snap Snapshot) error {
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
 	name := fmt.Sprintf("snap-%010d-%016d", snap.Shard, snap.Seq)
 	if err := s.writeOnce(name, buf); err != nil {
-		return err
+		return s.fail(err)
 	}
 	ref := snapRef{shard: snap.Shard, seq: snap.Seq, name: name}
 	s.mu.Lock()

@@ -61,7 +61,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	ref := seqspec.KV{}.Init()
 	ops := []seqspec.Op{put(1, 10), put(2, 20), del(1), put(2, 21), put(3, 30)}
 	for i, op := range ops {
-		if err := st.Append([]Record{{Shard: 0, Seq: uint64(i + 1), Op: op}}); err != nil {
+		if err := st.AppendBatch([]Record{{Shard: 0, Seq: uint64(i + 1), Op: op}}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		ts := rec.Invoke()
@@ -100,7 +100,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= perShard; i++ {
-				err := st.Append([]Record{{Shard: uint32(sh), Seq: uint64(i), Op: put(int64(sh), int64(i))}})
+				err := st.AppendBatch([]Record{{Shard: uint32(sh), Seq: uint64(i), Op: put(int64(sh), int64(i))}})
 				if err != nil {
 					t.Errorf("shard %d append %d: %v", sh, i, err)
 					return
@@ -148,7 +148,7 @@ func TestTornTempFileIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append([]Record{{Shard: 0, Seq: 1, Op: put(7, 70)}}); err != nil {
+	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(7, 70)}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -183,7 +183,7 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append([]Record{{Shard: 0, Seq: 1, Op: put(1, 11)}}); err != nil {
+	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 11)}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -205,7 +205,7 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 	}
 	// And the store keeps working: the next append after recovery lands in
 	// a fresh file and survives another cycle.
-	if err := st2.Append([]Record{{Shard: 0, Seq: 2, Op: put(1, 12)}}); err != nil {
+	if err := st2.AppendBatch([]Record{{Shard: 0, Seq: 2, Op: put(1, 12)}}); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -227,7 +227,7 @@ func TestDoubleReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 40; i++ {
-		if err := st.Append([]Record{{Shard: 0, Seq: uint64(i), Op: put(int64(i%5), int64(i))}}); err != nil {
+		if err := st.AppendBatch([]Record{{Shard: 0, Seq: uint64(i), Op: put(int64(i%5), int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestSnapshotCompact(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		op := put(int64(i%4), int64(i))
 		state.Apply(op)
-		if err := st.Append([]Record{{Shard: 0, Seq: uint64(i), Op: op}}); err != nil {
+		if err := st.AppendBatch([]Record{{Shard: 0, Seq: uint64(i), Op: op}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 10; i++ {
-		if err := st.Append([]Record{{Shard: 0, Seq: uint64(i), Op: put(1, int64(i))}}); err != nil {
+		if err := st.AppendBatch([]Record{{Shard: 0, Seq: uint64(i), Op: put(1, int64(i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestCorruptLogFileFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != nil {
+	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -417,7 +417,51 @@ func TestAppendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	if err := st.Append([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != ErrClosed {
+	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestWriteFailureIsSticky: the failed-fsync policy. Once a commit fails the
+// store refuses every later write with that first error, even after the
+// fault clears — otherwise the next group would be acked on top of the hole
+// the failed one left. The directory is moved away rather than deleted so
+// the pre-failure records are still there to replay.
+func TestWriteFailureIsSticky(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir, dir+".gone"); err != nil {
+		t.Fatal(err)
+	}
+	first := st.AppendBatch([]Record{{Shard: 0, Seq: 2, Op: put(1, 2)}})
+	if first == nil {
+		t.Fatal("AppendBatch into a missing directory succeeded")
+	}
+	if err := os.Rename(dir+".gone", dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 3, Op: put(1, 3)}}); err != first {
+		t.Fatalf("AppendBatch after the fault cleared = %v, want the first error %v", err, first)
+	}
+	if err := st.WriteSnapshot(Snapshot{Shard: 0, Seq: 3, State: map[int64]int64{1: 3}}); err != first {
+		t.Fatalf("WriteSnapshot after the fault cleared = %v, want the first error %v", err, first)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close of a failed store = %v", err)
+	}
+
+	state, st2 := recoverKV(t, dir)
+	defer st2.Close()
+	if got := state.Apply(get(1)); got != 1 {
+		t.Errorf("get(1) = %d after reopen, want 1 (only the pre-failure record)", got)
+	}
+	if err := st2.AppendBatch([]Record{{Shard: 0, Seq: 2, Op: put(1, 2)}}); err != nil {
+		t.Errorf("AppendBatch on the reopened store = %v", err)
 	}
 }
