@@ -37,14 +37,14 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 		return
 	}
 	u.gcAttach(pid)
-	entries := make([]*Entry, len(ops))
-	priors := make([]*Node, len(ops))
+	sc := &u.scratch[pid]
+	entries, priors := sc.entries[:0], sc.priors[:0]
 	//wf:bounded [B] one cons per batch entry: B is the caller's batch length
 	for i := range ops {
 		e := &Entry{Pid: pid, Seq: u.seqs[pid].Add(1), Op: ops[i]}
 		u.stats.consOps.Inc()
-		priors[i] = u.fac.FetchAndCons(pid, e)
-		entries[i] = e
+		priors = append(priors, u.fac.FetchAndCons(pid, e))
+		entries = append(entries, e)
 	}
 	last := entries[len(entries)-1]
 	// One pass for the wave: the walk down from the last entry's prior
@@ -76,4 +76,7 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 		e.Publish(out[i])
 	}
 	out[len(ops)-1] = resp
+	clear(entries)
+	clear(priors)
+	sc.entries, sc.priors = entries[:0], priors[:0]
 }

@@ -266,6 +266,29 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	}
 }
 
+// TestInvokeBatchAllocs pins InvokeBatch's steady-state allocations for a
+// 16-op batch: each entry costs its Entry and its swap-cons Node, and the
+// wave costs the replay's snapshot Clone, the stored snapshot's Clone and
+// its box. The per-wave entry and prior buffers live in the pid's replay
+// scratch, so they add nothing.
+func TestInvokeBatchAllocs(t *testing.T) {
+	u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), 1)
+	ops := make([]seqspec.Op, 16)
+	for i := range ops {
+		ops[i] = seqspec.Op{Kind: "inc"}
+	}
+	out := make([]int64, len(ops))
+	u.InvokeBatch(0, ops, out) // grow the scratch buffers once
+	got := testing.AllocsPerRun(50, func() { u.InvokeBatch(0, ops, out) })
+	if want := float64(2*len(ops) + 3); got != want {
+		t.Errorf("InvokeBatch of %d ops allocates %.1f times, want %.0f", len(ops), got, want)
+	}
+	if sc := u.scratch[0]; len(sc.entries) != 0 || len(sc.priors) != 0 ||
+		sc.entries[:cap(sc.entries)][0] != nil || sc.priors[:cap(sc.priors)][0] != nil {
+		t.Error("InvokeBatch left entries or priors in its scratch: decided log nodes stay pinned")
+	}
+}
+
 // TestBatchedSnapshotBound: the replay bound survives batching. Solo passes
 // snapshot on the per-pid schedule, executor passes that helped anyone
 // snapshot unconditionally, so the un-snapshotted frontier stays O(n·k); the

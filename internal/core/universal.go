@@ -137,9 +137,13 @@ type universalStats struct {
 }
 
 // replayScratch is one pid's reusable replay buffer (single writer: the
-// pid's own front end).
+// pid's own front end). entries and priors are InvokeBatch's per-wave
+// buffers; it clears them before returning, so scratch never pins decided
+// log nodes or snapshot states beyond the call.
 type replayScratch struct {
 	pending []*Entry
+	entries []*Entry
+	priors  []*Node
 }
 
 // readSnap pairs an observed decided list with the state it replays to,
@@ -164,10 +168,12 @@ func WithoutTruncation() Option {
 }
 
 // WithSnapshotInterval makes only every k-th entry per process store a
-// cloned snapshot, trading Clone cost (dominant for map- and array-valued
-// states) against replay length: the strongly-wait-free replay bound
-// degrades gracefully from O(n) to O(n·k). k=1 — every entry, the paper's
-// Section 4.1 construction — is the default.
+// cloned snapshot, trading Clone cost against replay length: the
+// strongly-wait-free replay bound degrades gracefully from O(n) to O(n·k).
+// Clone dominates a write for states that copy their contents (seqspec's
+// Set, Queue and Bank); KV's persistent trie clones in O(1), so for KV a
+// larger k only lengthens replays. k=1 — every entry, the paper's Section
+// 4.1 construction — is the default.
 func WithSnapshotInterval(k int) Option {
 	if k < 1 {
 		panic("core: snapshot interval must be >= 1")

@@ -10,13 +10,16 @@
 //
 // States are mutable for efficiency, with explicit Clone for the snapshot
 // (strongly-wait-free) variant and Key for the linearizability checker's
-// memoization.
+// memoization. KV, the object the server and every benchmark workload
+// serve, keeps its state in a persistent hash trie, so its Clone really is
+// one step and its Apply walks at most 13 levels of at most 32 slots; the
+// other objects' Clones still copy their whole state.
 //
 //wf:waitfree
 package seqspec
 
 import (
-	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,7 +57,10 @@ const Empty int64 = -1 << 62
 // The //wf:steps 1 contracts below declare the paper's unit-cost model:
 // the universal construction's step bounds count sequential-object calls as
 // single steps, so an implementation whose Apply or Clone is super-constant
-// scales every certified bound by that factor.
+// scales every certified bound by that factor. KV honours the contract: its
+// Clone is a struct copy and its Apply costs at most kvMaxDepth (13) levels
+// × 32 slots, independent of the key count. Set, Queue, Stack, PQueue, List
+// and Bank clone in time linear in their size.
 type Object interface {
 	// Name identifies the type.
 	//
@@ -436,67 +442,271 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 
 // KV is a key-value map: put(k,v) returns the old value or Empty, get(k)
 // returns the value or Empty, del(k) returns the old value or Empty.
+//
+// The state is a persistent hash array mapped trie, so Clone is a struct
+// copy and put/del copy one root-to-leaf path (at most kvMaxDepth nodes of
+// at most 32 slots); nodes are never edited once built, which is what lets
+// clones, snapshots and the read fast path share them across goroutines.
 type KV struct{}
 
 // Name implements Object.
 func (KV) Name() string { return "kv" }
 
 // Init implements Object.
-func (KV) Init() State { return &kvState{m: make(map[int64]int64)} }
+func (KV) Init() State { return &kvState{} }
 
 // ReadOnly implements Object.
 func (KV) ReadOnly(op Op) bool { return op.Kind == "get" || op.Kind == "len" }
 
-type kvState struct{ m map[int64]int64 }
+// kvMaxDepth is the trie's level count: each level consumes 5 hash bits,
+// and 13 levels cover all 64, so two distinct keys (whose hashes differ,
+// kvHash being a bijection) always part by the last level.
+const kvMaxDepth = 13
+
+// kvSlot is one slot of a trie node; a node is just its bitmap-compressed
+// slot slice (one allocation). A leaf slot (kids == nil) holds a key and its
+// value; an internal slot holds the child node in kids and the child's
+// bitmap in key.
+type kvSlot struct {
+	key  int64
+	val  int64
+	kids []kvSlot
+}
+
+// kvFrame is one level of a root-to-leaf path: the node visited, its
+// bitmap, and the key's index bit at that level.
+type kvFrame struct {
+	node    []kvSlot
+	bm, bit uint32
+}
+
+type kvState struct {
+	root []kvSlot
+	bm   uint32
+	n    int64
+}
+
+// kvHash is the splitmix64 finalizer: a fixed (unseeded, so replicas agree)
+// bijective mixer, so distinct keys never share a full hash.
+func kvHash(k int64) uint64 {
+	x := uint64(k)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// kvBit is the key's slot bit at level: five hash bits per level, from the
+// top down. The shard router picks a key's shard from the low bits of a
+// similar mixer, so indexing from the low bits would leave most root slots
+// of a shard's trie empty.
+func kvBit(h uint64, level int) uint32 {
+	return 1 << (h << (5 * level) >> 59)
+}
+
+// kvPos is the slot index of bit in a node with bitmap bm.
+func kvPos(bm, bit uint32) int { return bits.OnesCount32(bm & (bit - 1)) }
+
+// kvWith returns a copy of node with bit's slot set to rep, inserting it
+// when bit is absent.
+func kvWith(node []kvSlot, bm, bit uint32, rep kvSlot) ([]kvSlot, uint32) {
+	pos := kvPos(bm, bit)
+	if bm&bit != 0 {
+		out := make([]kvSlot, len(node))
+		copy(out, node)
+		out[pos] = rep
+		return out, bm
+	}
+	out := make([]kvSlot, len(node)+1)
+	copy(out, node[:pos])
+	out[pos] = rep
+	copy(out[pos+1:], node[pos:])
+	return out, bm | bit
+}
+
+// kvWithout returns a copy of node with bit's (present) slot removed.
+func kvWithout(node []kvSlot, bm, bit uint32) ([]kvSlot, uint32) {
+	if len(node) == 1 {
+		return nil, 0
+	}
+	pos := kvPos(bm, bit)
+	out := make([]kvSlot, len(node)-1)
+	copy(out, node[:pos])
+	copy(out[pos:], node[pos+1:])
+	return out, bm &^ bit
+}
+
+// kvSplit builds the subtree that replaces leaf a when leaf b lands on its
+// slot: single-slot nodes from level down to the first level where their
+// hashes part, then one node holding both leaves.
+func kvSplit(a kvSlot, ha uint64, b kvSlot, hb uint64, level int) kvSlot {
+	d := bits.LeadingZeros64(ha^hb) / 5 // first level whose 5 bits differ
+	ba, bb := kvBit(ha, d), kvBit(hb, d)
+	pair := []kvSlot{a, b}
+	if bb < ba {
+		pair[0], pair[1] = b, a
+	}
+	sl := kvSlot{key: int64(ba | bb), kids: pair}
+	// One single-slot node per shared level: fewer than kvMaxDepth.
+	for l := d - 1; l >= level; l-- {
+		sl = kvSlot{key: int64(kvBit(ha, l)), kids: []kvSlot{sl}}
+	}
+	return sl
+}
 
 func (s *kvState) Apply(op Op) int64 {
 	switch op.Kind {
 	case "put":
-		k, v := op.Arg(0), op.Arg(1)
-		old, ok := s.m[k]
-		s.m[k] = v
-		if !ok {
-			return Empty
-		}
-		return old
+		return s.put(op.Arg(0), op.Arg(1))
 	case "get":
-		if v, ok := s.m[op.Arg(0)]; ok {
-			return v
-		}
-		return Empty
+		return s.get(op.Arg(0))
 	case "del":
-		k := op.Arg(0)
-		old, ok := s.m[k]
-		if !ok {
-			return Empty
-		}
-		delete(s.m, k)
-		return old
+		return s.del(op.Arg(0))
 	case "len":
-		return int64(len(s.m))
+		return s.n
 	}
 	panic("seqspec: kv: unknown op " + op.Kind)
 }
 
-func (s *kvState) Clone() State {
-	m := make(map[int64]int64, len(s.m))
-	for k, v := range s.m {
-		m[k] = v
+func (s *kvState) get(k int64) int64 {
+	h := kvHash(k)
+	node, bm := s.root, s.bm
+	for level := 0; level < kvMaxDepth; level++ {
+		bit := kvBit(h, level)
+		if bm&bit == 0 {
+			return Empty
+		}
+		sl := &node[kvPos(bm, bit)]
+		if sl.kids == nil {
+			if sl.key == k {
+				return sl.val
+			}
+			return Empty
+		}
+		node, bm = sl.kids, uint32(sl.key)
 	}
-	return &kvState{m: m}
+	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
 
+// descend records hash h's root-to-leaf path and returns the level where it
+// ends: at a leaf slot (hit) or at a free slot (!hit).
+func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf kvSlot, hit bool) {
+	node, bm := s.root, s.bm
+	for level := 0; level < kvMaxDepth; level++ {
+		bit := kvBit(h, level)
+		path[level] = kvFrame{node: node, bm: bm, bit: bit}
+		if bm&bit == 0 {
+			return level, kvSlot{}, false
+		}
+		sl := node[kvPos(bm, bit)]
+		if sl.kids == nil {
+			return level, sl, true
+		}
+		node, bm = sl.kids, uint32(sl.key)
+	}
+	panic("seqspec: kv: trie deeper than kvMaxDepth")
+}
+
+func (s *kvState) put(k, v int64) int64 {
+	h := kvHash(k)
+	var path [kvMaxDepth]kvFrame
+	depth, sl, hit := s.descend(h, &path)
+	rep, old := kvSlot{key: k, val: v}, Empty
+	switch {
+	case !hit:
+		s.n++
+	case sl.key == k:
+		old = sl.val
+	default:
+		rep = kvSplit(sl, kvHash(sl.key), rep, h, depth+1)
+		s.n++
+	}
+	// Copy the path back up: at most kvMaxDepth nodes.
+	for i := depth; i >= 0; i-- {
+		f := path[i]
+		nn, nbm := kvWith(f.node, f.bm, f.bit, rep)
+		rep = kvSlot{key: int64(nbm), kids: nn}
+	}
+	s.root, s.bm = rep.kids, uint32(rep.key)
+	return old
+}
+
+// del removes k by copying its path minus the leaf. A non-root node left
+// holding a single leaf is dropped and the leaf moves up into the parent,
+// so the trie's shape depends only on its contents.
+func (s *kvState) del(k int64) int64 {
+	var path [kvMaxDepth]kvFrame
+	depth, sl, hit := s.descend(kvHash(k), &path)
+	if !hit || sl.key != k {
+		return Empty
+	}
+	s.n--
+	var rep kvSlot
+	gone := true // the slot below is removed rather than replaced by rep
+	// Copy the path back up: at most kvMaxDepth nodes.
+	for i := depth; i >= 0; i-- {
+		f := path[i]
+		if i > 0 && gone && len(f.node) == 2 {
+			if other := f.node[1-kvPos(f.bm, f.bit)]; other.kids == nil {
+				rep, gone = other, false // the sibling leaf moves up
+				continue
+			}
+		}
+		if i > 0 && !gone && len(f.node) == 1 && rep.kids == nil {
+			continue // a single-slot chain node collapses; the leaf keeps moving up
+		}
+		// Only the root can lose its last slot: a non-root node holds two
+		// or more slots, or one internal slot, and the leaf cases above
+		// never leave it empty.
+		var nn []kvSlot
+		var nbm uint32
+		if gone {
+			nn, nbm = kvWithout(f.node, f.bm, f.bit)
+		} else {
+			nn, nbm = kvWith(f.node, f.bm, f.bit, rep)
+		}
+		rep, gone = kvSlot{key: int64(nbm), kids: nn}, false
+	}
+	s.root, s.bm = rep.kids, uint32(rep.key)
+	return sl.val
+}
+
+// Clone shares every node: they are immutable once built.
+func (s *kvState) Clone() State { c := *s; return &c }
+
+// Key renders the contents as "k=v," sorted by signed key. The walk keeps
+// one pending-slot cursor per level on an explicit stack (no recursion):
+// every slot is visited once.
 func (s *kvState) Key() string {
-	ks := make([]int64, 0, len(s.m))
-	for k := range s.m {
-		ks = append(ks, k)
+	leaves := make([]kvSlot, 0, s.n)
+	var stack [kvMaxDepth][]kvSlot
+	stack[0] = s.root
+	top := 0
+	for top >= 0 {
+		if len(stack[top]) == 0 {
+			top--
+			continue
+		}
+		sl := stack[top][0]
+		stack[top] = stack[top][1:]
+		if sl.kids == nil {
+			leaves = append(leaves, sl)
+			continue
+		}
+		top++
+		stack[top] = sl.kids
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	var b strings.Builder
-	for _, k := range ks {
-		fmt.Fprintf(&b, "%d=%d,", k, s.m[k])
+	sort.Slice(leaves, func(i, j int) bool { return leaves[i].key < leaves[j].key })
+	var b []byte
+	for _, sl := range leaves {
+		b = strconv.AppendInt(b, sl.key, 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, sl.val, 10)
+		b = append(b, ',')
 	}
-	return b.String()
+	return string(b)
 }
 
 // --- Bank ---

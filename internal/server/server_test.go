@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"waitfree/internal/core"
 	"waitfree/internal/linearize"
 	"waitfree/internal/seqspec"
 	"waitfree/internal/wire"
@@ -356,13 +357,26 @@ func TestServerConcurrentLinearizable(t *testing.T) {
 // every pool pid that had ever served a client pinned the low-water mark
 // at that client's last write forever, so Retired() froze and the logs
 // grew without bound.
+//
+// The pool holds more pids than there are sessions and hands them out in
+// FIFO order, so no pid is leased twice. With a small pool every pid came
+// back within a few sessions and re-observed the log, which moved its pin
+// along and let the test pass even with the Detach call removed. Each
+// session writes exactly core.DefaultGCEvery puts to each shard, so its
+// fresh pid runs one mark advance per shard, on its last write there.
 func TestServerLeaseChurnGC(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Procs: 4})
 	sessions := 60
 	if testing.Short() {
 		sessions = 20
 	}
-	const opsPerSession = 24
+	s := startServer(t, Config{Shards: 2, Procs: sessions + 4})
+	var keys [2][]int64 // four keys routed to each shard
+	for k := int64(0); len(keys[0]) < 4 || len(keys[1]) < 4; k++ {
+		if sh := s.KV().ShardOf(k); len(keys[sh]) < 4 {
+			keys[sh] = append(keys[sh], k)
+		}
+	}
+	const opsPerSession = 2 * core.DefaultGCEvery
 	var lastRetired int64
 	grew := 0
 	for sess := 0; sess < sessions; sess++ {
@@ -371,11 +385,22 @@ func TestServerLeaseChurnGC(t *testing.T) {
 			t.Fatalf("Dial: %v", err)
 		}
 		for i := 0; i < opsPerSession; i++ {
-			if _, err := cl.Put(int64(i%8), int64(sess)); err != nil {
+			if _, err := cl.Put(keys[i%2][i/2%4], int64(sess)); err != nil {
 				t.Fatalf("put: %v", err)
 			}
 		}
 		cl.Close()
+		// The server detaches the departed pid in serveConn's deferred
+		// cleanup, after the client has already hung up; connsActive drops
+		// only once Detach has run. Sample before that and the next
+		// session's GC advance can still see the old pid pinning the mark.
+		deadline := time.Now().Add(5 * time.Second)
+		for s.connsActive.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %d: connection still active 5s after Close", sess)
+			}
+			time.Sleep(time.Millisecond)
+		}
 		if r := s.KV().Retired(); r > lastRetired {
 			lastRetired = r
 			grew++

@@ -145,8 +145,10 @@ func WithoutTruncation() Option { return core.WithoutTruncation() }
 
 // WithSnapshotInterval stores a snapshot only on every k-th entry per
 // process, trading Clone cost against replay length: the replay bound
-// degrades gracefully from O(n) to O(n·k). k=1 (the default) is the
-// paper-faithful strongly-wait-free mode.
+// degrades gracefully from O(n) to O(n·k). The trade pays for objects that
+// copy their state on Clone (Set, Queue, Bank); KV clones in O(1), so for
+// it k > 1 only lengthens replays. k=1 (the default) is the paper-faithful
+// strongly-wait-free mode.
 func WithSnapshotInterval(k int) Option { return core.WithSnapshotInterval(k) }
 
 // WithoutFastReads routes read-only operations through the full write path
