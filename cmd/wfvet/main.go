@@ -359,7 +359,7 @@ func writeSARIF(cwd string, res *wfcheck.Result) {
 		"singlewriter": "foreign write to a single-writer per-process slot",
 		"monotone":     "write to a monotone register not provably non-decreasing",
 		"abasafe":      "pointer compare-and-swap without ABA protection",
-		"fsyncorder":   "commit rename without the fsync ordering of a durable function",
+		"fsyncorder":   "commit rename or append without the fsync ordering of a durable function",
 		"ackpersist":   "client-visible acknowledgement not dominated by a persist",
 		"goown":        "goroutine without a declared reachable shutdown edge",
 		"stale":        "directive no analyzer needs any more",

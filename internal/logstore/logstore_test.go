@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,8 +85,8 @@ func TestStoreRoundTrip(t *testing.T) {
 
 // TestGroupCommitConcurrent: concurrent appenders all become durable, each
 // shard's records replay in seq order, and the group commit actually
-// groups (fewer log files than appends under concurrency — asserted
-// loosely since grouping depends on scheduling).
+// groups (no more frames than appends — asserted loosely since grouping
+// depends on scheduling).
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -109,6 +110,9 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if got := st.Stats().Batches; got > shards*perShard {
+		t.Errorf("batches = %d, more than one per append", got)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +136,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	if total != shards*perShard {
 		t.Fatalf("replayed %d records, want %d", total, shards*perShard)
-	}
-	if got := st2.Stats().Batches; got > shards*perShard {
-		t.Errorf("batches = %d, more than one per append", got)
 	}
 }
 
@@ -173,10 +174,10 @@ func TestTornTempFileIgnored(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenWriteAndRename is fault injection #2: the temp file was
-// fully written and fsynced but the crash hit before the rename, so the
-// operation was never acked. Recovery must treat it as never-happened:
-// drop the orphan, serve exactly the previously acked state.
+// TestCrashBetweenWriteAndRename is fault injection #2: a write-once
+// publication was fully written and fsynced but the crash hit before the
+// rename, so nothing in it was ever acked. Recovery must treat it as
+// never-happened: drop the orphan, serve exactly the previously acked state.
 func TestCrashBetweenWriteAndRename(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -187,7 +188,7 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	// A byte-perfect log file parked under its temp name: exactly what the
+	// A byte-perfect segment parked under its temp name: exactly what the
 	// disk holds when the crash lands between fsync(file) and rename.
 	committed, err := os.ReadFile(filepath.Join(dir, "log-"+strings.Repeat("0", 15)+"1"))
 	if err != nil {
@@ -204,7 +205,7 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 		t.Errorf("get(1) = %d after crash-before-rename, want the acked 11 (99 was never renamed, never acked)", got)
 	}
 	// And the store keeps working: the next append after recovery lands in
-	// a fresh file and survives another cycle.
+	// a fresh segment and survives another cycle.
 	if err := st2.AppendBatch([]Record{{Shard: 0, Seq: 2, Op: put(1, 12)}}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,22 +275,30 @@ func TestDoubleReplayIdempotent(t *testing.T) {
 }
 
 // TestSnapshotCompact: a snapshot covering the whole log lets Compact
-// erase every log file and the superseded snapshot, and recovery from the
-// compacted directory serves the identical state.
+// erase every sealed segment and the superseded snapshot, but never the
+// segment the flusher is appending to, and recovery from the compacted
+// directory serves the identical state.
 func TestSnapshotCompact(t *testing.T) {
 	dir := t.TempDir()
+	state := seqspec.KV{}.Init()
+	appendRange := func(st *Store, lo, hi int) {
+		for i := lo; i <= hi; i++ {
+			op := put(int64(i%4), int64(i))
+			state.Apply(op)
+			if err := st.AppendBatch([]Record{{Shard: 0, Seq: uint64(i), Op: op}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Segment 1 is sealed by the reopen; segment 2 is the active one.
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := seqspec.KV{}.Init()
-	for i := 1; i <= 30; i++ {
-		op := put(int64(i%4), int64(i))
-		state.Apply(op)
-		if err := st.AppendBatch([]Record{{Shard: 0, Seq: uint64(i), Op: op}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendRange(st, 1, 15)
+	st.Close()
+	_, st = recoverKV(t, dir)
+	appendRange(st, 16, 30)
 	if err := st.WriteSnapshot(Snapshot{Shard: 0, Seq: 15, State: map[int64]int64{0: 12, 1: 13, 2: 14, 3: 15}}); err != nil {
 		t.Fatal(err)
 	}
@@ -300,26 +309,22 @@ func TestSnapshotCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("Compact erased nothing with a full-coverage snapshot")
+	if n != 2 {
+		t.Errorf("Compact erased %d files, want the sealed segment and the superseded snapshot", n)
 	}
-	if live := st.Stats().LogFiles; live != 0 {
-		t.Errorf("%d log files left after full compaction", live)
+	if live := st.Stats().LogFiles; live != 1 {
+		t.Errorf("%d segments left after full compaction, want only the active one", live)
 	}
 	st.Close()
 
-	names, _ := os.ReadDir(dir)
-	var snapCount int
-	for _, e := range names {
-		if strings.HasPrefix(e.Name(), "log-") {
-			t.Errorf("log file %s survived compaction", e.Name())
-		}
-		if strings.HasPrefix(e.Name(), "snap-") {
-			snapCount++
-		}
+	entries, _ := os.ReadDir(dir)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	if snapCount != 1 {
-		t.Errorf("%d snapshot files after compaction, want 1", snapCount)
+	want := []string{segName(2), fmt.Sprintf("snap-%010d-%016d", 0, 30)}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("after compaction the directory holds %v, want %v", names, want)
 	}
 
 	got, st2 := recoverKV(t, dir)
@@ -371,41 +376,105 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestCorruptLogFileFatal: a committed log file held acknowledged writes,
-// so a CRC failure there must fail Replay loudly (ErrCorrupt) instead of
-// silently dropping acked data.
+// TestCorruptLogFileFatal: a frame that was fsynced before a later one was
+// written held acknowledged writes, so a byte flip there must fail loudly
+// (ErrCorrupt) instead of silently dropping acked data — in a sealed
+// segment (found by Replay) and in a non-final frame of the newest (found
+// by Open). The newest segment's final frame is the one place a flip reads
+// as a torn write: Open cuts it off and counts the bytes.
 func TestCorruptLogFileFatal(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	var logName string
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "log-") {
-			logName = e.Name()
+	pristine := t.TempDir()
+	// Segment 1 holds seqs 1-2 and is sealed by the reopen; segment 2, the
+	// newest, holds seqs 3-5 in three frames.
+	for _, seqs := range [][]uint64{{1, 2}, {3, 4, 5}} {
+		_, st := recoverKV(t, pristine)
+		for _, seq := range seqs {
+			if err := st.AppendBatch([]Record{{Shard: 0, Seq: seq, Op: put(1, int64(seq))}}); err != nil {
+				t.Fatal(err)
+			}
 		}
+		st.Close()
 	}
-	path := filepath.Join(dir, logName)
-	b, _ := os.ReadFile(path)
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(dir)
+	newest, err := os.ReadFile(filepath.Join(pristine, segName(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	err = st2.Replay(func(Record) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("Replay over a corrupt log = %v, want a checksum error", err)
+	var frames []int // offsets of the newest segment's frames
+	for off := len(logMagic); off < len(newest); off += frameAt(newest[off:]) {
+		frames = append(frames, off)
+	}
+	if len(frames) != 3 {
+		t.Fatalf("newest segment has %d frames, want 3", len(frames))
+	}
+	final := len(newest) - frames[2]
+
+	for _, tc := range []struct {
+		name   string
+		seg    uint64
+		off    int  // byte to flip
+		atOpen bool // Open itself must refuse
+		seqs   int  // records recovered when the flip is a torn tail
+	}{
+		{"sealed segment", 1, len(logMagic) + frameHeader + 5, false, 0},
+		{"non-final frame of the newest", 2, frames[1] + frameHeader + 5, true, 0},
+		{"final frame of the newest", 2, frames[2] + frameHeader + 5, false, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, idx := range []uint64{1, 2} {
+				b, err := os.ReadFile(filepath.Join(pristine, segName(idx)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if idx == tc.seg {
+					b[tc.off] ^= 0xff
+				}
+				if err := os.WriteFile(filepath.Join(dir, segName(idx)), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Open(dir)
+			if tc.atOpen {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Open = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			var got int
+			err = st.Replay(func(Record) error { got++; return nil })
+			if tc.seqs == 0 {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Replay = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil || got != tc.seqs {
+				t.Fatalf("Replay = %v with %d records, want the %d before the torn frame", err, got, tc.seqs)
+			}
+			if torn := st.Stats().TornBytes; torn != int64(final) {
+				t.Errorf("TornBytes = %d, want the final frame's %d", torn, final)
+			}
+			if fi, err := os.Stat(filepath.Join(dir, segName(2))); err != nil || fi.Size() != int64(frames[2]) {
+				t.Errorf("newest segment not cut back to %d bytes: %v, %v", frames[2], fi, err)
+			}
+		})
+	}
+}
+
+// TestRetiredFormatRefused: there is no reader for the one-file-per-group
+// WFL1 format, so Open fails on such a directory and says which format it
+// found.
+func TestRetiredFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte("WFL1\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "WFL1") {
+		t.Fatalf("Open over a WFL1 log = %v, want an error naming the format", err)
 	}
 }
 
@@ -425,10 +494,11 @@ func TestAppendAfterClose(t *testing.T) {
 // TestWriteFailureIsSticky: the failed-fsync policy. Once a commit fails the
 // store refuses every later write with that first error, even after the
 // fault clears — otherwise the next group would be acked on top of the hole
-// the failed one left. The directory is moved away rather than deleted so
-// the pre-failure records are still there to replay.
+// the failed one left. The fault is injected on the open segment's handle
+// (closed under the flusher between two groups) and cleared by handing the
+// flusher a working handle again.
 func TestWriteFailureIsSticky(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
+	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -436,14 +506,14 @@ func TestWriteFailureIsSticky(t *testing.T) {
 	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(dir, dir+".gone"); err != nil {
-		t.Fatal(err)
-	}
+	// The flusher is idle between groups, and the AppendBatch round trips
+	// order these handle swaps with its own use of st.seg.
+	st.seg.Close()
 	first := st.AppendBatch([]Record{{Shard: 0, Seq: 2, Op: put(1, 2)}})
 	if first == nil {
-		t.Fatal("AppendBatch into a missing directory succeeded")
+		t.Fatal("AppendBatch through a closed segment handle succeeded")
 	}
-	if err := os.Rename(dir+".gone", dir); err != nil {
+	if st.seg, err = os.OpenFile(filepath.Join(dir, segName(1)), os.O_WRONLY|os.O_APPEND, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 3, Op: put(1, 3)}}); err != first {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,12 +53,25 @@ func TestServerPersistRecovery(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, err := New(Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 8, Dir: dir, SnapshotEvery: 16})
+	var logMu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	s2, err := New(Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 8, Dir: dir, SnapshotEvery: 16, Logf: logf})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	s2.Start()
 	defer s2.Close()
+	logMu.Lock()
+	if len(logged) != 1 || !strings.Contains(logged[0], "snapshots loaded") || !strings.Contains(logged[0], "records replayed") ||
+		!strings.Contains(logged[0], "0 torn bytes truncated") || !strings.Contains(logged[0], "0 orphans removed") {
+		t.Errorf("boot logged %q, want one recovery line", logged)
+	}
+	logMu.Unlock()
 	cl2, err := Dial(s2.Addr().String())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -79,9 +93,19 @@ func TestServerPersistRecovery(t *testing.T) {
 	if n, err := cl2.Len(); err != nil || n != int64(len(expect)) {
 		t.Fatalf("after recovery len = (%d, %v), want %d", n, err, len(expect))
 	}
-	// Recovered state accepts new writes.
+	// Recovered state accepts new writes, and /stats shows the store taking
+	// them.
 	if _, err := cl2.Put(1000, 1); err != nil {
 		t.Fatalf("post-recovery put: %v", err)
+	}
+	gauges := map[string]int64{}
+	for _, smp := range s2.Metrics().Snapshot() {
+		gauges[smp.Name] = smp.Value
+	}
+	for name, min := range map[string]int64{"logstore.segments": 1, "logstore.fsyncs": 1, "logstore.batches": 1, "logstore.torn_bytes": 0} {
+		if v, ok := gauges[name]; !ok || v < min {
+			t.Errorf("gauge %s = %d (registered %v), want >= %d", name, v, ok, min)
+		}
 	}
 }
 

@@ -54,6 +54,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"waitfree"
 	"waitfree/internal/logstore"
@@ -202,15 +203,24 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if cfg.Dir != "" {
+		start := time.Now()
 		st, err := logstore.Open(cfg.Dir)
 		if err != nil {
 			return nil, err
 		}
 		s.store = st
-		if err := s.startAppliers(); err != nil {
+		snaps, replayed, err := s.startAppliers()
+		if err != nil {
 			st.Close()
 			return nil, err
 		}
+		boot := st.Stats()
+		cfg.Logf("server: recovered %s in %v: %d snapshots loaded, %d records replayed, %d torn bytes truncated, %d orphans removed",
+			cfg.Dir, time.Since(start).Round(time.Microsecond), snaps, replayed, boot.TornBytes, boot.Orphans)
+		reg.GaugeFunc("logstore.segments", func() int64 { return st.Stats().LogFiles })
+		reg.GaugeFunc("logstore.fsyncs", func() int64 { return st.Stats().Fsyncs })
+		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
+		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
 	}
 
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -244,10 +254,11 @@ func (s *Server) applierPid(sh int) int { return s.cfg.Procs + sh }
 // startAppliers replays the store into the fresh KV and launches one
 // applier goroutine per shard. Replay order matches commit order: the
 // newest validated snapshot per shard first (its keys hash back to the
-// same shard by construction), then every durable log record above it.
+// same shard by construction), then every durable log record above it. It
+// returns how many snapshots it loaded and records it replayed.
 //
 //wf:blocking replays the store and launches the blocking appliers
-func (s *Server) startAppliers() error {
+func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 	shadows := make([]map[int64]int64, s.cfg.Shards)
 	nextSeq := make([]uint64, s.cfg.Shards)
 	for i := range shadows {
@@ -256,12 +267,12 @@ func (s *Server) startAppliers() error {
 	}
 	snaps, err := s.store.Snapshots()
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	for _, snap := range snaps {
 		sh := int(snap.Shard)
 		if sh >= s.cfg.Shards {
-			return fmt.Errorf("server: store has shard %d, server configured with %d shards", sh, s.cfg.Shards)
+			return 0, 0, fmt.Errorf("server: store has shard %d, server configured with %d shards", sh, s.cfg.Shards)
 		}
 		pid := s.applierPid(sh)
 		for k, v := range snap.State {
@@ -280,10 +291,11 @@ func (s *Server) startAppliers() error {
 		applyShadow(shadows[sh], rec.Op)
 		nextSeq[sh] = rec.Seq + 1
 		sinceSnap[sh]++
+		replayed++
 		return nil
 	})
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	s.appliers = make([]chan applyReq, s.cfg.Shards)
 	for sh := 0; sh < s.cfg.Shards; sh++ {
@@ -293,7 +305,7 @@ func (s *Server) startAppliers() error {
 		//wf:owns ch stopAppliers closes every applier channel; the range drains and exits
 		go s.runApplier(sh, ch, shadows[sh], nextSeq[sh], sinceSnap[sh])
 	}
-	return nil
+	return len(snaps), replayed, nil
 }
 
 func applyShadow(shadow map[int64]int64, op seqspec.Op) {

@@ -6,30 +6,45 @@ import (
 	"go/types"
 )
 
-// fsyncorder audits the crash-durability commit protocol on functions marked
-// //wf:durable: a temp file is written, synced, atomically renamed into
-// place, and the directory is synced so the rename itself survives a crash.
-// The kill -9 drills sample a handful of crash points; this pass pins the
-// ordering at every os.Rename statically.
+// fsyncorder audits the crash-durability commit protocols on functions
+// marked //wf:durable. A function commits by rename (a temp file is
+// written, synced, atomically renamed into place, and the directory is
+// synced so the rename itself survives a crash) or by append (bytes are
+// written to, or a file truncated through, an open handle that is then
+// synced). The kill -9 drills sample a handful of crash points; this pass
+// pins the ordering at every commit statically.
 //
 // The check is positional, not a full dominance analysis: within a durable
 // function, every os.Rename must have a File.Sync on the renamed file at an
 // earlier position and some other Sync (the directory handle) at a later
-// one. That matches the straight-line shape commit paths take in practice —
-// the same decidable-over-complete trade the register-discipline analyzers
-// make — and a rename whose source the analyzer cannot trace to a file
-// handle is its own finding, waivable with a reason.
+// one, and every (*os.File).Write or Truncate must have a Sync on the same
+// handle at a later position. That matches the straight-line shape commit
+// paths take in practice — the same decidable-over-complete trade the
+// register-discipline analyzers make — and a rename whose source the
+// analyzer cannot trace to a file handle is its own finding, waivable with
+// a reason.
 //
 // os.Rename in a function not marked //wf:durable is flagged too: a commit
 // rename outside the audited protocol is exactly the bug class this pass
-// exists for. A //wf:durable directive on a function with no rename is a
-// stale claim.
+// exists for. A //wf:durable directive on a function with neither a rename
+// nor a write is a stale claim.
 
-// syncCall is one (*os.File).Sync call site: the receiver expression
+// syncCall is one (*os.File) method call site — a Sync, or a Write or
+// Truncate the append commit must sync — with the receiver expression
 // rendered as a string, and where it happened.
 type syncCall struct {
-	recv string
-	pos  token.Pos
+	recv   string
+	method string
+	pos    token.Pos
+}
+
+// fileCall renders a method call on an *os.File as a syncCall.
+func fileCall(call *ast.CallExpr) (syncCall, bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return syncCall{}, false
+	}
+	return syncCall{recv: types.ExprString(ast.Unparen(sel.X)), method: sel.Sel.Name, pos: call.Pos()}, true
 }
 
 // analyzeFsyncOrder runs the fsyncorder analyzer over one package.
@@ -48,7 +63,7 @@ func analyzeFsyncOrder(p *Package, diags *[]Diagnostic) {
 // fsyncOrderFunc checks one function's commit protocol.
 func fsyncOrderFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
 	var renames []*ast.CallExpr
-	var syncs []syncCall
+	var syncs, writes []syncCall
 	nameBinds := make(map[string]string) // local := f.Name() → "f"
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -61,8 +76,12 @@ func fsyncOrderFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
 			case "os.Rename":
 				renames = append(renames, n)
 			case "(*os.File).Sync":
-				if sel, isSel := ast.Unparen(n.Fun).(*ast.SelectorExpr); isSel {
-					syncs = append(syncs, syncCall{recv: types.ExprString(ast.Unparen(sel.X)), pos: n.Pos()})
+				if c, ok := fileCall(n); ok {
+					syncs = append(syncs, c)
+				}
+			case "(*os.File).Write", "(*os.File).Truncate":
+				if c, ok := fileCall(n); ok {
+					writes = append(writes, c)
 				}
 			}
 		case *ast.AssignStmt:
@@ -82,12 +101,22 @@ func fsyncOrderFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
 		return true
 	})
 	durablePos, durable := p.Annots.Durable[fd]
-	if durable && len(renames) == 0 {
+	if durable && len(renames) == 0 && len(writes) == 0 {
 		*diags = append(*diags, Diagnostic{
 			Pos: p.Fset.Position(durablePos), Analyzer: "fsyncorder",
-			Message: fd.Name.Name + " is marked //wf:durable but commits nothing: no os.Rename in the body",
+			Message: fd.Name.Name + " is marked //wf:durable but commits nothing: no os.Rename, (*os.File).Write or Truncate in the body",
 		})
 		return
+	}
+	if durable {
+		for _, w := range writes {
+			if !syncAfter(syncs, w) {
+				if d := disciplineDiag(p, w.pos, "fsyncorder",
+					"%s.%s in %s is not followed by %s.Sync() before return: a crash can lose what the commit reports durable", w.recv, w.method, fd.Name.Name, w.recv); d != nil {
+					*diags = append(*diags, *d)
+				}
+			}
+		}
 	}
 	for _, rn := range renames {
 		if !durable {
@@ -171,6 +200,17 @@ func syncBefore(syncs []syncCall, fileExpr string, rename token.Pos) bool {
 func dirSyncAfter(syncs []syncCall, fileExpr string, rename token.Pos) bool {
 	for _, s := range syncs {
 		if s.recv != fileExpr && s.pos > rename {
+			return true
+		}
+	}
+	return false
+}
+
+// syncAfter reports whether the handle a Write or Truncate went through is
+// Synced at a later position.
+func syncAfter(syncs []syncCall, w syncCall) bool {
+	for _, s := range syncs {
+		if s.recv == w.recv && s.pos > w.pos {
 			return true
 		}
 	}

@@ -74,10 +74,11 @@
 // The v4 service-tier discipline directives:
 //
 //	//wf:durable [note]
-//	    On a function: its os.Rename calls commit data files, and fsyncorder
-//	    audits the fsync ordering around each one. A durable function with
-//	    no rename is a stale claim; a rename outside a durable function is a
-//	    finding.
+//	    On a function: its os.Rename calls commit data files, or its
+//	    (*os.File).Write and Truncate calls commit by append, and
+//	    fsyncorder audits the fsync ordering around each one. A durable
+//	    function with neither is a stale claim; a rename outside a durable
+//	    function is a finding.
 //	//wf:persist [note]
 //	    On (or directly above) a statement line: completing this statement
 //	    makes the operation durable. //wf:ack [note] marks the statement
@@ -151,9 +152,10 @@
 // abasafe: audits pointer CompareAndSwap for ABA protection — install-once
 // nil, held-pointer Load, value-derived RMW, or a declared field guard.
 //
-// fsyncorder: audits the commit protocol of //wf:durable functions — every
+// fsyncorder: audits the commit protocols of //wf:durable functions — every
 // os.Rename preceded by a Sync on the renamed file and followed by a
-// directory fsync — and flags commit renames outside durable functions.
+// directory fsync, every (*os.File).Write or Truncate followed by a Sync on
+// the same handle — and flags commit renames outside durable functions.
 //
 // ackpersist: requires every //wf:ack (client-visible acknowledgement) to
 // be dominated by a completed //wf:persist statement on every path — the
