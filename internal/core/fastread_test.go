@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"waitfree/internal/linearize"
@@ -141,6 +143,91 @@ func TestFastReadLeavesLogAlone(t *testing.T) {
 	}
 	if got := u.FastReads(); got != 1000 {
 		t.Errorf("FastReads = %d, want 1000", got)
+	}
+}
+
+// TestStateIsDecidedPrefix: State races concurrent writers (meant for
+// -race). Every state it returns must equal a replay of a prefix of the
+// final decided list that holds every write completed before the call and
+// only writes started before it returned, successive calls must not move
+// back along the list, and mutating a returned state must not show in
+// later reads.
+func TestStateIsDecidedPrefix(t *testing.T) {
+	const n, per = 4, 150
+	for name, mk := range facMakers(n) {
+		t.Run(name, func(t *testing.T) {
+			fac := mk()
+			u := NewUniversal(seqspec.KV{}, fac, n)
+			var started, done atomic.Int64
+			var wg sync.WaitGroup
+			for p := 1; p < n; p++ {
+				p := p
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(p)))
+					for i := 0; i < per; i++ {
+						op := seqspec.Op{Kind: "put", Args: []int64{rng.Int63n(8), int64(p*1000 + i)}}
+						if rng.Intn(3) == 0 {
+							op = seqspec.Op{Kind: "del", Args: []int64{rng.Int63n(8)}}
+						}
+						started.Add(1)
+						u.Invoke(p, op)
+						done.Add(1)
+					}
+				}()
+			}
+			type seen struct {
+				key    string
+				lo, hi int64
+			}
+			var views []seen
+			stop := make(chan struct{})
+			go func() { wg.Wait(); close(stop) }()
+			for running := true; running; {
+				select {
+				case <-stop:
+					running = false
+				default:
+				}
+				lo := done.Load()
+				st := u.State(0)
+				views = append(views, seen{st.Key(), lo, started.Load()})
+				st.Apply(seqspec.Op{Kind: "put", Args: []int64{-1, 1}})
+				st.Apply(seqspec.Op{Kind: "del", Args: []int64{0}})
+				if got := u.Invoke(0, seqspec.Op{Kind: "get", Args: []int64{-1}}); got != seqspec.Empty {
+					t.Fatalf("a put on a returned state shows in a later read: get(-1) = %d", got)
+				}
+			}
+
+			// at[key] lists the prefix lengths of the decided list whose
+			// replay renders as key, ascending.
+			entries := Entries(fac.Observe())
+			if len(entries) != (n-1)*per {
+				t.Fatalf("decided list has %d entries, want %d", len(entries), (n-1)*per)
+			}
+			at := map[string][]int64{}
+			model := seqspec.KV{}.Init()
+			at[model.Key()] = []int64{0}
+			for i := len(entries) - 1; i >= 0; i-- {
+				model.Apply(entries[i].Op)
+				at[model.Key()] = append(at[model.Key()], int64(len(entries)-i))
+			}
+			prev := int64(0)
+			for i, v := range views {
+				lo := max(prev, v.lo)
+				j := sort.Search(len(at[v.key]), func(j int) bool { return at[v.key][j] >= lo })
+				if j == len(at[v.key]) || at[v.key][j] > v.hi {
+					t.Fatalf("State call %d returned %q: no decided prefix of length %d..%d replays to it (prefixes with that state: %v)",
+						i, v.key, lo, v.hi, at[v.key])
+				}
+				prev = at[v.key][j]
+			}
+			if got, want := u.State(0).Key(), model.Key(); got != want {
+				t.Fatalf("final State = %q, want %q", got, want)
+			}
+			t.Logf("%d State calls against %d writes", len(views), len(entries))
+		})
 	}
 }
 

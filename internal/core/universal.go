@@ -335,8 +335,20 @@ func (u *Universal) readFast(pid int, op seqspec.Op) int64 {
 	return state.Apply(op)
 }
 
+// State returns the object's state after every operation in the decided
+// list Observe loads, as a private copy the caller may mutate or keep.
+// Like a fast read it conses nothing and linearizes at that load, but it
+// neither reads nor fills the read cache. pid is bound by Invoke's
+// sequential-use contract. The server's appliers persist shard snapshots
+// from it.
+func (u *Universal) State(pid int) seqspec.State {
+	u.gcAttach(pid)
+	return u.replay(pid, u.fac.Observe())
+}
+
 // replay reconstructs the object state after all entries of list (newest
-// first), stopping early at snapshots when present.
+// first), stopping early at snapshots when present. The result is private:
+// a clone of the snapshot the walk stopped at, or a fresh Init.
 func (u *Universal) replay(pid int, list *Node) seqspec.State {
 	state, _ := u.replayPublish(pid, list, false)
 	return state

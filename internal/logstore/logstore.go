@@ -89,7 +89,9 @@ type Record struct {
 }
 
 // Snapshot is one shard's materialized state: State reflects every record
-// of the shard with seq <= Seq. KV states are int64->int64 maps.
+// of the shard with seq <= Seq. KV states are int64->int64 maps. A State
+// map belongs to the store once handed to WriteSnapshot, and the maps
+// Snapshots returns are shared with it: neither side mutates them.
 type Snapshot struct {
 	Shard uint32
 	Seq   uint64
@@ -756,7 +758,9 @@ func (s *Store) readSnapshot(ref snapRef) (Snapshot, error) {
 }
 
 // WriteSnapshot durably publishes snap. After it returns, Compact may
-// erase every log record of the shard with seq <= snap.Seq.
+// erase every log record of the shard with seq <= snap.Seq. The caller
+// hands snap.State over: the store keeps the map, uncopied, as the shard's
+// validated state, so the caller must not mutate it afterwards.
 //
 //wf:blocking fsyncs the snapshot file and updates the index under the store mutex
 func (s *Store) WriteSnapshot(snap Snapshot) error {
@@ -794,15 +798,10 @@ func (s *Store) WriteSnapshot(snap Snapshot) error {
 	if cur, ok := s.snaps[snap.Shard]; !ok || snap.Seq > cur.seq {
 		s.snaps[snap.Shard] = ref
 	}
-	// A snapshot we just wrote and fsynced is valid by construction. Copy
-	// the state: the caller (a live applier) keeps mutating its map.
+	// A snapshot we just wrote and fsynced is valid by construction.
 	if s.validated != nil {
 		if cur, ok := s.validated[snap.Shard]; !ok || snap.Seq > cur.Seq {
-			cp := Snapshot{Shard: snap.Shard, Seq: snap.Seq, State: make(map[int64]int64, len(snap.State))}
-			for k, v := range snap.State {
-				cp.State[k] = v
-			}
-			s.validated[snap.Shard] = cp
+			s.validated[snap.Shard] = snap
 		}
 	}
 	s.mu.Unlock()

@@ -183,8 +183,8 @@ func (r *kvReplica) clone() *kvReplica {
 
 // TestKVStateDifferential drives random put/get/del/len against a map
 // model over three key pools, cloning at random points after which both
-// sides keep mutating; every response and every live replica's Key must
-// match its own model.
+// sides keep mutating; every response and every live replica's Key and
+// KVPairs must match its own model.
 func TestKVStateDifferential(t *testing.T) {
 	for name, pool := range kvKeyPools() {
 		t.Run(name, func(t *testing.T) {
@@ -215,6 +215,9 @@ func TestKVStateDifferential(t *testing.T) {
 			for i, rp := range reps {
 				if got, want := rp.s.Key(), kvModelKey(rp.m); got != want {
 					t.Fatalf("replica %d: Key\n got %q\nwant %q", i, got, want)
+				}
+				if got, want := kvModelKey(KVPairs(rp.s)), kvModelKey(rp.m); got != want {
+					t.Fatalf("replica %d: KVPairs\n got %q\nwant %q", i, got, want)
 				}
 				kvCheckShape(t, rp.s.(*kvState))
 			}

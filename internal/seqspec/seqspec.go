@@ -676,11 +676,10 @@ func (s *kvState) del(k int64) int64 {
 // Clone shares every node: they are immutable once built.
 func (s *kvState) Clone() State { c := *s; return &c }
 
-// Key renders the contents as "k=v," sorted by signed key. The walk keeps
-// one pending-slot cursor per level on an explicit stack (no recursion):
-// every slot is visited once.
-func (s *kvState) Key() string {
-	leaves := make([]kvSlot, 0, s.n)
+// each calls fn on every leaf slot, in trie order. The walk keeps one
+// pending-slot cursor per level on an explicit stack (no recursion): every
+// slot is visited once.
+func (s *kvState) each(fn func(leaf kvSlot)) {
 	var stack [kvMaxDepth][]kvSlot
 	stack[0] = s.root
 	top := 0
@@ -692,12 +691,18 @@ func (s *kvState) Key() string {
 		sl := stack[top][0]
 		stack[top] = stack[top][1:]
 		if sl.kids == nil {
-			leaves = append(leaves, sl)
+			fn(sl)
 			continue
 		}
 		top++
 		stack[top] = sl.kids
 	}
+}
+
+// Key renders the contents as "k=v," sorted by signed key.
+func (s *kvState) Key() string {
+	leaves := make([]kvSlot, 0, s.n)
+	s.each(func(leaf kvSlot) { leaves = append(leaves, leaf) })
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].key < leaves[j].key })
 	var b []byte
 	for _, sl := range leaves {
@@ -707,6 +712,16 @@ func (s *kvState) Key() string {
 		b = append(b, ',')
 	}
 	return string(b)
+}
+
+// KVPairs returns the contents of a KV state as a fresh map the caller
+// owns. It is how the server persists a shard's state; st must come from
+// KV (any other State panics).
+func KVPairs(st State) map[int64]int64 {
+	s := st.(*kvState)
+	m := make(map[int64]int64, s.n)
+	s.each(func(leaf kvSlot) { m[leaf.key] = leaf.val })
+	return m
 }
 
 // --- Bank ---

@@ -2,15 +2,19 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"waitfree/internal/logstore"
 	"waitfree/internal/seqspec"
 	"waitfree/internal/wire"
 )
@@ -109,12 +113,85 @@ func TestServerPersistRecovery(t *testing.T) {
 	}
 }
 
-// TestServerRecoveryAcrossShardCounts: a store written with one shard
-// count refuses to open under a smaller one (records would have nowhere to
-// go) instead of silently dropping data.
+// TestServerRecoveryAcrossShardCounts: a store written with 4 shards
+// refuses to open under any other count instead of silently losing data.
+// With fewer shards, records would have nowhere to go. With more, keys
+// move to shards whose snapshots never held them: reopened at 8, a del of
+// a moved key followed by enough writes to snapshot its new shard left
+// the old put in the old shard's files, and the acked delete was undone
+// on the next restart. Each count is tried on a records-only store (the
+// default SnapshotEvery is never reached) and on one where every shard
+// has a snapshot, so both the record-path and snapshot-path checks run;
+// want names the check expected to refuse.
 func TestServerRecoveryAcrossShardCounts(t *testing.T) {
+	for _, tc := range []struct {
+		shards, snapEvery int
+		want              string
+	}{
+		{1, 0, "record for shard"},
+		{8, 0, "holds key"},
+		{1, 4, "store has shard"},
+		{8, 4, "holds key"},
+	} {
+		name := fmt.Sprintf("4to%d/records", tc.shards)
+		if tc.snapEvery > 0 {
+			name = fmt.Sprintf("4to%d/snapshots", tc.shards)
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 4, Dir: dir, SnapshotEvery: tc.snapEvery})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			s.Start()
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			for k := int64(0); k < 64; k++ {
+				if _, err := cl.Put(k, k+100); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+			}
+			cl.Close()
+			s.Close()
+			st, err := logstore.Open(dir)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			snaps, err := st.Snapshots()
+			st.Close()
+			if err != nil {
+				t.Fatalf("Snapshots: %v", err)
+			}
+			wantSnaps := 0
+			if tc.snapEvery > 0 {
+				wantSnaps = 4
+			}
+			if len(snaps) != wantSnaps {
+				t.Fatalf("store holds %d snapshots, want %d", len(snaps), wantSnaps)
+			}
+			s2, err := New(Config{Addr: "127.0.0.1:0", Shards: tc.shards, Procs: 4, Dir: dir})
+			if err == nil {
+				s2.Close()
+				t.Fatalf("New with %d shards over a 4-shard store succeeded; data would be misrouted", tc.shards)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("refusal %q, want the %q check", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestServerSnapshotsAreShardState: the appliers snapshot each shard's own
+// state. One sequential client sends seeded random put/del while the test
+// records every shard's ops in order. After Close, each shard's newest
+// snapshot must equal a model of that shard's first Seq ops, so deleted
+// keys are absent, and hold only keys that route to that shard.
+func TestServerSnapshotsAreShardState(t *testing.T) {
+	const shards = 4
 	dir := t.TempDir()
-	s, err := New(Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 4, Dir: dir})
+	s, err := New(Config{Addr: "127.0.0.1:0", Shards: shards, Procs: 4, Dir: dir, SnapshotEvery: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -123,55 +200,93 @@ func TestServerRecoveryAcrossShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	for k := int64(0); k < 32; k++ {
-		if _, err := cl.Put(k, k); err != nil {
-			t.Fatalf("put: %v", err)
+	rng := rand.New(rand.NewSource(1))
+	hist := make([][]seqspec.Op, shards)
+	for i := 0; i < 600; i++ {
+		k := rng.Int63n(48)
+		op := seqspec.Op{Kind: "put", Args: []int64{k, rng.Int63n(1000)}}
+		if rng.Intn(3) == 0 {
+			op = seqspec.Op{Kind: "del", Args: []int64{k}}
 		}
+		if _, err := cl.Do(op); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		sh := s.KV().ShardOf(k)
+		hist[sh] = append(hist[sh], op)
 	}
 	cl.Close()
-	s.Close()
-	if _, err := New(Config{Addr: "127.0.0.1:0", Shards: 1, Procs: 4, Dir: dir}); err == nil {
-		t.Fatalf("New with fewer shards than the store holds succeeded; data would be misrouted")
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	st, err := logstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	snaps, err := st.Snapshots()
+	if err != nil {
+		t.Fatalf("Snapshots: %v", err)
+	}
+	deleted := 0
+	for sh := 0; sh < shards; sh++ {
+		snap, ok := snaps[uint32(sh)]
+		if !ok || snap.Seq == 0 || snap.Seq > uint64(len(hist[sh])) {
+			t.Fatalf("shard %d: newest snapshot %+v, ok=%v, after %d ops", sh, snap, ok, len(hist[sh]))
+		}
+		model := map[int64]int64{}
+		for _, op := range hist[sh][:snap.Seq] {
+			if op.Kind == "put" {
+				model[op.Arg(0)] = op.Arg(1)
+			} else {
+				if _, ok := model[op.Arg(0)]; ok {
+					deleted++
+				}
+				delete(model, op.Arg(0))
+			}
+		}
+		if !reflect.DeepEqual(snap.State, model) {
+			t.Errorf("shard %d snapshot at seq %d:\n got %v\nwant %v", sh, snap.Seq, snap.State, model)
+		}
+		for k := range snap.State {
+			if to := s.KV().ShardOf(k); to != sh {
+				t.Errorf("shard %d snapshot holds key %d, which routes to shard %d", sh, k, to)
+			}
+		}
+	}
+	if deleted == 0 {
+		t.Fatal("no snapshot covered a delete of a present key")
 	}
 }
 
-// TestServerKill9Recovery is the real crash drill: build the wfserver
-// binary, fill it over a socket, SIGKILL it mid-flight (no shutdown path
+// TestServerKill9Recovery is the real crash drill: fill the wfserver
+// binary from several connections at once, SIGKILL it (no shutdown path
 // runs), restart on the same directory, and verify every acked write.
 func TestServerKill9Recovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs a real binary; skipped in -short")
-	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "wfserver")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/wfserver")
-	build.Dir = moduleRoot(t)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/wfserver: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(tmp, "data")
-	addr := freeAddr(t)
-
-	start := func() *exec.Cmd {
-		cmd := exec.Command(bin, "-addr", addr, "-dir", dataDir, "-snap-every", "32", "-shards", "4", "-procs", "16")
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start wfserver: %v", err)
-		}
-		return cmd
-	}
+	addr, start := serverDrill(t, 32)
 	srv := start()
 	defer func() { srv.Process.Kill(); srv.Wait() }()
 
-	cl := dialRetry(t, addr)
-	const keys = 200
-	for k := int64(0); k < keys; k++ {
-		if _, err := cl.Put(k, k*7); err != nil {
-			t.Fatalf("put(%d): %v", k, err)
-		}
+	const conns, keys = 4, 256
+	var wg sync.WaitGroup
+	for c := int64(0); c < conns; c++ {
+		cl := dialRetry(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer cl.Close()
+			for k := c; k < keys; k += conns {
+				if _, err := cl.Put(k, k*7); err != nil {
+					t.Errorf("put(%d): %v", k, err)
+					return
+				}
+			}
+		}()
 	}
-	cl.Close()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
 	// SIGKILL: no defer, no flush, no Close — only what is durable counts.
 	if err := srv.Process.Kill(); err != nil {
@@ -180,7 +295,7 @@ func TestServerKill9Recovery(t *testing.T) {
 	srv.Wait()
 
 	srv = start()
-	cl = dialRetry(t, addr)
+	cl := dialRetry(t, addr)
 	defer cl.Close()
 	for k := int64(0); k < keys; k++ {
 		v, err := cl.Get(k)
@@ -194,6 +309,40 @@ func TestServerKill9Recovery(t *testing.T) {
 	// And the restarted server still takes writes.
 	if _, err := cl.Put(keys, 1); err != nil {
 		t.Fatalf("post-restart put: %v", err)
+	}
+}
+
+// serverDrill builds the wfserver binary and returns the address it will
+// listen on and a function that starts it, on the same data directory
+// every time, with -snap-every snapEvery. The binary is race-enabled when
+// this test binary is, so the drills also run the real server under the
+// race detector. Skipped in -short.
+func serverDrill(t *testing.T, snapEvery int) (addr string, start func() *exec.Cmd) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and execs a real binary; skipped in -short")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "wfserver")
+	args := []string{"build", "-o", bin}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	build := exec.Command("go", append(args, "./cmd/wfserver")...)
+	build.Dir = moduleRoot(t)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("%s: %v\n%s", strings.Join(build.Args, " "), err, out)
+	}
+	dataDir := filepath.Join(tmp, "data")
+	addr = freeAddr(t)
+	return addr, func() *exec.Cmd {
+		cmd := exec.Command(bin, "-addr", addr, "-dir", dataDir, "-snap-every", strconv.Itoa(snapEvery), "-shards", "4", "-procs", "16")
+		cmd.Stdout = os.Stderr
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("start wfserver: %v", err)
+		}
+		return cmd
 	}
 }
 
@@ -257,28 +406,7 @@ func dialRetry(t *testing.T, addr string) *Client {
 // surviving in the ack record but not the store is exactly the bug the
 // coalesced-ack path must not introduce.
 func TestServerKill9PipelinedRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs a real binary; skipped in -short")
-	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "wfserver")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/wfserver")
-	build.Dir = moduleRoot(t)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/wfserver: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(tmp, "data")
-	addr := freeAddr(t)
-
-	start := func() *exec.Cmd {
-		cmd := exec.Command(bin, "-addr", addr, "-dir", dataDir, "-snap-every", "64", "-shards", "4", "-procs", "16")
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start wfserver: %v", err)
-		}
-		return cmd
-	}
+	addr, start := serverDrill(t, 64)
 	srv := start()
 	defer func() { srv.Process.Kill(); srv.Wait() }()
 

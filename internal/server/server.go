@@ -32,11 +32,13 @@
 // (shard.InvokeBatch), one replay pass and one snapshot per drain — and
 // acks each client. An acked write is therefore on disk before any client
 // observes it, which is exactly what boot-time replay reconstructs —
-// durable linearizability. Reads never touch the store; a get is answered
-// inline from the connection's leased pid unless this same connection has
-// writes still in flight on the key's shard, in which case it is routed
-// through the applier FIFO behind them (read-your-writes in program
-// order); a len barriers every shard the connection has dirtied.
+// durable linearizability. Snapshots are each shard's own state
+// (core.Universal.State); the server keeps no second copy of the KV. Reads
+// never touch the store; a get is answered inline from the connection's
+// leased pid unless this same connection has writes still in flight on the
+// key's shard, in which case it is routed through the applier FIFO behind
+// them (read-your-writes in program order); a len barriers every shard the
+// connection has dirtied.
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -253,16 +255,16 @@ func (s *Server) applierPid(sh int) int { return s.cfg.Procs + sh }
 
 // startAppliers replays the store into the fresh KV and launches one
 // applier goroutine per shard. Replay order matches commit order: the
-// newest validated snapshot per shard first (its keys hash back to the
-// same shard by construction), then every durable log record above it. It
-// returns how many snapshots it loaded and records it replayed.
+// newest validated snapshot per shard first, then every durable log record
+// above it. Every key stored under shard sh must route to sh, because the
+// appliers snapshot each shard's own state (DESIGN.md §4), so a store
+// written with another shard count is refused. It returns how many
+// snapshots it loaded and records it replayed.
 //
 //wf:blocking replays the store and launches the blocking appliers
 func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
-	shadows := make([]map[int64]int64, s.cfg.Shards)
 	nextSeq := make([]uint64, s.cfg.Shards)
-	for i := range shadows {
-		shadows[i] = make(map[int64]int64)
+	for i := range nextSeq {
 		nextSeq[i] = 1
 	}
 	snaps, err := s.store.Snapshots()
@@ -276,8 +278,10 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 		}
 		pid := s.applierPid(sh)
 		for k, v := range snap.State {
+			if err := s.checkRoute(sh, k); err != nil {
+				return 0, 0, err
+			}
 			s.kv.Invoke(pid, seqspec.Op{Kind: "put", Args: []int64{k, v}})
-			shadows[sh][k] = v
 		}
 		nextSeq[sh] = snap.Seq + 1
 	}
@@ -287,8 +291,12 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 		if sh >= s.cfg.Shards {
 			return fmt.Errorf("server: record for shard %d, server configured with %d shards", sh, s.cfg.Shards)
 		}
+		if key, keyed := shard.KVRouter(rec.Op); keyed {
+			if err := s.checkRoute(sh, key); err != nil {
+				return err
+			}
+		}
 		s.kv.Invoke(s.applierPid(sh), rec.Op)
-		applyShadow(shadows[sh], rec.Op)
 		nextSeq[sh] = rec.Seq + 1
 		sinceSnap[sh]++
 		replayed++
@@ -303,18 +311,17 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 		s.appliers[sh] = ch
 		s.loopWG.Add(1)
 		//wf:owns ch stopAppliers closes every applier channel; the range drains and exits
-		go s.runApplier(sh, ch, shadows[sh], nextSeq[sh], sinceSnap[sh])
+		go s.runApplier(sh, ch, nextSeq[sh], sinceSnap[sh])
 	}
 	return len(snaps), replayed, nil
 }
 
-func applyShadow(shadow map[int64]int64, op seqspec.Op) {
-	switch op.Kind {
-	case "put":
-		shadow[op.Arg(0)] = op.Arg(1)
-	case "del":
-		delete(shadow, op.Arg(0))
+// checkRoute refuses a key stored under shard sh that routes elsewhere.
+func (s *Server) checkRoute(sh int, key int64) error {
+	if to := s.kv.ShardOf(key); to != sh {
+		return fmt.Errorf("server: store shard %d holds key %d, which routes to shard %d of %d: the store was written with another shard count", sh, key, to, s.cfg.Shards)
 	}
+	return nil
 }
 
 // runApplier is shard sh's single writer: it drains a batch of pending
@@ -329,8 +336,12 @@ func applyShadow(shadow map[int64]int64, op seqspec.Op) {
 // a write that a crash could lose; wfvet's ackpersist analyzer checks
 // that every marked ack below is dominated by the marked group commit.
 //
+// Every SnapshotEvery records it persists the shard's own state: as the
+// shard's only writer, between drains its decided list holds exactly the
+// records 1..seq-1.
+//
 //wf:blocking waits on the applier channel and the store's group commit
-func (s *Server) runApplier(sh int, ch chan applyReq, shadow map[int64]int64, seq uint64, sinceSnap int) {
+func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int) {
 	defer s.loopWG.Done()
 	pid := s.applierPid(sh)
 	batch := make([]applyReq, 0, 64)
@@ -401,7 +412,6 @@ func (s *Server) runApplier(sh int, ch chan applyReq, shadow map[int64]int64, se
 			}
 			s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
 			for k := range run {
-				applyShadow(shadow, run[k].op)
 				run[k].w.outW[sh].Add(-1)
 				run[k].w.outWT.Add(-1)
 				run[k].w.ch <- completion{id: run[k].id, v: runOut[k]} //wf:ack durable before visible
@@ -411,7 +421,7 @@ func (s *Server) runApplier(sh int, ch chan applyReq, shadow map[int64]int64, se
 		}
 		if sinceSnap >= s.cfg.SnapshotEvery {
 			sinceSnap = 0
-			snap := logstore.Snapshot{Shard: uint32(sh), Seq: seq - 1, State: shadow}
+			snap := logstore.Snapshot{Shard: uint32(sh), Seq: seq - 1, State: seqspec.KVPairs(s.kv.Shard(sh).State(pid))}
 			if err := s.store.WriteSnapshot(snap); err != nil {
 				s.cfg.Logf("server: shard %d snapshot: %v", sh, err)
 				continue

@@ -200,7 +200,7 @@ func (h *Handle) Detach() { h.s.Detach(h.pid) }
 // Shards reports the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Shard exposes shard i for tests and inspection.
+// Shard exposes shard i for tests, inspection and the server's snapshots.
 func (s *Sharded) Shard(i int) *core.Universal { return s.shards[i] }
 
 // FastReads sums the read-fast-path counters across shards.
