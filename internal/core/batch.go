@@ -49,15 +49,14 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 	last := entries[len(entries)-1]
 	// One pass for the wave: the walk down from the last entry's prior
 	// traverses every earlier batch entry (they are below it and carry no
-	// snapshot yet) and publishes its response.
-	pre, published := u.replayPublish(pid, priors[len(priors)-1], true)
-	if u.truncate {
-		u.stats.snapStores.Inc()
-		last.snapshot.Store(&snapBox{state: pre.Clone()})
-		u.sampleLiveRegion(last.Seq)
-	}
-	resp := pre.Apply(last.Op)
+	// snapshot yet) and publishes its response. The last entry's response
+	// is published before its snapshot is stored, as on every write path.
+	state, published := u.replayPublish(pid, priors[len(priors)-1], true)
+	resp := state.Apply(last.Op)
 	last.Publish(resp)
+	if u.truncate {
+		u.storeSnapshot(last, state)
+	}
 	u.stats.batchLen.Observe(int64(published) + 1)
 	if u.gcEvery > 0 && (published > 0 || last.Seq%u.gcEvery == 0) {
 		u.gcAdvance()

@@ -13,8 +13,11 @@
 //     universal (Theorem 26).
 //
 // The strongly-wait-free refinement (Section 4.1) has each process replace
-// the cdr of its own log entry with the state it reconstructed, bounding
-// every replay at n entries.
+// the cdr of its own log entry with a rebuilt state, bounding every replay
+// at n entries. This package stores the state *after* the entry's own
+// operation, which its process has just computed, rather than the state it
+// reconstructed before it: a replay that stops at a snapshot then applies
+// nothing for that entry.
 //
 //wf:waitfree
 package core
@@ -34,10 +37,12 @@ type Entry struct {
 	Seq int64
 	Op  seqspec.Op
 
-	// snapshot, when non-nil, holds the object state immediately *before*
+	// snapshot, when non-nil, holds the object state immediately *after*
 	// this entry's operation, stored by the strongly-wait-free refinement:
-	// a replayer that reaches this entry applies Op to a clone of snapshot
-	// instead of replaying further history.
+	// a replayer that reaches this entry starts from a clone of snapshot and
+	// applies nothing for it, instead of replaying further history. It is
+	// set once, by the entry's own process, only after the entry's response is
+	// published, so a visible snapshot implies Result reports ok.
 	snapshot atomic.Pointer[snapBox]
 
 	// resp and respDone are the entry's result slot, the helping protocol's

@@ -16,7 +16,7 @@ import (
 //
 //	cons      — thread the entry (one atomic fetch-and-cons)
 //	walk      — read one predecessor's snapshot slot (atomic load)
-//	store     — store own pre-state snapshot, compute the response
+//	store     — compute the response, store own post-state snapshot
 //
 // Because the cons order fixes the linearization order, every operation's
 // correct response is determined the moment it is consed; the harness
@@ -34,6 +34,7 @@ type exhaustiveSim struct {
 	truth   seqspec.State     // ground-truth state in cons order
 	expect  map[*Entry]int64  // expected response per consed entry
 	preKey  map[*Entry]string // expected pre-state key per entry
+	postKey map[*Entry]string // expected post-state key per entry
 	procs   []simProc
 	visited map[string]bool
 	trace   []string
@@ -66,6 +67,7 @@ func runExhaustive(t *testing.T, obj seqspec.Object, script [][]seqspec.Op) int 
 		truth:   obj.Init(),
 		expect:  make(map[*Entry]int64),
 		preKey:  make(map[*Entry]string),
+		postKey: make(map[*Entry]string),
 		procs:   make([]simProc, len(script)),
 		visited: make(map[string]bool),
 	}
@@ -128,6 +130,7 @@ func (s *exhaustiveSim) stepCons(p int) {
 	prevTruth := s.truth.Clone()
 	s.preKey[e] = s.truth.Key()
 	s.expect[e] = s.truth.Apply(op)
+	s.postKey[e] = s.truth.Key()
 
 	prev := *pr
 	pr.phase, pr.entry, pr.ownNode, pr.pos, pr.pending, pr.base =
@@ -140,6 +143,7 @@ func (s *exhaustiveSim) stepCons(p int) {
 	*pr = prev
 	s.truth = prevTruth
 	delete(s.preKey, e)
+	delete(s.postKey, e)
 	delete(s.expect, e)
 	s.head = prevHead
 }
@@ -155,9 +159,7 @@ func (s *exhaustiveSim) stepWalk(p int) {
 		pr.base = s.obj.Init()
 		pr.phase = phStoring
 	} else if box := pr.pos.Entry.snapshot.Load(); box != nil {
-		base := box.state.Clone()
-		base.Apply(pr.pos.Entry.Op) // snapshot is the pre-state of that entry
-		pr.base = base
+		pr.base = box.state.Clone() // the post-state of that entry: nothing to apply
 		pr.phase = phStoring
 	} else {
 		pr.pending = append(pr.pending, pr.pos.Entry)
@@ -172,24 +174,28 @@ func (s *exhaustiveSim) stepWalk(p int) {
 	pr.phase, pr.pos, pr.base = prev.phase, prev.pos, prev.base
 }
 
-// stepStore computes p's pre-state, verifies it and the response against
-// the cons-order ground truth, and publishes the snapshot.
+// stepStore computes p's pre-state and response, verifies both against the
+// cons-order ground truth, then stores the post-state as the snapshot —
+// uncloned, as the construction does — and verifies that state too.
 func (s *exhaustiveSim) stepStore(p int) {
 	pr := &s.procs[p]
-	pre := pr.base.Clone()
+	state := pr.base.Clone()
 	for i := len(pr.pending) - 1; i >= 0; i-- {
-		pre.Apply(pr.pending[i].Op)
+		state.Apply(pr.pending[i].Op)
 	}
-	if got, want := pre.Key(), s.preKey[pr.entry]; got != want {
+	if got, want := state.Key(), s.preKey[pr.entry]; got != want {
 		s.t.Fatalf("P%d op %d: reconstructed pre-state %q, ground truth %q\ntrace: %s",
 			p, pr.opIdx, got, want, strings.Join(s.trace, "; "))
 	}
-	snap := &snapBox{state: pre.Clone()}
-	pr.entry.snapshot.Store(snap)
-	if got, want := pre.Apply(pr.entry.Op), s.expect[pr.entry]; got != want {
+	if got, want := state.Apply(pr.entry.Op), s.expect[pr.entry]; got != want {
 		s.t.Fatalf("P%d op %d (%s): response %d, ground truth %d\ntrace: %s",
 			p, pr.opIdx, pr.entry.Op, got, want, strings.Join(s.trace, "; "))
 	}
+	if got, want := state.Key(), s.postKey[pr.entry]; got != want {
+		s.t.Fatalf("P%d op %d: stored post-state %q, ground truth %q\ntrace: %s",
+			p, pr.opIdx, got, want, strings.Join(s.trace, "; "))
+	}
+	pr.entry.snapshot.Store(&snapBox{state: state})
 
 	prev := *pr
 	pr.opIdx++

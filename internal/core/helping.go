@@ -16,8 +16,9 @@ import "runtime"
 // with the entry's result slot (Entry.Publish/Entry.Result):
 //
 //   - An *executor* replays once and, as it applies each decided entry,
-//     publishes that entry's response into its result slot. One replay, one
-//     snapshot clone, a whole batch of writers served.
+//     publishes that entry's response into its result slot. One replay
+//     (one clone, of the snapshot it stops at), one snapshot store of the
+//     state its own operation produced, a whole batch of writers served.
 //   - A *helped* writer finds its slot full after its cons and returns the
 //     published response — no replay, no clone.
 //
@@ -85,20 +86,20 @@ func (u *Universal) invokeBatched(pid int, e *Entry) int64 {
 		return resp
 	}
 	// Executor path: one replay publishes every unfilled result slot it
-	// passes, one snapshot covers the whole batch. A pass that helped
-	// anyone always snapshots — its entry sits above every entry it
+	// passes, one snapshot covers the whole batch. The executor publishes
+	// its own response before storing that snapshot, so a replay that stops
+	// there has nothing to apply or publish for this entry. A pass that
+	// helped anyone always snapshots — its entry sits above every entry it
 	// published, so the helped entries' skipped snapshots (they are under
 	// the executor's) cannot stretch the replay frontier past O(n·k): the
 	// un-snapshotted region is at most k solo entries per pid plus the
 	// in-flight batches, one per live process.
-	pre, published := u.replayPublish(pid, prior, true)
-	if u.truncate && (published > 0 || e.Seq%u.snapEvery == 0) {
-		u.stats.snapStores.Inc()
-		e.snapshot.Store(&snapBox{state: pre.Clone()})
-		u.sampleLiveRegion(e.Seq)
-	}
-	resp := pre.Apply(e.Op)
+	state, published := u.replayPublish(pid, prior, true)
+	resp := state.Apply(e.Op)
 	e.Publish(resp)
+	if u.truncate && (published > 0 || e.Seq%u.snapEvery == 0) {
+		u.storeSnapshot(e, state)
+	}
 	u.stats.batchLen.Observe(int64(published) + 1)
 	u.contended.Store(published > 0)
 	// One mark advance per batch, amortized like the batch's single

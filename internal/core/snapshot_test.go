@@ -1,0 +1,183 @@
+package core
+
+import (
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"waitfree/internal/seqspec"
+)
+
+// countingObject wraps a sequential object so that every Apply on any of its
+// states, clones included, bumps one shared counter.
+type countingObject struct {
+	seqspec.Object
+	applies *atomic.Int64
+}
+
+func (o countingObject) Init() seqspec.State {
+	return countingState{State: o.Object.Init(), applies: o.applies}
+}
+
+type countingState struct {
+	seqspec.State
+	applies *atomic.Int64
+}
+
+func (s countingState) Apply(op seqspec.Op) int64 {
+	s.applies.Add(1)
+	return s.State.Apply(op)
+}
+
+func (s countingState) Clone() seqspec.State {
+	return countingState{State: s.State.Clone(), applies: s.applies}
+}
+
+// TestReplayStopAppliesNothing: a snapshot holds the state after its entry's
+// op, so a replay that stops there applies nothing for that entry. With one
+// process every call's replay stops at the snapshot its previous call
+// stored, so a call applies exactly its own ops: the batch's earlier entries
+// its replay walks past, plus the newest. The pre-state rule would add one
+// apply per call, for the entry the replay stopped at.
+func TestReplayStopAppliesNothing(t *testing.T) {
+	put := seqspec.Op{Kind: "put", Args: []int64{1, 2}}
+	get := seqspec.Op{Kind: "get", Args: []int64{1}}
+	cases := []struct {
+		name   string
+		opts   []Option
+		call   func(u *Universal) // one call by pid 0
+		calls  int64              // ops the call performs
+		misses int64              // read-cache misses the call makes
+	}{
+		{"invoke", nil, func(u *Universal) { u.Invoke(0, put) }, 1, 0},
+		{"batched", []Option{WithBatching()}, func(u *Universal) { u.Invoke(0, put) }, 1, 0},
+		{"invoke-batch", nil, func(u *Universal) {
+			u.InvokeBatch(0, []seqspec.Op{put, put, put, put}, make([]int64, 4))
+		}, 4, 0},
+		{"fast-read-miss", nil, func(u *Universal) {
+			u.Invoke(0, put) // moves the head, so the read below misses the cache
+			u.Invoke(0, get)
+		}, 2, 1},
+	}
+	const rounds = 8
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var applies atomic.Int64
+			u := NewUniversal(countingObject{seqspec.KV{}, &applies}, NewSwapFAC(), 1, c.opts...)
+			c.call(u) // the first call replays from Init and stores the first snapshot
+			misses := u.stats.fastMisses.Load()
+			for i := 0; i < rounds; i++ {
+				applies.Store(0)
+				c.call(u)
+				if got := applies.Load(); got != c.calls {
+					t.Fatalf("call %d applied %d ops, want %d: the replay re-applied the entry it stopped at", i, got, c.calls)
+				}
+			}
+			if got := u.stats.fastMisses.Load() - misses; got != rounds*c.misses {
+				t.Fatalf("%d read-cache misses, want %d", got, rounds*c.misses)
+			}
+		})
+	}
+}
+
+// sink keeps allocation-measured results live.
+var sink seqspec.State
+
+// TestKVPutGetOnePathCopy pins the KV cost of a put followed by a get that
+// misses the read cache, on a 2 048-key state: exactly one trie path copy,
+// the put's own. Neither replay re-applies the put it stops at.
+func TestKVPutGetOnePathCopy(t *testing.T) {
+	const keys = 2048
+	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 1)
+	base := seqspec.KV{}.Init()
+	fill := make([]seqspec.Op, keys)
+	for k := range fill {
+		fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
+		base.Apply(fill[k])
+	}
+	u.InvokeBatch(0, fill, make([]int64, keys))
+	put := seqspec.Op{Kind: "put", Args: []int64{7, 70}}
+	get := seqspec.Op{Kind: "get", Args: []int64{7}}
+
+	clone := testing.AllocsPerRun(100, func() { sink = base.Clone() })
+	pathCopy := testing.AllocsPerRun(100, func() { c := base.Clone(); c.Apply(put); sink = c }) - clone
+	if pathCopy < 1 {
+		t.Fatalf("a put allocates %.0f times beyond its clone; expected a path copy", pathCopy)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		u.Invoke(0, put)
+		if u.Invoke(0, get) != 70 {
+			t.Fatal("get missed the put")
+		}
+	})
+	// The put: its Entry and swap-cons Node, its replay's Clone, its own path
+	// copy and the snapshot box. The get: its replay's Clone and the read
+	// cache's entry.
+	if want := 2 + clone + pathCopy + 1 + clone + 1; got != want {
+		t.Errorf("put + cache-missing get allocate %.0f times, want %.0f (one path copy of %.0f, clone %.0f)",
+			got, want, pathCopy, clone)
+	}
+}
+
+// TestSnapshotImpliesResult: every write path publishes an entry's response
+// before storing its snapshot, so a scanner that sees a snapshot must also
+// see the result. Batched (or unbatched) writers and an InvokeBatch writer
+// race a scanner walking the decided list, over both fetch-and-cons forms;
+// run it under -race.
+func TestSnapshotImpliesResult(t *testing.T) {
+	const n, per = 4, 300
+	makers := facMakers(n)
+	for _, name := range []string{"swap/batched", "consensus-cas/batched", "swap/unbatched"} {
+		t.Run(name, func(t *testing.T) {
+			form, mode, _ := strings.Cut(name, "/")
+			opt := WithoutBatching()
+			if mode == "batched" {
+				opt = WithBatching()
+			}
+			fac := makers[form]()
+			u := NewUniversal(seqspec.KV{}, fac, n, opt)
+			var wg sync.WaitGroup
+			for p := 0; p < n; p++ {
+				p := p
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						op := seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}}
+						if p == n-1 {
+							u.InvokeBatch(p, []seqspec.Op{op, op, op}, make([]int64, 3))
+							continue
+						}
+						u.Invoke(p, op)
+					}
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			checked := 0
+			for scanning := true; scanning; {
+				select {
+				case <-done:
+					scanning = false // one last scan over the final list
+				default:
+				}
+				depth := 0
+				for node := fac.Observe(); node != nil && depth < 64; node = node.Rest() {
+					depth++
+					if node.Entry.snapshot.Load() == nil {
+						continue
+					}
+					checked++
+					if _, ok := node.Entry.Result(); !ok {
+						t.Fatalf("%s carries a snapshot but no published result", node.Entry)
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("the scanner saw no snapshot")
+			}
+			t.Logf("%d snapshots checked", checked)
+		})
+	}
+}

@@ -18,13 +18,13 @@ import (
 // and compute the response.
 //
 // With truncation enabled (the strongly-wait-free refinement of Section
-// 4.1), each front end stores the state it reconstructed into its own
-// entry; replays stop at the first entry carrying a state. Every completed
-// operation carries a snapshot, so a replay traverses at most one
-// un-snapshotted entry per concurrent process — the per-operation work is
-// bounded by n rather than by the object's age, and everything below the
-// last snapshot is garbage (reclaimed by GC; the paper's manual reclamation
-// argument bounds live storage at O(n^2)).
+// 4.1), each front end stores the state its own operation produced into its
+// own entry; replays stop at the first entry carrying a state and apply
+// nothing for it. Every completed operation carries a snapshot, so a replay
+// traverses at most one un-snapshotted entry per concurrent process — the
+// per-operation work is bounded by n rather than by the object's age, and
+// everything below the last snapshot is garbage (reclaimed by GC; the
+// paper's manual reclamation argument bounds live storage at O(n^2)).
 type Universal struct {
 	seq      seqspec.Object
 	fac      FetchAndCons
@@ -92,7 +92,7 @@ type universalStats struct {
 	// consOps counts write-path operations: each consumes exactly one
 	// fetch-and-cons (the operation's linearization step).
 	consOps *wfstats.Counter
-	// snapStores counts Section 4.1 snapshot stores (Clone + publish).
+	// snapStores counts Section 4.1 snapshot stores.
 	snapStores *wfstats.Counter
 	// fastHits and fastMisses split the read fast path by whether the
 	// frozen-state cache served the read (hit: no replay at all). The fast
@@ -109,7 +109,7 @@ type universalStats struct {
 	// published by a concurrent executor — no replay, no clone, no apply.
 	helped *wfstats.Counter
 	// snapSaved counts snapshot stores the helped path skipped: operations
-	// that would have cloned and published a snapshot on the unbatched path
+	// that would have stored a snapshot on the unbatched path
 	// but were covered by their batch executor's single store instead.
 	snapSaved *wfstats.Counter
 	// batchLen is the batch-size histogram: responses each executor pass
@@ -168,12 +168,11 @@ func WithoutTruncation() Option {
 }
 
 // WithSnapshotInterval makes only every k-th entry per process store a
-// cloned snapshot, trading Clone cost against replay length: the
-// strongly-wait-free replay bound degrades gracefully from O(n) to O(n·k).
-// Clone dominates a write for states that copy their contents (seqspec's
-// Set, Queue and Bank); KV's persistent trie clones in O(1), so for KV a
-// larger k only lengthens replays. k=1 — every entry, the paper's Section
-// 4.1 construction — is the default.
+// snapshot: the strongly-wait-free replay bound degrades gracefully from
+// O(n) to O(n·k). A snapshot is the executor's own post-state, stored
+// without a Clone, so a larger k saves no Clone for any object and only
+// lengthens replays; it remains the knob that measures the bound. k=1 —
+// every entry, the paper's Section 4.1 construction — is the default.
 func WithSnapshotInterval(k int) Option {
 	if k < 1 {
 		panic("core: snapshot interval must be >= 1")
@@ -278,16 +277,28 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 		return u.invokeBatched(pid, e)
 	}
 	prior := u.fac.FetchAndCons(pid, e)
-	pre := u.replay(pid, prior)
+	state := u.replay(pid, prior)
+	resp := state.Apply(op)
 	if u.truncate && e.Seq%u.snapEvery == 0 {
-		u.stats.snapStores.Inc()
-		e.snapshot.Store(&snapBox{state: pre.Clone()})
-		u.sampleLiveRegion(e.Seq)
+		e.Publish(resp)
+		u.storeSnapshot(e, state)
 	}
 	if u.gcEvery > 0 && e.Seq%u.gcEvery == 0 {
 		u.gcAdvance()
 	}
-	return pre.Apply(op)
+	return resp
+}
+
+// storeSnapshot stores state, the state after e's own operation, as e's
+// Section 4.1 snapshot. state must be the caller's private replay result,
+// which it never touches again: replayers only Clone a stored state, so it
+// is stored as is. The caller must already have published e's response, so
+// a visible snapshot always means a published result and a replay that
+// stops at it has nothing left to apply or publish.
+func (u *Universal) storeSnapshot(e *Entry, state seqspec.State) {
+	u.stats.snapStores.Inc()
+	e.snapshot.Store(&snapBox{state: state})
+	u.sampleLiveRegion(e.Seq)
 }
 
 // liveSampleEvery gates the universal.live_region gauge: snapshot-store
@@ -356,7 +367,10 @@ func (u *Universal) replay(pid int, list *Node) seqspec.State {
 
 // replayPublish is replay plus the helping write of the batched path: with
 // help set it publishes the response of every entry it applies whose result
-// slot is still empty, and reports how many slots it filled. Publication is
+// slot is still empty, and reports how many slots it filled. The entry it
+// stops at needs neither: its snapshot is the state after its op, and every
+// write path publishes an entry's response before storing its snapshot
+// (storeSnapshot), so that entry's slot is already full. Publication is
 // sound because list is decided — every replayer reconstructs the same
 // state below each entry (Lemma 24's coherence plus snapshot correctness),
 // and Apply is deterministic (the seqspec response-publication contract),
@@ -374,13 +388,10 @@ func (u *Universal) replayPublish(pid int, list *Node, help bool) (seqspec.State
 			break
 		}
 		if s := n.Entry.snapshot.Load(); s != nil {
-			// s.state is the state before n.Entry's op; apply it first.
+			// s.state is the state after n.Entry's op, stored only once
+			// that op's response was published: nothing to apply or publish.
 			state = s.state.Clone()
 			stop = int64(n.Len)
-			resp := state.Apply(n.Entry.Op)
-			if help {
-				published += publishIfEmpty(n.Entry, resp)
-			}
 			break
 		}
 		pending = append(pending, n.Entry)

@@ -144,11 +144,11 @@ type Option = core.Option
 func WithoutTruncation() Option { return core.WithoutTruncation() }
 
 // WithSnapshotInterval stores a snapshot only on every k-th entry per
-// process, trading Clone cost against replay length: the replay bound
-// degrades gracefully from O(n) to O(n·k). The trade pays for objects that
-// copy their state on Clone (Set, Queue, Bank); KV clones in O(1), so for
-// it k > 1 only lengthens replays. k=1 (the default) is the paper-faithful
-// strongly-wait-free mode.
+// process: the replay bound degrades gracefully from O(n) to O(n·k).
+// Storing a snapshot costs no Clone (it is the state the operation just
+// produced), so k > 1 saves nothing and only lengthens replays; it is kept
+// for measuring the bound. k=1 (the default) is the strongly-wait-free
+// mode of the paper.
 func WithSnapshotInterval(k int) Option { return core.WithSnapshotInterval(k) }
 
 // WithoutFastReads routes read-only operations through the full write path
