@@ -418,48 +418,6 @@ func BenchmarkReadMix(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotInterval sweeps WithSnapshotInterval(k) under a pure
-// write workload on clone-heavy states: larger k amortizes the per-op
-// Clone, at the cost of longer replays (replay-mean grows toward n·k).
-func BenchmarkSnapshotInterval(b *testing.B) {
-	const n = 4
-	writeOp := func(object string, i int) seqspec.Op {
-		if object == "bank" {
-			return seqspec.Op{Kind: "transfer", Args: []int64{int64(i % 64), int64((i + 1) % 64), 1}}
-		}
-		return seqspec.Op{Kind: "put", Args: []int64{int64(i % 256), int64(i)}}
-	}
-	objects := []seqspec.Object{seqspec.KV{}, seqspec.Bank{Accounts: 64}}
-	for _, obj := range objects {
-		for _, k := range []int{1, 4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/k=%d", obj.Name(), k), func(b *testing.B) {
-				var u *core.Universal
-				var mean float64
-				b.ReportAllocs()
-				benchChunks(b, 100_000,
-					func() { u = core.NewUniversal(obj, core.NewSwapFAC(), n, core.WithSnapshotInterval(k)) },
-					func(ops int) {
-						var wg sync.WaitGroup
-						per := ops/n + 1
-						for p := 0; p < n; p++ {
-							p := p
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								for i := 0; i < per; i++ {
-									u.Invoke(p, writeOp(obj.Name(), p*per+i))
-								}
-							}()
-						}
-						wg.Wait()
-						_, mean, _ = u.ReplayStats()
-					})
-				b.ReportMetric(mean, "replay-mean")
-			})
-		}
-	}
-}
-
 // BenchmarkShardScaling measures the sharded KV front end at S ∈ {1,2,4,8}
 // under the 95/5 read mix: near-linear scaling for a key-partitionable
 // workload, versus the single shared log at S=1.
@@ -542,10 +500,9 @@ func BenchmarkUniversalContended(b *testing.B) {
 		// truncation walk every DefaultGCEvery-th op (or once per batch).
 		{name: "batched-gc", opts: []core.Option{core.WithBatching(), core.WithLogGC(core.DefaultGCEvery)}},
 	}
-	// The kv rows write across 256 keys (the BenchmarkSnapshotInterval
-	// workload): a state whose per-op snapshot clone is the dominant cost is
-	// exactly what one-clone-per-batch amortizes. The counter rows are the
-	// cheap-state control.
+	// The kv rows write across 256 keys: a state whose per-op replay clone
+	// and path copy dominate is exactly what one-replay-per-batch amortizes.
+	// The counter rows are the cheap-state control.
 	contendedOp := func(object string, i int) seqspec.Op {
 		if object == "kv" {
 			return seqspec.Op{Kind: "put", Args: []int64{int64(i % 256), int64(i)}}
@@ -644,7 +601,7 @@ func BenchmarkShardedContended(b *testing.B) {
 // long-lived universal object (no instance rotation — the log is never
 // thrown away) driven round-robin by every process, with the live heap
 // measured after a forced collection at the end. With the log GC on, live
-// heap is the O(n·snapEvery + n·gcEvery) region regardless of op count;
+// heap is the O(n + n·gcEvery) region regardless of op count;
 // with it off, the anchored log retains every entry, node and snapshot ever
 // consed, so live heap grows linearly with b.N. Run with
 // -benchtime=10000000x to pin the 10M-op steady state; the gc row must come

@@ -28,7 +28,7 @@ func main() {
 	shards := flag.Int("shards", 8, "KV shard count")
 	procs := flag.Int("procs", 256, "connection pid pool size (max concurrent connections)")
 	dir := flag.String("dir", "", "log store directory (empty runs without persistence)")
-	snapEvery := flag.Int("snap-every", 4096, "records per shard between snapshots")
+	snapshotEvery := flag.Int("snap-every", 4096, "records per shard between snapshots")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -37,7 +37,7 @@ func main() {
 		Shards:        *shards,
 		Procs:         *procs,
 		Dir:           *dir,
-		SnapshotEvery: *snapEvery,
+		SnapshotEvery: *snapshotEvery,
 		Logf:          log.Printf,
 	}
 	s, err := server.New(cfg)

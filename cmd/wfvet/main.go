@@ -21,7 +21,6 @@
 //	go run ./cmd/wfvet -json ./...    # findings as a JSON array
 //	go run ./cmd/wfvet -sarif ./...   # findings as SARIF 2.1.0, for code-scanning upload
 //	go run ./cmd/wfvet -all -strict-stale ./...     # CI: stale directives fail the run
-//	go run ./cmd/wfvet -intrapackage ./...  # PR 2 behavior: stop call resolution at package boundaries
 //
 // Exit status: 0 clean (warnings allowed), 1 violations found, 2 load failure.
 package main
@@ -43,13 +42,12 @@ func main() {
 	bounds := flag.Bool("bounds", false, "print the bounds report: one line per wf:bounded/wf:lockfree directive with its certification status")
 	jsonOut := flag.Bool("json", false, "emit findings (and the bounds report) as JSON on stdout")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	intra := flag.Bool("intrapackage", false, "resolve calls within each package only (the pre-whole-program behavior)")
 	mdOut := flag.String("md", "", "write the symbolic step certificates as Markdown to this file (for committing as BOUNDS.md)")
 	strictStale := flag.Bool("strict-stale", false, "promote stale-directive warnings to errors unless allowlisted (implies -all)")
 	staleAllow := flag.String("stale-allow", "", "comma-separated allowlist of stale findings (file.go:FuncName) exempt from -strict-stale")
 	verbose := flag.Bool("v", false, "report per-package finding and type-error counts")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: wfvet [-all] [-bounds] [-md file] [-strict-stale] [-stale-allow keys] [-json|-sarif] [-intrapackage] [-v] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: wfvet [-all] [-bounds] [-md file] [-strict-stale] [-stale-allow keys] [-json|-sarif] [-v] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -100,7 +98,7 @@ func main() {
 		}
 	}
 
-	conf := wfcheck.Config{All: *all || *strictStale, IntraPackage: *intra, StrictStale: *strictStale}
+	conf := wfcheck.Config{All: *all || *strictStale, StrictStale: *strictStale}
 	if *staleAllow != "" {
 		conf.StaleAllow = make(map[string]bool)
 		for _, k := range strings.Split(*staleAllow, ",") {
@@ -195,7 +193,6 @@ func printOps(ops []wfcheck.OpCert) {
 // still render, glossed by their declaration.
 var paramGloss = map[string]string{
 	"n": "number of processes (MaxProcs)",
-	"k": "snapshot interval: operations between decided-log snapshots",
 	"S": "shard count of a sharded object",
 	"B": "help-spin budget before a process helps itself",
 	"g": "GC interval: operations between log-GC anchor swings",

@@ -46,21 +46,10 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 		priors = append(priors, u.fac.FetchAndCons(pid, e))
 		entries = append(entries, e)
 	}
-	last := entries[len(entries)-1]
 	// One pass for the wave: the walk down from the last entry's prior
 	// traverses every earlier batch entry (they are below it and carry no
-	// snapshot yet) and publishes its response. The last entry's response
-	// is published before its snapshot is stored, as on every write path.
-	state, published := u.replayPublish(pid, priors[len(priors)-1], true)
-	resp := state.Apply(last.Op)
-	last.Publish(resp)
-	if u.truncate {
-		u.storeSnapshot(last, state)
-	}
-	u.stats.batchLen.Observe(int64(published) + 1)
-	if u.gcEvery > 0 && (published > 0 || last.Seq%u.gcEvery == 0) {
-		u.gcAdvance()
-	}
+	// snapshot yet) and publishes its response.
+	out[len(ops)-1], _ = u.execute(pid, entries[len(entries)-1], priors[len(priors)-1], true)
 	//wf:bounded [B] one result collection (and at most one straggler replay) per batch entry
 	for i, e := range entries[:len(entries)-1] {
 		if v, ok := e.Result(); ok {
@@ -74,7 +63,6 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 		out[i] = st.Apply(e.Op)
 		e.Publish(out[i])
 	}
-	out[len(ops)-1] = resp
 	clear(entries)
 	clear(priors)
 	sc.entries, sc.priors = entries[:0], priors[:0]

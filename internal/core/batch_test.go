@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -184,8 +183,8 @@ func TestBatchedStalledWinner(t *testing.T) {
 }
 
 // TestBatchingComposesWithOptions: WithBatching must compose with the
-// snapshot-interval and fast-read options — the regression the option
-// surface needs now that three independent switches share the write path.
+// fast-read option — with fast reads off, read-only operations take the
+// batched write path too.
 func TestBatchingComposesWithOptions(t *testing.T) {
 	const n = 4
 	obj := seqspec.KV{}
@@ -193,9 +192,7 @@ func TestBatchingComposesWithOptions(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"interval", []Option{WithBatching(), WithSnapshotInterval(4)}},
 		{"no-fast-reads", []Option{WithBatching(), WithoutFastReads()}},
-		{"interval+no-fast-reads", []Option{WithBatching(), WithSnapshotInterval(4), WithoutFastReads()}},
 	}
 	for _, combo := range combos {
 		t.Run(combo.name, func(t *testing.T) {
@@ -286,42 +283,5 @@ func TestInvokeBatchAllocs(t *testing.T) {
 	if sc := u.scratch[0]; len(sc.entries) != 0 || len(sc.priors) != 0 ||
 		sc.entries[:cap(sc.entries)][0] != nil || sc.priors[:cap(sc.priors)][0] != nil {
 		t.Error("InvokeBatch left entries or priors in its scratch: decided log nodes stay pinned")
-	}
-}
-
-// TestBatchedSnapshotBound: the replay bound survives batching. Solo passes
-// snapshot on the per-pid schedule, executor passes that helped anyone
-// snapshot unconditionally, so the un-snapshotted frontier stays O(n·k); the
-// histogram max is allowed the in-flight slack on top.
-func TestBatchedSnapshotBound(t *testing.T) {
-	const n, per = 4, 200
-	for _, k := range []int{1, 4} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), n,
-				WithBatching(), WithSnapshotInterval(k))
-			var wg sync.WaitGroup
-			for p := 0; p < n; p++ {
-				p := p
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						u.Invoke(p, seqspec.Op{Kind: "inc"})
-					}
-				}()
-			}
-			wg.Wait()
-			if got := u.Invoke(0, seqspec.Op{Kind: "get"}); got != n*per {
-				t.Errorf("count = %d, want %d", got, n*per)
-			}
-			// Per pid: at most k solo entries since its last snapshot, plus
-			// one in-flight batch whose executor snapshot is not yet stored —
-			// itself at most the same frontier deep. Twice the unbatched
-			// bound covers the in-flight slack.
-			_, _, max := u.ReplayStats()
-			if bound := int64(2 * n * (k + 1)); max > bound {
-				t.Errorf("replay max = %d, beyond the batched O(n·k) bound %d", max, bound)
-			}
-		})
 	}
 }

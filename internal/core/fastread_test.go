@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -229,46 +228,4 @@ func TestStateIsDecidedPrefix(t *testing.T) {
 			t.Logf("%d State calls against %d writes", len(views), len(entries))
 		})
 	}
-}
-
-// TestSnapshotInterval: the O(n·k) replay bound and response correctness
-// across snapshot intervals, concurrently.
-func TestSnapshotInterval(t *testing.T) {
-	const n, per = 4, 200
-	for _, k := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), n, WithSnapshotInterval(k))
-			var wg sync.WaitGroup
-			for p := 0; p < n; p++ {
-				p := p
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						u.Invoke(p, seqspec.Op{Kind: "inc"})
-					}
-				}()
-			}
-			wg.Wait()
-			if got := u.Invoke(0, seqspec.Op{Kind: "get"}); got != n*per {
-				t.Errorf("count = %d, want %d", got, n*per)
-			}
-			_, _, max := u.ReplayStats()
-			// Each process has at most k un-snapshotted committed entries
-			// plus one in flight, so a replay traverses at most n·(k+1).
-			if bound := int64(n * (k + 1)); max > bound {
-				t.Errorf("replay max = %d, beyond the O(n·k) bound %d", max, bound)
-			}
-		})
-	}
-}
-
-// TestSnapshotIntervalRejectsZero: the option validates its argument.
-func TestSnapshotIntervalRejectsZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WithSnapshotInterval(0) must panic")
-		}
-	}()
-	WithSnapshotInterval(0)
 }

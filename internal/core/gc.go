@@ -10,8 +10,8 @@ import (
 // is safe to discard any state elements whose n immediate predecessors in
 // the list are also state elements") as actual memory reclamation. Without
 // it the log is anchored at the head forever and grows O(total ops); with
-// it live storage is O(n · snapEvery) plus the entries announced since the
-// last mark advance, independent of the object's age.
+// it live storage is O(n) plus the entries announced since the last mark
+// advance, independent of the object's age.
 //
 // The protocol has three parts, in the shape of the Paxos Done/Min GC
 // contract:
@@ -164,9 +164,9 @@ type obsSlot struct {
 
 // DefaultGCEvery is the facade's default mark-advance period (WithLogGC):
 // each front end attempts an advance every 64th write, amortizing the
-// min-scan and truncation walk the same way snapshot intervals amortize
-// clones. Between advances at most n·DefaultGCEvery retirable entries
-// float, a constant-factor add to the live region.
+// min-scan and truncation walk over the writes between. Between advances at
+// most n·DefaultGCEvery retirable entries float, a constant-factor add to
+// the live region.
 const DefaultGCEvery = 64
 
 // WithLogGC enables low-water-mark log truncation: every front end
@@ -176,9 +176,9 @@ const DefaultGCEvery = 64
 // a Universal built WithoutTruncation ignores it. every must be >= 1.
 //
 // The trade is the usual low-water-mark one: live memory drops from
-// O(total ops) to O(n·snapEvery + n·every), at the cost of one padded
-// store per write and an O(n) min-scan plus bounded truncation walk every
-// every-th write. An attached process that stops invoking pins the mark
+// O(total ops) to O(n + n·every), at the cost of one padded store per
+// write and an O(n) min-scan plus bounded truncation walk every every-th
+// write. An attached process that stops invoking pins the mark
 // at its last published index, exactly as an idle Paxos peer pins Min();
 // registers start detached and Detach re-detaches a departing pid, so
 // only pids actively between Invoke and Detach can pin.
@@ -356,7 +356,7 @@ func (u *Universal) gcAdvance() {
 func (u *Universal) gcSwing(old, mark int64) {
 	head := u.fac.Observe()
 	scanned := int64(0)
-	//wf:bounded [n*k + n*g] walks head down to the anchor node: at most the live region, O(n·snapEvery) plus the entries announced since the last advance (the mark is below every in-flight walk, so the anchor node is reachable unless a newer swing already cut above it)
+	//wf:bounded [n + n*g] walks head down to the anchor node: at most the live region, O(n) plus the entries announced since the last advance (the mark is below every in-flight walk, so the anchor node is reachable unless a newer swing already cut above it)
 	for n := head; ; n = n.Rest() {
 		if n == nil {
 			break // empty log, or a newer swing already severed above mark

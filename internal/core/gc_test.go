@@ -111,15 +111,27 @@ func TestWithLogGCValidation(t *testing.T) {
 // completed replay's stopping snapshot index, so the collective minimum —
 // the index the swing severs at — always lands on a snapshot-carrying
 // node, and a replay that walks all the way down to the anchor stops at
-// its snapshot instead of reading the severed pointer. Run with a sparse
-// snapshot schedule so the invariant is not vacuous.
+// its snapshot instead of reading the severed pointer. The writers issue
+// InvokeBatch waves of three, of which only the last entry stores a
+// snapshot, so the invariant is not vacuous.
 func TestAnchorIsSnapshotNode(t *testing.T) {
 	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, 2, WithLogGC(1), WithSnapshotInterval(3))
+	u := NewUniversal(seqspec.Counter{}, fac, 2, WithLogGC(1))
+	wave := []seqspec.Op{inc, inc, inc}
+	out := make([]int64, len(wave))
 	for i := 0; i < 120; i++ {
-		u.Invoke(0, inc)
-		u.Invoke(1, inc)
+		u.InvokeBatch(0, wave, out)
+		u.InvokeBatch(1, wave, out)
 		u.Invoke(0, get)
+	}
+	bare := 0
+	for n := fac.Head(); n != nil; n = n.Rest() {
+		if n.Entry.snapshot.Load() == nil {
+			bare++
+		}
+	}
+	if bare == 0 {
+		t.Fatal("every live entry carries a snapshot: the waves left nothing sparse to test")
 	}
 	anchor := u.Anchor()
 	if anchor == 0 {
@@ -207,18 +219,17 @@ func TestReadCacheEpochMiss(t *testing.T) {
 }
 
 // TestLogGCSpacePin is the steady-state space pin: a million concurrent
-// writes with GC on must leave a live region bounded by O(n·snapEvery +
-// n·gcEvery), not by the op count. (The heap-level version of this claim is
+// writes with GC on must leave a live region bounded by O(n + n·gcEvery),
+// not by the op count. (The heap-level version of this claim is
 // BenchmarkSteadyStateHeap at the repo root; this is the node-count pin.)
 func TestLogGCSpacePin(t *testing.T) {
-	const n, snapEvery, gcEvery = 4, 4, 8
+	const n, gcEvery = 4, 8
 	perPid := 250_000 // 1M ops total
 	if testing.Short() {
 		perPid = 25_000
 	}
 	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, n,
-		WithLogGC(gcEvery), WithSnapshotInterval(snapEvery))
+	u := NewUniversal(seqspec.Counter{}, fac, n, WithLogGC(gcEvery))
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		p := p
@@ -246,10 +257,10 @@ func TestLogGCSpacePin(t *testing.T) {
 		t.Fatalf("head.Len = %d, want %d", got, total)
 	}
 	// The live list: everything above the anchor. The bound is the protocol's
-	// O(n·snapEvery + n·gcEvery) with slack for the quiesce coda's own tail.
-	bound := 4*n*snapEvery + 2*n*gcEvery + 4*gcEvery
+	// O(n + n·gcEvery) with slack for the quiesce coda's own tail.
+	bound := 4*n + 2*n*gcEvery + 4*gcEvery
 	if got := listLen(fac.Head()); got > bound {
-		t.Errorf("live list %d nodes after %d ops, want <= %d (O(n·snapEvery + n·gcEvery))",
+		t.Errorf("live list %d nodes after %d ops, want <= %d (O(n + n·gcEvery))",
 			got, total, bound)
 	}
 	if retired := u.Retired(); retired < int64(total-bound) {
@@ -321,19 +332,18 @@ func TestDetachUnpinsMark(t *testing.T) {
 // via Detach, exactly what a TCP front end does per connection. Half the
 // workers leave for good after one session; the survivors keep going for
 // the bulk of the ops. With Detach the retained log stays bounded by the
-// live session count (same O(n·snapEvery + n·gcEvery) shape as
-// TestLogGCSpacePin); pre-fix, the departed pids' frozen registers anchor
-// the log at their first-session indices and the live list grows without
-// bound — linearly in the op count.
+// live session count (same O(n + n·gcEvery) shape as TestLogGCSpacePin);
+// pre-fix, the departed pids' frozen registers anchor the log at their
+// first-session indices and the live list grows without bound — linearly
+// in the op count.
 func TestLogGCSpacePinUnderChurn(t *testing.T) {
-	const n, snapEvery, gcEvery, opsPerSession = 8, 4, 8, 64
+	const n, gcEvery, opsPerSession = 8, 8, 64
 	sessions := 500 // per surviving worker; 4·500·64 + 4·64 ≈ 128k ops total
 	if testing.Short() {
 		sessions = 50
 	}
 	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, n,
-		WithLogGC(gcEvery), WithSnapshotInterval(snapEvery))
+	u := NewUniversal(seqspec.Counter{}, fac, n, WithLogGC(gcEvery))
 	stop := make(chan struct{})
 	var adv sync.WaitGroup
 	adv.Add(1)
@@ -381,7 +391,7 @@ func TestLogGCSpacePinUnderChurn(t *testing.T) {
 	if got := fac.Head().Len; got != total {
 		t.Fatalf("head.Len = %d, want %d", got, total)
 	}
-	bound := 4*n*snapEvery + 2*n*gcEvery + 4*gcEvery + opsPerSession
+	bound := 4*n + 2*n*gcEvery + 4*gcEvery + opsPerSession
 	if got := listLen(fac.Head()); got > bound {
 		t.Errorf("live list %d nodes after %d ops under churn, want <= %d (departed pids must not pin)",
 			got, total, bound)
@@ -398,7 +408,8 @@ func TestLogGCSpacePinUnderChurn(t *testing.T) {
 // -race: every worker detaches between bursts, so each burst's first walk
 // is a genuine re-attach racing the dedicated advancer's sever — the
 // interleaving the gate-validate/rescan rules exist for. Histories must
-// stay linearizable across both fetch-and-cons forms, batched and not.
+// stay linearizable across both fetch-and-cons forms, batched and not; the
+// batched variant runs over sparse snapshots (see soakRun).
 func TestDetachSoakLinearizable(t *testing.T) {
 	const n = 4
 	obj := seqspec.KV{}
@@ -406,7 +417,7 @@ func TestDetachSoakLinearizable(t *testing.T) {
 		for _, batched := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/batched=%v", name, batched), func(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
-					opts := []Option{WithLogGC(1), WithSnapshotInterval(2)}
+					opts := []Option{WithLogGC(1)}
 					if batched {
 						opts = append(opts, WithBatching())
 					}
@@ -435,12 +446,7 @@ func TestDetachSoakLinearizable(t *testing.T) {
 							defer wg.Done()
 							rng := rand.New(rand.NewSource(int64(trial*n + p)))
 							for burst := 0; burst < 4; burst++ {
-								for i := 0; i < 4; i++ {
-									op := fastReadMixOp(obj.Name(), rng, false)
-									ts := rec.Invoke()
-									resp := u.Invoke(p, op)
-									rec.Complete(p, op, resp, ts)
-								}
+								soakRun(u, &rec, p, soakOps(obj, rng, 4), batched && p == n-1)
 								u.Detach(p)
 								runtime.Gosched()
 							}
@@ -467,7 +473,8 @@ func TestDetachSoakLinearizable(t *testing.T) {
 // mark advanced as aggressively as possible — every write attempts it
 // (WithLogGC(1)) and a dedicated goroutine hammers gcAdvance continuously.
 // Every recorded history must still linearize; under -race this also checks
-// the sever/replay and cache-invalidation rendezvous.
+// the sever/replay and cache-invalidation rendezvous. The batched variant
+// runs over sparse snapshots (see soakRun).
 func TestLogGCSoakLinearizable(t *testing.T) {
 	const n = 4
 	objects := []seqspec.Object{seqspec.KV{}, seqspec.Queue{}}
@@ -476,7 +483,7 @@ func TestLogGCSoakLinearizable(t *testing.T) {
 			for _, batched := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/batched=%v", name, obj.Name(), batched), func(t *testing.T) {
 					for trial := 0; trial < 4; trial++ {
-						opts := []Option{WithLogGC(1), WithSnapshotInterval(2)}
+						opts := []Option{WithLogGC(1)}
 						if batched {
 							opts = append(opts, WithBatching())
 						}
@@ -504,12 +511,7 @@ func TestLogGCSoakLinearizable(t *testing.T) {
 							go func() {
 								defer wg.Done()
 								rng := rand.New(rand.NewSource(int64(trial*n + p)))
-								for i := 0; i < 8; i++ {
-									op := fastReadMixOp(obj.Name(), rng, false)
-									ts := rec.Invoke()
-									resp := u.Invoke(p, op)
-									rec.Complete(p, op, resp, ts)
-								}
+								soakRun(u, &rec, p, soakOps(obj, rng, 8), batched && p == n-1)
 							}()
 						}
 						wg.Wait()
@@ -525,6 +527,36 @@ func TestLogGCSoakLinearizable(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// soakOps draws count write-leaning operations on obj from rng.
+func soakOps(obj seqspec.Object, rng *rand.Rand, count int) []seqspec.Op {
+	ops := make([]seqspec.Op, count)
+	for i := range ops {
+		ops[i] = fastReadMixOp(obj.Name(), rng, false)
+	}
+	return ops
+}
+
+// soakRun invokes ops on behalf of p and records each in rec. With waves set
+// it issues them as InvokeBatch waves of two, recorded as concurrent with
+// each other: only a wave's last entry stores a snapshot, so a soak that
+// gives one pid waves runs the GC over sparse snapshots whether or not the
+// scheduler lets helped batches form.
+func soakRun(u *Universal, rec *linearize.Recorder, p int, ops []seqspec.Op, waves bool) {
+	size := 1
+	if waves {
+		size = 2
+	}
+	out := make([]int64, size)
+	for i := 0; i < len(ops); i += size {
+		wave := ops[i:min(i+size, len(ops))]
+		ts := rec.Invoke()
+		u.InvokeBatch(p, wave, out)
+		for j, op := range wave {
+			rec.Complete(p, op, out[j], ts)
 		}
 	}
 }

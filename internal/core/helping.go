@@ -43,12 +43,12 @@ import "runtime"
 // contract) + one Observe + bounded wait + at most one bounded replay.
 //
 // The replay bound also survives the thinner snapshot stream: an executor
-// stores one snapshot at its *own* entry per pass, and helped entries store
-// none, but every helped entry lies below some executor's entry in the
-// decided order, so a later replay stops at that executor's snapshot before
-// reaching them. Un-snapshotted entries above the newest snapshot belong to
-// in-flight batches — at most one per live process, the same O(n) frontier
-// as before.
+// stores one snapshot at its *own* entry per pass (execute, the tail every
+// write path shares), and helped entries store none, but every helped entry
+// lies below some executor's entry in the decided order, so a later replay
+// stops at that executor's snapshot before reaching them. Un-snapshotted
+// entries above the newest snapshot belong to in-flight batches — at most
+// one per live process, the same O(n) frontier as the unbatched path.
 
 const (
 	// helpSpinBudget is the counted help-wait window: how many result-slot
@@ -86,28 +86,10 @@ func (u *Universal) invokeBatched(pid int, e *Entry) int64 {
 		return resp
 	}
 	// Executor path: one replay publishes every unfilled result slot it
-	// passes, one snapshot covers the whole batch. The executor publishes
-	// its own response before storing that snapshot, so a replay that stops
-	// there has nothing to apply or publish for this entry. A pass that
-	// helped anyone always snapshots — its entry sits above every entry it
-	// published, so the helped entries' skipped snapshots (they are under
-	// the executor's) cannot stretch the replay frontier past O(n·k): the
-	// un-snapshotted region is at most k solo entries per pid plus the
-	// in-flight batches, one per live process.
-	state, published := u.replayPublish(pid, prior, true)
-	resp := state.Apply(e.Op)
-	e.Publish(resp)
-	if u.truncate && (published > 0 || e.Seq%u.snapEvery == 0) {
-		u.storeSnapshot(e, state)
-	}
-	u.stats.batchLen.Observe(int64(published) + 1)
+	// passes, and one snapshot, at this entry above all of them, covers the
+	// whole batch.
+	resp, published := u.execute(pid, e, prior, true)
 	u.contended.Store(published > 0)
-	// One mark advance per batch, amortized like the batch's single
-	// snapshot: a pass that helped anyone pays the min-scan once for the
-	// whole wave; a solo pass pays it only on its gcEvery schedule.
-	if u.gcEvery > 0 && (published > 0 || e.Seq%u.gcEvery == 0) {
-		u.gcAdvance()
-	}
 	return resp
 }
 
@@ -160,16 +142,12 @@ func (u *Universal) awaitHelp(e *Entry, gather bool) (int64, bool) {
 }
 
 // recordHelped accounts one helped return — the operation skipped its replay
-// and, when its turn in the snapshot schedule had come, its snapshot store —
-// and keeps the gather hint set: being helped is proof a batch formed. The
-// helped process replayed nothing, so it advances its observed-prefix
-// register from the gossip floor instead: a pid served entirely by
-// executors must not pin the low-water mark.
+// and its snapshot store — and keeps the gather hint set: being helped is
+// proof a batch formed. The helped process replayed nothing, so it advances
+// its observed-prefix register from the gossip floor instead: a pid served
+// entirely by executors must not pin the low-water mark.
 func (u *Universal) recordHelped(e *Entry) {
 	u.stats.helped.Inc()
-	if u.truncate && e.Seq%u.snapEvery == 0 {
-		u.stats.snapSaved.Inc()
-	}
 	u.contended.Store(true)
 	u.gcAdoptFloor(e.Pid)
 }

@@ -181,3 +181,103 @@ func TestSnapshotImpliesResult(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotInterval: Section 4.1's O(n) replay bound and response
+// correctness under concurrent writers. The snapshot interval is fixed at
+// k=1: every write stores a snapshot, so a replay walks past at most one
+// committed entry per process plus one in flight, n·(k+1) = 2n.
+func TestSnapshotInterval(t *testing.T) {
+	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, nil, 2*replayN) })
+}
+
+// TestBatchedSnapshotBound: the replay bound survives batching. A pid's solo
+// entries snapshot as unbatched ones do and a helped entry lies below its
+// executor's snapshot, but one in-flight batch per pid whose executor has not
+// stored yet may sit above the newest snapshot: twice the unbatched bound,
+// 2n·(k+1) = 4n, covers that slack.
+func TestBatchedSnapshotBound(t *testing.T) {
+	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, []Option{WithBatching()}, 4*replayN) })
+}
+
+const replayN = 4
+
+// checkReplayBound runs replayN concurrent incrementers and checks the final
+// count and that no replay walked more than bound entries.
+func checkReplayBound(t *testing.T, opts []Option, bound int64) {
+	const n, per = replayN, 200
+	u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), n, opts...)
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		p := p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				u.Invoke(p, seqspec.Op{Kind: "inc"})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := u.Invoke(0, seqspec.Op{Kind: "get"}); got != n*per {
+		t.Errorf("count = %d, want %d", got, n*per)
+	}
+	if _, _, max := u.ReplayStats(); max > bound {
+		t.Errorf("replay max = %d, beyond the O(n) bound %d", max, bound)
+	}
+}
+
+// TestOneSnapshotPerPass: each write path stores exactly one snapshot per
+// executor pass (execute). Unbatched, every write is its own pass. Batched,
+// a write is either an executor pass or helped, and a helped write stores
+// nothing. An InvokeBatch wave is one pass, whatever stragglers it resolves.
+func TestOneSnapshotPerPass(t *testing.T) {
+	const n, per = 4, 200
+	put := func(p, i int) seqspec.Op {
+		return seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}}
+	}
+	cases := []struct {
+		name   string
+		opts   []Option
+		write  func(u *Universal, p, i int)
+		passes func(t *testing.T, u *Universal) int64
+	}{
+		{"unbatched", nil,
+			func(u *Universal, p, i int) { u.Invoke(p, put(p, i)) },
+			func(*testing.T, *Universal) int64 { return n * per }},
+		{"batched", []Option{WithBatching()},
+			func(u *Universal, p, i int) { u.Invoke(p, put(p, i)) },
+			func(t *testing.T, u *Universal) int64 {
+				passes, _, _ := u.BatchStats()
+				if passes+u.Helped() != n*per {
+					t.Errorf("%d passes + %d helped writes, want %d writes", passes, u.Helped(), n*per)
+				}
+				return passes
+			}},
+		{"invoke-batch", nil,
+			func(u *Universal, p, i int) {
+				op := put(p, i)
+				u.InvokeBatch(p, []seqspec.Op{op, op, op}, make([]int64, 3))
+			},
+			func(*testing.T, *Universal) int64 { return n * per }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n, c.opts...)
+			var wg sync.WaitGroup
+			for p := 0; p < n; p++ {
+				p := p
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						c.write(u, p, i)
+					}
+				}()
+			}
+			wg.Wait()
+			if stores, passes := u.stats.snapStores.Load(), c.passes(t, u); stores != passes {
+				t.Errorf("%d snapshot stores, want one per executor pass: %d", stores, passes)
+			}
+		})
+	}
+}

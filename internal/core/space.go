@@ -24,9 +24,9 @@ func LiveRegion(head *Node, n int) (length int, bounded bool) {
 // liveRegionCapped is LiveRegion with a walk budget: once length reaches
 // limit the walk stops and reports unbounded, so callers on a hot path (the
 // live-region gauge sampler) never pay O(log length) for a region the
-// replay rule isn't going to close — with sparse snapshots (snapEvery > 1,
-// or batching, where helped entries skip their snapshot) n *consecutive*
-// snapshotted entries may never occur. limit < 0 means no cap.
+// replay rule isn't going to close — with sparse snapshots (batching, where
+// helped entries skip their snapshot) n *consecutive* snapshotted entries
+// may never occur. limit < 0 means no cap.
 func liveRegionCapped(head *Node, n, limit int) (length int, bounded bool) {
 	consecutive := 0
 	//wf:bounded [C] the gauge sampler's walk budget: the loop saturates at limit (the live-sample cap) on the hot path; the uncapped limit<0 form is test- and report-only, where the reachable list is finite

@@ -29,12 +29,8 @@ type Universal struct {
 	seq      seqspec.Object
 	fac      FetchAndCons
 	truncate bool
-	// snapEvery is the snapshot interval k of WithSnapshotInterval.
-	//
-	//wf:param k
-	snapEvery int64
-	fastRead  bool
-	batch     bool
+	fastRead bool
+	batch    bool
 	// gcEvery is the mark-advance period per process; 0 = log GC off.
 	//
 	//wf:param g
@@ -108,10 +104,6 @@ type universalStats struct {
 	// helped counts batched write operations that returned a response
 	// published by a concurrent executor — no replay, no clone, no apply.
 	helped *wfstats.Counter
-	// snapSaved counts snapshot stores the helped path skipped: operations
-	// that would have stored a snapshot on the unbatched path
-	// but were covered by their batch executor's single store instead.
-	snapSaved *wfstats.Counter
 	// batchLen is the batch-size histogram: responses each executor pass
 	// settled (its own plus every helped entry it published), the paper's
 	// one-operation-per-wave quantity from the combining-network discussion.
@@ -130,9 +122,9 @@ type universalStats struct {
 	// opSteps is the runtime cross-check of wfvet's symbolic certificates:
 	// per replay, the log nodes walked plus the entries applied plus the
 	// constant per-operation overhead (cons or observe, own apply, snapshot
-	// bookkeeping) — the concrete instantiation of the O(n·k) terms in the
-	// certified Invoke bound. A test evaluates the certificate at the
-	// experiment's n and k and asserts this histogram's max stays under it.
+	// bookkeeping) — the concrete instantiation of the O(n) replay terms in
+	// the certified Invoke bound. A test evaluates the certificate at the
+	// experiment's n and asserts this histogram's max stays under it.
 	opSteps *wfstats.Histogram
 }
 
@@ -161,23 +153,10 @@ type readSnap struct {
 type Option func(*Universal)
 
 // WithoutTruncation disables the strongly-wait-free snapshot refinement,
-// yielding the plain wait-free construction whose k-th operation replays k
+// yielding the plain wait-free construction whose i-th operation replays i
 // entries.
 func WithoutTruncation() Option {
 	return func(u *Universal) { u.truncate = false }
-}
-
-// WithSnapshotInterval makes only every k-th entry per process store a
-// snapshot: the strongly-wait-free replay bound degrades gracefully from
-// O(n) to O(n·k). A snapshot is the executor's own post-state, stored
-// without a Clone, so a larger k saves no Clone for any object and only
-// lengthens replays; it remains the knob that measures the bound. k=1 —
-// every entry, the paper's Section 4.1 construction — is the default.
-func WithSnapshotInterval(k int) Option {
-	if k < 1 {
-		panic("core: snapshot interval must be >= 1")
-	}
-	return func(u *Universal) { u.snapEvery = int64(k) }
 }
 
 // WithoutFastReads routes read-only operations through the full write path
@@ -223,7 +202,7 @@ func WithMetrics(reg *wfstats.Registry) Option {
 // NewUniversal builds a wait-free version of seq for n processes over fac.
 // Truncation is enabled by default.
 func NewUniversal(seq seqspec.Object, fac FetchAndCons, n int, opts ...Option) *Universal {
-	u := &Universal{seq: seq, fac: fac, truncate: true, snapEvery: 1, fastRead: true,
+	u := &Universal{seq: seq, fac: fac, truncate: true, fastRead: true,
 		seqs: make([]atomic.Int64, n), scratch: make([]replayScratch, n)}
 	for _, o := range opts {
 		o(u)
@@ -241,7 +220,6 @@ func NewUniversal(seq seqspec.Object, fac FetchAndCons, n int, opts ...Option) *
 		fastMisses: u.metrics.StripedCounter("universal.fast_read_miss", n),
 		replayLen:  u.metrics.Histogram("universal.replay_len"),
 		helped:     u.metrics.Counter("universal.helped"),
-		snapSaved:  u.metrics.Counter("universal.snapshot_saved"),
 		batchLen:   u.metrics.Histogram("universal.batch_len"),
 		retired:    u.metrics.Counter("universal.retired"),
 		logLen:     u.metrics.Gauge("universal.log_len"),
@@ -276,40 +254,56 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 	if u.batch {
 		return u.invokeBatched(pid, e)
 	}
-	prior := u.fac.FetchAndCons(pid, e)
-	state := u.replay(pid, prior)
-	resp := state.Apply(op)
-	if u.truncate && e.Seq%u.snapEvery == 0 {
-		e.Publish(resp)
-		u.storeSnapshot(e, state)
-	}
-	if u.gcEvery > 0 && e.Seq%u.gcEvery == 0 {
-		u.gcAdvance()
-	}
+	resp, _ := u.execute(pid, e, u.fac.FetchAndCons(pid, e), false)
 	return resp
 }
 
+// execute is the second step of every write path (Figure 4-2's replay,
+// then Section 4.1's snapshot): replay prior — the decided list below e —
+// apply e's own operation, publish its response, store the resulting state
+// as e's snapshot, and advance the GC mark on schedule. It returns e's
+// response and how many other entries' responses it published: with help
+// set (the batched paths) the replay publishes the response of every entry
+// it applies whose slot is still empty, the pass counts as one batch, and a
+// pass that helped anyone advances the mark at once, paying the min-scan
+// once for the whole wave.
+func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, int) {
+	state, published := u.replayPublish(pid, prior, help)
+	resp := state.Apply(e.Op)
+	e.Publish(resp)
+	if u.truncate {
+		u.storeSnapshot(e, state)
+	}
+	if help {
+		u.stats.batchLen.Observe(int64(published) + 1)
+	}
+	if u.gcEvery > 0 && (published > 0 || e.Seq%u.gcEvery == 0) {
+		u.gcAdvance()
+	}
+	return resp, published
+}
+
 // storeSnapshot stores state, the state after e's own operation, as e's
-// Section 4.1 snapshot. state must be the caller's private replay result,
-// which it never touches again: replayers only Clone a stored state, so it
-// is stored as is. The caller must already have published e's response, so
-// a visible snapshot always means a published result and a replay that
-// stops at it has nothing left to apply or publish.
+// Section 4.1 snapshot. state is execute's private replay result, which it
+// never touches again: replayers only Clone a stored state, so it is stored
+// as is. e's response is already published, so a visible snapshot always
+// means a published result and a replay that stops at it has nothing left
+// to apply or publish.
 func (u *Universal) storeSnapshot(e *Entry, state seqspec.State) {
 	u.stats.snapStores.Inc()
 	e.snapshot.Store(&snapBox{state: state})
 	u.sampleLiveRegion(e.Seq)
 }
 
-// liveSampleEvery gates the universal.live_region gauge: snapshot-store
-// sites sample LiveRegion on every liveSampleEvery-th store per process, so
-// wfstat shows the Section 4.1 region live without putting an O(n·k) walk
-// on every write. liveSampleCap bounds each sample's walk: when snapshots
-// are sparse (snapEvery > 1 with interleaved writers, or batching) the
-// replay rule may never close the region, and a gauge sample must saturate
-// (report the cap), not traverse an unbounded log. The budget is sized so
-// a saturating sampler costs ~cap/(every·snapEvery) ≈ a few node loads per
-// write, amortized; any healthy GC-on live region sits well under the cap.
+// liveSampleEvery gates the universal.live_region gauge: storeSnapshot
+// samples LiveRegion on every liveSampleEvery-th store per process, so
+// wfstat shows the Section 4.1 region live without putting an O(n) walk on
+// every write. liveSampleCap bounds each sample's walk: when snapshots are
+// sparse (batching, where helped entries store none) the replay rule may
+// never close the region, and a gauge sample must saturate (report the
+// cap), not traverse an unbounded log. The budget is sized so a saturating
+// sampler costs ~cap/every ≈ a few node loads per write, amortized; any
+// healthy GC-on live region sits well under the cap.
 const (
 	liveSampleEvery = 64
 	// liveSampleCap is the symbolic walk budget C of a live-region sample.
@@ -368,20 +362,20 @@ func (u *Universal) replay(pid int, list *Node) seqspec.State {
 // replayPublish is replay plus the helping write of the batched path: with
 // help set it publishes the response of every entry it applies whose result
 // slot is still empty, and reports how many slots it filled. The entry it
-// stops at needs neither: its snapshot is the state after its op, and every
-// write path publishes an entry's response before storing its snapshot
-// (storeSnapshot), so that entry's slot is already full. Publication is
-// sound because list is decided — every replayer reconstructs the same
-// state below each entry (Lemma 24's coherence plus snapshot correctness),
-// and Apply is deterministic (the seqspec response-publication contract),
-// so concurrent publishers store identical values.
+// stops at needs neither: its snapshot is the state after its op, and
+// execute publishes an entry's response before storing its snapshot, so
+// that entry's slot is already full. Publication is sound because list is
+// decided — every replayer reconstructs the same state below each entry
+// (Lemma 24's coherence plus snapshot correctness), and Apply is
+// deterministic (the seqspec response-publication contract), so concurrent
+// publishers store identical values.
 func (u *Universal) replayPublish(pid int, list *Node, help bool) (seqspec.State, int) {
 	sc := &u.scratch[pid]
 	pending := sc.pending[:0]
 	var state seqspec.State
 	published := 0
 	stop := int64(0) // log index of the snapshot the walk stopped at
-	//wf:bounded [n*k] walks to the first snapshotted entry: at most snapEvery un-snapshotted entries per live process (Section 4.1's strong wait-freedom bound), or the whole finite list without truncation
+	//wf:bounded [n] walks to the first snapshotted entry: past only the live processes' in-flight entries (Section 4.1's strong wait-freedom bound), or the whole finite list without truncation
 	for n := list; ; n = n.Rest() {
 		if n == nil {
 			state = u.seq.Init()
@@ -396,7 +390,7 @@ func (u *Universal) replayPublish(pid int, list *Node, help bool) (seqspec.State
 		}
 		pending = append(pending, n.Entry)
 	}
-	//wf:bounded [n*k] drains the pending buffer the walk above gathered, one Apply per un-snapshotted entry — same Section 4.1 bound, paid a second time
+	//wf:bounded [n] drains the pending buffer the walk above gathered, one Apply per un-snapshotted entry — same Section 4.1 bound, paid a second time
 	for i := len(pending) - 1; i >= 0; i-- {
 		resp := state.Apply(pending[i].Op)
 		if help {

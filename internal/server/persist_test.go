@@ -125,8 +125,8 @@ func TestServerPersistRecovery(t *testing.T) {
 // want names the check expected to refuse.
 func TestServerRecoveryAcrossShardCounts(t *testing.T) {
 	for _, tc := range []struct {
-		shards, snapEvery int
-		want              string
+		shards, snapshotEvery int
+		want                  string
 	}{
 		{1, 0, "record for shard"},
 		{8, 0, "holds key"},
@@ -134,12 +134,12 @@ func TestServerRecoveryAcrossShardCounts(t *testing.T) {
 		{8, 4, "holds key"},
 	} {
 		name := fmt.Sprintf("4to%d/records", tc.shards)
-		if tc.snapEvery > 0 {
+		if tc.snapshotEvery > 0 {
 			name = fmt.Sprintf("4to%d/snapshots", tc.shards)
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := New(Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 4, Dir: dir, SnapshotEvery: tc.snapEvery})
+			s, err := New(Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 4, Dir: dir, SnapshotEvery: tc.snapshotEvery})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -165,7 +165,7 @@ func TestServerRecoveryAcrossShardCounts(t *testing.T) {
 				t.Fatalf("Snapshots: %v", err)
 			}
 			wantSnaps := 0
-			if tc.snapEvery > 0 {
+			if tc.snapshotEvery > 0 {
 				wantSnaps = 4
 			}
 			if len(snaps) != wantSnaps {
@@ -314,10 +314,10 @@ func TestServerKill9Recovery(t *testing.T) {
 
 // serverDrill builds the wfserver binary and returns the address it will
 // listen on and a function that starts it, on the same data directory
-// every time, with -snap-every snapEvery. The binary is race-enabled when
+// every time, with -snap-every snapshotEvery. The binary is race-enabled when
 // this test binary is, so the drills also run the real server under the
 // race detector. Skipped in -short.
-func serverDrill(t *testing.T, snapEvery int) (addr string, start func() *exec.Cmd) {
+func serverDrill(t *testing.T, snapshotEvery int) (addr string, start func() *exec.Cmd) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and execs a real binary; skipped in -short")
@@ -336,7 +336,7 @@ func serverDrill(t *testing.T, snapEvery int) (addr string, start func() *exec.C
 	dataDir := filepath.Join(tmp, "data")
 	addr = freeAddr(t)
 	return addr, func() *exec.Cmd {
-		cmd := exec.Command(bin, "-addr", addr, "-dir", dataDir, "-snap-every", strconv.Itoa(snapEvery), "-shards", "4", "-procs", "16")
+		cmd := exec.Command(bin, "-addr", addr, "-dir", dataDir, "-snap-every", strconv.Itoa(snapshotEvery), "-shards", "4", "-procs", "16")
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

@@ -74,7 +74,7 @@ func checkABA(prog *Program, p *Package, fd *ast.FuncDecl) []Diagnostic {
 			return true // install-once: nil is never a recycled address
 		case recvPath != "" && refMatches(types.ExprString(ast.Unparen(old)), recvPath, binds):
 			return true // held-pointer: the GC pins old's address while we hold it
-		case exprContains(new, types.ExprString(ast.Unparen(old))):
+		case mentions(new, types.ExprString(ast.Unparen(old))):
 			return true // value-derived RMW: new is a function of old
 		}
 		if d := disciplineDiag(p, call.Pos(), "abasafe",

@@ -69,7 +69,7 @@ type FieldAnn struct {
 	// Len names the parameter a slice field's length equals (//wf:len n).
 	Len string
 	// Param names the symbolic parameter this const or field's value is
-	// (//wf:param k).
+	// (//wf:param g).
 	Param string
 	// Steps is a declared symbolic cost for calls through a func-typed field
 	// (//wf:steps <expr>).

@@ -292,9 +292,9 @@ func guardProvesGE(gs guardSet, a string, matchB func(string) bool) bool {
 	return false
 }
 
-// exprContains reports whether expression string needle occurs as an
-// operand inside hay's expression tree.
-func exprContains(hay ast.Expr, needle string) bool {
+// mentions reports whether any expression inside hay — an expression tree
+// or a whole statement body — renders to the needle string.
+func mentions(hay ast.Node, needle string) bool {
 	found := false
 	ast.Inspect(hay, func(n ast.Node) bool {
 		if e, isExpr := n.(ast.Expr); isExpr && types.ExprString(ast.Unparen(e)) == needle {

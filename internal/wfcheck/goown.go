@@ -1,9 +1,6 @@
 package wfcheck
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // goown turns goroutine-leak hygiene into a finding: every go statement in
 // an audited package must declare its shutdown edge with //wf:owns
@@ -51,11 +48,11 @@ func goOwnStmt(prog *Program, p *Package, fd *ast.FuncDecl, gs *ast.GoStmt, diag
 		}
 		return
 	}
-	if exprContains(gs.Call, mark.Mech) {
+	if mentions(gs.Call, mark.Mech) {
 		return
 	}
 	if fn := calleeFunc(p, gs.Call); fn != nil {
-		if pf := prog.FuncOf(fn); pf != nil && pf.Decl.Body != nil && nodeMentions(pf.Decl.Body, mark.Mech) {
+		if pf := prog.FuncOf(fn); pf != nil && pf.Decl.Body != nil && mentions(pf.Decl.Body, mark.Mech) {
 			return
 		}
 	}
@@ -63,17 +60,4 @@ func goOwnStmt(prog *Program, p *Package, fd *ast.FuncDecl, gs *ast.GoStmt, diag
 		"//wf:owns %s on the go statement in %s, but the goroutine never reaches that mechanism", mark.Mech, fd.Name.Name); d != nil {
 		*diags = append(*diags, *d)
 	}
-}
-
-// nodeMentions reports whether any expression inside n renders to the
-// needle string — exprContains generalized to statement bodies.
-func nodeMentions(n ast.Node, needle string) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if e, isExpr := m.(ast.Expr); isExpr && types.ExprString(ast.Unparen(e)) == needle {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

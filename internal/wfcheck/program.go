@@ -142,8 +142,8 @@ func (prog *Program) index(p *Package) {
 }
 
 // SinglePackage builds a degenerate program over one package with no
-// cross-package index: the PR 2 per-package behavior, kept for measuring
-// what whole-program analysis adds (and for the fixture proving it).
+// cross-package index: calls that leave the package stay unresolved. Run
+// analyzes a lone package (the golden fixtures) through it.
 func SinglePackage(p *Package) *Program {
 	prog := &Program{
 		Pkgs:      []*Package{p},

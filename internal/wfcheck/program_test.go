@@ -32,12 +32,12 @@ func loadFixture(t *testing.T, rel string) (*Loader, *Package) {
 	return loader, p
 }
 
-// TestCrossPackageResolution pins the point of the whole-program upgrade:
+// TestCrossPackageResolution pins the point of whole-program analysis:
 // package b's wait-free entry points reach blocking code only across the
-// import edge into package a, so per-package analysis (the old behavior,
-// Config.IntraPackage) finds nothing while the whole-program call graph
-// reports both violations — the hidden mutex behind an unannotated helper
-// and the wf:blocking annotation the caller's package cannot read.
+// import edge into package a, which per-package analysis cannot see, and
+// the whole-program call graph reports both violations — the hidden mutex
+// behind an unannotated helper and the wf:blocking annotation the caller's
+// package cannot read.
 func TestCrossPackageResolution(t *testing.T) {
 	loader, pb := loadFixture(t, "xpkg/b")
 	prog := NewProgram(loader)
@@ -59,12 +59,6 @@ func TestCrossPackageResolution(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("whole-program diagnostics missing %q in:\n%s", want, joined)
 		}
-	}
-
-	intra := (Config{IntraPackage: true}).RunProgram(prog, []*Package{pb})
-	if len(intra.Diags) != 0 {
-		t.Errorf("per-package analysis found %d diagnostics, want 0 (the missed-violation class):\n%v",
-			len(intra.Diags), intra.Diags)
 	}
 }
 

@@ -34,8 +34,9 @@ func TestFacadeCertsComplete(t *testing.T) {
 			t.Errorf("%s has no finite bound: %s", c.Op, c.Basis)
 		}
 	}
-	// The headline certificates: the universal object's operation is O(n·k)
-	// plus lower-order terms, and the sharded front end multiplies by S.
+	// The headline certificates: the universal object's operation carries
+	// the Section 4.1 O(n) replay term plus lower-order terms, and the
+	// sharded front end multiplies it by S.
 	byOp := map[string]OpCert{}
 	for _, c := range ops {
 		byOp[c.Op] = c
@@ -44,30 +45,29 @@ func TestFacadeCertsComplete(t *testing.T) {
 	if !ok {
 		t.Fatal("no certificate for core.Universal.Invoke")
 	}
-	if got := invoke.Poly["k·n"]; got < 1 {
-		t.Errorf("Invoke bound %s lacks the Section 4.1 n·k replay term", invoke.Bound)
+	if got := invoke.Poly["n"]; got < 1 {
+		t.Errorf("Invoke bound %s lacks the Section 4.1 n replay term", invoke.Bound)
 	}
 	sharded, ok := byOp["shard.Sharded.Invoke"]
 	if !ok {
 		t.Fatal("no certificate for shard.Sharded.Invoke")
 	}
-	if got := sharded.Poly["S·k·n"]; got < 1 {
-		t.Errorf("sharded Invoke bound %s lacks the S·k·n cross-shard term", sharded.Bound)
+	if got := sharded.Poly["S·n"]; got < 1 {
+		t.Errorf("sharded Invoke bound %s lacks the S·n cross-shard term", sharded.Bound)
 	}
 }
 
 // TestCertifiedBoundCoversRuntime is the static/dynamic cross-check: it
 // instantiates the certified Invoke bound at a concrete configuration
-// (n processes, snapshot interval k, GC period g) and asserts that the
+// (n processes, GC period g) and asserts that the
 // universal.op_steps histogram — the replay walk plus applies plus constant
 // overhead an operation actually performed — never exceeded the evaluated
 // certificate during a concurrent workload.
 func TestCertifiedBoundCoversRuntime(t *testing.T) {
 	const (
-		procs     = 4
-		snapEvery = 3
-		gcEvery   = 8
-		opsPer    = 300
+		procs   = 4
+		gcEvery = 8
+		opsPer  = 300
 	)
 	ops := loadFacadeCerts(t)
 	var invoke *OpCert
@@ -80,7 +80,7 @@ func TestCertifiedBoundCoversRuntime(t *testing.T) {
 		t.Fatal("no certificate for core.Universal.Invoke")
 	}
 	params := map[string]int64{
-		"n": procs, "k": snapEvery, "g": gcEvery,
+		"n": procs, "g": gcEvery,
 		"B": 4096, "C": 512, "S": 1, "M": 16,
 	}
 	bound, err := invoke.Poly.Eval(params)
@@ -94,8 +94,7 @@ func TestCertifiedBoundCoversRuntime(t *testing.T) {
 	fac := waitfree.NewConsensusFetchAndCons(procs, func() waitfree.Consensus {
 		return waitfree.NewCASConsensus(procs)
 	})
-	u := waitfree.New(seqspec.KV{}, fac, procs,
-		waitfree.WithSnapshotInterval(snapEvery), waitfree.WithLogGC(gcEvery))
+	u := waitfree.New(seqspec.KV{}, fac, procs, waitfree.WithLogGC(gcEvery))
 	var wg sync.WaitGroup
 	for pid := 0; pid < procs; pid++ {
 		wg.Add(1)
@@ -121,9 +120,9 @@ func TestCertifiedBoundCoversRuntime(t *testing.T) {
 		t.Fatal("universal.op_steps histogram missing from the metrics snapshot")
 	}
 	if observed > bound {
-		t.Errorf("observed per-operation steps max %d exceeds certified bound %s = %d at n=%d k=%d g=%d",
-			observed, invoke.Bound, bound, procs, snapEvery, gcEvery)
+		t.Errorf("observed per-operation steps max %d exceeds certified bound %s = %d at n=%d g=%d",
+			observed, invoke.Bound, bound, procs, gcEvery)
 	}
-	t.Logf("certified %s = %d steps at n=%d k=%d g=%d; observed max %d",
-		invoke.Bound, bound, procs, snapEvery, gcEvery, observed)
+	t.Logf("certified %s = %d steps at n=%d g=%d; observed max %d",
+		invoke.Bound, bound, procs, gcEvery, observed)
 }

@@ -64,9 +64,9 @@ func TestParseSteps(t *testing.T) {
 }
 
 // TestSymbolicComposition pins the tentpole on the cross-package fixture:
-// symb.Front.Poll runs k rounds (a counted loop against a //wf:param field
+// symb.Front.Poll runs r rounds (a counted loop against a //wf:param field
 // in package symb) of inner.Scanner.Scan (a range over a //wf:len register
-// array in package inner), so its certificate must be the product O(k·n) —
+// array in package inner), so its certificate must be the product O(n·r) —
 // parameters declared in two different packages, composed through the
 // whole-program call graph. The inner operation certifies trusted: the
 // range's trip count is machine-derived, but the parameter it resolves to
@@ -89,8 +89,8 @@ func TestSymbolicComposition(t *testing.T) {
 	if poll.Status == BoundUnbounded {
 		t.Fatalf("Poll is unbounded: %s", poll.Basis)
 	}
-	if poll.Poly["k·n"] < 1 {
-		t.Errorf("Poll certified %s, want the cross-package k·n product", poll.Bound)
+	if poll.Poly["n·r"] < 1 {
+		t.Errorf("Poll certified %s, want the cross-package n·r product", poll.Bound)
 	}
 	scan, ok := byOp["inner.Scanner.Scan"]
 	if !ok {

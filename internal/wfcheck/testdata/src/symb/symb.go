@@ -1,14 +1,14 @@
 // Package symb is the caller side of the symbolic-composition fixture: its
-// exported operation runs k rounds of the inner package's n-step scan, so
+// exported operation runs r rounds of the inner package's n-step scan, so
 // the certified bound must multiply parameters declared in two different
-// packages — O(k·n), composed through the whole-program call graph.
+// packages — O(n·r), composed through the whole-program call graph.
 package symb
 
 import "waitfree/internal/wfcheck/testdata/src/symb/inner"
 
 // Front polls an inner scanner a configured number of rounds.
 type Front struct {
-	//wf:param k
+	//wf:param r
 	rounds int
 	sc     *inner.Scanner
 }

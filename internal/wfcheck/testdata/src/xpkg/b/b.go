@@ -1,7 +1,7 @@
 // Package b is the caller side of the cross-package fixture: wait-free
-// entry points whose violations live across an import edge. Per-package
-// analysis (the old behavior, Config.IntraPackage) reports nothing here;
-// the whole-program call graph reports both.
+// entry points whose violations live across an import edge. Analysis that
+// stops at package boundaries would report nothing here; the whole-program
+// call graph reports both.
 package b
 
 import "waitfree/internal/wfcheck/testdata/src/xpkg/a"

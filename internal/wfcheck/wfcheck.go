@@ -38,7 +38,7 @@
 //	    visible in the bounds report.
 //
 // Loop-line wf:bounded and wf:lockfree arguments may open with a [expr]
-// bracket — `//wf:bounded [n*k] walks the live region...` — declaring the
+// bracket — `//wf:bounded [n*g] walks the live region...` — declaring the
 // loop's symbolic trip count for the step algebra (see symbound below).
 //
 // The v3 symbolic and register-discipline directives:
@@ -51,8 +51,8 @@
 //	    contract like FetchAndCons is O(n) by Corollary 27.
 //	//wf:param <name>
 //	    On a const or field: its value is one instance of the named
-//	    symbolic parameter (n processes, k snapshot interval, B help-spin
-//	    budget, ...).
+//	    symbolic parameter (n processes, g GC interval, B help-spin budget,
+//	    ...).
 //	//wf:len <name>
 //	    On a slice field: its length equals the named parameter, so ranges
 //	    over it cost that parameter per trip.
@@ -225,12 +225,6 @@ type Config struct {
 	// mode.
 	All bool
 
-	// IntraPackage restores PR 2's per-package analysis: calls that leave
-	// the package are trusted unresolved boundaries. Kept to measure what
-	// whole-program resolution adds; the cross-package fixture test proves
-	// the difference.
-	IntraPackage bool
-
 	// StrictStale promotes stale-directive warnings to errors (the CI
 	// setting): directive drift fails the build instead of scrolling by.
 	StrictStale bool
@@ -265,7 +259,6 @@ func (r *Result) Errors() bool {
 // Run executes every analyzer on one loaded package in isolation — the
 // degenerate whole-program case. Kept for single-package callers and tests.
 func (c Config) Run(p *Package) []Diagnostic {
-	c.IntraPackage = true
 	return c.RunProgram(SinglePackage(p), []*Package{p}).Diags
 }
 
@@ -273,18 +266,6 @@ func (c Config) Run(p *Package) []Diagnostic {
 // for the target packages (the ones the user named; the rest of the module
 // participates in call resolution only). Diagnostics come back sorted.
 func (c Config) RunProgram(prog *Program, targets []*Package) *Result {
-	if c.IntraPackage {
-		// Rebuild the resolution index per target package so calls stop at
-		// package boundaries, whatever loader the packages came from.
-		res := &Result{}
-		for _, p := range targets {
-			sub := c.runOne(SinglePackage(p), p)
-			res.Diags = append(res.Diags, sub.Diags...)
-			res.Bounds = append(res.Bounds, sub.Bounds...)
-		}
-		SortDiagnostics(res.Diags)
-		return res
-	}
 	res := &Result{}
 	res.Diags = append(res.Diags, analyzeBlocking(prog, targets, c.All)...)
 	for _, p := range targets {
@@ -373,30 +354,4 @@ func (c Config) staleDiags(prog *Program, targets []*Package) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// runOne is RunProgram's per-package body for the intra-package mode.
-func (c Config) runOne(prog *Program, p *Package) *Result {
-	res := &Result{}
-	res.Diags = append(res.Diags, p.Annots.Errors...)
-	res.Diags = append(res.Diags, analyzeBlocking(prog, []*Package{p}, c.All)...)
-	bounds, diags := analyzeBounds(p)
-	res.Bounds = append(res.Bounds, bounds...)
-	res.Diags = append(res.Diags, diags...)
-	res.Diags = append(res.Diags, analyzeProgress(p)...)
-	res.Diags = append(res.Diags, analyzePubSafety(p)...)
-	res.Diags = append(res.Diags, analyzeAtomicMix(p)...)
-	res.Diags = append(res.Diags, analyzeSpecPurity(p)...)
-	res.Diags = append(res.Diags, analyzeSingleWriter(prog, p)...)
-	res.Diags = append(res.Diags, analyzeMonotone(prog, p)...)
-	res.Diags = append(res.Diags, analyzeABA(prog, p)...)
-	analyzeFsyncOrder(p, &res.Diags)
-	analyzeAckPersist(p, &res.Diags)
-	analyzeGoOwn(prog, p, &res.Diags)
-	res.Diags = append(res.Diags, unusedWaiverDiags(p)...)
-	res.Diags = append(res.Diags, unusedMarkDiags(p)...)
-	if c.All {
-		res.Diags = append(res.Diags, c.staleDiags(prog, []*Package{p})...)
-	}
-	return res
 }

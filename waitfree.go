@@ -143,14 +143,6 @@ type Option = core.Option
 // refinement (Section 4.1); useful for measuring its effect.
 func WithoutTruncation() Option { return core.WithoutTruncation() }
 
-// WithSnapshotInterval stores a snapshot only on every k-th entry per
-// process: the replay bound degrades gracefully from O(n) to O(n·k).
-// Storing a snapshot costs no Clone (it is the state the operation just
-// produced), so k > 1 saves nothing and only lengthens replays; it is kept
-// for measuring the bound. k=1 (the default) is the strongly-wait-free
-// mode of the paper.
-func WithSnapshotInterval(k int) Option { return core.WithSnapshotInterval(k) }
-
 // WithoutFastReads routes read-only operations through the full write path
 // (cons + snapshot); useful for measuring the read fast path against it.
 func WithoutFastReads() Option { return core.WithoutFastReads() }
@@ -171,7 +163,7 @@ func WithoutBatching() Option { return core.WithoutBatching() }
 // the log index its replays stop at, and each process's every-th write
 // computes the collective minimum and severs the decided log below it, so
 // Go's collector reclaims the retired tail. Live memory drops from O(total
-// ops) to O(n·snapshot interval + n·every). Requires truncation (snapshots
+// ops) to O(n + n·every). Requires truncation (snapshots
 // anchor retention). A process pins the mark at its last published index
 // only while attached — from its first Invoke until it calls Detach —
 // exactly as a live peer pins a replicated log's Min(); detached pids

@@ -169,19 +169,6 @@ func TestHandles(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntervalOption exercises the option through the façade: the
-// construction stays correct while snapshots thin out.
-func TestSnapshotIntervalOption(t *testing.T) {
-	u := waitfree.New(waitfree.Counter{}, waitfree.NewSwapFetchAndCons(), 2,
-		waitfree.WithSnapshotInterval(8))
-	for i := 0; i < 100; i++ {
-		u.Invoke(0, waitfree.Op{Kind: "inc"})
-	}
-	if got := u.Invoke(1, waitfree.Op{Kind: "get"}); got != 100 {
-		t.Errorf("count = %d, want 100", got)
-	}
-}
-
 // TestFastReadsFacade: read-only ops are counted as fast reads and agree
 // with the write path.
 func TestFastReadsFacade(t *testing.T) {
