@@ -58,9 +58,8 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 		}
 		// Straggler: a concurrent pid's snapshot stopped the settling pass
 		// above this entry. Resolve it from its own decided prior, exactly
-		// as the unbatched path would have.
-		st := u.replay(pid, priors[i])
-		out[i] = st.Apply(e.Op)
+		// as the unbatched path would have, in one window with its own op.
+		_, out[i], _ = u.replayPublish(pid, priors[i], e, false)
 		e.Publish(out[i])
 	}
 	clear(entries)

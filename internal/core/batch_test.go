@@ -284,4 +284,35 @@ func TestInvokeBatchAllocs(t *testing.T) {
 		sc.entries[:cap(sc.entries)][0] != nil || sc.priors[:cap(sc.priors)][0] != nil {
 		t.Error("InvokeBatch left entries or priors in its scratch: decided log nodes stay pinned")
 	}
+	if sc := u.scratch[0]; len(sc.pending) != 0 || len(sc.ops) != 0 ||
+		sc.pending[:cap(sc.pending)][0] != nil || sc.ops[:cap(sc.ops)][0].Kind != "" {
+		t.Error("the replay left entries or ops in its scratch: log entries and op arguments stay pinned")
+	}
+}
+
+// TestInvokeBatchKVAllocs pins what the edit window buys a 16-put
+// InvokeBatch into a 2 048-key KV: the wave's replay and its own op run in
+// one ApplyAll window, so each trie node the 16 paths share — the root
+// above all — is copied once per wave instead of once per put. Each entry
+// still costs its Entry and swap-cons Node and the wave its Clone and
+// snapshot box; the 16 paths of these keys hold 32 distinct nodes. A path
+// copy per put would allocate 83 times.
+func TestInvokeBatchKVAllocs(t *testing.T) {
+	const keys = 2048
+	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 1)
+	fill := make([]seqspec.Op, keys)
+	for k := range fill {
+		fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
+	}
+	u.InvokeBatch(0, fill, make([]int64, keys))
+	ops := make([]seqspec.Op, 16)
+	for i := range ops {
+		ops[i] = seqspec.Op{Kind: "put", Args: []int64{int64(i * 97), -1}}
+	}
+	out := make([]int64, len(ops))
+	u.InvokeBatch(0, ops, out)
+	got := testing.AllocsPerRun(50, func() { u.InvokeBatch(0, ops, out) })
+	if want := float64(2*len(ops) + 2 + 32); got != want {
+		t.Errorf("16-put InvokeBatch into %d keys allocates %.0f times, want %.0f", keys, got, want)
+	}
 }

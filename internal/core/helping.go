@@ -15,10 +15,11 @@ import "runtime"
 // decided prefix computes all of their responses. Batching closes that gap
 // with the entry's result slot (Entry.Publish/Entry.Result):
 //
-//   - An *executor* replays once and, as it applies each decided entry,
-//     publishes that entry's response into its result slot. One replay
-//     (one clone, of the snapshot it stops at), one snapshot store of the
-//     state its own operation produced, a whole batch of writers served.
+//   - An *executor* replays once, applying every decided entry and its own
+//     operation in one edit window, and publishes each entry's response
+//     into its result slot. One replay (one clone, of the snapshot it
+//     stops at), one snapshot store of the state its own operation
+//     produced, a whole batch of writers served.
 //   - A *helped* writer finds its slot full after its cons and returns the
 //     published response — no replay, no clone.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,6 +180,88 @@ func TestSnapshotImpliesResult(t *testing.T) {
 			}
 			t.Logf("%d snapshots checked", checked)
 		})
+	}
+}
+
+// TestWindowSnapshotHammer is the edit window's sharing contract under
+// -race. Pid 0 runs InvokeBatch waves of puts into a 2 048-key KV, each
+// wave one ApplyAll window on a clone of the newest snapshot. Meanwhile pid
+// 1 takes State copies and runs windows on them, pid 2 serves fast reads,
+// and pid 3 clones the newest stored snapshot and runs windows on its
+// clones, under the same token value pid 0's next wave opens. Pid 0 keeps
+// writing until the others finish. No stored snapshot's Key may change
+// after the store.
+func TestWindowSnapshotHammer(t *testing.T) {
+	const n, keys, waves, iters, width = 4, 2048, 60, 40, 16
+	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n, WithLogGC(8))
+	fill := make([]seqspec.Op, keys)
+	for k := range fill {
+		fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
+	}
+	u.InvokeBatch(0, fill, make([]int64, keys))
+	puts := func(rng *rand.Rand) []seqspec.Op {
+		ops := make([]seqspec.Op, width)
+		for i := range ops {
+			ops[i] = seqspec.Op{Kind: "put", Args: []int64{rng.Int63n(keys + 64), rng.Int63()}}
+		}
+		return ops
+	}
+	newest := func() seqspec.State {
+		for node := u.fac.Observe(); node != nil; node = node.Rest() {
+			if s := node.Entry.snapshot.Load(); s != nil {
+				return s.state
+			}
+		}
+		return nil
+	}
+	type seen struct {
+		state seqspec.State
+		key   string
+	}
+	var stored []seen // pid 3's snapshots, re-checked at the end
+	var busy atomic.Int32
+	busy.Store(n - 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		out := make([]int64, width)
+		for w := 0; w < waves || busy.Load() > 0; w++ {
+			u.InvokeBatch(0, puts(rng), out)
+		}
+	}()
+	for pid := 1; pid < n; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			defer busy.Add(-1)
+			rng := rand.New(rand.NewSource(int64(pid)))
+			out := make([]int64, width)
+			for i := 0; i < iters; i++ {
+				switch pid {
+				case 1:
+					seqspec.ApplyAll(u.State(pid), puts(rng), out)
+				case 2:
+					u.Invoke(pid, seqspec.Op{Kind: "get", Args: []int64{rng.Int63n(keys)}})
+				case 3:
+					snap := newest()
+					key := snap.Key()
+					seqspec.ApplyAll(snap.Clone(), puts(rng), out)
+					if snap.Key() != key {
+						t.Error("a window on a clone of a stored snapshot changed the snapshot")
+						return
+					}
+					stored = append(stored, seen{snap, key})
+				}
+			}
+		}(pid)
+	}
+	wg.Wait()
+	for i, s := range stored {
+		if s.state.Key() != s.key {
+			t.Fatalf("stored snapshot %d changed after it was stored", i)
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ package core
 // collector performs the actual reclamation — the low-water-mark GC
 // (gc.go) severs the list below the anchor so nothing references the dead
 // tail — but the *live region*, the prefix a future replay might still
-// traverse, is measurable and should obey the paper's bound. Snapshot-store
-// sites sample it into the universal.live_region gauge (sampleLiveRegion).
+// traverse, is measurable and should obey the paper's bound. The space
+// tests measure it; nothing on the write path does.
 
 // LiveRegion measures the list prefix that a replay by any of n processes
 // could still traverse: the number of nodes from head up to and including
@@ -18,22 +18,9 @@ package core
 // with the replay rule never closing the region, so the entire reachable
 // list is live.
 func LiveRegion(head *Node, n int) (length int, bounded bool) {
-	return liveRegionCapped(head, n, -1)
-}
-
-// liveRegionCapped is LiveRegion with a walk budget: once length reaches
-// limit the walk stops and reports unbounded, so callers on a hot path (the
-// live-region gauge sampler) never pay O(log length) for a region the
-// replay rule isn't going to close — with sparse snapshots (batching, where
-// helped entries skip their snapshot) n *consecutive* snapshotted entries
-// may never occur. limit < 0 means no cap.
-func liveRegionCapped(head *Node, n, limit int) (length int, bounded bool) {
 	consecutive := 0
-	//wf:bounded [C] the gauge sampler's walk budget: the loop saturates at limit (the live-sample cap) on the hot path; the uncapped limit<0 form is test- and report-only, where the reachable list is finite
+	//wf:bounded [n*n] walks the live region, O(n^2) nodes by Section 4.1's reclamation argument once n consecutive snapshots close it; test- and report-only, where an unclosed region is the whole finite list
 	for node := head; node != nil; node = node.Rest() {
-		if length == limit {
-			return length, false
-		}
 		length++
 		if node.Entry.snapshot.Load() != nil {
 			consecutive++

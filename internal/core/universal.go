@@ -116,9 +116,6 @@ type universalStats struct {
 	// gcScanLen is the truncation-scan histogram: nodes walked per anchor
 	// swing, bounded by the live region when the GC keeps up.
 	gcScanLen *wfstats.Histogram
-	// liveRegion gauges the Section 4.1 live region (see LiveRegion),
-	// sampled at every liveSampleEvery-th snapshot store per process.
-	liveRegion *wfstats.Gauge
 	// opSteps is the runtime cross-check of wfvet's symbolic certificates:
 	// per replay, the log nodes walked plus the entries applied plus the
 	// constant per-operation overhead (cons or observe, own apply, snapshot
@@ -129,11 +126,14 @@ type universalStats struct {
 }
 
 // replayScratch is one pid's reusable replay buffer (single writer: the
-// pid's own front end). entries and priors are InvokeBatch's per-wave
-// buffers; it clears them before returning, so scratch never pins decided
-// log nodes or snapshot states beyond the call.
+// pid's own front end). pending, ops and out are replayPublish's window
+// buffers, entries and priors InvokeBatch's per-wave buffers; each call
+// clears its own before returning, so scratch never pins decided log
+// nodes, snapshot states or op arguments beyond the call.
 type replayScratch struct {
 	pending []*Entry
+	ops     []seqspec.Op
+	out     []int64
 	entries []*Entry
 	priors  []*Node
 }
@@ -224,7 +224,6 @@ func NewUniversal(seq seqspec.Object, fac FetchAndCons, n int, opts ...Option) *
 		retired:    u.metrics.Counter("universal.retired"),
 		logLen:     u.metrics.Gauge("universal.log_len"),
 		gcScanLen:  u.metrics.Histogram("universal.gc_scan_len"),
-		liveRegion: u.metrics.Gauge("universal.live_region"),
 		opSteps:    u.metrics.Histogram("universal.op_steps"),
 	}
 	return u
@@ -260,16 +259,15 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 
 // execute is the second step of every write path (Figure 4-2's replay,
 // then Section 4.1's snapshot): replay prior — the decided list below e —
-// apply e's own operation, publish its response, store the resulting state
-// as e's snapshot, and advance the GC mark on schedule. It returns e's
-// response and how many other entries' responses it published: with help
-// set (the batched paths) the replay publishes the response of every entry
-// it applies whose slot is still empty, the pass counts as one batch, and a
-// pass that helped anyone advances the mark at once, paying the min-scan
-// once for the whole wave.
+// and e's own operation in one edit window, publish e's response, store
+// the resulting state as e's snapshot, and advance the GC mark on
+// schedule. It returns e's response and how many other entries' responses
+// it published: with help set (the batched paths) the replay publishes the
+// response of every entry it applies whose slot is still empty, the pass
+// counts as one batch, and a pass that helped anyone advances the mark at
+// once, paying the min-scan once for the whole wave.
 func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, int) {
-	state, published := u.replayPublish(pid, prior, help)
-	resp := state.Apply(e.Op)
+	state, resp, published := u.replayPublish(pid, prior, e, help)
 	e.Publish(resp)
 	if u.truncate {
 		u.storeSnapshot(e, state)
@@ -292,35 +290,6 @@ func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, i
 func (u *Universal) storeSnapshot(e *Entry, state seqspec.State) {
 	u.stats.snapStores.Inc()
 	e.snapshot.Store(&snapBox{state: state})
-	u.sampleLiveRegion(e.Seq)
-}
-
-// liveSampleEvery gates the universal.live_region gauge: storeSnapshot
-// samples LiveRegion on every liveSampleEvery-th store per process, so
-// wfstat shows the Section 4.1 region live without putting an O(n) walk on
-// every write. liveSampleCap bounds each sample's walk: when snapshots are
-// sparse (batching, where helped entries store none) the replay rule may
-// never close the region, and a gauge sample must saturate (report the
-// cap), not traverse an unbounded log. The budget is sized so a saturating
-// sampler costs ~cap/every ≈ a few node loads per write, amortized; any
-// healthy GC-on live region sits well under the cap.
-const (
-	liveSampleEvery = 64
-	// liveSampleCap is the symbolic walk budget C of a live-region sample.
-	//
-	//wf:param C
-	liveSampleCap = 512
-)
-
-// sampleLiveRegion refreshes the live-region gauge from a snapshot-store
-// site; seq is the storing entry's per-process sequence number. A reading
-// of liveSampleCap means the sample saturated its walk budget.
-func (u *Universal) sampleLiveRegion(seq int64) {
-	if u.stats.liveRegion == nil || seq%liveSampleEvery != 0 {
-		return
-	}
-	length, _ := liveRegionCapped(u.fac.Observe(), len(u.seqs), liveSampleCap)
-	u.stats.liveRegion.Set(int64(length))
 }
 
 // readFast serves a read-only operation from a decided list. The cache key
@@ -355,25 +324,28 @@ func (u *Universal) State(pid int) seqspec.State {
 // first), stopping early at snapshots when present. The result is private:
 // a clone of the snapshot the walk stopped at, or a fresh Init.
 func (u *Universal) replay(pid int, list *Node) seqspec.State {
-	state, _ := u.replayPublish(pid, list, false)
+	state, _, _ := u.replayPublish(pid, list, nil, false)
 	return state
 }
 
-// replayPublish is replay plus the helping write of the batched path: with
-// help set it publishes the response of every entry it applies whose result
-// slot is still empty, and reports how many slots it filled. The entry it
-// stops at needs neither: its snapshot is the state after its op, and
-// execute publishes an entry's response before storing its snapshot, so
-// that entry's slot is already full. Publication is sound because list is
-// decided — every replayer reconstructs the same state below each entry
-// (Lemma 24's coherence plus snapshot correctness), and Apply is
-// deterministic (the seqspec response-publication contract), so concurrent
-// publishers store identical values.
-func (u *Universal) replayPublish(pid int, list *Node, help bool) (seqspec.State, int) {
+// replayPublish is replay plus the caller's own operation and the helping
+// write of the batched path. It gathers the ops of the entries above the
+// snapshot it stops at, oldest first, followed by own's op when own is
+// non-nil, and applies them in one seqspec.ApplyAll: one edit window, so a
+// KV replay copies each trie node the window's puts share once, not once
+// per put. It returns the state, own's response, and — with help set — how
+// many of the applied entries' empty result slots it filled from the
+// window's responses. The entry it stops at needs neither: its snapshot is
+// the state after its op, and execute publishes an entry's response before
+// storing its snapshot, so that entry's slot is already full. Publication
+// is sound because list is decided — every replayer reconstructs the same
+// state below each entry (Lemma 24's coherence plus snapshot correctness),
+// and Apply is deterministic (the seqspec response-publication contract),
+// so concurrent publishers store identical values.
+func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (seqspec.State, int64, int) {
 	sc := &u.scratch[pid]
 	pending := sc.pending[:0]
 	var state seqspec.State
-	published := 0
 	stop := int64(0) // log index of the snapshot the walk stopped at
 	//wf:bounded [n] walks to the first snapshotted entry: past only the live processes' in-flight entries (Section 4.1's strong wait-freedom bound), or the whole finite list without truncation
 	for n := list; ; n = n.Rest() {
@@ -390,23 +362,43 @@ func (u *Universal) replayPublish(pid int, list *Node, help bool) (seqspec.State
 		}
 		pending = append(pending, n.Entry)
 	}
-	//wf:bounded [n] drains the pending buffer the walk above gathered, one Apply per un-snapshotted entry — same Section 4.1 bound, paid a second time
+	ops := sc.ops[:0]
+	//wf:bounded [n] gathers the ops of the entries the walk above passed, oldest first — same Section 4.1 bound, paid a second time
 	for i := len(pending) - 1; i >= 0; i-- {
-		resp := state.Apply(pending[i].Op)
-		if help {
-			published += publishIfEmpty(pending[i], resp)
+		ops = append(ops, pending[i].Op)
+	}
+	if own != nil {
+		ops = append(ops, own.Op)
+	}
+	out := sc.out
+	if cap(out) < len(ops) {
+		out = make([]int64, cap(ops))
+	}
+	out = out[:len(ops)]
+	seqspec.ApplyAll(state, ops, out)
+	published := 0
+	if help {
+		//wf:bounded [n] publishes each applied entry's response from the window's out — same bound, paid a third time
+		for i := range pending {
+			published += publishIfEmpty(pending[i], out[len(pending)-1-i])
 		}
 	}
+	var resp int64
+	if own != nil {
+		resp = out[len(ops)-1]
+	}
 
-	sc.pending = pending
+	clear(pending)
+	clear(ops)
+	sc.pending, sc.ops, sc.out = pending[:0], ops[:0], out[:0]
 	u.stats.replayLen.Observe(int64(len(pending)))
 	// Step accounting for the certificate cross-check: the walk visited
-	// len(pending) nodes plus its stopping node, the drain applied
+	// len(pending) nodes plus its stopping node, the window applied
 	// len(pending) entries, and the operation around this replay spends a
 	// constant on its cons or observe, its own apply, and publication.
 	u.stats.opSteps.Observe(2*int64(len(pending)) + 4)
 	u.gcObserve(pid, stop)
-	return state, published
+	return state, resp, published
 }
 
 // publishIfEmpty fills e's result slot if no one has, reporting 1 when this

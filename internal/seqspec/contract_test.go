@@ -157,15 +157,20 @@ func TestApplyDeterminismContract(t *testing.T) {
 				r = r*6364136223846793005 + 1442695040888963407
 				ops[i] = gen(r >> 30)
 			}
+			applyAll := func(s State, ops []Op) []int64 {
+				out := make([]int64, len(ops))
+				ApplyAll(s, ops, out)
+				return out
+			}
 			a, b := c.obj.Init(), c.obj.Init()
-			ra := ApplyAll(a, ops[:nops/2])
-			rb := ApplyAll(b, ops[:nops/2])
+			ra := applyAll(a, ops[:nops/2])
+			rb := applyAll(b, ops[:nops/2])
 			// A clone taken mid-sequence is a third replica: the snapshot
 			// path of the batched executor.
 			cl := a.Clone()
-			ra = append(ra, ApplyAll(a, ops[nops/2:])...)
-			rb = append(rb, ApplyAll(b, ops[nops/2:])...)
-			rc := ApplyAll(cl, ops[nops/2:])
+			ra = append(ra, applyAll(a, ops[nops/2:])...)
+			rb = append(rb, applyAll(b, ops[nops/2:])...)
+			rc := applyAll(cl, ops[nops/2:])
 			for i := range ra {
 				if ra[i] != rb[i] {
 					t.Fatalf("op %d %v: replica responses diverge: %d vs %d", i, ops[i], ra[i], rb[i])

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // kvModelKey renders a plain map the way the map-backed kvState did: the
@@ -181,6 +182,20 @@ func (r *kvReplica) clone() *kvReplica {
 	return c
 }
 
+// kvRandOp draws one op over pool: 3/8 put, 2/8 get, 2/8 del, 1/8 len.
+func kvRandOp(r *rand.Rand, pool []int64) Op {
+	k := pool[r.Intn(len(pool))]
+	switch r.Intn(8) {
+	case 0, 1, 2:
+		return Op{Kind: "put", Args: []int64{k, r.Int63n(1000) - 500}}
+	case 3, 4:
+		return Op{Kind: "get", Args: []int64{k}}
+	case 5, 6:
+		return Op{Kind: "del", Args: []int64{k}}
+	}
+	return Op{Kind: "len"}
+}
+
 // TestKVStateDifferential drives random put/get/del/len against a map
 // model over three key pools, cloning at random points after which both
 // sides keep mutating; every response and every live replica's Key and
@@ -196,18 +211,7 @@ func TestKVStateDifferential(t *testing.T) {
 					reps = append(reps, rp.clone())
 					continue
 				}
-				k := pool[r.Intn(len(pool))]
-				var op Op
-				switch r.Intn(8) {
-				case 0, 1, 2:
-					op = Op{Kind: "put", Args: []int64{k, r.Int63n(1000) - 500}}
-				case 3, 4:
-					op = Op{Kind: "get", Args: []int64{k}}
-				case 5, 6:
-					op = Op{Kind: "del", Args: []int64{k}}
-				default:
-					op = Op{Kind: "len"}
-				}
+				op := kvRandOp(r, pool)
 				if got, want := rp.s.Apply(op), kvModelApply(rp.m, op); got != want {
 					t.Fatalf("op %d %v: got %d, want %d", i, op, got, want)
 				}
@@ -222,6 +226,102 @@ func TestKVStateDifferential(t *testing.T) {
 				kvCheckShape(t, rp.s.(*kvState))
 			}
 		})
+	}
+}
+
+// TestKVWindowDifferential checks ApplyAll's edit window against per-op
+// Apply over the three key pools. Each round draws a source among earlier
+// rounds' results, so window lineages nest, and clones it twice: one clone
+// runs a window of 1–40 random ops through ApplyAll, the other applies the
+// same ops one by one. Every response and both Keys must match the map
+// model, the window must be closed when ApplyAll returns, the trie must
+// keep its shape, and the source's Key must not change: a window never
+// edits a node its source can reach.
+func TestKVWindowDifferential(t *testing.T) {
+	rounds := 1000
+	if testing.Short() {
+		rounds = 200
+	}
+	for name, pool := range kvKeyPools() {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(len(pool)) + 1))
+			srcs := []*kvReplica{{s: KV{}.Init(), m: map[int64]int64{}}}
+			ops, out := make([]Op, 0, 40), make([]int64, 40)
+			for round := 0; round < rounds; round++ {
+				src := srcs[r.Intn(len(srcs))]
+				before := src.s.Key()
+				win, ref := src.clone(), src.clone()
+				ops = ops[:0]
+				for n := 1 + r.Intn(40); len(ops) < n; {
+					ops = append(ops, kvRandOp(r, pool))
+				}
+				ApplyAll(win.s, ops, out)
+				for i, op := range ops {
+					want := kvModelApply(win.m, op)
+					kvModelApply(ref.m, op)
+					if got := ref.s.Apply(op); got != want {
+						t.Fatalf("round %d op %d %v: Apply %d, want %d", round, i, op, got, want)
+					}
+					if out[i] != want {
+						t.Fatalf("round %d op %d %v: window %d, want %d", round, i, op, out[i], want)
+					}
+				}
+				if ws := win.s.(*kvState); ws.editing || ws.owned {
+					t.Fatalf("round %d: the window is still open after ApplyAll returned", round)
+				}
+				kvCheckShape(t, win.s.(*kvState))
+				want := kvModelKey(win.m)
+				if got := win.s.Key(); got != want {
+					t.Fatalf("round %d: window Key\n got %q\nwant %q", round, got, want)
+				}
+				if got := ref.s.Key(); got != want {
+					t.Fatalf("round %d: per-op Key\n got %q\nwant %q", round, got, want)
+				}
+				if got := src.s.Key(); got != before {
+					t.Fatalf("round %d: a window or a per-op replay of a clone edited its source", round)
+				}
+				// Keep a bounded pool of sources: window results mostly, and
+				// some per-op results, so both lineages feed later windows.
+				next := win
+				if r.Intn(4) == 0 {
+					next = ref
+				}
+				if len(srcs) < 16 {
+					srcs = append(srcs, next)
+				} else {
+					srcs[r.Intn(len(srcs))] = next
+				}
+			}
+		})
+	}
+}
+
+// TestKVStateHeader pins the state header: Clone allocates one per replay,
+// and at 48 bytes it shares the size class of the 40-byte header it had
+// before the edit-window fields (a 64-byte layout measured +1 % bytes per
+// op on the read-your-writes workload). Clone must also write nothing to
+// its receiver, so concurrent clones of a stored snapshot stay read-only.
+func TestKVStateHeader(t *testing.T) {
+	if size := unsafe.Sizeof(kvState{}); size > 48 {
+		t.Errorf("kvState is %d bytes, want <= 48", size)
+	}
+	s := KV{}.Init()
+	ops := make([]Op, 64)
+	for i := range ops {
+		ops[i] = Op{Kind: "put", Args: []int64{int64(i), int64(i)}}
+	}
+	ApplyAll(s, ops, make([]int64, len(ops)))
+	ks := s.(*kvState)
+	before := *ks
+	c := s.Clone().(*kvState)
+	after := *ks
+	if unsafe.SliceData(before.root) != unsafe.SliceData(after.root) || len(before.root) != len(after.root) ||
+		before.n != after.n || before.edit != after.edit || before.bm != after.bm ||
+		before.owned != after.owned || before.editing != after.editing {
+		t.Fatalf("Clone wrote to its receiver: %+v became %+v", before, after)
+	}
+	if unsafe.SliceData(c.root) != unsafe.SliceData(ks.root) {
+		t.Fatal("Clone copied the root instead of sharing it")
 	}
 }
 
@@ -349,15 +449,35 @@ var kvFuzzPool = func() []int64 {
 
 // FuzzKVState decodes a byte stream into KV ops, clone points and replica
 // switches, and checks every response and the final Keys against map
-// models.
+// models. An op byte with its top bit set joins the open ApplyAll window
+// (opening one if none is open); any other op byte, a clone or switch, and
+// the end of the stream first flush the window. So fuzzed windows nest in
+// cloned lineages, and a byte stream without top-bit op bytes applies op
+// by op.
 func FuzzKVState(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 4, 1, 5, 0, 6, 0, 2, 7, 4, 2})
 	f.Add([]byte{0, 100, 9, 0, 101, 9, 0, 102, 9, 6, 7, 4, 100, 4, 101, 4, 102, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reps := []*kvReplica{{s: KV{}.Init(), m: map[int64]int64{}}}
 		cur := 0
+		var win []Op
+		flush := func() {
+			if len(win) == 0 {
+				return
+			}
+			rp := reps[cur]
+			out := make([]int64, len(win))
+			ApplyAll(rp.s, win, out)
+			for j, op := range win {
+				if want := kvModelApply(rp.m, op); out[j] != want {
+					t.Fatalf("window op %d %v: got %d, want %d", j, op, out[j], want)
+				}
+			}
+			win = win[:0]
+		}
 		for i := 0; i < len(data); i++ {
 			rp := reps[cur]
+			windowed := data[i]&0x80 != 0
 			code := data[i] % 8
 			var k, v int64
 			if code <= 5 && i+1 < len(data) {
@@ -379,16 +499,24 @@ func FuzzKVState(f *testing.F) {
 			case 5:
 				op = Op{Kind: "len"}
 			case 6:
+				flush()
 				reps = append(reps, rp.clone())
 				continue
 			default:
+				flush()
 				cur = (cur + 1) % len(reps)
 				continue
 			}
+			if windowed {
+				win = append(win, op)
+				continue
+			}
+			flush()
 			if got, want := rp.s.Apply(op), kvModelApply(rp.m, op); got != want {
 				t.Fatalf("step %d %v: got %d, want %d", i, op, got, want)
 			}
 		}
+		flush()
 		for i, rp := range reps {
 			if got, want := rp.s.Key(), kvModelKey(rp.m); got != want {
 				t.Fatalf("replica %d: Key %q, want %q", i, got, want)

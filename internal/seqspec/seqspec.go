@@ -13,7 +13,9 @@
 // memoization. KV, the object the server and every benchmark workload
 // serve, keeps its state in a persistent hash trie, so its Clone really is
 // one step and its Apply walks at most 13 levels of at most 32 slots; the
-// other objects' Clones still copy their whole state.
+// other objects' Clones still copy their whole state. A trie node is never
+// edited once the call that built it returns: only an ApplyAll window edits
+// in place, and only the nodes it built itself.
 //
 //wf:waitfree
 package seqspec
@@ -108,16 +110,26 @@ type State interface {
 	Key() string
 }
 
-// ApplyAll applies ops to s in order and returns each op's response: the
-// batch-execution step of the universal construction's helping protocol,
-// where one executor settles a whole decided batch against a single
-// reconstructed state. The slice of responses is indexed like ops.
-func ApplyAll(s State, ops []Op) []int64 {
-	out := make([]int64, len(ops))
+// ApplyAll applies ops to s in order and writes op i's response to out[i]
+// (out must have room for len(ops)): the replay step of the universal
+// construction, where one executor applies the decided entries above a
+// snapshot, and its own operation, to a single reconstructed state.
+//
+// One call is one edit window. Inside it a KV state edits in place every
+// trie node the same call built, and copies every other node as Apply
+// does, so a window of m puts copies each node their paths share once
+// instead of m times. The window closes before ApplyAll returns; every
+// other object just applies op by op. Every op goes through State.Apply,
+// whose //wf:steps 1 contract covers the window's puts too.
+func ApplyAll(s State, ops []Op, out []int64) {
+	if kv, ok := s.(*kvState); ok && len(ops) > 1 {
+		kv.openWindow()
+		defer kv.closeWindow()
+	}
+	//wf:bounded [n + 1] one Apply per op: the universal construction passes one replay's pending entries (at most one per process, Section 4.1) plus its own op
 	for i, op := range ops {
 		out[i] = s.Apply(op)
 	}
-	return out
 }
 
 // --- Register ---
@@ -445,8 +457,10 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 //
 // The state is a persistent hash array mapped trie, so Clone is a struct
 // copy and put/del copy one root-to-leaf path (at most kvMaxDepth nodes of
-// at most 32 slots); nodes are never edited once built, which is what lets
-// clones, snapshots and the read fast path share them across goroutines.
+// at most 32 slots); nodes are never edited once the call that built them
+// returns, which is what lets clones, snapshots and the read fast path
+// share them across goroutines. Inside one ApplyAll window a put edits in
+// place the nodes that window built (see kvState).
 type KV struct{}
 
 // Name implements Object.
@@ -465,8 +479,9 @@ const kvMaxDepth = 13
 
 // kvSlot is one slot of a trie node; a node is just its bitmap-compressed
 // slot slice (one allocation). A leaf slot (kids == nil) holds a key and its
-// value; an internal slot holds the child node in kids and the child's
-// bitmap in key.
+// value; an internal slot holds the child node in kids, the child's bitmap
+// in key, and in val the edit token of the window that built the child (0
+// for a child built by del or kvSplit, which no window ever edits).
 type kvSlot struct {
 	key  int64
 	val  int64
@@ -474,17 +489,47 @@ type kvSlot struct {
 }
 
 // kvFrame is one level of a root-to-leaf path: the node visited, its
-// bitmap, and the key's index bit at that level.
+// bitmap, the key's index bit at that level, and whether the open edit
+// window built the node (so a put may edit it in place).
 type kvFrame struct {
 	node    []kvSlot
 	bm, bit uint32
+	own     bool
 }
 
+// kvState is one trie root plus its edit-window bookkeeping. An ApplyAll
+// window bumps edit and opens; a put inside it stamps every node it copies
+// with edit (in the parent slot's val, or owned for the root) and edits in
+// place only a node stamped with the open token. That is race-free without
+// any owner retiring a token:
+//   - every node a state reaches carries a stamp no greater than its edit,
+//     so a fresh window can only edit nodes it built itself;
+//   - those nodes are reachable only from this private state until the
+//     window closes, before ApplyAll returns;
+//   - Clone is a struct copy that writes nothing, so concurrent clones of
+//     one stored snapshot stay read-only. Two of them may open windows with
+//     the same token value, but they share no node built after the clone.
+//
+// The field order keeps the struct at 48 bytes, the size class Clone
+// allocates per replay.
 type kvState struct {
 	root []kvSlot
-	bm   uint32
 	n    int64
+	edit uint64 // the lineage's window counter: the open window's token
+	bm   uint32
+	// owned: the open window built root; editing: a window is open.
+	owned, editing bool
 }
+
+// openWindow starts an ApplyAll edit window under a token no reachable
+// node carries.
+func (s *kvState) openWindow() {
+	s.edit++
+	s.owned, s.editing = false, true
+}
+
+// closeWindow ends the window: from here on every node is immutable again.
+func (s *kvState) closeWindow() { s.owned, s.editing = false, false }
 
 // kvHash is the splitmix64 finalizer: a fixed (unseeded, so replicas agree)
 // bijective mixer, so distinct keys never share a full hash.
@@ -593,10 +638,10 @@ func (s *kvState) get(k int64) int64 {
 // descend records hash h's root-to-leaf path and returns the level where it
 // ends: at a leaf slot (hit) or at a free slot (!hit).
 func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf kvSlot, hit bool) {
-	node, bm := s.root, s.bm
+	node, bm, own := s.root, s.bm, s.editing && s.owned
 	for level := 0; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
-		path[level] = kvFrame{node: node, bm: bm, bit: bit}
+		path[level] = kvFrame{node: node, bm: bm, bit: bit, own: own}
 		if bm&bit == 0 {
 			return level, kvSlot{}, false
 		}
@@ -604,7 +649,7 @@ func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf 
 		if sl.kids == nil {
 			return level, sl, true
 		}
-		node, bm = sl.kids, uint32(sl.key)
+		node, bm, own = sl.kids, uint32(sl.key), s.editing && uint64(sl.val) == s.edit
 	}
 	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
@@ -623,19 +668,28 @@ func (s *kvState) put(k, v int64) int64 {
 		rep = kvSplit(sl, kvHash(sl.key), rep, h, depth+1)
 		s.n++
 	}
-	// Copy the path back up: at most kvMaxDepth nodes.
+	// Copy the path back up: at most kvMaxDepth nodes. A node the open
+	// window built takes rep in place when rep replaces one of its slots;
+	// its ancestors still hold it unchanged, so the walk ends there. Every
+	// copy is stamped with the token.
 	for i := depth; i >= 0; i-- {
 		f := path[i]
+		if f.own && f.bm&f.bit != 0 {
+			f.node[kvPos(f.bm, f.bit)] = rep
+			return old
+		}
 		nn, nbm := kvWith(f.node, f.bm, f.bit, rep)
-		rep = kvSlot{key: int64(nbm), kids: nn}
+		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: nn}
 	}
-	s.root, s.bm = rep.kids, uint32(rep.key)
+	s.root, s.bm, s.owned = rep.kids, uint32(rep.key), s.editing
 	return old
 }
 
-// del removes k by copying its path minus the leaf. A non-root node left
-// holding a single leaf is dropped and the leaf moves up into the parent,
-// so the trie's shape depends only on its contents.
+// del removes k by copying its path minus the leaf, inside a window too. A
+// non-root node left holding a single leaf is dropped and the leaf moves up
+// into the parent, so the trie's shape depends only on its contents. The
+// copies are stamped 0, so no window edits them; only the root, which del
+// always rebuilds, is left to the open window.
 func (s *kvState) del(k int64) int64 {
 	var path [kvMaxDepth]kvFrame
 	depth, sl, hit := s.descend(kvHash(k), &path)
@@ -669,11 +723,12 @@ func (s *kvState) del(k int64) int64 {
 		}
 		rep, gone = kvSlot{key: int64(nbm), kids: nn}, false
 	}
-	s.root, s.bm = rep.kids, uint32(rep.key)
+	s.root, s.bm, s.owned = rep.kids, uint32(rep.key), s.editing
 	return sl.val
 }
 
-// Clone shares every node: they are immutable once built.
+// Clone shares every node and writes nothing: it is never called inside a
+// window, and between windows every node is immutable.
 func (s *kvState) Clone() State { c := *s; return &c }
 
 // each calls fn on every leaf slot, in trie order. The walk keeps one

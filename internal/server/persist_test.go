@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"waitfree/internal/core"
 	"waitfree/internal/logstore"
 	"waitfree/internal/seqspec"
+	"waitfree/internal/shard"
 	"waitfree/internal/wire"
 )
 
@@ -109,6 +111,103 @@ func TestServerPersistRecovery(t *testing.T) {
 	for name, min := range map[string]int64{"logstore.segments": 1, "logstore.fsyncs": 1, "logstore.batches": 1, "logstore.torn_bytes": 0} {
 		if v, ok := gauges[name]; !ok || v < min {
 			t.Errorf("gauge %s = %d (registered %v), want >= %d", name, v, ok, min)
+		}
+	}
+}
+
+// TestServerBootReplaysRuns: boot replays the store through each shard's
+// batcher in runs of up to drainCap ops. A store holding a snapshot per
+// shard plus more than drainCap records per shard above it, interleaved
+// across shards and full of repeated keys, must boot to the model of
+// every shard's history in order, key by key; a write acked after boot
+// must survive the next boot too, so the boot also kept each shard's
+// sequence numbers.
+func TestServerBootReplaysRuns(t *testing.T) {
+	const shards, keys, snapSeq = 4, 300, 10
+	dir := t.TempDir()
+	route := shard.NewKV(shards, 1, func() core.FetchAndCons { return core.NewSwapFAC() })
+	st, err := logstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	model := map[int64]int64{}
+	for sh := 0; sh < shards; sh++ {
+		state := map[int64]int64{}
+		for k := int64(0); k < keys; k += 2 {
+			if route.ShardOf(k) == sh {
+				state[k] = k * 3
+				model[k] = k * 3
+			}
+		}
+		if err := st.WriteSnapshot(logstore.Snapshot{Shard: uint32(sh), Seq: snapSeq, State: state}); err != nil {
+			t.Fatalf("WriteSnapshot: %v", err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	seq := make([]uint64, shards)
+	var recs []logstore.Record
+	for i := 0; i < 800; i++ {
+		k := rng.Int63n(keys)
+		op := seqspec.Op{Kind: "put", Args: []int64{k, rng.Int63n(1000)}}
+		if rng.Intn(4) == 0 {
+			op = seqspec.Op{Kind: "del", Args: []int64{k}}
+			delete(model, k)
+		} else {
+			model[k] = op.Arg(1)
+		}
+		sh := route.ShardOf(k)
+		seq[sh]++
+		recs = append(recs, logstore.Record{Shard: uint32(sh), Seq: snapSeq + seq[sh], Op: op})
+		if len(recs) == 50 {
+			if err := st.AppendBatch(recs); err != nil {
+				t.Fatalf("AppendBatch: %v", err)
+			}
+			recs = nil
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for sh, n := range seq {
+		if n <= drainCap {
+			t.Fatalf("shard %d holds %d records, want more than one run of %d", sh, n, drainCap)
+		}
+	}
+	check := func(cl *Client) {
+		t.Helper()
+		for k := int64(0); k < keys; k++ {
+			want, ok := model[k]
+			if !ok {
+				want = seqspec.Empty
+			}
+			if got, err := cl.Get(k); err != nil || got != want {
+				t.Fatalf("after boot get(%d) = (%d, %v), want %d", k, got, err, want)
+			}
+		}
+		if n, err := cl.Len(); err != nil || n != int64(len(model)) {
+			t.Fatalf("after boot len = (%d, %v), want %d", n, err, len(model))
+		}
+	}
+	for boot := 0; boot < 2; boot++ {
+		s, err := New(Config{Addr: "127.0.0.1:0", Shards: shards, Procs: 4, Dir: dir})
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		s.Start()
+		cl, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		check(cl)
+		if boot == 0 {
+			if _, err := cl.Put(keys+1, 7); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			model[keys+1] = 7
+		}
+		cl.Close()
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 	}
 }

@@ -253,12 +253,19 @@ func New(cfg Config) (*Server, error) {
 // (appliers occupy the pid range above the connection pool).
 func (s *Server) applierPid(sh int) int { return s.cfg.Procs + sh }
 
+// drainCap is the most requests an applier drains, and so the most
+// operations one shard.InvokeBatch call applies, at boot as in service.
+const drainCap = 64
+
 // startAppliers replays the store into the fresh KV and launches one
 // applier goroutine per shard. Replay order matches commit order: the
 // newest validated snapshot per shard first, then every durable log record
-// above it. Every key stored under shard sh must route to sh, because the
-// appliers snapshot each shard's own state (DESIGN.md §4), so a store
-// written with another shard count is refused. It returns how many
+// above it. Both go through each shard's batcher in runs of up to
+// drainCap operations, flushed when full, at the end of each snapshot and
+// after the log, so every shard applies its history in order with one
+// replay pass per run. Every key stored under shard sh must route to sh,
+// because the appliers snapshot each shard's own state (DESIGN.md §4), so
+// a store written with another shard count is refused. It returns how many
 // snapshots it loaded and records it replayed.
 //
 //wf:blocking replays the store and launches the blocking appliers
@@ -266,6 +273,17 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 	nextSeq := make([]uint64, s.cfg.Shards)
 	for i := range nextSeq {
 		nextSeq[i] = 1
+	}
+	runs := make([][]seqspec.Op, s.cfg.Shards)
+	out := make([]int64, drainCap)
+	flush := func(sh int) {
+		s.kv.InvokeBatch(sh, s.applierPid(sh), runs[sh], out)
+		runs[sh] = runs[sh][:0]
+	}
+	add := func(sh int, op seqspec.Op) {
+		if runs[sh] = append(runs[sh], op); len(runs[sh]) == drainCap {
+			flush(sh)
+		}
 	}
 	snaps, err := s.store.Snapshots()
 	if err != nil {
@@ -276,13 +294,13 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 		if sh >= s.cfg.Shards {
 			return 0, 0, fmt.Errorf("server: store has shard %d, server configured with %d shards", sh, s.cfg.Shards)
 		}
-		pid := s.applierPid(sh)
 		for k, v := range snap.State {
 			if err := s.checkRoute(sh, k); err != nil {
 				return 0, 0, err
 			}
-			s.kv.Invoke(pid, seqspec.Op{Kind: "put", Args: []int64{k, v}})
+			add(sh, seqspec.Op{Kind: "put", Args: []int64{k, v}})
 		}
+		flush(sh)
 		nextSeq[sh] = snap.Seq + 1
 	}
 	sinceSnap := make([]int, s.cfg.Shards)
@@ -296,7 +314,7 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 				return err
 			}
 		}
-		s.kv.Invoke(s.applierPid(sh), rec.Op)
+		add(sh, rec.Op)
 		nextSeq[sh] = rec.Seq + 1
 		sinceSnap[sh]++
 		replayed++
@@ -304,6 +322,9 @@ func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
 	})
 	if err != nil {
 		return 0, 0, err
+	}
+	for sh := range runs {
+		flush(sh)
 	}
 	s.appliers = make([]chan applyReq, s.cfg.Shards)
 	for sh := 0; sh < s.cfg.Shards; sh++ {
@@ -344,10 +365,10 @@ func (s *Server) checkRoute(sh int, key int64) error {
 func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int) {
 	defer s.loopWG.Done()
 	pid := s.applierPid(sh)
-	batch := make([]applyReq, 0, 64)
-	recs := make([]logstore.Record, 0, 64)
-	runOps := make([]seqspec.Op, 0, 64)
-	runOut := make([]int64, 64)
+	batch := make([]applyReq, 0, drainCap)
+	recs := make([]logstore.Record, 0, drainCap)
+	runOps := make([]seqspec.Op, 0, drainCap)
+	runOut := make([]int64, drainCap)
 	for req := range ch {
 		batch = append(batch[:0], req)
 	gather:

@@ -139,8 +139,10 @@ func TestTreeBoundsTotals(t *testing.T) {
 		// directive and add no record. Universal.InvokeBatch's two [B]
 		// brackets (one cons and one collection pass per batch entry) are
 		// ranges over the caller's slice — trip count fixed at loop entry,
-		// so both verify.
-		BoundVerified: 11, BoundTrusted: 11, BoundLockFree: 4, BoundContradicted: 0,
+		// so both verify. The replay's edit window adds one [n] bracket, the
+		// range that publishes each applied entry's response from the
+		// window's out, and it verifies the same way.
+		BoundVerified: 12, BoundTrusted: 11, BoundLockFree: 4, BoundContradicted: 0,
 	}
 	for status, n := range want {
 		if counts[status] != n {
