@@ -37,13 +37,17 @@ type Entry struct {
 	Seq int64
 	Op  seqspec.Op
 
-	// snapshot, when non-nil, holds the object state immediately *after*
-	// this entry's operation, stored by the strongly-wait-free refinement:
-	// a replayer that reaches this entry starts from a clone of snapshot and
-	// applies nothing for it, instead of replaying further history. It is
-	// set once, by the entry's own process, only after the entry's response is
-	// published, so a visible snapshot implies Result reports ok.
-	snapshot atomic.Pointer[snapBox]
+	// snapState, once snapped is set, holds the object state immediately
+	// *after* this entry's operation, stored by the strongly-wait-free
+	// refinement: a replayer that reaches this entry starts from a clone of
+	// it and applies nothing for it, instead of replaying further history.
+	// The entry's own process writes it once, only after the entry's
+	// response is published, and then sets snapped, so a visible snapshot
+	// implies Result reports ok. Read it only through snapshot: the atomic
+	// store of snapped → its load is the happens-before edge, as with
+	// resp/respDone, and it needs no box of its own.
+	snapState seqspec.State
+	snapped   atomic.Bool
 
 	// resp and respDone are the entry's result slot, the helping protocol's
 	// other half: the entry announces the operation, the slot carries its
@@ -75,7 +79,13 @@ func (e *Entry) Result() (int64, bool) {
 	return e.resp.Load(), true
 }
 
-type snapBox struct{ state seqspec.State }
+// snapshot returns the entry's stored snapshot, or nil until it is set.
+func (e *Entry) snapshot() seqspec.State {
+	if !e.snapped.Load() {
+		return nil
+	}
+	return e.snapState
+}
 
 // String renders the entry identity.
 func (e *Entry) String() string {

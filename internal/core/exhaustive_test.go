@@ -79,7 +79,7 @@ func (s *exhaustiveSim) key() string {
 	var b strings.Builder
 	for n := s.head; n != nil; n = n.Rest() {
 		fmt.Fprintf(&b, "%d.%d", n.Entry.Pid, n.Entry.Seq)
-		if n.Entry.snapshot.Load() != nil {
+		if n.Entry.snapshot() != nil {
 			b.WriteByte('s')
 		}
 		b.WriteByte(',')
@@ -158,8 +158,8 @@ func (s *exhaustiveSim) stepWalk(p int) {
 	if pr.pos == nil {
 		pr.base = s.obj.Init()
 		pr.phase = phStoring
-	} else if box := pr.pos.Entry.snapshot.Load(); box != nil {
-		pr.base = box.state.Clone() // the post-state of that entry: nothing to apply
+	} else if snap := pr.pos.Entry.snapshot(); snap != nil {
+		pr.base = snap.Clone() // the post-state of that entry: nothing to apply
 		pr.phase = phStoring
 	} else {
 		pr.pending = append(pr.pending, pr.pos.Entry)
@@ -195,7 +195,8 @@ func (s *exhaustiveSim) stepStore(p int) {
 		s.t.Fatalf("P%d op %d: stored post-state %q, ground truth %q\ntrace: %s",
 			p, pr.opIdx, got, want, strings.Join(s.trace, "; "))
 	}
-	pr.entry.snapshot.Store(&snapBox{state: state})
+	pr.entry.snapState = state
+	pr.entry.snapped.Store(true)
 
 	prev := *pr
 	pr.opIdx++
@@ -207,7 +208,8 @@ func (s *exhaustiveSim) stepStore(p int) {
 
 	s.trace = s.trace[:len(s.trace)-1]
 	*pr = prev
-	pr.entry.snapshot.Store(nil)
+	pr.entry.snapped.Store(false)
+	pr.entry.snapState = nil
 }
 
 // TestExhaustiveUniversalCounter verifies every interleaving of the

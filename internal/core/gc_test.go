@@ -126,7 +126,7 @@ func TestAnchorIsSnapshotNode(t *testing.T) {
 	}
 	bare := 0
 	for n := fac.Head(); n != nil; n = n.Rest() {
-		if n.Entry.snapshot.Load() == nil {
+		if n.Entry.snapshot() == nil {
 			bare++
 		}
 	}
@@ -150,7 +150,7 @@ func TestAnchorIsSnapshotNode(t *testing.T) {
 	if node.Rest() != nil {
 		t.Errorf("anchor node at %d still has a tail; swing did not sever", anchor)
 	}
-	if node.Entry.snapshot.Load() == nil {
+	if node.Entry.snapshot() == nil {
 		t.Errorf("anchor node at %d carries no snapshot; observed registers must hold only snapshot indices", anchor)
 	}
 	if m := u.Min(); anchor > m {

@@ -112,10 +112,9 @@ func TestKVPutGetOnePathCopy(t *testing.T) {
 			t.Fatal("get missed the put")
 		}
 	})
-	// The put: its Entry and swap-cons Node, its replay's Clone, its own path
-	// copy and the snapshot box. The get: its replay's Clone and the read
-	// cache's entry.
-	if want := 2 + clone + pathCopy + 1 + clone + 1; got != want {
+	// The put: its Entry and swap-cons Node, its replay's Clone and its own
+	// path copy. The get: its replay's Clone and the read cache's entry.
+	if want := 2 + clone + pathCopy + clone + 1; got != want {
 		t.Errorf("put + cache-missing get allocate %.0f times, want %.0f (one path copy of %.0f, clone %.0f)",
 			got, want, pathCopy, clone)
 	}
@@ -166,7 +165,7 @@ func TestSnapshotImpliesResult(t *testing.T) {
 				depth := 0
 				for node := fac.Observe(); node != nil && depth < 64; node = node.Rest() {
 					depth++
-					if node.Entry.snapshot.Load() == nil {
+					if node.Entry.snapshot() == nil {
 						continue
 					}
 					checked++
@@ -208,8 +207,8 @@ func TestWindowSnapshotHammer(t *testing.T) {
 	}
 	newest := func() seqspec.State {
 		for node := u.fac.Observe(); node != nil; node = node.Rest() {
-			if s := node.Entry.snapshot.Load(); s != nil {
-				return s.state
+			if s := node.Entry.snapshot(); s != nil {
+				return s
 			}
 		}
 		return nil

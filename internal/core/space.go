@@ -22,7 +22,7 @@ func LiveRegion(head *Node, n int) (length int, bounded bool) {
 	//wf:bounded [n*n] walks the live region, O(n^2) nodes by Section 4.1's reclamation argument once n consecutive snapshots close it; test- and report-only, where an unclosed region is the whole finite list
 	for node := head; node != nil; node = node.Rest() {
 		length++
-		if node.Entry.snapshot.Load() != nil {
+		if node.Entry.snapshot() != nil {
 			consecutive++
 			if consecutive >= n {
 				return length, true

@@ -289,7 +289,8 @@ func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, i
 // to apply or publish.
 func (u *Universal) storeSnapshot(e *Entry, state seqspec.State) {
 	u.stats.snapStores.Inc()
-	e.snapshot.Store(&snapBox{state: state})
+	e.snapState = state
+	e.snapped.Store(true)
 }
 
 // readFast serves a read-only operation from a decided list. The cache key
@@ -353,10 +354,10 @@ func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (s
 			state = u.seq.Init()
 			break
 		}
-		if s := n.Entry.snapshot.Load(); s != nil {
-			// s.state is the state after n.Entry's op, stored only once
-			// that op's response was published: nothing to apply or publish.
-			state = s.state.Clone()
+		if s := n.Entry.snapshot(); s != nil {
+			// s is the state after n.Entry's op, stored only once that op's
+			// response was published: nothing to apply or publish.
+			state = s.Clone()
 			stop = int64(n.Len)
 			break
 		}

@@ -3,7 +3,6 @@ package seqspec
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -105,21 +104,23 @@ func kvKeyPools() map[string][]int64 {
 }
 
 // kvCheckShape asserts the trie's structural invariants: every leaf sits on
-// its hash's path, no node is deeper than kvMaxDepth, every non-root node
-// has two or more slots or a single internal slot (collapse on delete), and
-// the cached length matches the leaf count. It returns the deepest leaf's
-// level.
+// its hash's path, no node is deeper than kvMaxDepth, only the root may be
+// empty (a nil pointer with an empty bitmap), every non-root node has two
+// or more slots or a single internal slot (collapse on delete), and the
+// cached length matches the leaf count. It walks through kvNode, as every
+// production walk does. It returns the deepest leaf's level.
 func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 	t.Helper()
 	leaves := 0
-	var walk func(node []kvSlot, bm uint32, level int, prefix uint64)
-	walk = func(node []kvSlot, bm uint32, level int, prefix uint64) {
+	var walk func(p *kvSlot, bm uint32, level int, prefix uint64)
+	walk = func(p *kvSlot, bm uint32, level int, prefix uint64) {
 		if level >= kvMaxDepth {
 			t.Fatalf("node at level %d, beyond kvMaxDepth", level)
 		}
-		if bits.OnesCount32(bm) != len(node) {
-			t.Fatalf("level %d: bitmap %b has %d bits for %d slots", level, bm, bits.OnesCount32(bm), len(node))
+		if (p == nil) != (bm == 0) {
+			t.Fatalf("level %d: node pointer %p with bitmap %b", level, p, bm)
 		}
+		node := kvNode(p, bm)
 		if level > 0 && (len(node) == 0 || len(node) == 1 && node[0].kids == nil) {
 			t.Fatalf("level %d: uncollapsed node with %d slots", level, len(node))
 		}
@@ -296,14 +297,18 @@ func TestKVWindowDifferential(t *testing.T) {
 	}
 }
 
-// TestKVStateHeader pins the state header: Clone allocates one per replay,
-// and at 48 bytes it shares the size class of the 40-byte header it had
-// before the edit-window fields (a 64-byte layout measured +1 % bytes per
-// op on the read-your-writes workload). Clone must also write nothing to
-// its receiver, so concurrent clones of a stored snapshot stay read-only.
+// TestKVStateHeader pins the layout. A slot is 24 bytes: a child is one
+// pointer and its length is the popcount of the bitmap beside it, where a
+// slice header would make it 40 and every path copy 40 % more bytes. The
+// state header is 32 bytes, the size class Clone allocates per replay (a
+// slice root made it 48). Clone must also write nothing to its receiver,
+// so concurrent clones of a stored snapshot stay read-only.
 func TestKVStateHeader(t *testing.T) {
-	if size := unsafe.Sizeof(kvState{}); size > 48 {
-		t.Errorf("kvState is %d bytes, want <= 48", size)
+	if size := unsafe.Sizeof(kvSlot{}); size != 24 {
+		t.Errorf("kvSlot is %d bytes, want 24", size)
+	}
+	if size := unsafe.Sizeof(kvState{}); size > 32 {
+		t.Errorf("kvState is %d bytes, want <= 32", size)
 	}
 	s := KV{}.Init()
 	ops := make([]Op, 64)
@@ -314,13 +319,10 @@ func TestKVStateHeader(t *testing.T) {
 	ks := s.(*kvState)
 	before := *ks
 	c := s.Clone().(*kvState)
-	after := *ks
-	if unsafe.SliceData(before.root) != unsafe.SliceData(after.root) || len(before.root) != len(after.root) ||
-		before.n != after.n || before.edit != after.edit || before.bm != after.bm ||
-		before.owned != after.owned || before.editing != after.editing {
+	if after := *ks; after != before {
 		t.Fatalf("Clone wrote to its receiver: %+v became %+v", before, after)
 	}
-	if unsafe.SliceData(c.root) != unsafe.SliceData(ks.root) {
+	if c.root != ks.root {
 		t.Fatal("Clone copied the root instead of sharing it")
 	}
 }
@@ -350,7 +352,7 @@ func TestKVDeleteToEmpty(t *testing.T) {
 				t.Errorf("len after deleting everything = %d", n)
 			}
 			if st := s.(*kvState); st.root != nil || st.bm != 0 {
-				t.Errorf("empty trie keeps a root: %d slots, bitmap %b", len(st.root), st.bm)
+				t.Errorf("empty trie keeps a root: %p, bitmap %b", st.root, st.bm)
 			}
 		})
 	}

@@ -13,9 +13,12 @@
 // memoization. KV, the object the server and every benchmark workload
 // serve, keeps its state in a persistent hash trie, so its Clone really is
 // one step and its Apply walks at most 13 levels of at most 32 slots; the
-// other objects' Clones still copy their whole state. A trie node is never
-// edited once the call that built it returns: only an ApplyAll window edits
-// in place, and only the nodes it built itself.
+// other objects' Clones still copy their whole state. A trie slot is 24
+// bytes: a child is one pointer, and its node's length is the popcount of
+// the bitmap the same slot carries (kvNode, this package's one use of
+// unsafe). A trie node is never edited once the call that built it
+// returns: only an ApplyAll window edits in place, and only the nodes it
+// built itself.
 //
 //wf:waitfree
 package seqspec
@@ -25,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Op is an operation invocation: a kind and its arguments.
@@ -457,10 +461,10 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 //
 // The state is a persistent hash array mapped trie, so Clone is a struct
 // copy and put/del copy one root-to-leaf path (at most kvMaxDepth nodes of
-// at most 32 slots); nodes are never edited once the call that built them
-// returns, which is what lets clones, snapshots and the read fast path
-// share them across goroutines. Inside one ApplyAll window a put edits in
-// place the nodes that window built (see kvState).
+// at most 32 slots of 24 bytes each); nodes are never edited once the call
+// that built them returns, which is what lets clones, snapshots and the
+// read fast path share them across goroutines. Inside one ApplyAll window a
+// put edits in place the nodes that window built (see kvState).
 type KV struct{}
 
 // Name implements Object.
@@ -477,15 +481,39 @@ func (KV) ReadOnly(op Op) bool { return op.Kind == "get" || op.Kind == "len" }
 // kvHash being a bijection) always part by the last level.
 const kvMaxDepth = 13
 
-// kvSlot is one slot of a trie node; a node is just its bitmap-compressed
-// slot slice (one allocation). A leaf slot (kids == nil) holds a key and its
-// value; an internal slot holds the child node in kids, the child's bitmap
-// in key, and in val the edit token of the window that built the child (0
-// for a child built by del or kvSplit, which no window ever edits).
+// kvSlot is one 24-byte slot of a trie node; a node is just its
+// bitmap-compressed slot array (one allocation). A leaf slot (kids == nil)
+// holds a key and its value; an internal slot holds a pointer to the child
+// node's first slot in kids, the child's bitmap in key, and in val the edit
+// token of the window that built the child (0 for a child built by del or
+// kvSplit, which no window ever edits). The child's length is not stored:
+// it is the popcount of the bitmap beside the pointer (kvNode).
 type kvSlot struct {
 	key  int64
 	val  int64
-	kids []kvSlot
+	kids *kvSlot
+}
+
+// kvNode views the node whose first slot is p and whose bitmap is bm. It
+// is the package's one use of unsafe, and it is sound because every node
+// pointer (a slot's kids, or kvState.root) is &node[0] of a
+// make([]kvSlot, popcount(bm)), and that bm travels with the pointer: in
+// the same slot's key, or in kvState.bm. The race detector's checkptr mode
+// checks every view against its allocation.
+func kvNode(p *kvSlot, bm uint32) []kvSlot {
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, bits.OnesCount32(bm))
+}
+
+// kvFirst is the pointer a slot or the root stores for node: its first
+// slot, or nil for an empty node, which only the root can be.
+func kvFirst(node []kvSlot) *kvSlot {
+	if len(node) == 0 {
+		return nil
+	}
+	return &node[0]
 }
 
 // kvFrame is one level of a root-to-leaf path: the node visited, its
@@ -510,10 +538,10 @@ type kvFrame struct {
 //     one stored snapshot stay read-only. Two of them may open windows with
 //     the same token value, but they share no node built after the clone.
 //
-// The field order keeps the struct at 48 bytes, the size class Clone
-// allocates per replay.
+// The root is one pointer beside its bitmap, as in a slot, which keeps the
+// struct at 32 bytes, the size class Clone allocates per replay.
 type kvState struct {
-	root []kvSlot
+	root *kvSlot
 	n    int64
 	edit uint64 // the lineage's window counter: the open window's token
 	bm   uint32
@@ -593,10 +621,11 @@ func kvSplit(a kvSlot, ha uint64, b kvSlot, hb uint64, level int) kvSlot {
 	if bb < ba {
 		pair[0], pair[1] = b, a
 	}
-	sl := kvSlot{key: int64(ba | bb), kids: pair}
+	sl := kvSlot{key: int64(ba | bb), kids: &pair[0]}
 	// One single-slot node per shared level: fewer than kvMaxDepth.
 	for l := d - 1; l >= level; l-- {
-		sl = kvSlot{key: int64(kvBit(ha, l)), kids: []kvSlot{sl}}
+		child := sl
+		sl = kvSlot{key: int64(kvBit(ha, l)), kids: &child}
 	}
 	return sl
 }
@@ -617,7 +646,7 @@ func (s *kvState) Apply(op Op) int64 {
 
 func (s *kvState) get(k int64) int64 {
 	h := kvHash(k)
-	node, bm := s.root, s.bm
+	node, bm := kvNode(s.root, s.bm), s.bm
 	for level := 0; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		if bm&bit == 0 {
@@ -630,7 +659,8 @@ func (s *kvState) get(k int64) int64 {
 			}
 			return Empty
 		}
-		node, bm = sl.kids, uint32(sl.key)
+		bm = uint32(sl.key)
+		node = kvNode(sl.kids, bm)
 	}
 	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
@@ -638,7 +668,7 @@ func (s *kvState) get(k int64) int64 {
 // descend records hash h's root-to-leaf path and returns the level where it
 // ends: at a leaf slot (hit) or at a free slot (!hit).
 func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf kvSlot, hit bool) {
-	node, bm, own := s.root, s.bm, s.editing && s.owned
+	node, bm, own := kvNode(s.root, s.bm), s.bm, s.editing && s.owned
 	for level := 0; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		path[level] = kvFrame{node: node, bm: bm, bit: bit, own: own}
@@ -649,7 +679,8 @@ func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf 
 		if sl.kids == nil {
 			return level, sl, true
 		}
-		node, bm, own = sl.kids, uint32(sl.key), s.editing && uint64(sl.val) == s.edit
+		bm, own = uint32(sl.key), s.editing && uint64(sl.val) == s.edit
+		node = kvNode(sl.kids, bm)
 	}
 	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
@@ -679,7 +710,7 @@ func (s *kvState) put(k, v int64) int64 {
 			return old
 		}
 		nn, nbm := kvWith(f.node, f.bm, f.bit, rep)
-		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: nn}
+		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: kvFirst(nn)}
 	}
 	s.root, s.bm, s.owned = rep.kids, uint32(rep.key), s.editing
 	return old
@@ -721,7 +752,7 @@ func (s *kvState) del(k int64) int64 {
 		} else {
 			nn, nbm = kvWith(f.node, f.bm, f.bit, rep)
 		}
-		rep, gone = kvSlot{key: int64(nbm), kids: nn}, false
+		rep, gone = kvSlot{key: int64(nbm), kids: kvFirst(nn)}, false
 	}
 	s.root, s.bm, s.owned = rep.kids, uint32(rep.key), s.editing
 	return sl.val
@@ -736,7 +767,7 @@ func (s *kvState) Clone() State { c := *s; return &c }
 // slot is visited once.
 func (s *kvState) each(fn func(leaf kvSlot)) {
 	var stack [kvMaxDepth][]kvSlot
-	stack[0] = s.root
+	stack[0] = kvNode(s.root, s.bm)
 	top := 0
 	for top >= 0 {
 		if len(stack[top]) == 0 {
@@ -750,7 +781,7 @@ func (s *kvState) each(fn func(leaf kvSlot)) {
 			continue
 		}
 		top++
-		stack[top] = sl.kids
+		stack[top] = kvNode(sl.kids, uint32(sl.key))
 	}
 }
 

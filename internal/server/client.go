@@ -41,14 +41,15 @@ func Dial(addr string) (*Client, error) {
 	}, nil
 }
 
-// Send queues one request without flushing and returns its id.
-//
-//wf:blocking a full bufio buffer spills to the socket mid-append
+// Send queues one request without flushing and returns its id. The
+// request goes to the buffered writer as one frame, which reaches the
+// socket only when the buffer fills or on Flush.
 func (cl *Client) Send(op seqspec.Op) (uint64, error) {
 	cl.nextID++
 	id := cl.nextID
-	cl.wbuf = wire.AppendRequest(cl.wbuf[:0], id, op)
-	return id, wire.WriteFrame(cl.bw, cl.wbuf)
+	cl.wbuf = wire.AppendRequestFrame(cl.wbuf[:0], id, op)
+	_, err := cl.bw.Write(cl.wbuf)
+	return id, err
 }
 
 // Flush pushes queued requests onto the socket.

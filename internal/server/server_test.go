@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -54,6 +56,22 @@ func TestServerBasicOps(t *testing.T) {
 	}
 	if v, err := cl.Get(1); err != nil || v != seqspec.Empty {
 		t.Fatalf("get(1) after del = (%d, %v), want Empty", v, err)
+	}
+}
+
+// TestClientSendAllocs: Send appends the whole frame into the client's
+// reused buffer and hands it to the bufio.Writer in one write, so a queued
+// request allocates nothing, spills to the connection included.
+func TestClientSendAllocs(t *testing.T) {
+	cl := &Client{bw: bufio.NewWriterSize(io.Discard, 4096)}
+	put := seqspec.Op{Kind: "put", Args: []int64{1, 10}}
+	cl.Send(put) // grow wbuf once
+	if a := testing.AllocsPerRun(1000, func() {
+		if _, err := cl.Send(put); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Send allocates %.1f times per request, want 0", a)
 	}
 }
 

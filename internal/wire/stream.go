@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"io"
 	"sync"
+
+	"waitfree/internal/seqspec"
 )
 
 // This file is the pipelined hot path's half of the codec: a streaming
@@ -118,6 +120,19 @@ func (d *Decoder) Next() ([]byte, error) {
 func AppendResponseFrame(b []byte, id uint64, value int64) []byte {
 	b = binary.BigEndian.AppendUint32(b, 17) // 1 type + 8 id + 8 value
 	return AppendResponse(b, id, value)
+}
+
+// AppendRequestFrame appends a complete MsgOp frame to b: a length prefix,
+// then the request payload, then the prefix patched to the payload's
+// length. A client appends many of these into one buffer, where WriteFrame
+// would cost a second write and an escaping header per request.
+//
+//wf:waitfree
+func AppendRequestFrame(b []byte, id uint64, op seqspec.Op) []byte {
+	at := len(b)
+	b = AppendRequest(append(b, 0, 0, 0, 0), id, op)
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 // AppendErrorFrame appends a complete MsgErr frame to b; long reasons are

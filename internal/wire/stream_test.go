@@ -199,6 +199,61 @@ func TestAppendFrameHelpers(t *testing.T) {
 	}
 }
 
+// TestAppendRequestFrame: a request frame appended after other bytes is
+// exactly what WriteFrame writes for the same payload, and it decodes back
+// out through the Decoder.
+func TestAppendRequestFrame(t *testing.T) {
+	ops := []seqspec.Op{
+		{Kind: "put", Args: []int64{7, -3}},
+		{Kind: "len"},
+		{Kind: "get", Args: []int64{-1 << 62}},
+	}
+	var want bytes.Buffer
+	got := []byte{0xaa}
+	for i, op := range ops {
+		if err := wire.WriteFrame(&want, wire.AppendRequest(nil, uint64(i), op)); err != nil {
+			t.Fatal(err)
+		}
+		got = wire.AppendRequestFrame(got, uint64(i), op)
+	}
+	if !bytes.Equal(got[1:], want.Bytes()) || got[0] != 0xaa {
+		t.Fatalf("appended frames = %x, want aa%x", got, want.Bytes())
+	}
+	d := wire.NewDecoder(bytes.NewReader(got[1:]))
+	for i, op := range ops {
+		p, err := d.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, dec, err := wire.DecodeRequest(p); err != nil || id != uint64(i) || dec.String() != op.String() {
+			t.Fatalf("frame %d = (%d, %s, %v), want (%d, %s, nil)", i, id, dec, err, i, op)
+		}
+	}
+}
+
+// TestDecodeRequestAllocs: a request of a kind the server serves decodes
+// without copying its kind, so a len allocates nothing and a get only its
+// Args, which the decided log keeps.
+func TestDecodeRequestAllocs(t *testing.T) {
+	for _, c := range []struct {
+		op   seqspec.Op
+		want float64
+	}{
+		{seqspec.Op{Kind: "len"}, 0},
+		{seqspec.Op{Kind: "get", Args: []int64{42}}, 1},
+	} {
+		req := wire.AppendRequest(nil, 5, c.op)
+		got := testing.AllocsPerRun(100, func() {
+			if _, _, err := wire.DecodeRequest(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("DecodeRequest of %s allocates %.0f times, want %.0f", c.op, got, c.want)
+		}
+	}
+}
+
 // TestAppendErrorFrameTruncates: the frame length prefix must agree with
 // AppendError's reason truncation, or the stream desynchronizes.
 func TestAppendErrorFrameTruncates(t *testing.T) {

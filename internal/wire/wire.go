@@ -135,7 +135,7 @@ func DecodeOp(b []byte) (seqspec.Op, []byte, error) {
 	if len(b) < kn+1 {
 		return seqspec.Op{}, nil, ErrTruncated
 	}
-	op := seqspec.Op{Kind: string(b[:kn])}
+	op := seqspec.Op{Kind: opKind(b[:kn])}
 	argc := int(b[kn])
 	b = b[kn+1:]
 	if argc > 0 {
@@ -154,6 +154,25 @@ func DecodeOp(b []byte) (seqspec.Op, []byte, error) {
 		}
 	}
 	return op, b, nil
+}
+
+// opKind returns the kind b spells: a constant string for each kind the
+// server serves, so decoding one allocates nothing, or a fresh copy of
+// anything else (which the server refuses by name).
+//
+//wf:waitfree
+func opKind(b []byte) string {
+	switch string(b) {
+	case "put":
+		return "put"
+	case "get":
+		return "get"
+	case "del":
+		return "del"
+	case "len":
+		return "len"
+	}
+	return string(b)
 }
 
 // AppendRequest appends a MsgOp request payload to b.
