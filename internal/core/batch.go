@@ -41,7 +41,7 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 	entries, priors := sc.entries[:0], sc.priors[:0]
 	//wf:bounded [B] one cons per batch entry: B is the caller's batch length
 	for i := range ops {
-		e := &Entry{Pid: pid, Seq: u.seqs[pid].Add(1), Op: ops[i]}
+		e := newEntry(pid, u.seqs[pid].Add(1), ops[i])
 		u.stats.consOps.Inc()
 		priors = append(priors, u.fac.FetchAndCons(pid, e))
 		entries = append(entries, e)

@@ -312,6 +312,8 @@ func mergeWith(goal []*Entry, base *Node, decided []atomic.Pointer[Node], found,
 				continue // g completed and is ordered; the walk missed it only by truncation
 			}
 		}
+		// A fresh cell: proposals of several rounds and processes may each
+		// hold g, so the entry's embedded cell (Entry.cell) goes unused here.
 		out = Cons(goal[i], out)
 	}
 	return out

@@ -32,10 +32,26 @@ import (
 // Entry is one announced operation: a log record that fetch-and-cons
 // threads onto the shared list. Entries are identified by pointer; (Pid,
 // Seq) is a human-readable identity for reports and tests.
+//
+// An entry owns its whole announcement, so announcing an operation
+// allocates one object. newEntry copies up to two argument words into argv
+// and points Op.Args at them (a wider op gets one fresh copy), so a caller
+// may reuse its own Args buffer as soon as its invocation returns, and the
+// decided log still replays the words it announced. cell is the list cell
+// the swap fetch-and-cons threads the entry with (Figures 4-3/4-4 cons the
+// announced record itself). ConsFAC leaves it unused: its proposal lists
+// put one entry into many cells, so it allocates them with Cons.
+//
+// The layout is 128 bytes, two cache lines: the flags snapped and
+// respDone share one word beside the response, which keeps the embedded
+// cell and argv from growing the object past that.
 type Entry struct {
 	Pid int
 	Seq int64
 	Op  seqspec.Op
+
+	argv [2]int64
+	cell Node
 
 	// snapState, once snapped is set, holds the object state immediately
 	// *after* this entry's operation, stored by the strongly-wait-free
@@ -59,8 +75,23 @@ type Entry struct {
 	// the response; double publication is harmless because the decided order
 	// below this entry is fixed (Lemma 24) and Apply is deterministic, so
 	// every publisher computes the same value.
-	resp     atomic.Int64
 	respDone atomic.Bool
+	resp     atomic.Int64
+}
+
+// newEntry builds pid's seq-th announcement of op, copying op's arguments
+// into the entry (see Entry): the only allocation an announcement makes
+// unless op has more than two arguments. An op without arguments keeps
+// its Args as given.
+func newEntry(pid int, seq int64, op seqspec.Op) *Entry {
+	e := &Entry{Pid: pid, Seq: seq, Op: op}
+	if n := len(op.Args); n > len(e.argv) {
+		e.Op.Args = append([]int64(nil), op.Args...)
+	} else if n > 0 {
+		copy(e.argv[:], op.Args)
+		e.Op.Args = e.argv[:n:n]
+	}
+	return e
 }
 
 // Publish stores the entry's response into its result slot. Idempotent:
@@ -117,15 +148,20 @@ func (n *Node) Rest() *Node { return n.rest.Load() }
 // the low-water-mark guarantee that no walk is at or below the tail.
 func (n *Node) sever() { n.rest.Store(nil) }
 
-// Cons prepends entry e to list rest. Len is fixed in the literal — the
-// cell's identity fields are complete before it can escape; only the rest
-// pointer is (one-shot) mutable afterwards.
-func Cons(e *Entry, rest *Node) *Node {
+// Cons prepends entry e to list rest in a fresh cell. ConsFAC's proposal
+// lists need it; the swap fetch-and-cons threads e's own cell instead.
+func Cons(e *Entry, rest *Node) *Node { return link(new(Node), e, rest) }
+
+// link fills cell n as e's cons onto rest and returns it. Len is fixed in
+// one whole-struct assignment — the cell's identity fields are complete
+// before it can escape, and only the rest pointer is (one-shot) mutable
+// afterwards.
+func link(n *Node, e *Entry, rest *Node) *Node {
 	length := 1
 	if rest != nil {
 		length = rest.Len + 1
 	}
-	n := &Node{Entry: e, Len: length}
+	*n = Node{Entry: e, Len: length}
 	n.rest.Store(rest)
 	return n
 }

@@ -22,6 +22,17 @@ func listLen(head *Node) int {
 var inc = seqspec.Op{Kind: "inc"}
 var get = seqspec.Op{Kind: "get"}
 
+// stall conses op for pid through the fetch-and-cons and leaves it in
+// flight, as a writer stalled between its cons and its replay would: the
+// head it builds carries no snapshot, so a fast read from it goes through
+// the read cache instead of the settled head's snapshot. It returns the
+// entry and its prior list, for a test that later runs the writer's
+// execute. The stalled pid never attaches, so it pins no GC mark.
+func stall(u *Universal, pid int, op seqspec.Op) (*Entry, *Node) {
+	e := newEntry(pid, u.seqs[pid].Add(1), op)
+	return e, u.fac.FetchAndCons(pid, e)
+}
+
 // TestLogGCRetiresTail: the headline behavior. With the low-water-mark GC
 // on, a sequentially driven pair of processes retires almost the whole log:
 // the reachable list ends exactly at the anchor node, Node.Len stays the
@@ -165,10 +176,11 @@ func TestAnchorIsSnapshotNode(t *testing.T) {
 // swing must clear the stale snap itself.
 func TestReadCacheNotPinnedByGC(t *testing.T) {
 	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, 2, WithLogGC(1))
+	u := NewUniversal(seqspec.Counter{}, fac, 4, WithLogGC(1))
 	u.Invoke(0, inc)
-	u.Invoke(0, get) // cache now holds the length-1 head
-	if c := u.lastRead.Load(); c == nil || c.head.Len != 1 {
+	stall(u, 2, inc) // an in-flight head: the read below replays and caches
+	u.Invoke(0, get) // cache now holds the length-2 head
+	if c := u.lastRead.Load(); c == nil || c.head.Len != 2 {
 		t.Fatal("read did not populate the cache")
 	}
 	for i := 0; i < 50; i++ {
@@ -183,10 +195,11 @@ func TestReadCacheNotPinnedByGC(t *testing.T) {
 		t.Errorf("cache still holds retired head (Len %d < anchor %d), pinning the dead tail",
 			c.head.Len, anchor)
 	}
-	// A fresh read works off the truncated log and re-populates at the
-	// current epoch.
-	if got := u.Invoke(1, get); got != 101 {
-		t.Errorf("read after retirement = %d, want 101", got)
+	// A fresh read from a new in-flight head works off the truncated log
+	// and re-populates at the current epoch.
+	stall(u, 3, inc)
+	if got := u.Invoke(1, get); got != 103 {
+		t.Errorf("read after retirement = %d, want 103", got)
 	}
 	if c := u.lastRead.Load(); c == nil || c.epoch != u.gc.epoch.Load() {
 		t.Error("fresh read did not cache at the current GC epoch")
@@ -200,8 +213,9 @@ func TestReadCacheNotPinnedByGC(t *testing.T) {
 // very same head must miss.
 func TestReadCacheEpochMiss(t *testing.T) {
 	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, 2, WithLogGC(1))
+	u := NewUniversal(seqspec.Counter{}, fac, 3, WithLogGC(1))
 	u.Invoke(0, inc)
+	stall(u, 2, inc) // an in-flight head, so reads go through the cache
 	u.Invoke(0, get)
 	misses := u.stats.fastMisses.Load()
 	u.Invoke(0, get) // same head, same epoch: hit

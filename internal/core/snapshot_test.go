@@ -40,7 +40,10 @@ func (s countingState) Clone() seqspec.State {
 // process every call's replay stops at the snapshot its previous call
 // stored, so a call applies exactly its own ops: the batch's earlier entries
 // its replay walks past, plus the newest. The pre-state rule would add one
-// apply per call, for the entry the replay stopped at.
+// apply per replay, for the entry the replay stopped at. In fast-read-miss
+// pid 1's put is in flight while pid 0 reads, so the read misses the settled
+// path and replays: it applies the put above the snapshot it stops at and
+// its own get, and the put's execute then applies the put once more.
 func TestReplayStopAppliesNothing(t *testing.T) {
 	put := seqspec.Op{Kind: "put", Args: []int64{1, 2}}
 	get := seqspec.Op{Kind: "get", Args: []int64{1}}
@@ -48,7 +51,7 @@ func TestReplayStopAppliesNothing(t *testing.T) {
 		name   string
 		opts   []Option
 		call   func(u *Universal) // one call by pid 0
-		calls  int64              // ops the call performs
+		calls  int64              // applies the call makes
 		misses int64              // read-cache misses the call makes
 	}{
 		{"invoke", nil, func(u *Universal) { u.Invoke(0, put) }, 1, 0},
@@ -57,15 +60,16 @@ func TestReplayStopAppliesNothing(t *testing.T) {
 			u.InvokeBatch(0, []seqspec.Op{put, put, put, put}, make([]int64, 4))
 		}, 4, 0},
 		{"fast-read-miss", nil, func(u *Universal) {
-			u.Invoke(0, put) // moves the head, so the read below misses the cache
+			e, prior := stall(u, 1, put) // an unsettled head: the read below replays
 			u.Invoke(0, get)
-		}, 2, 1},
+			u.execute(1, e, prior, false)
+		}, 3, 1},
 	}
 	const rounds = 8
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var applies atomic.Int64
-			u := NewUniversal(countingObject{seqspec.KV{}, &applies}, NewSwapFAC(), 1, c.opts...)
+			u := NewUniversal(countingObject{seqspec.KV{}, &applies}, NewSwapFAC(), 2, c.opts...)
 			c.call(u) // the first call replays from Init and stores the first snapshot
 			misses := u.stats.fastMisses.Load()
 			for i := 0; i < rounds; i++ {
@@ -87,10 +91,13 @@ var sink seqspec.State
 
 // TestKVPutGetOnePathCopy pins the KV cost of a put followed by a get that
 // misses the read cache, on a 2 048-key state: exactly one trie path copy,
-// the put's own. Neither replay re-applies the put it stops at.
+// the put's own. Neither replay re-applies the put it stops at. The get
+// misses because the head is in flight: pid 1 has consed a get through the
+// fetch-and-cons (as a WithoutFastReads reader would) and not yet executed
+// it, so the read replays past it to the put's snapshot.
 func TestKVPutGetOnePathCopy(t *testing.T) {
 	const keys = 2048
-	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 1)
+	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 2)
 	base := seqspec.KV{}.Init()
 	fill := make([]seqspec.Op, keys)
 	for k := range fill {
@@ -108,13 +115,15 @@ func TestKVPutGetOnePathCopy(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(100, func() {
 		u.Invoke(0, put)
+		stall(u, 1, get)
 		if u.Invoke(0, get) != 70 {
 			t.Fatal("get missed the put")
 		}
 	})
-	// The put: its Entry and swap-cons Node, its replay's Clone and its own
-	// path copy. The get: its replay's Clone and the read cache's entry.
-	if want := 2 + clone + pathCopy + clone + 1; got != want {
+	// The put: its Entry, its replay's Clone and its own path copy. The
+	// stalled get: its Entry. The read: its replay's Clone and the read
+	// cache's entry.
+	if want := 1 + clone + pathCopy + 1 + clone + 1; got != want {
 		t.Errorf("put + cache-missing get allocate %.0f times, want %.0f (one path copy of %.0f, clone %.0f)",
 			got, want, pathCopy, clone)
 	}

@@ -45,7 +45,8 @@ func (f *SwapFAC) Instrument(reg *wfstats.Registry) {
 var _ FetchAndCons = (*SwapFAC)(nil)
 
 // FetchAndCons implements FetchAndCons in one (simulated) memory-to-memory
-// swap: anchor <-> cell.cdr.
+// swap: anchor <-> cell.cdr. The cell is e's own (Entry.cell), so the cons
+// allocates nothing; each entry must be consed at most once.
 //
 //wf:bounded one simulated primitive step: the gate encloses exactly the constant-time anchor/cdr exchange (Theorem 16 substitution, see the type doc)
 func (f *SwapFAC) FetchAndCons(pid int, e *Entry) *Node {
@@ -53,7 +54,7 @@ func (f *SwapFAC) FetchAndCons(pid int, e *Entry) *Node {
 
 	f.mu.Lock() // begin simulated atomic swap(anchor, cell.cdr)
 	prior := f.head.Load()
-	f.head.Store(Cons(e, prior))
+	f.head.Store(link(&e.cell, e, prior))
 	f.mu.Unlock() // end simulated atomic swap
 
 	return prior

@@ -248,7 +248,7 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 	if u.fastRead && u.seq.ReadOnly(op) {
 		return u.readFast(pid, op)
 	}
-	e := &Entry{Pid: pid, Seq: u.seqs[pid].Add(1), Op: op}
+	e := newEntry(pid, u.seqs[pid].Add(1), op)
 	u.stats.consOps.Inc()
 	if u.batch {
 		return u.invokeBatched(pid, e)
@@ -293,16 +293,29 @@ func (u *Universal) storeSnapshot(e *Entry, state seqspec.State) {
 	e.snapped.Store(true)
 }
 
-// readFast serves a read-only operation from a decided list. The cache key
-// is the observed head plus the GC epoch: an anchor swing invalidates every
-// older snap, so the cache re-replays once per retirement (stopping at the
-// fresh anchor) instead of holding a pre-retirement head alive.
+// readFast serves a read-only operation from a decided list. A settled
+// head — its entry already carries its snapshot, the state after every
+// entry of the observed list — answers directly from that frozen state:
+// no replay, no clone, no cache entry. A head still in flight goes through
+// the read cache, keyed by the observed head plus the GC epoch: an anchor
+// swing invalidates every older snap, so the cache re-replays once per
+// retirement (stopping at the fresh anchor) instead of holding a
+// pre-retirement head alive.
 func (u *Universal) readFast(pid int, op seqspec.Op) int64 {
 	head := u.fac.Observe()
+	if head != nil {
+		if s := head.Entry.snapshot(); s != nil {
+			u.stats.fastHits.Inc(pid)
+			// head.Len is a snapshot index, like a replay's stopping point:
+			// every later replay from a newer head stops at or above it.
+			u.gcObserve(pid, int64(head.Len))
+			return s.Apply(op) // frozen state; ReadOnly Apply never mutates (contract-tested in seqspec)
+		}
+	}
 	epoch := u.gc.epoch.Load()
 	if c := u.lastRead.Load(); c != nil && c.head == head && c.epoch == epoch {
 		u.stats.fastHits.Inc(pid)
-		return c.state.Apply(op) // frozen state; ReadOnly Apply never mutates (contract-tested in seqspec)
+		return c.state.Apply(op) // frozen state, as above
 	}
 	u.stats.fastMisses.Inc(pid)
 	state := u.replay(pid, head)

@@ -142,6 +142,11 @@ type appendReq struct {
 	err  chan error
 }
 
+// acks recycles AppendBatch's one-value ack channels, so a steady-state
+// group commit allocates nothing: a channel whose value AppendBatch has
+// received is empty again and the flusher holds no further send for it.
+var acks = sync.Pool{New: func() any { return make(chan error, 1) }}
+
 // segment is one live log segment. max is its per-shard newest seq, known
 // once the segment is sealed by this process or replayed (nil before):
 // Compact leaves a segment it does not know alone.
@@ -363,18 +368,21 @@ func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	req := appendReq{recs: recs, err: make(chan error, 1)}
+	req := appendReq{recs: recs, err: acks.Get().(chan error)}
 	select {
 	case s.reqs <- req:
 	case <-s.quit:
+		acks.Put(req.err)
 		return ErrClosed
 	}
 	select {
 	case err := <-req.err:
+		acks.Put(req.err)
 		return err
 	case <-s.flusherDone:
 		// The flusher exited between our enqueue and its drain; the ack
 		// channel is buffered, so a commit that did see us is not lost.
+		// Shutdown is rare, so its channel is left to the collector.
 		select {
 		case err := <-req.err:
 			return err

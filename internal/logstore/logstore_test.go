@@ -83,6 +83,31 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBatchAllocs: a steady-state group commit allocates nothing —
+// the ack channel is recycled, the frame is encoded into the flusher's
+// reused buffer, and the open segment is written and fsynced in place.
+func TestAppendBatchAllocs(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	recs := []Record{{Shard: 0, Op: put(1, 10)}, {Shard: 0, Op: put(2, 20)}}
+	seq := uint64(0)
+	got := testing.AllocsPerRun(100, func() {
+		for i := range recs {
+			seq++
+			recs[i].Seq = seq
+		}
+		if err := st.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("AppendBatch round trip allocates %.0f times, want 0", got)
+	}
+}
+
 // TestGroupCommitConcurrent: concurrent appenders all become durable, each
 // shard's records replay in seq order, and the group commit actually
 // groups (no more frames than appends — asserted loosely since grouping

@@ -31,7 +31,11 @@ import (
 	"unsafe"
 )
 
-// Op is an operation invocation: a kind and its arguments.
+// Op is an operation invocation: a kind and its arguments. A caller may
+// reuse its Args buffer once an invocation returns: the universal
+// construction's log entry keeps its own copy of the words it announced
+// (internal/core's newEntry), and the wire decoder can decode into a
+// caller's buffer.
 type Op struct {
 	Kind string
 	Args []int64

@@ -135,9 +135,14 @@ type connState struct {
 // applyReq is one unit handed to a shard applier: a write to persist and
 // apply, a read (read == true) queued behind a connection's earlier writes
 // on that shard, or a barrier (barrier != nil) closed once everything
-// ahead of it has been applied.
+// ahead of it has been applied. The op's argument words travel by value
+// in args (op.Args is nil in flight), because the reader decodes every
+// request into one reused buffer; the applier points op.Args at args in
+// its own drained batch.
 type applyReq struct {
 	op      seqspec.Op
+	args    [3]int64
+	argc    uint8
 	id      uint64
 	w       *connState
 	read    bool
@@ -383,6 +388,14 @@ func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int)
 				break gather
 			}
 		}
+		// Each op's words stay in place in batch until the next drain:
+		// AppendBatch encodes them and InvokeBatch copies them into the
+		// shard's log entries before either returns.
+		for i := range batch {
+			if it := &batch[i]; it.argc > 0 {
+				it.op.Args = it.args[:it.argc:it.argc]
+			}
+		}
 		recs = recs[:0]
 		for i := range batch {
 			if batch[i].read || batch[i].barrier != nil {
@@ -596,13 +609,18 @@ func (s *Server) serveConn(c net.Conn) {
 //wf:blocking socket reads, window acquisition and the applier hand-off
 func (s *Server) readLoop(pid int, w *connState) {
 	dec := wire.NewDecoder(w.c)
+	// Every request decodes its arguments into args: an in-memory write or
+	// an inline read is done with them when Invoke returns (the log entry
+	// keeps its own copy), and a routed request copies them into its
+	// applyReq.
+	var args [3]int64
 	for {
 		payload, err := dec.Next()
 		if err != nil {
 			return // clean EOF, torn frame or oversize — all end the conn
 		}
 		<-w.slots
-		id, op, err := wire.DecodeRequest(payload)
+		id, op, err := wire.DecodeRequestInto(payload, args[:0])
 		if err != nil {
 			// The stream itself is untrustworthy past a malformed
 			// request; answer once and have the writer hang up.
@@ -629,7 +647,7 @@ func (s *Server) readLoop(pid int, w *connState) {
 			sh := s.kv.ShardOf(op.Arg(0))
 			w.outW[sh].Add(1)
 			w.outWT.Add(1)
-			s.appliers[sh] <- applyReq{op: op, id: id, w: w}
+			s.appliers[sh] <- routed(op, id, w, false)
 			continue
 		}
 		w.ch <- completion{id: id, v: s.kv.Invoke(pid, op)} //wf:ack in-memory mode: applied and client-visible with nothing to persist
@@ -650,7 +668,7 @@ func (s *Server) serveRead(pid int, w *connState, id uint64, op seqspec.Op) {
 	if op.Kind == "get" {
 		sh := s.kv.ShardOf(op.Arg(0))
 		if s.store != nil && w.outW[sh].Load() > 0 {
-			s.appliers[sh] <- applyReq{op: op, id: id, w: w, read: true}
+			s.appliers[sh] <- routed(op, id, w, true)
 			return
 		}
 		w.ch <- completion{id: id, v: s.kv.Invoke(pid, op)}
@@ -662,6 +680,14 @@ func (s *Server) serveRead(pid int, w *connState, id uint64, op seqspec.Op) {
 		s.awaitApplied(w)
 	}
 	w.ch <- completion{id: id, v: s.kv.Invoke(pid, op)}
+}
+
+// routed builds the applyReq that carries op to its shard's applier, its
+// argument words copied by value out of the reader's decode buffer.
+func routed(op seqspec.Op, id uint64, w *connState, read bool) applyReq {
+	r := applyReq{op: seqspec.Op{Kind: op.Kind}, id: id, w: w, read: read}
+	r.argc = uint8(copy(r.args[:], op.Args))
+	return r
 }
 
 // awaitApplied blocks until every write this connection has routed to an

@@ -216,6 +216,118 @@ func TestServerPipelinedDifferential(t *testing.T) {
 	}
 }
 
+// TestServerPipelinedArgsReuse: the reader decodes every request into one
+// reused argument buffer, so a request whose words outlived the decode by
+// reference — a routed write or read, an in-memory write's log entry —
+// would answer or persist the next request's words. One connection keeps
+// a deep window of puts, gets, dels and lens in flight, every put with a
+// fresh value; each reply must equal a sequential KV model's at the same
+// stream position, and afterwards every key must read back the model's
+// value, from a reopened store in durable mode. Under -race, an applier
+// that read the reader's buffer would also be reported as a race.
+func TestServerPipelinedArgsReuse(t *testing.T) {
+	const (
+		nOps  = 2000
+		keys  = 64
+		depth = 64
+	)
+	rng := rand.New(rand.NewSource(7))
+	ops := make([]seqspec.Op, nOps)
+	model := seqspec.KV{}.Init()
+	want := make([]int64, nOps)
+	for i := range ops {
+		k := rng.Int63n(keys)
+		switch r := rng.Intn(8); {
+		case r < 4:
+			ops[i] = seqspec.Op{Kind: "put", Args: []int64{k, int64(i)<<8 | k}}
+		case r < 6:
+			ops[i] = seqspec.Op{Kind: "get", Args: []int64{k}}
+		case r < 7:
+			ops[i] = seqspec.Op{Kind: "del", Args: []int64{k}}
+		default:
+			ops[i] = seqspec.Op{Kind: "len"}
+		}
+		want[i] = model.Apply(ops[i])
+	}
+	readBack := func(t *testing.T, cl *Client) {
+		t.Helper()
+		for k := int64(0); k < keys; k++ {
+			get := seqspec.Op{Kind: "get", Args: []int64{k}}
+			if v, err := cl.Get(k); err != nil || v != model.Apply(get) {
+				t.Fatalf("get(%d) = (%d, %v), want %d", k, v, err, model.Apply(get))
+			}
+		}
+	}
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Addr: "127.0.0.1:0", Shards: 4, Procs: 8, Window: depth, SnapshotEvery: 128}
+			if durable {
+				cfg.Dir = t.TempDir()
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			s.Start()
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			idx := make(map[uint64]int, depth)
+			recv := func() {
+				id, v, err := cl.Recv()
+				if err != nil {
+					t.Fatalf("Recv: %v", err)
+				}
+				i, ok := idx[id]
+				if !ok {
+					t.Fatalf("response id %d: duplicate or never requested", id)
+				}
+				delete(idx, id)
+				if v != want[i] {
+					t.Fatalf("op %d (%s) = %d, model %d", i, ops[i], v, want[i])
+				}
+			}
+			for i, op := range ops {
+				if len(idx) == depth {
+					if err := cl.Flush(); err != nil {
+						t.Fatalf("Flush: %v", err)
+					}
+					recv()
+				}
+				id, err := cl.Send(op)
+				if err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				idx[id] = i
+			}
+			if err := cl.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			for len(idx) > 0 {
+				recv()
+			}
+			readBack(t, cl)
+			cl.Close()
+			s.Close()
+			if !durable {
+				return
+			}
+			s = startServer(t, cfg)
+			cl, err = Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial after reopen: %v", err)
+			}
+			defer cl.Close()
+			readBack(t, cl)
+		})
+	}
+}
+
 // TestServerRefusesBadOps: unknown kinds and wrong arities come back as
 // RemoteErrors without killing the connection; the KVRouter panic for
 // unknown kinds must never be reachable from the socket.

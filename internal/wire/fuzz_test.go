@@ -53,8 +53,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("ReadFrame returned %d bytes, above MaxFrame", len(payload))
 		}
 
+		// Decoding into a reused buffer must agree with the allocating
+		// decoder whatever the buffer held before, and leave nothing of
+		// its old contents in the op.
+		id, op, err := wire.DecodeRequest(payload)
+		reused := []int64{sentinel, sentinel, sentinel}
+		id2, op2, err2 := wire.DecodeRequestInto(payload, reused[:0])
+		if id2 != id || !opEqual(op2, op) || (err2 == nil) != (err == nil) ||
+			(err != nil && err2.Error() != err.Error()) {
+			t.Fatalf("DecodeRequestInto(%x) = (%d, %+v, %v), DecodeRequest = (%d, %+v, %v)", payload, id2, op2, err2, id, op, err)
+		}
+
 		// Decoders must tolerate the payload regardless of its type byte.
-		if id, op, err := wire.DecodeRequest(payload); err == nil {
+		if err == nil {
 			re := wire.AppendRequest(nil, id, op)
 			if !bytes.Equal(re, payload) {
 				t.Fatalf("request round trip: %x -> (%d, %+v) -> %x", payload, id, op, re)
@@ -178,6 +189,10 @@ func (c *chunked) Read(p []byte) (int, error) {
 	c.data = c.data[n:]
 	return n, nil
 }
+
+// sentinel pre-fills the reused decode buffer: a decoder that leaked the
+// buffer's old words into an op would surface it.
+const sentinel = -0x5e47
 
 func opEqual(a, b seqspec.Op) bool {
 	if a.Kind != b.Kind || len(a.Args) != len(b.Args) {

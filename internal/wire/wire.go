@@ -123,10 +123,18 @@ func AppendOp(b []byte, op seqspec.Op) []byte {
 
 // DecodeOp decodes one op from b and returns the remaining bytes. Varint
 // arguments must be in canonical (shortest) form; overlong encodings are
-// refused with ErrNonCanonical.
+// refused with ErrNonCanonical. The op's Args are freshly allocated.
 //
 //wf:waitfree
-func DecodeOp(b []byte) (seqspec.Op, []byte, error) {
+func DecodeOp(b []byte) (seqspec.Op, []byte, error) { return DecodeOpInto(b, nil) }
+
+// DecodeOpInto is DecodeOp decoding the arguments into args' backing
+// array when its capacity has room for them, so a caller that reuses one
+// buffer decodes without allocating; otherwise it allocates as DecodeOp
+// does. The returned op's Args alias args until the caller reuses it.
+//
+//wf:waitfree
+func DecodeOpInto(b []byte, args []int64) (seqspec.Op, []byte, error) {
 	if len(b) < 1 {
 		return seqspec.Op{}, nil, ErrTruncated
 	}
@@ -139,7 +147,10 @@ func DecodeOp(b []byte) (seqspec.Op, []byte, error) {
 	argc := int(b[kn])
 	b = b[kn+1:]
 	if argc > 0 {
-		op.Args = make([]int64, argc)
+		if cap(args) < argc {
+			args = make([]int64, argc)
+		}
+		op.Args = args[:argc]
 		for i := 0; i < argc; i++ {
 			v, n := binary.Varint(b)
 			if n <= 0 {
@@ -184,15 +195,24 @@ func AppendRequest(b []byte, id uint64, op seqspec.Op) []byte {
 	return AppendOp(b, op)
 }
 
-// DecodeRequest decodes a MsgOp payload (including its type byte).
+// DecodeRequest decodes a MsgOp payload (including its type byte). The
+// op's Args are freshly allocated.
 //
 //wf:waitfree
 func DecodeRequest(b []byte) (id uint64, op seqspec.Op, err error) {
+	return DecodeRequestInto(b, nil)
+}
+
+// DecodeRequestInto is DecodeRequest decoding the op's arguments into
+// args' backing array when it has room (see DecodeOpInto).
+//
+//wf:waitfree
+func DecodeRequestInto(b []byte, args []int64) (id uint64, op seqspec.Op, err error) {
 	if len(b) < 9 || b[0] != MsgOp {
 		return 0, seqspec.Op{}, fmt.Errorf("wire: not a request payload (%w)", ErrTruncated)
 	}
 	id = binary.BigEndian.Uint64(b[1:9])
-	op, rest, err := DecodeOp(b[9:])
+	op, rest, err := DecodeOpInto(b[9:], args)
 	if err != nil {
 		return 0, seqspec.Op{}, err
 	}
