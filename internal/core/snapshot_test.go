@@ -199,14 +199,38 @@ func TestSnapshotImpliesResult(t *testing.T) {
 // clones, under the same token value pid 0's next wave opens. Pid 0 keeps
 // writing until the others finish. No stored snapshot's Key may change
 // after the store.
+//
+// The seeded input starts the construction from a 2 048-key state
+// (seqspec.KVFrom), as a recovered server shard starts, with truncation
+// off: no entry stores a snapshot, so every replay clones the shared seed,
+// and pid 3 runs its windows on clones of the seed, which must not change.
 func TestWindowSnapshotHammer(t *testing.T) {
-	const n, keys, waves, iters, width = 4, 2048, 60, 40, 16
-	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n, WithLogGC(8))
-	fill := make([]seqspec.Op, keys)
-	for k := range fill {
-		fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
-	}
-	u.InvokeBatch(0, fill, make([]int64, keys))
+	const n, keys = 4, 2048
+	t.Run("empty", func(t *testing.T) {
+		u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n, WithLogGC(8))
+		fill := make([]seqspec.Op, keys)
+		for k := range fill {
+			fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
+		}
+		u.InvokeBatch(0, fill, make([]int64, keys))
+		windowHammer(t, u, keys, nil)
+	})
+	t.Run("seeded", func(t *testing.T) {
+		pairs := make(map[int64]int64, keys)
+		for k := int64(0); k < keys; k++ {
+			pairs[k] = k
+		}
+		seed := seqspec.KVOf(pairs)
+		u := NewUniversal(seqspec.KVFrom(seed), NewSwapFAC(), n, WithoutTruncation())
+		windowHammer(t, u, keys, seed)
+	})
+}
+
+// windowHammer is TestWindowSnapshotHammer's run on u, a KV construction
+// for 4 pids holding keys keys. Pid 3 falls back to seed while no entry
+// stores a snapshot.
+func windowHammer(t *testing.T, u *Universal, keys int64, seed seqspec.State) {
+	const n, waves, iters, width = 4, 60, 40, 16
 	puts := func(rng *rand.Rand) []seqspec.Op {
 		ops := make([]seqspec.Op, width)
 		for i := range ops {
@@ -220,7 +244,7 @@ func TestWindowSnapshotHammer(t *testing.T) {
 				return s
 			}
 		}
-		return nil
+		return seed
 	}
 	type seen struct {
 		state seqspec.State

@@ -200,7 +200,9 @@ func kvRandOp(r *rand.Rand, pool []int64) Op {
 // TestKVStateDifferential drives random put/get/del/len against a map
 // model over three key pools, cloning at random points after which both
 // sides keep mutating; every response and every live replica's Key and
-// KVPairs must match its own model.
+// KVPairs must match its own model. KVOf must invert KVPairs, and the state
+// it rebuilds must keep tracking the model under further Apply, ApplyAll
+// and Clone rounds.
 func TestKVStateDifferential(t *testing.T) {
 	for name, pool := range kvKeyPools() {
 		t.Run(name, func(t *testing.T) {
@@ -225,9 +227,53 @@ func TestKVStateDifferential(t *testing.T) {
 					t.Fatalf("replica %d: KVPairs\n got %q\nwant %q", i, got, want)
 				}
 				kvCheckShape(t, rp.s.(*kvState))
+				rebuilt := KVOf(KVPairs(rp.s))
+				if got, want := rebuilt.Key(), rp.s.Key(); got != want {
+					t.Fatalf("replica %d: KVOf(KVPairs) Key\n got %q\nwant %q", i, got, want)
+				}
+				kvCheckShape(t, rebuilt.(*kvState))
+				kvTrackModel(t, r, pool, &kvReplica{s: rebuilt, m: rp.clone().m})
 			}
 		})
 	}
+}
+
+// kvTrackModel runs rounds of Apply, ApplyAll windows and Clones on rp
+// and checks every response and, after each round, rp's Key against its
+// model; a clone taken mid-way must keep its Key while rp moves on.
+func kvTrackModel(t *testing.T, r *rand.Rand, pool []int64, rp *kvReplica) {
+	t.Helper()
+	ops, out := make([]Op, 0, 40), make([]int64, 40)
+	for round := 0; round < 20; round++ {
+		ops = ops[:0]
+		for n := 1 + r.Intn(40); len(ops) < n; {
+			ops = append(ops, kvRandOp(r, pool))
+		}
+		fork := rp.clone()
+		before := fork.s.Key()
+		if round%2 == 0 {
+			ApplyAll(rp.s, ops, out)
+		} else {
+			for i, op := range ops {
+				out[i] = rp.s.Apply(op)
+			}
+		}
+		for i, op := range ops {
+			if want := kvModelApply(rp.m, op); out[i] != want {
+				t.Fatalf("round %d op %d %v: got %d, want %d", round, i, op, out[i], want)
+			}
+		}
+		if got, want := rp.s.Key(), kvModelKey(rp.m); got != want {
+			t.Fatalf("round %d: Key\n got %q\nwant %q", round, got, want)
+		}
+		if fork.s.Key() != before {
+			t.Fatalf("round %d: a clone changed while its source moved on", round)
+		}
+		if r.Intn(2) == 0 {
+			rp = fork
+		}
+	}
+	kvCheckShape(t, rp.s.(*kvState))
 }
 
 // TestKVWindowDifferential checks ApplyAll's edit window against per-op

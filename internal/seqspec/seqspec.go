@@ -129,6 +129,9 @@ type State interface {
 // instead of m times. The window closes before ApplyAll returns; every
 // other object just applies op by op. Every op goes through State.Apply,
 // whose //wf:steps 1 contract covers the window's puts too.
+// Boot recovery in internal/server, a blocking caller outside the certified
+// closure, passes a whole log tail; the [n + 1] bracket below is the
+// construction's.
 func ApplyAll(s State, ops []Op, out []int64) {
 	if kv, ok := s.(*kvState); ok && len(ops) > 1 {
 		kv.openWindow()
@@ -468,14 +471,24 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 // at most 32 slots of 24 bytes each); nodes are never edited once the call
 // that built them returns, which is what lets clones, snapshots and the
 // read fast path share them across goroutines. Inside one ApplyAll window a
-// put edits in place the nodes that window built (see kvState).
-type KV struct{}
+// put edits in place the nodes that window built (see kvState). The zero KV
+// starts empty.
+type KV struct{ from *kvState }
+
+// KVFrom returns a KV that starts from st, a KV state the caller no longer
+// mutates; st stays reachable from the object, whose Init clones it.
+func KVFrom(st State) KV { return KV{from: st.(*kvState)} }
 
 // Name implements Object.
 func (KV) Name() string { return "kv" }
 
 // Init implements Object.
-func (KV) Init() State { return &kvState{} }
+func (o KV) Init() State {
+	if o.from == nil {
+		return &kvState{}
+	}
+	return o.from.Clone()
+}
 
 // ReadOnly implements Object.
 func (KV) ReadOnly(op Op) bool { return op.Kind == "get" || op.Kind == "len" }
@@ -812,6 +825,18 @@ func KVPairs(st State) map[int64]int64 {
 	m := make(map[int64]int64, s.n)
 	s.each(func(leaf kvSlot) { m[leaf.key] = leaf.val })
 	return m
+}
+
+// KVOf is the inverse of KVPairs: a fresh KV state holding pairs, put in
+// one edit window, so each trie node is allocated once.
+func KVOf(pairs map[int64]int64) State {
+	s := &kvState{}
+	s.openWindow()
+	for k, v := range pairs {
+		s.put(k, v)
+	}
+	s.closeWindow()
+	return s
 }
 
 // --- Bank ---

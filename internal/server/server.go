@@ -31,7 +31,7 @@
 // the in-memory KV — through the shard's helping batcher
 // (shard.InvokeBatch), one replay pass and one snapshot per drain — and
 // acks each client. An acked write is therefore on disk before any client
-// observes it, which is exactly what boot-time replay reconstructs —
+// observes it, and boot starts each shard from exactly those writes —
 // durable linearizability. Snapshots are each shard's own state
 // (core.Universal.State); the server keeps no second copy of the KV. Reads
 // never touch the store; a get is answered inline from the connection's
@@ -58,7 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"waitfree"
+	"waitfree/internal/core"
 	"waitfree/internal/logstore"
 	"waitfree/internal/seqspec"
 	"waitfree/internal/shard"
@@ -96,8 +96,9 @@ func (c *Config) fill() {
 	}
 }
 
-// kvSpec classifies the service's operation surface; ReadOnly detection is
-// what routes gets and lens onto the inline fast path.
+// kvSpec classifies the service's operation surface (ReadOnly detection is
+// what routes gets and lens onto the inline fast path) and is the empty
+// shard a server without a store starts from.
 var kvSpec = seqspec.KV{}
 
 // completion is one finished request on its way to a connection's writer:
@@ -177,22 +178,52 @@ type Server struct {
 	loopWG sync.WaitGroup // accept loop, stats server, appliers
 }
 
-// New builds the KV, replays the log store if a directory is configured,
-// and binds the listeners. The server does not accept connections until
+// New recovers the log store if a directory is configured, builds the KV
+// with each shard starting from its recovered state, binds the listeners
+// and launches the appliers. The server does not accept connections until
 // Start.
 //
-//wf:blocking opens the store, replays the log and seeds the pid pool channel
+//wf:blocking opens and recovers the store and seeds the pid pool channel
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	reg := wfstats.NewRegistry()
-	kv := waitfree.NewShardedKV(cfg.Shards, cfg.Procs+cfg.Shards,
-		func() waitfree.FetchAndCons { return waitfree.NewSwapFetchAndCons() },
-		waitfree.WithMetrics(reg))
+	seqs := make([]seqspec.Object, cfg.Shards)
+	for sh := range seqs {
+		seqs[sh] = kvSpec
+	}
+	var st *logstore.Store
+	var boots []shardBoot
+	if cfg.Dir != "" {
+		start := time.Now()
+		var err error
+		if st, err = logstore.Open(cfg.Dir); err != nil {
+			return nil, err
+		}
+		var snaps, replayed int
+		if boots, snaps, replayed, err = recoverShards(st, cfg.Shards); err != nil {
+			st.Close()
+			return nil, err
+		}
+		for sh, b := range boots {
+			seqs[sh] = seqspec.KVFrom(b.state)
+		}
+		boot := st.Stats()
+		cfg.Logf("server: recovered %s in %v: %d snapshots loaded, %d records replayed, %d torn bytes truncated, %d orphans removed",
+			cfg.Dir, time.Since(start).Round(time.Microsecond), snaps, replayed, boot.TornBytes, boot.Orphans)
+		reg.GaugeFunc("logstore.segments", func() int64 { return st.Stats().LogFiles })
+		reg.GaugeFunc("logstore.fsyncs", func() int64 { return st.Stats().Fsyncs })
+		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
+		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
+	}
+	kv := shard.New(seqs, cfg.Procs+cfg.Shards,
+		func() core.FetchAndCons { return core.NewSwapFAC() },
+		shard.Defaults(core.WithMetrics(reg))...)
 	kv.Instrument(reg)
 
 	s := &Server{
 		cfg:           cfg,
 		kv:            kv,
+		store:         st,
 		reg:           reg,
 		pool:          make(chan int, cfg.Procs),
 		connsTotal:    reg.Counter("server.conns_total"),
@@ -209,32 +240,10 @@ func New(cfg Config) (*Server, error) {
 		s.pool <- pid
 	}
 
-	if cfg.Dir != "" {
-		start := time.Now()
-		st, err := logstore.Open(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		s.store = st
-		snaps, replayed, err := s.startAppliers()
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		boot := st.Stats()
-		cfg.Logf("server: recovered %s in %v: %d snapshots loaded, %d records replayed, %d torn bytes truncated, %d orphans removed",
-			cfg.Dir, time.Since(start).Round(time.Microsecond), snaps, replayed, boot.TornBytes, boot.Orphans)
-		reg.GaugeFunc("logstore.segments", func() int64 { return st.Stats().LogFiles })
-		reg.GaugeFunc("logstore.fsyncs", func() int64 { return st.Stats().Fsyncs })
-		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
-		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
-	}
-
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		s.stopAppliers()
-		if s.store != nil {
-			s.store.Close()
+		if st != nil {
+			st.Close()
 		}
 		return nil, err
 	}
@@ -243,109 +252,96 @@ func New(cfg Config) (*Server, error) {
 		sln, err := net.Listen("tcp", cfg.StatsAddr)
 		if err != nil {
 			ln.Close()
-			s.stopAppliers()
-			if s.store != nil {
-				s.store.Close()
+			if st != nil {
+				st.Close()
 			}
 			return nil, err
 		}
 		s.statsLn = sln
 	}
-	return s, nil
-}
-
-// applierPid returns the pid reserved for shard sh's applier goroutine
-// (appliers occupy the pid range above the connection pool).
-func (s *Server) applierPid(sh int) int { return s.cfg.Procs + sh }
-
-// drainCap is the most requests an applier drains, and so the most
-// operations one shard.InvokeBatch call applies, at boot as in service.
-const drainCap = 64
-
-// startAppliers replays the store into the fresh KV and launches one
-// applier goroutine per shard. Replay order matches commit order: the
-// newest validated snapshot per shard first, then every durable log record
-// above it. Both go through each shard's batcher in runs of up to
-// drainCap operations, flushed when full, at the end of each snapshot and
-// after the log, so every shard applies its history in order with one
-// replay pass per run. Every key stored under shard sh must route to sh,
-// because the appliers snapshot each shard's own state (DESIGN.md §4), so
-// a store written with another shard count is refused. It returns how many
-// snapshots it loaded and records it replayed.
-//
-//wf:blocking replays the store and launches the blocking appliers
-func (s *Server) startAppliers() (snapsLoaded, replayed int, err error) {
-	nextSeq := make([]uint64, s.cfg.Shards)
-	for i := range nextSeq {
-		nextSeq[i] = 1
-	}
-	runs := make([][]seqspec.Op, s.cfg.Shards)
-	out := make([]int64, drainCap)
-	flush := func(sh int) {
-		s.kv.InvokeBatch(sh, s.applierPid(sh), runs[sh], out)
-		runs[sh] = runs[sh][:0]
-	}
-	add := func(sh int, op seqspec.Op) {
-		if runs[sh] = append(runs[sh], op); len(runs[sh]) == drainCap {
-			flush(sh)
-		}
-	}
-	snaps, err := s.store.Snapshots()
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, snap := range snaps {
-		sh := int(snap.Shard)
-		if sh >= s.cfg.Shards {
-			return 0, 0, fmt.Errorf("server: store has shard %d, server configured with %d shards", sh, s.cfg.Shards)
-		}
-		for k, v := range snap.State {
-			if err := s.checkRoute(sh, k); err != nil {
-				return 0, 0, err
-			}
-			add(sh, seqspec.Op{Kind: "put", Args: []int64{k, v}})
-		}
-		flush(sh)
-		nextSeq[sh] = snap.Seq + 1
-	}
-	sinceSnap := make([]int, s.cfg.Shards)
-	err = s.store.Replay(func(rec logstore.Record) error {
-		sh := int(rec.Shard)
-		if sh >= s.cfg.Shards {
-			return fmt.Errorf("server: record for shard %d, server configured with %d shards", sh, s.cfg.Shards)
-		}
-		if key, keyed := shard.KVRouter(rec.Op); keyed {
-			if err := s.checkRoute(sh, key); err != nil {
-				return err
-			}
-		}
-		add(sh, rec.Op)
-		nextSeq[sh] = rec.Seq + 1
-		sinceSnap[sh]++
-		replayed++
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for sh := range runs {
-		flush(sh)
-	}
-	s.appliers = make([]chan applyReq, s.cfg.Shards)
-	for sh := 0; sh < s.cfg.Shards; sh++ {
+	s.appliers = make([]chan applyReq, len(boots))
+	for sh, b := range boots {
 		ch := make(chan applyReq, 256)
 		s.appliers[sh] = ch
 		s.loopWG.Add(1)
 		//wf:owns ch stopAppliers closes every applier channel; the range drains and exits
-		go s.runApplier(sh, ch, nextSeq[sh], sinceSnap[sh])
+		go s.runApplier(sh, ch, b.nextSeq, b.sinceSnap)
 	}
-	return len(snaps), replayed, nil
+	return s, nil
+}
+
+// drainCap is the most requests one applier drain takes, and so the most
+// operations one shard.InvokeBatch call applies.
+const drainCap = 64
+
+// shardBoot is where one shard starts after recovery: its state, its next
+// record's sequence number and its records logged since its snapshot.
+type shardBoot struct {
+	state     seqspec.State
+	nextSeq   uint64
+	sinceSnap int
+}
+
+// recoverShards reads the store into one KV state per shard without the
+// universal construction (DESIGN.md §4): the newest snapshot in one edit
+// window (seqspec.KVOf), then the log records above it in one ApplyAll.
+// Every key stored under shard sh must route to sh, because the appliers
+// snapshot each shard's own state, so a store written with another shard
+// count is refused. It also counts the snapshots loaded and records replayed.
+//
+//wf:blocking reads the store's snapshots and segments
+func recoverShards(st *logstore.Store, shards int) (boots []shardBoot, snapsLoaded, replayed int, err error) {
+	boots = make([]shardBoot, shards)
+	for sh := range boots {
+		boots[sh] = shardBoot{state: kvSpec.Init(), nextSeq: 1}
+	}
+	snaps, err := st.Snapshots()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for _, snap := range snaps {
+		sh := int(snap.Shard)
+		if sh >= shards {
+			return nil, 0, 0, fmt.Errorf("server: store has shard %d, server configured with %d shards", sh, shards)
+		}
+		for k := range snap.State {
+			if err := checkRoute(sh, shards, k); err != nil {
+				return nil, 0, 0, err
+			}
+		}
+		boots[sh].state = seqspec.KVOf(snap.State)
+		boots[sh].nextSeq = snap.Seq + 1
+	}
+	tails := make([][]seqspec.Op, shards)
+	err = st.Replay(func(rec logstore.Record) error {
+		sh := int(rec.Shard)
+		if sh >= shards {
+			return fmt.Errorf("server: record for shard %d, server configured with %d shards", sh, shards)
+		}
+		if key, keyed := shard.KVRouter(rec.Op); keyed {
+			if err := checkRoute(sh, shards, key); err != nil {
+				return err
+			}
+		}
+		tails[sh] = append(tails[sh], rec.Op)
+		boots[sh].nextSeq = rec.Seq + 1
+		boots[sh].sinceSnap++
+		replayed++
+		return nil
+	})
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for sh, tail := range tails {
+		seqspec.ApplyAll(boots[sh].state, tail, make([]int64, len(tail)))
+	}
+	return boots, len(snaps), replayed, nil
 }
 
 // checkRoute refuses a key stored under shard sh that routes elsewhere.
-func (s *Server) checkRoute(sh int, key int64) error {
-	if to := s.kv.ShardOf(key); to != sh {
-		return fmt.Errorf("server: store shard %d holds key %d, which routes to shard %d of %d: the store was written with another shard count", sh, key, to, s.cfg.Shards)
+func checkRoute(sh, shards int, key int64) error {
+	if to := shard.KeyShard(key, shards); to != sh {
+		return fmt.Errorf("server: store shard %d holds key %d, which routes to shard %d of %d: the store was written with another shard count", sh, key, to, shards)
 	}
 	return nil
 }
@@ -363,13 +359,13 @@ func (s *Server) checkRoute(sh int, key int64) error {
 // that every marked ack below is dominated by the marked group commit.
 //
 // Every SnapshotEvery records it persists the shard's own state: as the
-// shard's only writer, between drains its decided list holds exactly the
-// records 1..seq-1.
+// shard's only writer, between drains its recovered initial state and its
+// decided list together hold exactly the records 1..seq-1.
 //
 //wf:blocking waits on the applier channel and the store's group commit
 func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int) {
 	defer s.loopWG.Done()
-	pid := s.applierPid(sh)
+	pid := s.cfg.Procs + sh // appliers lease the pids above the connection pool
 	batch := make([]applyReq, 0, drainCap)
 	recs := make([]logstore.Record, 0, drainCap)
 	runOps := make([]seqspec.Op, 0, drainCap)
@@ -470,9 +466,7 @@ func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int)
 
 func (s *Server) stopAppliers() {
 	for _, ch := range s.appliers {
-		if ch != nil {
-			close(ch)
-		}
+		close(ch)
 	}
 	s.appliers = nil
 }

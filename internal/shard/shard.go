@@ -1,6 +1,9 @@
-// Package shard is a sharded front end over the universal construction: a
-// router that hashes partition keys across S independent Universal
-// instances, each with its own fetch-and-cons.
+// Package shard is a sharded key-value front end over the universal
+// construction: KVRouter hashes each key to one of S independent Universal
+// instances over seqspec.KV, each with its own fetch-and-cons. The front end
+// is KV-only, because the KV is the one object the server and every
+// benchmark serve; a shard may start from a recovered state
+// (seqspec.KVFrom), which is how the server boots.
 //
 // The paper's construction serializes every operation through one shared
 // log, so throughput is bounded by one cons per operation no matter how
@@ -34,21 +37,16 @@ import (
 	"waitfree/internal/wfstats"
 )
 
-// Router classifies an operation for routing: keyed operations return their
-// partition key (the router hashes it to a shard), cross-shard operations
-// return keyed=false (the operation runs on every shard and the responses
-// are summed).
+// KVRouter routes the seqspec.KV operation set: put/get/del return their
+// key argument and keyed=true (the key hashes to one shard), len returns
+// keyed=false (the operation runs on every shard and the responses are
+// summed).
 //
-// Panic contract: a router must panic on an operation kind it does not
-// recognize rather than guess a route. Routing an unknown op to one shard
-// silently partitions state that the spec may treat as global; failing loudly
-// at the front door is the only safe default. KVRouter follows this contract
-// with the message "shard: kv: unknown op <kind>".
-type Router func(op seqspec.Op) (key int64, keyed bool)
-
-// KVRouter routes the seqspec.KV operation set: put/get/del by their key
-// argument, len across all shards.
-func KVRouter(op seqspec.Op) (int64, bool) {
+// Panic contract: KVRouter panics with "shard: kv: unknown op <kind>" on an
+// operation kind it does not recognize rather than guess a route. Routing an
+// unknown op to one shard silently partitions state that the spec may treat
+// as global; failing loudly at the front door is the only safe default.
+func KVRouter(op seqspec.Op) (key int64, keyed bool) {
 	switch op.Kind {
 	case "put", "get", "del":
 		return op.Arg(0), true
@@ -58,14 +56,10 @@ func KVRouter(op seqspec.Op) (int64, bool) {
 	panic("shard: kv: unknown op " + op.Kind)
 }
 
-// Sharded fans operations across independent Universal instances.
+// Sharded fans KV operations across independent Universal instances.
 type Sharded struct {
 	//wf:len S
 	shards []*core.Universal
-	// route classifies one operation: a hash and a branch, no iteration.
-	//
-	//wf:steps 1
-	route Router
 
 	// shardOps[i] counts operations routed to shard i; crossOps counts
 	// cross-shard fan-outs. Nil entries (the default) are the no-op mode.
@@ -75,19 +69,38 @@ type Sharded struct {
 	crossOps *wfstats.Counter
 }
 
-// New builds a sharded front end: shards independent Universal instances
-// over seq, each for procs processes and with its own fetch-and-cons from
-// mk. Options apply to every shard.
-func New(seq seqspec.Object, route Router, shards, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
-	if shards < 1 {
+// New builds a sharded KV front end: shard i is a Universal instance over
+// seqs[i] (a seqspec.KV, maybe seeded by seqspec.KVFrom) for procs
+// processes, with its own fetch-and-cons from mk. Options apply to every
+// shard; the shards share one metrics registry, a private one unless opts
+// carry core.WithMetrics, so the aggregate accessors read it once.
+func New(seqs []seqspec.Object, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
+	if len(seqs) < 1 {
 		panic("shard: need at least one shard")
 	}
-	s := &Sharded{shards: make([]*core.Universal, shards), route: route,
-		shardOps: make([]*wfstats.Counter, shards)}
-	for i := range s.shards {
+	opts = append([]core.Option{core.WithMetrics(wfstats.NewRegistry())}, opts...)
+	s := &Sharded{shards: make([]*core.Universal, len(seqs)),
+		shardOps: make([]*wfstats.Counter, len(seqs))}
+	for i, seq := range seqs {
 		s.shards[i] = core.NewUniversal(seq, mk(), procs, opts...)
 	}
 	return s
+}
+
+// NewKV builds a sharded key-value map over shards empty seqspec.KV shards;
+// like New, it panics when shards < 1.
+func NewKV(shards, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
+	seqs := make([]seqspec.Object, max(shards, 0))
+	for i := range seqs {
+		seqs[i] = seqspec.KV{}
+	}
+	return New(seqs, procs, mk, opts...)
+}
+
+// Defaults returns the options of waitfree.NewShardedKV and the server:
+// batching and log GC at core.DefaultGCEvery, then opts, which may override.
+func Defaults(opts ...core.Option) []core.Option {
+	return append([]core.Option{core.WithBatching(), core.WithLogGC(core.DefaultGCEvery)}, opts...)
 }
 
 // Instrument records the front end's routing metrics into reg: shard.ops.<i>
@@ -95,9 +108,9 @@ func New(seq seqspec.Object, route Router, shards, procs int, mk func() core.Fet
 // shard.imbalance_pct, a derived gauge computed at snapshot time as the most
 // loaded shard's share of the mean, in percent (100 = perfectly balanced).
 // Call before the front end is used concurrently; nil reg leaves the no-op
-// mode in place. The shards' own universal.* metrics stay in their private
-// registries — pass core.WithMetrics(reg) among New's options to aggregate
-// those into reg as well.
+// mode in place. The shards' own universal.* metrics stay in their shared
+// private registry — pass core.WithMetrics(reg) among New's options to
+// record those into reg as well.
 func (s *Sharded) Instrument(reg *wfstats.Registry) {
 	if reg == nil {
 		return
@@ -130,17 +143,12 @@ func (s *Sharded) Instrument(reg *wfstats.Registry) {
 	})
 }
 
-// NewKV builds a sharded key-value map (seqspec.KV semantics per key).
-func NewKV(shards, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
-	return New(seqspec.KV{}, KVRouter, shards, procs, mk, opts...)
-}
-
 // Invoke executes op on behalf of process pid: on the key's shard for keyed
 // operations, summed across every shard otherwise. The per-pid sequential
 // contract of Universal.Invoke applies across the whole front end.
 func (s *Sharded) Invoke(pid int, op seqspec.Op) int64 {
-	if key, keyed := s.route(op); keyed {
-		i := s.shardOf(key)
+	if key, keyed := KVRouter(op); keyed {
+		i := s.ShardOf(key)
 		s.shardOps[i].Inc()
 		return s.shards[i].Invoke(pid, op)
 	}
@@ -153,9 +161,10 @@ func (s *Sharded) Invoke(pid int, op seqspec.Op) int64 {
 }
 
 // InvokeBatch executes ops — every one already routed to shard sh by the
-// caller (the server's per-shard applier partitions work with ShardOf) —
-// as one announced wave on that shard: one replay pass settles the whole
-// batch, one snapshot covers it (see core.Universal.InvokeBatch).
+// caller (its one production caller, the server's per-shard applier,
+// partitions work with ShardOf) — as one announced wave on that shard: one
+// replay pass settles the whole batch, one snapshot covers it (see
+// core.Universal.InvokeBatch).
 // Responses land in out[i]. The per-pid sequential contract applies; the
 // caller is responsible for sh being each op's ShardOf route — this method
 // deliberately skips per-op routing, which is the point of batching.
@@ -179,7 +188,7 @@ func (s *Sharded) Detach(pid int) {
 // ShardOf reports which shard a partition key routes to — the same hash
 // Invoke uses. Exported for front ends that partition work per shard (the
 // server's persistence appliers) and for tests.
-func (s *Sharded) ShardOf(key int64) int { return s.shardOf(key) }
+func (s *Sharded) ShardOf(key int64) int { return KeyShard(key, len(s.shards)) }
 
 // Handle returns pid's front end bound to the whole sharded object.
 func (s *Sharded) Handle(pid int) *Handle { return &Handle{s: s, pid: pid} }
@@ -203,42 +212,19 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Shard exposes shard i for tests, inspection and the server's snapshots.
 func (s *Sharded) Shard(i int) *core.Universal { return s.shards[i] }
 
-// FastReads sums the read-fast-path counters across shards.
-func (s *Sharded) FastReads() int64 {
-	var total int64
-	for _, u := range s.shards {
-		total += u.FastReads()
-	}
-	return total
-}
+// FastReads reports the read-fast-path operations across shards. It and
+// Helped, BatchStats and ReplayStats read the registry the shards share
+// (see New) once, through shard 0.
+func (s *Sharded) FastReads() int64 { return s.shards[0].FastReads() }
 
-// Helped sums the helped-write counters across shards: batched write
-// operations that returned a response published by a concurrent executor
-// (see core.WithBatching). Zero when batching is off.
-func (s *Sharded) Helped() int64 {
-	var total int64
-	for _, u := range s.shards {
-		total += u.Helped()
-	}
-	return total
-}
+// Helped reports the batched writes across shards that returned a response
+// published by a concurrent executor (see core.WithBatching).
+func (s *Sharded) Helped() int64 { return s.shards[0].Helped() }
 
-// BatchStats aggregates batch-execution statistics across shards: total
-// executor passes, weighted mean batch size, and the largest per-shard max.
+// BatchStats reports batch-execution statistics across shards: executor
+// passes, mean batch size and max batch size.
 func (s *Sharded) BatchStats() (batches int64, mean float64, max int64) {
-	var settled float64
-	for _, u := range s.shards {
-		b, m, mx := u.BatchStats()
-		batches += b
-		settled += m * float64(b)
-		if mx > max {
-			max = mx
-		}
-	}
-	if batches > 0 {
-		mean = settled / float64(batches)
-	}
-	return batches, mean, max
+	return s.shards[0].BatchStats()
 }
 
 // Retired sums the log-GC retirement counts across shards: how many decided
@@ -264,29 +250,17 @@ func (s *Sharded) Anchors() []int64 {
 	return marks
 }
 
-// ReplayStats aggregates replay statistics across shards: total replays,
-// weighted mean replay length, and the largest per-shard max.
+// ReplayStats reports replay statistics across shards: replays, mean
+// replay length and max replay length.
 func (s *Sharded) ReplayStats() (ops int64, mean float64, max int64) {
-	var cells float64
-	for _, u := range s.shards {
-		o, m, mx := u.ReplayStats()
-		ops += o
-		cells += m * float64(o)
-		if mx > max {
-			max = mx
-		}
-	}
-	if ops > 0 {
-		mean = cells / float64(ops)
-	}
-	return ops, mean, max
+	return s.shards[0].ReplayStats()
 }
 
-// shardOf hashes a partition key to a shard index. Keys are arbitrary
-// int64s (often small and sequential), so a finalizing mixer spreads them
-// before the modulus.
-func (s *Sharded) shardOf(key int64) int {
-	return int(mix64(uint64(key)) % uint64(len(s.shards)))
+// KeyShard hashes a partition key to one of shards shards (boot recovery
+// routes keys before the front end exists). Keys are arbitrary int64s, often
+// small and sequential, so a finalizing mixer spreads them before the modulus.
+func KeyShard(key int64, shards int) int {
+	return int(mix64(uint64(key)) % uint64(shards))
 }
 
 // mix64 is the splitmix64 finalizer.

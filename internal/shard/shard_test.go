@@ -49,8 +49,8 @@ func TestShardedKVRoutingStable(t *testing.T) {
 	s := NewKV(4, 1, mkSwap)
 	hit := make(map[int]int)
 	for k := int64(0); k < 64; k++ {
-		i := s.shardOf(k)
-		if j := s.shardOf(k); j != i {
+		i := s.ShardOf(k)
+		if j := s.ShardOf(k); j != i {
 			t.Fatalf("key %d routed to %d then %d", k, i, j)
 		}
 		hit[i]++
@@ -78,7 +78,7 @@ func TestShardedKVPerKeyLinearizable(t *testing.T) {
 			// linearizable object's.
 			var keys []int64
 			for k := int64(0); len(keys) < 3; k++ {
-				if s.shardOf(k) == 0 {
+				if s.ShardOf(k) == 0 {
 					keys = append(keys, k)
 				}
 			}
@@ -163,7 +163,42 @@ func TestShardedFastReads(t *testing.T) {
 	}
 }
 
-// TestKVRouterUnknownOpPanics pins the Router panic contract: an op kind
+// TestShardedStatsSharedRegistry: shards that record into one registry,
+// the server's setup, report each operation once. Summing every shard's
+// view of the shared aggregate counted each S times. WithMetrics(nil)
+// still selects the no-op mode.
+func TestShardedStatsSharedRegistry(t *testing.T) {
+	const shards, keys = 4, 10
+	s := NewKV(shards, 1, mkSwap, core.WithMetrics(wfstats.NewRegistry()), core.WithBatching())
+	for k := int64(0); k < keys; k++ {
+		s.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
+	}
+	for k := int64(0); k < keys; k++ {
+		s.Invoke(0, seqspec.Op{Kind: "get", Args: []int64{k}})
+	}
+	if got := s.FastReads(); got != keys {
+		t.Errorf("FastReads = %d, want %d", got, keys)
+	}
+	if batches, mean, _ := s.BatchStats(); batches != keys || mean != 1 {
+		t.Errorf("BatchStats = (%d, %v), want (%d, 1)", batches, mean, keys)
+	}
+	if got := s.Helped(); got != 0 {
+		t.Errorf("Helped = %d, want 0 with one writer", got)
+	}
+	// Every put replays once; every get reads its shard's settled head
+	// from the head's snapshot and replays nothing.
+	if ops, _, _ := s.ReplayStats(); ops != keys {
+		t.Errorf("ReplayStats ops = %d, want %d", ops, keys)
+	}
+	off := NewKV(shards, 1, mkSwap, core.WithMetrics(nil))
+	off.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{1, 1}})
+	off.Invoke(0, seqspec.Op{Kind: "get", Args: []int64{1}})
+	if got, _, _ := off.ReplayStats(); got != 0 || off.FastReads() != 0 {
+		t.Errorf("no-op mode: ReplayStats ops %d, FastReads %d, want 0 and 0", got, off.FastReads())
+	}
+}
+
+// TestKVRouterUnknownOpPanics pins KVRouter's panic contract: an op kind
 // the router does not recognize must fail loudly at the front door, with
 // this exact message, rather than be guessed onto some shard.
 func TestKVRouterUnknownOpPanics(t *testing.T) {

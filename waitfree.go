@@ -221,6 +221,5 @@ type Sharded = shard.Sharded
 // GC (WithLogGC), keeping each shard's log memory bounded; disable either
 // with WithoutBatching / WithoutLogGC.
 func NewShardedKV(shards, procs int, mk func() FetchAndCons, opts ...Option) *Sharded {
-	withDefaults := append([]Option{WithBatching(), WithLogGC(core.DefaultGCEvery)}, opts...)
-	return shard.NewKV(shards, procs, mk, withDefaults...)
+	return shard.NewKV(shards, procs, mk, shard.Defaults(opts...)...)
 }
