@@ -73,35 +73,30 @@ func serverCycle(t *testing.T, dir string) {
 	s.Close()
 }
 
-// TestServerGoroutineHygiene pins the //wf:owns contract dynamically: after
-// a full start/serve/shutdown cycle every spawned goroutine — accept loop,
-// stats server, per-shard appliers, per-connection handlers — has reached
-// its declared shutdown mechanism and exited, returning the process to its
-// goroutine baseline.
-func TestServerGoroutineHygiene(t *testing.T) {
-	// A throwaway warm-up cycle absorbs goroutines the runtime and net/http
-	// start lazily and never retire (DNS resolver, http server bookkeeping).
-	serverCycle(t, t.TempDir())
-
-	// The warm-up's own goroutines may still be draining; settle first.
+// settledGoroutines waits (up to 5 s) for the goroutine count to stop
+// falling and returns it: the baseline a later waitGoroutines compares to.
+func settledGoroutines() int {
 	deadline := time.Now().Add(5 * time.Second)
 	baseline := runtime.NumGoroutine()
 	for time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 		n := runtime.NumGoroutine()
-		if n <= baseline {
-			baseline = n
-			break
+		if n >= baseline {
+			return n
 		}
 		baseline = n
-		time.Sleep(10 * time.Millisecond)
 	}
+	return baseline
+}
 
-	serverCycle(t, t.TempDir())
-
+// waitGoroutines fails the test unless the goroutine count returns to
+// baseline within 5 s, dumping every stack if it does not.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
 	var n int
 	for time.Now().Before(deadline) {
-		n = runtime.NumGoroutine()
-		if n <= baseline {
+		if n = runtime.NumGoroutine(); n <= baseline {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -111,33 +106,25 @@ func TestServerGoroutineHygiene(t *testing.T) {
 	t.Fatalf("goroutines did not return to baseline: %d > %d\n%s", n, baseline, buf)
 }
 
+// TestServerGoroutineHygiene pins the //wf:owns contract dynamically: after
+// a full start/serve/shutdown cycle every spawned goroutine — accept loop,
+// stats server, per-shard appliers, per-connection handlers — has reached
+// its declared shutdown mechanism and exited, returning the process to its
+// goroutine baseline.
+func TestServerGoroutineHygiene(t *testing.T) {
+	// A throwaway warm-up cycle absorbs goroutines the runtime and net/http
+	// start lazily and never retire (DNS resolver, http server bookkeeping).
+	serverCycle(t, t.TempDir())
+	baseline := settledGoroutines()
+	serverCycle(t, t.TempDir())
+	waitGoroutines(t, baseline)
+}
+
 // TestServerGoroutineHygieneInMemory is the same pin for the no-persistence
 // configuration (no appliers, no store flusher).
 func TestServerGoroutineHygieneInMemory(t *testing.T) {
 	serverCycle(t, "")
-	deadline := time.Now().Add(5 * time.Second)
-	baseline := runtime.NumGoroutine()
-	for time.Now().Before(deadline) {
-		n := runtime.NumGoroutine()
-		if n <= baseline {
-			baseline = n
-			break
-		}
-		baseline = n
-		time.Sleep(10 * time.Millisecond)
-	}
-
+	baseline := settledGoroutines()
 	serverCycle(t, "")
-
-	var n int
-	for time.Now().Before(deadline) {
-		n = runtime.NumGoroutine()
-		if n <= baseline {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	t.Fatalf("goroutines did not return to baseline: %d > %d\n%s", n, baseline, buf)
+	waitGoroutines(t, baseline)
 }

@@ -12,14 +12,15 @@
 // the low-water mark forever and the decided logs grew without bound under
 // connection churn).
 //
-// Each connection is pipelined: a reader goroutine decodes a stream of
-// frames (many per read syscall, through wire.Decoder), and a writer
-// goroutine coalesces every ready response into one buffered socket write
-// per wakeup. Requests carry ids and may complete out of order — a read
-// answered inline from the wait-free fast path overtakes an earlier write
-// still waiting on its fsync — and the client reassembles by id. A window
-// of slot tokens (Config.Window) bounds the per-connection outstanding
-// requests, which is what makes every internal channel send non-blocking
+// Each connection is pipelined. A reader goroutine decodes a stream of
+// frames (many per read syscall, through wire.Decoder) and writes the
+// replies it completes itself — inline reads, in-memory writes, refusals —
+// in one socket write each time the decoder runs dry; a writer goroutine
+// coalesces the shard appliers' completions the same way. Requests carry
+// ids and may complete out of order (a read answered inline overtakes an
+// earlier write still waiting on its fsync); the client reassembles by id.
+// Slot tokens (Config.Window) bound the requests routed to appliers and
+// not yet flushed, which makes every applier-to-writer send non-blocking
 // and the shutdown hand-off (reclaim every slot, then close the completion
 // channel) race-free.
 //
@@ -54,6 +55,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +74,7 @@ type Config struct {
 	StatsAddr     string                           // HTTP stats address; "" disables the stats server
 	Shards        int                              // KV shard count (default 8)
 	Procs         int                              // connection pid pool size (default 64)
-	Window        int                              // max in-flight requests per connection (default 256)
+	Window        int                              // max requests routed to appliers and not yet flushed, per connection (default 256)
 	Dir           string                           // log store directory; "" runs without persistence
 	SnapshotEvery int                              // records per shard between snapshots (default 4096)
 	Logf          func(format string, args ...any) // nil silences logging
@@ -101,28 +103,28 @@ func (c *Config) fill() {
 // shard a server without a store starts from.
 var kvSpec = seqspec.KV{}
 
-// completion is one finished request on its way to a connection's writer:
-// err != "" acks as a wire error frame, and fatal tells the writer to
-// close the connection after the flush that carries it (the stream past a
-// malformed request or a failed persist is not trustworthy).
+// completion is one request an applier finished, on its way to the
+// connection's writer. err != "" is a failed persist: an error frame, after
+// which the writer hangs up (the stream past it is not trustworthy).
 type completion struct {
-	id    uint64
-	v     int64
-	err   string
-	fatal bool
+	id  uint64
+	v   int64
+	err string
 }
 
 // connState is the per-connection plumbing shared by the reader goroutine,
 // the writer goroutine and the shard appliers a request may pass through.
 type connState struct {
-	c net.Conn
-	// ch carries completions to the writer. Capacity Window and the slot
-	// tokens below make every send non-blocking: a request holds a slot
-	// from decode to flush, so at most Window completions are ever in
-	// flight, and the channel can absorb all of them.
+	c    net.Conn
+	mu   sync.Mutex // serialises the reader's and the writer's socket writes
+	out  *[]byte    // replies the reader completed and has not flushed (reader-only)
+	outN int        // frames in out
+	// ch carries applier completions to the writer. Capacity Window and
+	// the slot tokens below make every send non-blocking: a routed request
+	// holds a slot from admission to the flush that carries its reply.
 	ch chan completion
-	// slots is the window: the reader acquires one token per request, the
-	// writer releases one per flushed response. Reclaiming all Window
+	// slots is the window: the reader takes a token per routed request,
+	// the writer returns one per flushed completion. Reclaiming all Window
 	// tokens is the reader's proof that nothing references ch any more.
 	slots chan struct{}
 	// outW[sh] counts this connection's writes handed to shard sh's
@@ -170,7 +172,7 @@ type Server struct {
 	leaseMiss     *wfstats.Counter
 	recsLogged    *wfstats.Counter
 	snapsTaken    *wfstats.Counter
-	writerFlushes *wfstats.Counter // coalesced socket writes
+	writerFlushes *wfstats.Counter // coalesced socket writes, by the reader and the writer
 	writerFrames  *wfstats.Counter // response frames carried by those writes
 
 	closed atomic.Bool
@@ -411,7 +413,7 @@ func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int)
 					it.w.outW[sh].Add(-1)
 					it.w.outWT.Add(-1)
 				}
-				it.w.ch <- completion{id: it.id, err: "persist: " + err.Error(), fatal: true} //wf:ack the failure is client-visible too
+				it.w.ch <- completion{id: it.id, err: "persist: " + err.Error()} //wf:ack the failure is client-visible too
 			}
 			continue
 		}
@@ -471,7 +473,8 @@ func (s *Server) stopAppliers() {
 	s.appliers = nil
 }
 
-// Start begins accepting connections (and serving stats, if configured).
+// Start begins accepting connections (and serving stats and profiles, if
+// configured).
 // It returns immediately; use Close to stop.
 //
 //wf:blocking launches the blocking accept and stats loops
@@ -492,6 +495,12 @@ func (s *Server) Start() {
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			json.NewEncoder(w).Encode(map[string]any{"ok": true, "conns": s.connsActive.Load()})
 		})
+		// Profiles on this mux only (the server never serves DefaultServeMux).
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		srv := &http.Server{Handler: mux}
 		s.loopWG.Add(1)
 		//wf:owns s.statsLn Close closes the stats listener; Serve returns
@@ -532,7 +541,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		s.connWG.Add(1)
-		//wf:owns c closing the connection (client side or a fatal completion in connWriter) ends the Decoder's read
+		//wf:owns c closing the connection (the client, a failed write, or the hangup after a malformed frame or failed persist) ends the Decoder's read
 		go s.serveConn(c)
 	}
 }
@@ -542,14 +551,14 @@ func (s *Server) acceptLoop() {
 const errNoFreePid = "no free pid: connection pool exhausted"
 
 // serveConn runs a connection's lifetime: lease a pid, start the writer,
-// run the read loop, then hand the window back. The shutdown edge is the
-// slot reclaim: once the reader re-acquires every one of the Window slot
-// tokens, every request this connection ever admitted has been flushed
-// (or dropped by a failed writer) and released — no applier holds a
+// run the read loop (which flushes the reader's own replies on exit), then
+// hand the window back. The shutdown edge is the slot reclaim: once the
+// reader re-acquires all Window slot tokens, every request it routed has
+// been flushed (or dropped by a failed writer) — no applier holds a
 // reference to the connection any more — so closing the completion
 // channel is safe and the writer's range drains out.
 //
-//wf:blocking socket reads, pid-pool handoff and the window reclaim
+//wf:blocking socket reads and writes, pid-pool handoff and the window reclaim
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWG.Done()
 	defer c.Close()
@@ -575,10 +584,12 @@ func (s *Server) serveConn(c net.Conn) {
 
 	w := &connState{
 		c:     c,
+		out:   wire.GetBuf(),
 		ch:    make(chan completion, s.cfg.Window),
 		slots: make(chan struct{}, s.cfg.Window),
 		outW:  make([]atomic.Int64, s.cfg.Shards),
 	}
+	defer wire.PutBuf(w.out)
 	for i := 0; i < s.cfg.Window; i++ {
 		w.slots <- struct{}{}
 	}
@@ -586,22 +597,27 @@ func (s *Server) serveConn(c net.Conn) {
 	//wf:owns w.ch the reader reclaims every window slot (so nothing is in flight) and closes the completion channel; the writer's range drains and exits
 	go s.connWriter(w)
 
-	s.readLoop(pid, w)
+	bad := s.readLoop(pid, w)
 
 	for i := 0; i < s.cfg.Window; i++ {
 		<-w.slots
 	}
+	if bad != nil { // every earlier reply is out: the error frame goes last
+		s.write(w, bad, 1, true)
+	}
 	close(w.ch)
 }
 
-// readLoop is a connection's reader half: it decodes the pipelined request
-// stream and dispatches each request — refusals and in-memory operations
-// complete right here, reads go through serveRead's fast path, and durable
-// writes are handed to their shard's applier, to complete from there. One
-// slot token is held per request from decode to flush.
+// readLoop is a connection's reader half. Refusals, in-memory operations
+// and inline reads complete right here, into w.out, which it flushes when
+// the decoder runs dry, when it reaches maxCoalesce, before any step that
+// blocks, and on exit; durable writes and routed reads go to their shard's
+// applier and complete through the writer. A malformed request ends the
+// loop, which returns its error frame for serveConn to send last.
 //
-//wf:blocking socket reads, window acquisition and the applier hand-off
-func (s *Server) readLoop(pid int, w *connState) {
+//wf:blocking socket reads and writes, window acquisition and the applier hand-off
+func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
+	defer s.flush(w)
 	dec := wire.NewDecoder(w.c)
 	// Every request decodes its arguments into args: an in-memory write or
 	// an inline read is done with them when Invoke returns (the log entry
@@ -609,18 +625,18 @@ func (s *Server) readLoop(pid int, w *connState) {
 	// applyReq.
 	var args [3]int64
 	for {
+		if dec.Buffered() == 0 && !s.flush(w) {
+			return nil // a failed write closed the connection
+		}
 		payload, err := dec.Next()
 		if err != nil {
-			return // clean EOF, torn frame or oversize — all end the conn
+			return nil // clean EOF, torn frame or oversize — all end the conn
 		}
-		<-w.slots
 		id, op, err := wire.DecodeRequestInto(payload, args[:0])
 		if err != nil {
-			// The stream itself is untrustworthy past a malformed
-			// request; answer once and have the writer hang up.
+			// The stream is untrustworthy past here: answer, hang up.
 			s.opsRefused.Inc()
-			w.ch <- completion{id: id, err: "malformed request: " + err.Error(), fatal: true}
-			return
+			return wire.AppendErrorFrame(nil, id, "malformed request: "+err.Error())
 		}
 		//wf:persist a durable write group-commits in runApplier before its completion is built; reads, refusals and in-memory operations have nothing to persist
 		if reason := validateOp(op); reason != "" {
@@ -629,22 +645,25 @@ func (s *Server) readLoop(pid int, w *connState) {
 			// (KVRouter panics on unknown kinds — a hostile peer must
 			// not reach it.)
 			s.opsRefused.Inc()
-			w.ch <- completion{id: id, err: reason}
-			continue
-		}
-		s.opsServed.Inc()
-		if kvSpec.ReadOnly(op) {
-			s.serveRead(pid, w, id, op)
-			continue
-		}
-		if s.store != nil {
+			*w.out = wire.AppendErrorFrame(*w.out, id, reason)
+		} else if s.opsServed.Inc(); kvSpec.ReadOnly(op) {
+			v, inline := s.serveRead(pid, w, id, op)
+			if !inline {
+				continue
+			}
+			*w.out = wire.AppendResponseFrame(*w.out, id, v)
+		} else if s.store != nil {
 			sh := s.kv.ShardOf(op.Arg(0))
 			w.outW[sh].Add(1)
 			w.outWT.Add(1)
-			s.appliers[sh] <- routed(op, id, w, false)
+			s.route(w, sh, op, id, false)
 			continue
+		} else {
+			*w.out = wire.AppendResponseFrame(*w.out, id, s.kv.Invoke(pid, op)) //wf:ack in-memory mode: applied and client-visible with nothing to persist
 		}
-		w.ch <- completion{id: id, v: s.kv.Invoke(pid, op)} //wf:ack in-memory mode: applied and client-visible with nothing to persist
+		if w.outN++; len(*w.out) >= maxCoalesce && !s.flush(w) {
+			return nil
+		}
 	}
 }
 
@@ -653,35 +672,47 @@ func (s *Server) readLoop(pid int, w *connState) {
 // writes: a get on a shard where this connection still has writes queued
 // (and a len while any shard is dirty) must not be answered from
 // pre-write state, so it is routed through — or barriered behind — the
-// applier FIFO. Otherwise the read completes inline from the wait-free
-// read fast path without touching an applier. Nothing is persisted on
-// either path.
+// applier FIFO, and serveRead returns false. Otherwise it returns the
+// value from the wait-free read fast path and true. Nothing is persisted
+// on either path.
 //
 //wf:blocking a routed read or barrier queues behind the applier FIFO
-func (s *Server) serveRead(pid int, w *connState, id uint64, op seqspec.Op) {
-	if op.Kind == "get" {
-		sh := s.kv.ShardOf(op.Arg(0))
-		if s.store != nil && w.outW[sh].Load() > 0 {
-			s.appliers[sh] <- routed(op, id, w, true)
-			return
+func (s *Server) serveRead(pid int, w *connState, id uint64, op seqspec.Op) (int64, bool) {
+	if s.store != nil && op.Kind == "get" {
+		if sh := s.kv.ShardOf(op.Arg(0)); w.outW[sh].Load() > 0 {
+			s.route(w, sh, op, id, true)
+			return 0, false
 		}
-		w.ch <- completion{id: id, v: s.kv.Invoke(pid, op)}
-		return
-	}
-	// len is a cross-shard sum; barrier every shard this connection has
-	// dirtied before reading.
-	if s.store != nil && w.outWT.Load() > 0 {
+	} else if s.store != nil && w.outWT.Load() > 0 {
+		// len is a cross-shard sum; barrier every shard this connection
+		// has dirtied before reading.
+		s.flush(w)
 		s.awaitApplied(w)
 	}
-	w.ch <- completion{id: id, v: s.kv.Invoke(pid, op)}
+	return s.kv.Invoke(pid, op), true
 }
 
-// routed builds the applyReq that carries op to its shard's applier, its
-// argument words copied by value out of the reader's decode buffer.
-func routed(op seqspec.Op, id uint64, w *connState, read bool) applyReq {
+// route admits op to the window and hands it to shard sh's applier, its
+// argument words copied by value out of the reader's decode buffer. A step
+// that would block flushes the reader's replies first, so none of them
+// waits behind another request's fsync.
+//
+//wf:blocking window acquisition and the applier channel send
+func (s *Server) route(w *connState, sh int, op seqspec.Op, id uint64, read bool) {
 	r := applyReq{op: seqspec.Op{Kind: op.Kind}, id: id, w: w, read: read}
 	r.argc = uint8(copy(r.args[:], op.Args))
-	return r
+	select {
+	case <-w.slots:
+	default:
+		s.flush(w)
+		<-w.slots
+	}
+	select {
+	case s.appliers[sh] <- r:
+	default:
+		s.flush(w)
+		s.appliers[sh] <- r
+	}
 }
 
 // awaitApplied blocks until every write this connection has routed to an
@@ -704,19 +735,47 @@ func (s *Server) awaitApplied(w *connState) {
 	}
 }
 
-// maxCoalesce bounds the bytes one writer wakeup packs into a single
-// socket write; past this the writer flushes and comes back for the rest.
+// maxCoalesce bounds the bytes one coalesced socket write carries.
 const maxCoalesce = 64 << 10
 
-// connWriter is a connection's writer half and the connection's only
-// socket writer: it waits for a completion, then drains every other
-// completion already ready (up to maxCoalesce bytes) into one pooled
-// buffer and pushes the whole coalesced batch onto the socket with a
-// single write syscall. Slot tokens are released only after the flush
-// that carried their responses — release is what lets the reader admit
-// the next request, and at shutdown, what proves the window is quiet. A
-// failed or fatal connection keeps draining and releasing so shutdown
-// never deadlocks; the bytes just stop going out.
+// flush writes the reader's pending replies in one socket write; false
+// means the connection is gone.
+//
+//wf:blocking the socket write
+func (s *Server) flush(w *connState) bool {
+	if w.outN == 0 {
+		return true
+	}
+	err := s.write(w, *w.out, w.outN, false)
+	*w.out, w.outN = (*w.out)[:0], 0
+	return err == nil
+}
+
+// write is the socket write both halves of a connection share: n frames in
+// b, under the connection's mutex. A failed write, or a hangup, closes the
+// connection before the mutex is released, so nothing follows it.
+//
+//wf:blocking the connection mutex and the socket write: the kernel can stall on a slow peer's window
+func (s *Server) write(w *connState, b []byte, n int, hangup bool) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, err := w.c.Write(b)
+	if err == nil {
+		s.writerFlushes.Inc()
+		s.writerFrames.Add(int64(n))
+	}
+	if err != nil || hangup {
+		w.c.Close()
+	}
+	return err
+}
+
+// connWriter is a connection's writer half: it waits for an applier
+// completion, coalesces every other one already ready (up to maxCoalesce
+// bytes) into one pooled buffer and writes it in one syscall. Slot tokens
+// go back only after that write: that lets the reader route the next
+// request, and at shutdown proves the window quiet. A failed connection
+// keeps draining and releasing, so shutdown never deadlocks.
 //
 //wf:blocking waits on the completion channel and the socket write
 func (s *Server) connWriter(w *connState) {
@@ -725,38 +784,19 @@ func (s *Server) connWriter(w *connState) {
 	defer wire.PutBuf(buf)
 	failed := false
 	for c := range w.ch {
-		n := 1
 		*buf = appendCompletion((*buf)[:0], c)
-		fatal := c.fatal
-	coalesce:
-		for len(*buf) < maxCoalesce {
-			select {
-			case more, ok := <-w.ch:
-				if !ok {
-					break coalesce
-				}
-				*buf = appendCompletion(*buf, more)
-				n++
-				fatal = fatal || more.fatal
-			default:
-				break coalesce
-			}
+		n, fatal := 1, c.err != ""
+		// The writer is ch's only receiver, so a non-empty ch never blocks.
+		for ; len(*buf) < maxCoalesce && len(w.ch) > 0; n++ {
+			c = <-w.ch
+			*buf = appendCompletion(*buf, c)
+			fatal = fatal || c.err != ""
 		}
 		if !failed {
-			if _, err := w.c.Write(*buf); err != nil {
-				failed = true
-				w.c.Close()
-			} else {
-				s.writerFlushes.Inc()
-				s.writerFrames.Add(int64(n))
-			}
+			failed = s.write(w, *buf, n, fatal) != nil || fatal
 		}
 		for i := 0; i < n; i++ {
 			w.slots <- struct{}{}
-		}
-		if fatal && !failed {
-			failed = true
-			w.c.Close()
 		}
 	}
 }

@@ -546,7 +546,7 @@ func TestServerLeaseChurnGC(t *testing.T) {
 }
 
 // TestServerStatsEndpoint: the HTTP side serves JSON with the server and
-// shard metrics in it.
+// shard metrics in it, and the runtime profiles under /debug/pprof/.
 func TestServerStatsEndpoint(t *testing.T) {
 	s := startServer(t, Config{Shards: 2, Procs: 4, StatsAddr: "127.0.0.1:0"})
 	cl, err := Dial(s.Addr().String())
@@ -579,5 +579,17 @@ func TestServerStatsEndpoint(t *testing.T) {
 	body := string(buf[:n])
 	if !strings.Contains(body, "200 OK") || !strings.Contains(body, "server.ops") {
 		t.Fatalf("stats response missing expected content:\n%s", body)
+	}
+
+	// Profiles are served from the same listener.
+	pc, err := net.Dial("tcp", s.StatsAddr().String())
+	if err != nil {
+		t.Fatalf("dial stats: %v", err)
+	}
+	defer pc.Close()
+	fmt.Fprintf(pc, "GET /debug/pprof/goroutine?debug=1 HTTP/1.0\r\n\r\n")
+	prof, err := io.ReadAll(pc)
+	if err != nil || !strings.Contains(string(prof), "200 OK") || !strings.Contains(string(prof), "goroutine") {
+		t.Fatalf("GET /debug/pprof/goroutine?debug=1: %v\n%.500s", err, prof)
 	}
 }
