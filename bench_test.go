@@ -480,12 +480,11 @@ func benchParallelPids(b *testing.B, n int, fn func(pid, i int)) {
 	})
 }
 
-// BenchmarkUniversalContended is the batching acceptance benchmark: the pure
-// write path under real parallelism (run with -cpu 1,4,8), batched against
-// unbatched. At -cpu 1 the two must be within noise of each other (the
-// inflight probe keeps the help window off the uncontended path); at -cpu 8
-// on the kv spec batched must be >= 2x unbatched ops/sec — one executor
-// replay and one snapshot clone amortized across the batch.
+// BenchmarkUniversalContended is the pure write path under real
+// parallelism (run with -cpu 1,4,8): every Invoke is one cons plus one
+// replay. Its batched rows, which priced announce-and-help against this
+// path, were retired with the mechanism (EXPERIMENTS.md E31); the row names
+// stay for comparison with older runs.
 func BenchmarkUniversalContended(b *testing.B) {
 	const n = 8
 	const chunk = 200_000
@@ -493,16 +492,14 @@ func BenchmarkUniversalContended(b *testing.B) {
 		name string
 		opts []core.Option
 	}{
-		{name: "batched", opts: []core.Option{core.WithBatching()}},
 		{name: "unbatched"},
 		// The log-GC row prices the low-water-mark protocol on the contended
 		// write path: one padded register store per op, a min-scan plus
-		// truncation walk every DefaultGCEvery-th op (or once per batch).
-		{name: "batched-gc", opts: []core.Option{core.WithBatching(), core.WithLogGC(core.DefaultGCEvery)}},
+		// truncation walk every DefaultGCEvery-th op.
+		{name: "unbatched-gc", opts: []core.Option{core.WithLogGC(core.DefaultGCEvery)}},
 	}
-	// The kv rows write across 256 keys: a state whose per-op replay clone
-	// and path copy dominate is exactly what one-replay-per-batch amortizes.
-	// The counter rows are the cheap-state control.
+	// The kv rows write across 256 keys, where the per-op replay clone and
+	// path copy dominate. The counter rows are the cheap-state control.
 	contendedOp := func(object string, i int) seqspec.Op {
 		if object == "kv" {
 			return seqspec.Op{Kind: "put", Args: []int64{int64(i % 256), int64(i)}}
@@ -514,7 +511,7 @@ func BenchmarkUniversalContended(b *testing.B) {
 		for _, obj := range objects {
 			b.Run(mode.name+"/"+obj.Name(), func(b *testing.B) {
 				// One registry shared across rotations aggregates the
-				// helping metrics over the whole run.
+				// metrics over the whole run.
 				reg := wfstats.NewRegistry()
 				opts := append([]core.Option{core.WithMetrics(reg)}, mode.opts...)
 				type box struct{ u *core.Universal }
@@ -535,22 +532,15 @@ func BenchmarkUniversalContended(b *testing.B) {
 					}
 					cur.Load().u.Invoke(p, contendedOp(obj.Name(), i))
 				})
-				b.StopTimer()
-				u := cur.Load().u
-				b.ReportMetric(float64(u.Helped())/float64(b.N), "helped/op")
-				if batches, mean, _ := u.BatchStats(); batches > 0 {
-					b.ReportMetric(mean, "batch-mean")
-				}
 			})
 		}
 	}
 }
 
 // BenchmarkShardedContended: the sharded KV front end under b.RunParallel
-// (run with -cpu 1,4,8) on write-heavy and balanced read mixes, with the
-// facade's default batching against WithoutBatching. Sharding splits the
-// writers across logs; batching absorbs the contention that remains within
-// each shard.
+// (run with -cpu 1,4,8) on write-heavy and balanced read mixes. Sharding
+// splits the writers across logs. The unbatched row name stays for
+// comparison with runs that also had a batched row.
 func BenchmarkShardedContended(b *testing.B) {
 	const n = 8
 	const keys = 1024
@@ -559,15 +549,13 @@ func BenchmarkShardedContended(b *testing.B) {
 		name string
 		opts []core.Option
 	}{
-		{name: "batched"},
-		{name: "unbatched", opts: []core.Option{core.WithoutBatching()}},
+		{name: "unbatched"},
 	}
 	for _, mode := range modes {
 		for _, pct := range []int{0, 50} {
 			b.Run(fmt.Sprintf("kv/%s/reads=%d", mode.name, pct), func(b *testing.B) {
-				opts := append([]core.Option{core.WithBatching()}, mode.opts...)
 				mkkv := func() *shard.Sharded {
-					return shard.NewKV(4, n, func() core.FetchAndCons { return core.NewSwapFAC() }, opts...)
+					return shard.NewKV(4, n, func() core.FetchAndCons { return core.NewSwapFAC() }, mode.opts...)
 				}
 				type box struct{ kv *shard.Sharded }
 				var cur atomic.Pointer[box]
@@ -589,9 +577,6 @@ func BenchmarkShardedContended(b *testing.B) {
 					}
 					cur.Load().kv.Invoke(p, op)
 				})
-				b.StopTimer()
-				kv := cur.Load().kv
-				b.ReportMetric(float64(kv.Helped())/float64(b.N), "helped/op")
 			})
 		}
 	}

@@ -194,7 +194,7 @@ func printOps(ops []wfcheck.OpCert) {
 var paramGloss = map[string]string{
 	"n": "number of processes (MaxProcs)",
 	"S": "shard count of a sharded object",
-	"B": "help-spin budget before a process helps itself",
+	"B": "records in one `InvokeBatch` call (the server drains at most `drainCap` = 64)",
 	"g": "GC interval: operations between log-GC anchor swings",
 	"M": "registered metrics in a wfstats registry",
 	"C": "live-sample cap of the space accountant",

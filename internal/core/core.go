@@ -34,7 +34,8 @@ import (
 // Seq) is a human-readable identity for reports and tests.
 //
 // An entry owns its whole announcement, so announcing an operation
-// allocates one object. newEntry copies up to two argument words into argv
+// allocates at most one object (InvokeBatch takes its entries from chunks
+// of up to four). initEntry copies up to two argument words into argv
 // and points Op.Args at them (a wider op gets one fresh copy), so a caller
 // may reuse its own Args buffer as soon as its invocation returns, and the
 // decided log still replays the words it announced. cell is the list cell
@@ -65,12 +66,11 @@ type Entry struct {
 	snapState seqspec.State
 	snapped   atomic.Bool
 
-	// resp and respDone are the entry's result slot, the helping protocol's
-	// other half: the entry announces the operation, the slot carries its
-	// response back. Any process that replays a decided list through this
-	// entry may publish the response it computed (Publish); the invoker, if
-	// it finds the slot full after its cons (Result), returns without
-	// replaying or cloning at all. Publication is two atomic stores — resp
+	// resp and respDone are the entry's result slot: the entry announces
+	// the operation, the slot carries its response back. Any process that
+	// replays a decided list through this entry may publish the response it
+	// computed (Publish); InvokeBatch collects each earlier entry of its
+	// wave from its slot (Result). Publication is two atomic stores — resp
 	// then the respDone flag — so a reader that observes the flag observes
 	// the response; double publication is harmless because the decided order
 	// below this entry is fixed (Lemma 24) and Apply is deterministic, so
@@ -79,19 +79,26 @@ type Entry struct {
 	resp     atomic.Int64
 }
 
-// newEntry builds pid's seq-th announcement of op, copying op's arguments
-// into the entry (see Entry): the only allocation an announcement makes
-// unless op has more than two arguments. An op without arguments keeps
-// its Args as given.
+// newEntry builds pid's seq-th announcement of op in a fresh Entry: the
+// only allocation an announcement makes unless op has more than two
+// arguments.
 func newEntry(pid int, seq int64, op seqspec.Op) *Entry {
-	e := &Entry{Pid: pid, Seq: seq, Op: op}
+	e := new(Entry)
+	initEntry(e, pid, seq, op)
+	return e
+}
+
+// initEntry fills the zero Entry e as pid's seq-th announcement of op,
+// copying op's arguments into it (see Entry). An op without arguments
+// keeps its Args as given. InvokeBatch fills entries it takes from a chunk.
+func initEntry(e *Entry, pid int, seq int64, op seqspec.Op) {
+	e.Pid, e.Seq, e.Op = pid, seq, op
 	if n := len(op.Args); n > len(e.argv) {
 		e.Op.Args = append([]int64(nil), op.Args...)
 	} else if n > 0 {
 		copy(e.argv[:], op.Args)
 		e.Op.Args = e.argv[:n:n]
 	}
-	return e
 }
 
 // Publish stores the entry's response into its result slot. Idempotent:

@@ -23,27 +23,23 @@ func TestEntrySize(t *testing.T) {
 // argument buffer that the caller overwrites after every call returns; the
 // log's entries must still hold the announced words and the state must be
 // the one they build. The bank case covers an op wider than the entry's two
-// inline words.
+// inline words. The batched path sends five ops a call, so each of its
+// waves fills one chunk of entries and starts another.
 func TestEntryOwnsArgs(t *testing.T) {
 	type path struct {
 		name  string
-		opts  []Option
+		per   int // ops a call
 		write func(u *Universal, ops []seqspec.Op)
 	}
+	batch := func(u *Universal, ops []seqspec.Op) { u.InvokeBatch(0, ops, make([]int64, len(ops))) }
 	paths := []path{
-		{"invoke", nil, func(u *Universal, ops []seqspec.Op) {
+		{"invoke", 2, func(u *Universal, ops []seqspec.Op) {
 			for _, op := range ops {
 				u.Invoke(0, op)
 			}
 		}},
-		{"batched", []Option{WithBatching()}, func(u *Universal, ops []seqspec.Op) {
-			for _, op := range ops {
-				u.Invoke(0, op)
-			}
-		}},
-		{"invoke-batch", nil, func(u *Universal, ops []seqspec.Op) {
-			u.InvokeBatch(0, ops, make([]int64, len(ops)))
-		}},
+		{"batched", entryChunk + 1, batch},
+		{"invoke-batch", 2, batch},
 	}
 	objects := []struct {
 		obj  seqspec.Object
@@ -58,20 +54,22 @@ func TestEntryOwnsArgs(t *testing.T) {
 		for _, o := range objects {
 			t.Run(p.name+"/"+o.obj.Name(), func(t *testing.T) {
 				fac := NewSwapFAC()
-				u := NewUniversal(o.obj, fac, 1, p.opts...)
+				u := NewUniversal(o.obj, fac, 1)
 				ref := o.obj.Init()
 				var announced []string // newest first, like Entries
-				for i := int64(0); i < 8; i++ {
-					// Two ops per call from two caller-owned buffers.
-					a, b := o.args(2*i), o.args(2*i+1)
-					ops := []seqspec.Op{{Kind: o.kind, Args: a}, {Kind: o.kind, Args: b}}
-					for _, op := range ops {
-						announced = append([]string{op.String()}, announced...)
-						ref.Apply(op)
+				for i := 0; i < 8; i++ {
+					// p.per ops per call, each from its own caller-owned buffer.
+					ops := make([]seqspec.Op, p.per)
+					for j := range ops {
+						ops[j] = seqspec.Op{Kind: o.kind, Args: o.args(int64(i*p.per + j))}
+						announced = append([]string{ops[j].String()}, announced...)
+						ref.Apply(ops[j])
 					}
 					p.write(u, ops)
-					for j := range a {
-						a[j], b[j] = -7, -7 // the caller reuses its buffers
+					for _, op := range ops {
+						for j := range op.Args {
+							op.Args[j] = -7 // the caller reuses its buffers
+						}
 					}
 				}
 				entries := Entries(fac.Head())

@@ -39,10 +39,10 @@ import (
 //     node) and severs its rest pointer, making the dead tail unreachable
 //     so Go's collector reclaims it. The anchor node always carries a
 //     snapshot: every value a register ever holds is some completed
-//     replay's stopping snapshot index (gcObserve stores them,
-//     gcAdoptFloor and gcAttach adopt one), and the min over them is one
-//     of them — so a replay whose walk reaches the anchor node stops there
-//     (snapshot found) and never dereferences the severed pointer.
+//     replay's stopping snapshot index (gcObserve stores them, gcAttach
+//     adopts one), and the min over them is one of them — so a replay
+//     whose walk reaches the anchor node stops there (snapshot found) and
+//     never dereferences the severed pointer.
 //
 // The mark's floor is an idle *attached* process: a pid that stops midway
 // pins the log at its last published index (exactly as a Paxos peer that
@@ -54,10 +54,8 @@ import (
 // flag, only attached slots enter the min-scan, slots start detached, a
 // pid's first Invoke attaches it, and Detach (called by the pid's thread
 // of control between its own operations, e.g. on connection close) swings
-// it back out. Two further mitigations keep attached pids moving: replays
-// gossip their stopping index through the best-effort floor register, and
-// the batched helped path — which replays nothing — adopts the floor so a
-// pid served entirely by executors still advances.
+// it back out. Replays also gossip their stopping index through the
+// best-effort floor register, which an attaching pid adopts.
 //
 // Re-attachment is where severing gets dangerous: a pid that detached at
 // register r and comes back must not replay below a mark that advanced
@@ -114,7 +112,7 @@ type gcState struct {
 	// floor is the best-effort gossip register: the highest snapshot index
 	// any completed replay is known to have stopped at. Raised with a single
 	// CAS attempt (losing just means someone raised it concurrently), read
-	// by the helped path to advance without replaying. It never enters the
+	// by gcAttach to advance without replaying. It never enters the
 	// min-scan directly — observed[] alone guards in-flight walks.
 	//
 	//wf:monotone
@@ -150,8 +148,7 @@ type gcState struct {
 // per-operation store never bounces a neighbor's line. The register holds
 // only genuine snapshot indices — a replay's own stopping point (gcObserve),
 // an adopted gossip floor or gate, each itself some replay's stopping point
-// (gcAdoptFloor, gcAttach) — which is what makes the anchor node a snapshot
-// node. att is the attach flag: only attached slots enter the min-scan, so
+// (gcAttach) — which is what makes the anchor node a snapshot node. att is the attach flag: only attached slots enter the min-scan, so
 // a detached pid (never arrived, or departed via Detach) doesn't pin the
 // mark. Both fields are owned by pid's thread of control; the advancer only
 // loads them.
@@ -240,7 +237,12 @@ func (u *Universal) gcAttach(pid int) {
 	if g := u.gc.gate.Load(); g > slot.v.Load() {
 		slot.v.Store(g)
 	}
-	u.gcAdoptFloor(pid) // opportunistic: floor is usually ahead of the gate
+	// Opportunistic: the floor is usually ahead of the gate. Sound because
+	// a floor value is some completed replay's stopping snapshot, visible
+	// to every future walk from every future head.
+	if f := u.gc.floor.Load(); f > slot.v.Load() {
+		slot.v.Store(f)
+	}
 }
 
 // Detach swings pid's observed-prefix register out of the GC min-scan, so
@@ -262,23 +264,6 @@ func (u *Universal) Detach(pid int) {
 		return
 	}
 	u.gc.observed[pid].att.Store(false)
-}
-
-// gcAdoptFloor advances pid's observed register to the gossiped floor
-// without a replay — the helped path's contribution to the mark. Sound
-// because a floor value is some completed replay's stopping snapshot: that
-// snapshot is visible to every future walk from every future head, so
-// pid's future replays stop at or above it. Called only between pid's own
-// operations (after the helped return), preserving the single-writer and
-// no-walk-in-flight discipline.
-func (u *Universal) gcAdoptFloor(pid int) {
-	if !u.gcOn() {
-		return
-	}
-	slot := &u.gc.observed[pid]
-	if f := u.gc.floor.Load(); f > slot.v.Load() {
-		slot.v.Store(f)
-	}
 }
 
 // gcAdvance computes the collective low-water mark over the attached
@@ -350,8 +335,9 @@ func (u *Universal) gcAdvance() {
 }
 
 // gcSwing applies a won cut: walk from the head to the anchor node (log
-// index mark) and sever its tail. The walk is cut short harmlessly if a
-// later swing already severed above mark — everything below is then
+// index mark) and sever its tail, and the tails of the few cells below it
+// that may share its InvokeBatch chunk. The walk is cut short harmlessly if
+// a later swing already severed above mark — everything below is then
 // already unreachable.
 func (u *Universal) gcSwing(old, mark int64) {
 	head := u.fac.Observe()
@@ -363,7 +349,20 @@ func (u *Universal) gcSwing(old, mark int64) {
 		}
 		scanned++
 		if int64(n.Len) == mark {
+			below := n.Rest()
 			n.sever()
+			// The cells just below may share an InvokeBatch chunk with the
+			// anchor (see entryChunk), which keeps them alive: cut theirs
+			// too, so they pin nothing older. Only a cell embedded in its
+			// entry can share one; ConsFAC's cells are its own.
+			for i := 1; i < entryChunk; i++ {
+				if below == nil || below != &below.Entry.cell {
+					break
+				}
+				next := below.Rest()
+				below.sever()
+				below = next
+			}
 			break
 		}
 		if int64(n.Len) < mark {

@@ -236,7 +236,17 @@ func TestReadCacheEpochMiss(t *testing.T) {
 // writes with GC on must leave a live region bounded by O(n + n·gcEvery),
 // not by the op count. (The heap-level version of this claim is
 // BenchmarkSteadyStateHeap at the repo root; this is the node-count pin.)
+// The invoke-batch case drains waves of 1–16 ops from one pid, as a server
+// shard's applier does, and pins the heap as well: InvokeBatch takes its
+// entries from shared chunks, and a chunk that outlives the swing retiring
+// its entries would keep their list cells, and the log below them, alive
+// where no Rest walk can see it (see entryChunk).
 func TestLogGCSpacePin(t *testing.T) {
+	t.Run("invoke", testLogGCSpacePinInvoke)
+	t.Run("invoke-batch", testLogGCSpacePinBatch)
+}
+
+func testLogGCSpacePinInvoke(t *testing.T) {
 	const n, gcEvery = 4, 8
 	perPid := 250_000 // 1M ops total
 	if testing.Short() {
@@ -286,6 +296,48 @@ func TestLogGCSpacePin(t *testing.T) {
 	if got := u.Invoke(0, get); got != int64(total) {
 		t.Errorf("counter reads %d, want %d", got, total)
 	}
+}
+
+func testLogGCSpacePinBatch(t *testing.T) {
+	const gcEvery, width, waves = 8, 16, 20_000
+	fac := NewSwapFAC()
+	u := NewUniversal(seqspec.Counter{}, fac, 1, WithLogGC(gcEvery))
+	ops := make([]seqspec.Op, width)
+	for i := range ops {
+		ops[i] = inc
+	}
+	out := make([]int64, width)
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	total := 0
+	for w := 0; w < waves; w++ {
+		k := 1 + rng.Intn(width)
+		if w >= waves/2 {
+			// Even widths: no wave's newest entry is alone in its chunk,
+			// so every anchor has chunk mates just below it for gcSwing
+			// to cut.
+			k = 2 + 2*rng.Intn(width/2)
+		}
+		u.InvokeBatch(0, ops[:k], out)
+		total += k
+		if out[k-1] != int64(total-1) {
+			t.Fatalf("wave %d: last inc returned %d, want %d", w, out[k-1], total-1)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// One pid: the mark trails its newest snapshot by at most one wave.
+	if got, bound := listLen(fac.Head()), 2*width+gcEvery; got > bound {
+		t.Errorf("live list %d nodes after %d ops, want <= %d", got, total, bound)
+	}
+	// A pinned log would hold every one of the ~175 000 entries: over
+	// 20 MB. The bound leaves room for the runtime's own noise.
+	if grown, limit := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(1<<20); grown > limit {
+		t.Errorf("heap grew %d bytes over %d InvokeBatch ops with GC on, want <= %d: retired entries stay reachable", grown, total, limit)
+	}
+	runtime.KeepAlive(u)
 }
 
 // TestDetachUnpinsMark is the departed-client regression test: a pid that
@@ -423,7 +475,8 @@ func TestLogGCSpacePinUnderChurn(t *testing.T) {
 // is a genuine re-attach racing the dedicated advancer's sever — the
 // interleaving the gate-validate/rescan rules exist for. Histories must
 // stay linearizable across both fetch-and-cons forms, batched and not; the
-// batched variant runs over sparse snapshots (see soakRun).
+// batched variant drives every pid in InvokeBatch waves, so it runs over
+// sparse snapshots (see soakRun).
 func TestDetachSoakLinearizable(t *testing.T) {
 	const n = 4
 	obj := seqspec.KV{}
@@ -431,11 +484,7 @@ func TestDetachSoakLinearizable(t *testing.T) {
 		for _, batched := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/batched=%v", name, batched), func(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
-					opts := []Option{WithLogGC(1)}
-					if batched {
-						opts = append(opts, WithBatching())
-					}
-					u := NewUniversal(obj, mk(), n, opts...)
+					u := NewUniversal(obj, mk(), n, WithLogGC(1))
 					var rec linearize.Recorder
 					stop := make(chan struct{})
 					var adv sync.WaitGroup
@@ -460,7 +509,7 @@ func TestDetachSoakLinearizable(t *testing.T) {
 							defer wg.Done()
 							rng := rand.New(rand.NewSource(int64(trial*n + p)))
 							for burst := 0; burst < 4; burst++ {
-								soakRun(u, &rec, p, soakOps(obj, rng, 4), batched && p == n-1)
+								soakRun(u, &rec, p, soakOps(obj, rng, 4), soakWidth(batched, p))
 								u.Detach(p)
 								runtime.Gosched()
 							}
@@ -488,7 +537,8 @@ func TestDetachSoakLinearizable(t *testing.T) {
 // (WithLogGC(1)) and a dedicated goroutine hammers gcAdvance continuously.
 // Every recorded history must still linearize; under -race this also checks
 // the sever/replay and cache-invalidation rendezvous. The batched variant
-// runs over sparse snapshots (see soakRun).
+// drives every pid in InvokeBatch waves, so it runs over sparse snapshots
+// (see soakRun).
 func TestLogGCSoakLinearizable(t *testing.T) {
 	const n = 4
 	objects := []seqspec.Object{seqspec.KV{}, seqspec.Queue{}}
@@ -497,11 +547,7 @@ func TestLogGCSoakLinearizable(t *testing.T) {
 			for _, batched := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/batched=%v", name, obj.Name(), batched), func(t *testing.T) {
 					for trial := 0; trial < 4; trial++ {
-						opts := []Option{WithLogGC(1)}
-						if batched {
-							opts = append(opts, WithBatching())
-						}
-						u := NewUniversal(obj, mk(), n, opts...)
+						u := NewUniversal(obj, mk(), n, WithLogGC(1))
 						var rec linearize.Recorder
 						stop := make(chan struct{})
 						var adv sync.WaitGroup
@@ -525,7 +571,7 @@ func TestLogGCSoakLinearizable(t *testing.T) {
 							go func() {
 								defer wg.Done()
 								rng := rand.New(rand.NewSource(int64(trial*n + p)))
-								soakRun(u, &rec, p, soakOps(obj, rng, 8), batched && p == n-1)
+								soakRun(u, &rec, p, soakOps(obj, rng, 8), soakWidth(batched, p))
 							}()
 						}
 						wg.Wait()
@@ -554,16 +600,21 @@ func soakOps(obj seqspec.Object, rng *rand.Rand, count int) []seqspec.Op {
 	return ops
 }
 
-// soakRun invokes ops on behalf of p and records each in rec. With waves set
-// it issues them as InvokeBatch waves of two, recorded as concurrent with
-// each other: only a wave's last entry stores a snapshot, so a soak that
-// gives one pid waves runs the GC over sparse snapshots whether or not the
-// scheduler lets helped batches form.
-func soakRun(u *Universal, rec *linearize.Recorder, p int, ops []seqspec.Op, waves bool) {
-	size := 1
-	if waves {
-		size = 2
+// soakWidth is the wave width of pid p in a soak: 1 unbatched, else 2–5,
+// so pid 3's waves of five take their entries from two chunks.
+func soakWidth(batched bool, p int) int {
+	if !batched {
+		return 1
 	}
+	return 2 + p%4
+}
+
+// soakRun invokes ops on behalf of p and records each in rec, as
+// InvokeBatch waves of size ops (a wave of one is an Invoke). A wave's ops
+// are recorded as concurrent with each other. Only a wave's last entry
+// stores a snapshot, so a soak that gives pids waves runs the GC over
+// sparse snapshots.
+func soakRun(u *Universal, rec *linearize.Recorder, p int, ops []seqspec.Op, size int) {
 	out := make([]int64, size)
 	for i := 0; i < len(ops); i += size {
 		wave := ops[i:min(i+size, len(ops))]

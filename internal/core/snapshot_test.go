@@ -39,7 +39,8 @@ func (s countingState) Clone() seqspec.State {
 // op, so a replay that stops there applies nothing for that entry. With one
 // process every call's replay stops at the snapshot its previous call
 // stored, so a call applies exactly its own ops: the batch's earlier entries
-// its replay walks past, plus the newest. The pre-state rule would add one
+// its replay walks past, plus the newest. The batched case is a wave of six,
+// whose entries come from two chunks. The pre-state rule would add one
 // apply per replay, for the entry the replay stopped at. In fast-read-miss
 // pid 1's put is in flight while pid 0 reads, so the read misses the settled
 // path and replays: it applies the put above the snapshot it stops at and
@@ -55,7 +56,9 @@ func TestReplayStopAppliesNothing(t *testing.T) {
 		misses int64              // read-cache misses the call makes
 	}{
 		{"invoke", nil, func(u *Universal) { u.Invoke(0, put) }, 1, 0},
-		{"batched", []Option{WithBatching()}, func(u *Universal) { u.Invoke(0, put) }, 1, 0},
+		{"batched", nil, func(u *Universal) {
+			u.InvokeBatch(0, []seqspec.Op{put, put, put, put, put, put}, make([]int64, 6))
+		}, 6, 0},
 		{"invoke-batch", nil, func(u *Universal) {
 			u.InvokeBatch(0, []seqspec.Op{put, put, put, put}, make([]int64, 4))
 		}, 4, 0},
@@ -131,21 +134,17 @@ func TestKVPutGetOnePathCopy(t *testing.T) {
 
 // TestSnapshotImpliesResult: every write path publishes an entry's response
 // before storing its snapshot, so a scanner that sees a snapshot must also
-// see the result. Batched (or unbatched) writers and an InvokeBatch writer
-// race a scanner walking the decided list, over both fetch-and-cons forms;
-// run it under -race.
+// see the result. Writers race a scanner walking the decided list, over
+// both fetch-and-cons forms: batched, every writer runs InvokeBatch waves of
+// three; unbatched, all but one writer Invoke. Run it under -race.
 func TestSnapshotImpliesResult(t *testing.T) {
 	const n, per = 4, 300
 	makers := facMakers(n)
 	for _, name := range []string{"swap/batched", "consensus-cas/batched", "swap/unbatched"} {
 		t.Run(name, func(t *testing.T) {
 			form, mode, _ := strings.Cut(name, "/")
-			opt := WithoutBatching()
-			if mode == "batched" {
-				opt = WithBatching()
-			}
 			fac := makers[form]()
-			u := NewUniversal(seqspec.KV{}, fac, n, opt)
+			u := NewUniversal(seqspec.KV{}, fac, n)
 			var wg sync.WaitGroup
 			for p := 0; p < n; p++ {
 				p := p
@@ -154,7 +153,7 @@ func TestSnapshotImpliesResult(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
 						op := seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}}
-						if p == n-1 {
+						if p == n-1 || mode == "batched" {
 							u.InvokeBatch(p, []seqspec.Op{op, op, op}, make([]int64, 3))
 							continue
 						}
@@ -302,33 +301,38 @@ func windowHammer(t *testing.T, u *Universal, keys int64, seed seqspec.State) {
 // k=1: every write stores a snapshot, so a replay walks past at most one
 // committed entry per process plus one in flight, n·(k+1) = 2n.
 func TestSnapshotInterval(t *testing.T) {
-	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, nil, 2*replayN) })
+	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, 1, 2*replayN) })
 }
 
-// TestBatchedSnapshotBound: the replay bound survives batching. A pid's solo
-// entries snapshot as unbatched ones do and a helped entry lies below its
-// executor's snapshot, but one in-flight batch per pid whose executor has not
-// stored yet may sit above the newest snapshot: twice the unbatched bound,
-// 2n·(k+1) = 4n, covers that slack.
+// TestBatchedSnapshotBound: the replay bound survives InvokeBatch waves.
+// Only a wave's newest entry stores a snapshot, and it does so before the
+// pid conses its next wave, so above the newest snapshot a replay finds at
+// most one unfinished wave of three per pid: 3n ≤ 4n.
 func TestBatchedSnapshotBound(t *testing.T) {
-	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, []Option{WithBatching()}, 4*replayN) })
+	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, 3, 4*replayN) })
 }
 
 const replayN = 4
 
-// checkReplayBound runs replayN concurrent incrementers and checks the final
+// checkReplayBound runs replayN concurrent incrementers, each in InvokeBatch
+// waves of width incs (a wave of one is an Invoke), and checks the final
 // count and that no replay walked more than bound entries.
-func checkReplayBound(t *testing.T, opts []Option, bound int64) {
+func checkReplayBound(t *testing.T, width int, bound int64) {
 	const n, per = replayN, 200
-	u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), n, opts...)
+	u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), n)
+	wave := make([]seqspec.Op, width)
+	for i := range wave {
+		wave[i] = seqspec.Op{Kind: "inc"}
+	}
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		p := p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				u.Invoke(p, seqspec.Op{Kind: "inc"})
+			out := make([]int64, width)
+			for i := 0; i < per; i += width {
+				u.InvokeBatch(p, wave[:min(width, per-i)], out)
 			}
 		}()
 	}
@@ -342,42 +346,33 @@ func checkReplayBound(t *testing.T, opts []Option, bound int64) {
 }
 
 // TestOneSnapshotPerPass: each write path stores exactly one snapshot per
-// executor pass (execute). Unbatched, every write is its own pass. Batched,
-// a write is either an executor pass or helped, and a helped write stores
-// nothing. An InvokeBatch wave is one pass, whatever stragglers it resolves.
+// executor pass (execute). Unbatched, every write is its own pass. An
+// InvokeBatch wave is one pass, whatever stragglers it resolves: fixed
+// waves of three, and batched waves of one to six, where a wave of one is
+// an Invoke and waves of five or six take entries from two chunks.
 func TestOneSnapshotPerPass(t *testing.T) {
 	const n, per = 4, 200
 	put := func(p, i int) seqspec.Op {
 		return seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}}
 	}
+	wave := func(u *Universal, p, width int, op seqspec.Op) {
+		ops := make([]seqspec.Op, width)
+		for j := range ops {
+			ops[j] = op
+		}
+		u.InvokeBatch(p, ops, make([]int64, width))
+	}
 	cases := []struct {
-		name   string
-		opts   []Option
-		write  func(u *Universal, p, i int)
-		passes func(t *testing.T, u *Universal) int64
+		name  string
+		write func(u *Universal, p, i int)
 	}{
-		{"unbatched", nil,
-			func(u *Universal, p, i int) { u.Invoke(p, put(p, i)) },
-			func(*testing.T, *Universal) int64 { return n * per }},
-		{"batched", []Option{WithBatching()},
-			func(u *Universal, p, i int) { u.Invoke(p, put(p, i)) },
-			func(t *testing.T, u *Universal) int64 {
-				passes, _, _ := u.BatchStats()
-				if passes+u.Helped() != n*per {
-					t.Errorf("%d passes + %d helped writes, want %d writes", passes, u.Helped(), n*per)
-				}
-				return passes
-			}},
-		{"invoke-batch", nil,
-			func(u *Universal, p, i int) {
-				op := put(p, i)
-				u.InvokeBatch(p, []seqspec.Op{op, op, op}, make([]int64, 3))
-			},
-			func(*testing.T, *Universal) int64 { return n * per }},
+		{"unbatched", func(u *Universal, p, i int) { u.Invoke(p, put(p, i)) }},
+		{"batched", func(u *Universal, p, i int) { wave(u, p, 1+(p+i)%6, put(p, i)) }},
+		{"invoke-batch", func(u *Universal, p, i int) { wave(u, p, 3, put(p, i)) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n, c.opts...)
+			u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n)
 			var wg sync.WaitGroup
 			for p := 0; p < n; p++ {
 				p := p
@@ -390,8 +385,8 @@ func TestOneSnapshotPerPass(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if stores, passes := u.stats.snapStores.Load(), c.passes(t, u); stores != passes {
-				t.Errorf("%d snapshot stores, want one per executor pass: %d", stores, passes)
+			if stores := u.stats.snapStores.Load(); stores != n*per {
+				t.Errorf("%d snapshot stores, want one per executor pass: %d", stores, n*per)
 			}
 		})
 	}

@@ -30,7 +30,6 @@ type Universal struct {
 	fac      FetchAndCons
 	truncate bool
 	fastRead bool
-	batch    bool
 	// gcEvery is the mark-advance period per process; 0 = log GC off.
 	//
 	//wf:param g
@@ -47,14 +46,6 @@ type Universal struct {
 	// per-pid observed-prefix registers, the gossip floor, and the applied
 	// anchor. Zero value when gcEvery is 0.
 	gc gcState
-
-	// contended is the batched path's gather hint: set while batching is
-	// observably paying off (the last executor pass helped someone, or this
-	// process was itself helped), cleared by a solo pass. While set, a
-	// writer that finds itself at the head yields once before executing so
-	// already-runnable writers can announce behind it and be settled by one
-	// pass (see helping.go).
-	contended atomic.Bool
 
 	// scratch holds per-pid replay buffers. Each pid invokes sequentially
 	// (the front-end contract), so slot pid has a single writer and replays
@@ -101,12 +92,8 @@ type universalStats struct {
 	// replay, the Section 4.1 strong-wait-freedom quantity (bounded by n
 	// with snapshots, by the object's age without).
 	replayLen *wfstats.Histogram
-	// helped counts batched write operations that returned a response
-	// published by a concurrent executor — no replay, no clone, no apply.
-	helped *wfstats.Counter
-	// batchLen is the batch-size histogram: responses each executor pass
-	// settled (its own plus every helped entry it published), the paper's
-	// one-operation-per-wave quantity from the combining-network discussion.
+	// batchLen is the batch-size histogram: responses each InvokeBatch pass
+	// settled, its own plus every earlier entry it published.
 	batchLen *wfstats.Histogram
 	// retired counts log entries severed by the low-water-mark GC, and
 	// logLen gauges the live log length (head index minus retired) as of
@@ -167,27 +154,6 @@ func WithoutFastReads() Option {
 	return func(u *Universal) { u.fastRead = false }
 }
 
-// WithBatching enables helping-based batch execution on the write path (see
-// helping.go): a writer whose entry is still the newest announced executes
-// at once — replaying once and publishing the response of every
-// decided-but-unexecuted entry it applies, with one snapshot for the whole
-// pass — while a writer that finds newer entries consed above its own waits
-// a bounded window to be settled by a pass from up there. Under contention
-// one replay and one clone serve a whole batch of writers — the
-// combining-network shape of the paper's Sections 1 and 5 — while an
-// uncontended writer pays only one empty result-slot check and one Observe
-// load before executing as usual.
-func WithBatching() Option {
-	return func(u *Universal) { u.batch = true }
-}
-
-// WithoutBatching disables helping-based batch execution (the default for
-// NewUniversal; front ends that enable batching by default, like the
-// sharded KV facade, use this to switch it back off).
-func WithoutBatching() Option {
-	return func(u *Universal) { u.batch = false }
-}
-
 // WithMetrics records the construction's metrics (universal.* — cons ops,
 // snapshot stores, fast-read hits/misses, the replay-length histogram) into
 // reg instead of a private registry. Several instances sharing one registry
@@ -219,7 +185,6 @@ func NewUniversal(seq seqspec.Object, fac FetchAndCons, n int, opts ...Option) *
 		fastHits:   u.metrics.StripedCounter("universal.fast_read_hit", n),
 		fastMisses: u.metrics.StripedCounter("universal.fast_read_miss", n),
 		replayLen:  u.metrics.Histogram("universal.replay_len"),
-		helped:     u.metrics.Counter("universal.helped"),
 		batchLen:   u.metrics.Histogram("universal.batch_len"),
 		retired:    u.metrics.Counter("universal.retired"),
 		logLen:     u.metrics.Gauge("universal.log_len"),
@@ -250,23 +215,18 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 	}
 	e := newEntry(pid, u.seqs[pid].Add(1), op)
 	u.stats.consOps.Inc()
-	if u.batch {
-		return u.invokeBatched(pid, e)
-	}
-	resp, _ := u.execute(pid, e, u.fac.FetchAndCons(pid, e), false)
-	return resp
+	return u.execute(pid, e, u.fac.FetchAndCons(pid, e), false)
 }
 
 // execute is the second step of every write path (Figure 4-2's replay,
 // then Section 4.1's snapshot): replay prior — the decided list below e —
 // and e's own operation in one edit window, publish e's response, store
 // the resulting state as e's snapshot, and advance the GC mark on
-// schedule. It returns e's response and how many other entries' responses
-// it published: with help set (the batched paths) the replay publishes the
-// response of every entry it applies whose slot is still empty, the pass
-// counts as one batch, and a pass that helped anyone advances the mark at
-// once, paying the min-scan once for the whole wave.
-func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, int) {
+// schedule. It returns e's response. With help set (InvokeBatch) the replay
+// publishes the response of every entry it applies whose slot is still
+// empty, the pass counts as one batch, and a pass that published any
+// advances the mark at once, paying the min-scan once for the whole wave.
+func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) int64 {
 	state, resp, published := u.replayPublish(pid, prior, e, help)
 	e.Publish(resp)
 	if u.truncate {
@@ -278,7 +238,7 @@ func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, i
 	if u.gcEvery > 0 && (published > 0 || e.Seq%u.gcEvery == 0) {
 		u.gcAdvance()
 	}
-	return resp, published
+	return resp
 }
 
 // storeSnapshot stores state, the state after e's own operation, as e's
@@ -342,8 +302,8 @@ func (u *Universal) replay(pid int, list *Node) seqspec.State {
 	return state
 }
 
-// replayPublish is replay plus the caller's own operation and the helping
-// write of the batched path. It gathers the ops of the entries above the
+// replayPublish is replay plus the caller's own operation and InvokeBatch's
+// helping write. It gathers the ops of the entries above the
 // snapshot it stops at, oldest first, followed by own's op when own is
 // non-nil, and applies them in one seqspec.ApplyAll: one edit window, so a
 // KV replay copies each trie node the window's puts share once, not once
@@ -467,16 +427,9 @@ func (u *Universal) FastReads() int64 {
 	return u.stats.fastHits.Load() + u.stats.fastMisses.Load()
 }
 
-// Helped reports how many batched write operations returned a response
-// published by a concurrent executor (universal.helped): no replay, no
-// snapshot clone, no apply of their own. Zero when batching is off or in
-// the WithMetrics(nil) no-op mode.
-func (u *Universal) Helped() int64 { return u.stats.helped.Load() }
-
-// BatchStats reports (executor passes, mean batch size, max batch size)
-// from the universal.batch_len histogram: how many responses each batched
-// replay pass settled. Mean 1 means no combining happened; the paper's
-// combining-network ideal is one pass per wave of concurrent writers.
+// BatchStats reports (passes, mean batch size, max batch size) from the
+// universal.batch_len histogram: how many responses each InvokeBatch replay
+// pass settled. Invoke records nothing here.
 func (u *Universal) BatchStats() (batches int64, mean float64, max int64) {
 	h := u.stats.batchLen
 	return h.Count(), h.Mean(), h.Max()

@@ -2,6 +2,8 @@ package logstore
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -73,6 +75,107 @@ func FuzzLogSegment(f *testing.F) {
 		}
 		if len(got) > len(written) || !sameRecords(got, written[:len(got)]) {
 			t.Fatalf("recovered %d records that are not a prefix of the %d written", len(got), len(written))
+		}
+	})
+}
+
+// FuzzSnapshotFile writes three valid snapshots with WriteSnapshot, once —
+// shard 0 at seq 5 and at seq 10, shard 1 at seq 7 — then, per input,
+// copies them into a fresh directory, damages shard 0's newest file with
+// fuzzed bytes (at as in FuzzLogSegment) and reopens the store. Snapshots
+// must not panic, and for each shard it must return exactly what was
+// written at some seq of that shard, or nothing: a damaged file may cost a
+// fallback to the older snapshot, never a different state. Shard 1's file
+// is not touched, so it must come back whole.
+func FuzzSnapshotFile(f *testing.F) {
+	newer := make(map[int64]int64)
+	for i := int64(0); i < 40; i++ {
+		newer[i*i*i*977-30_000] = i<<(i%60) ^ -i // keys and values of every varint width
+	}
+	written := []Snapshot{
+		{Shard: 0, Seq: 5, State: map[int64]int64{1: 1, -2: 2}},
+		{Shard: 0, Seq: 10, State: newer},
+		{Shard: 1, Seq: 7, State: map[int64]int64{9: 9}},
+	}
+	template := f.TempDir()
+	st, err := Open(template)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, snap := range written {
+		// The store keeps the map it is handed; keep our own copy.
+		snap.State = maps.Clone(snap.State)
+		if err := st.WriteSnapshot(snap); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	entries, err := os.ReadDir(template)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(template, e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	target := fmt.Sprintf("snap-%010d-%016d", 0, 10)
+	if files[target] == nil {
+		f.Fatalf("no %s among %d files written", target, len(files))
+	}
+
+	f.Add([]byte{}, -1)
+	f.Add([]byte{0xff}, 20)
+	f.Add([]byte("WFS1"), 0)
+	f.Add([]byte{0, 0, 0, 0}, -5)
+	f.Add([]byte{0x7f, 0xff, 0xff, 0xff}, 16)
+	f.Fuzz(func(t *testing.T, tail []byte, at int) {
+		dir := t.TempDir()
+		for name, content := range files {
+			b := content
+			if name == target {
+				b = append([]byte(nil), content...)
+				if at >= 0 {
+					at %= len(b) + 1
+					if end := at + len(tail); end > len(b) {
+						b = append(b, make([]byte, end-len(b))...)
+					}
+					copy(b[at:], tail)
+				} else {
+					cut := uint64(-(at + 1)) % uint64(len(b)+1)
+					b = append(b[:len(b)-int(cut)], tail...)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open = %v after damaging a snapshot file", err)
+		}
+		defer st.Close()
+		got, err := st.Snapshots()
+		if err != nil {
+			t.Fatalf("Snapshots = %v", err)
+		}
+		for shard, snap := range got {
+			if snap.Shard != shard {
+				t.Fatalf("shard %d's snapshot names shard %d", shard, snap.Shard)
+			}
+			ok := false
+			for _, w := range written {
+				ok = ok || (w.Shard == shard && w.Seq == snap.Seq && maps.Equal(w.State, snap.State))
+			}
+			if !ok {
+				t.Fatalf("shard %d: snapshot at seq %d with %d pairs was never written", shard, snap.Seq, len(snap.State))
+			}
+		}
+		if snap, ok := got[1]; !ok || snap.Seq != 7 {
+			t.Fatalf("shard 1's undamaged snapshot came back as %+v, %v", snap, ok)
 		}
 	})
 }

@@ -29,7 +29,7 @@
 // dense sequence numbers, appends the whole drained batch to the log store
 // as one group (logstore.AppendBatch; concurrent appliers still share one
 // fsync through the store's flusher), and only then applies the batch to
-// the in-memory KV — through the shard's helping batcher
+// the in-memory KV — through the construction's one batch path
 // (shard.InvokeBatch), one replay pass and one snapshot per drain — and
 // acks each client. An acked write is therefore on disk before any client
 // observes it, and boot starts each shard from exactly those writes —
@@ -353,7 +353,7 @@ func checkRoute(sh, shards int, key int64) error {
 // every write in the drain as one group through AppendBatch (the store's
 // flusher merges groups from concurrent appliers into one fsync), then
 // applies the drain in arrival order — contiguous write runs go through
-// the shard's helping batcher in one replay pass (shard.InvokeBatch),
+// one InvokeBatch replay pass (shard.InvokeBatch),
 // routed reads are answered at their queue position, barriers are closed —
 // and builds each completion. Building completions strictly after
 // AppendBatch returns is the durability contract — no client can observe

@@ -20,11 +20,10 @@
 // shard at a different instant and return a sum that no single moment may
 // have exhibited.
 //
-// Sharding and batching compose: sharding splits contention across logs,
-// and helping-based batching (core.WithBatching, default-on for the
-// waitfree.NewShardedKV facade) absorbs whatever contention remains within
-// each shard — concurrent writers that hash to one shard are served by a
-// single executor's replay pass instead of replaying one by one.
+// Sharding splits contention across logs; within a shard every Invoke is
+// the paper's one cons plus one replay. The one batch path is InvokeBatch:
+// the server's applier retires a drained run of one shard's writes in one
+// replay pass.
 //
 //wf:waitfree
 package shard
@@ -98,9 +97,9 @@ func NewKV(shards, procs int, mk func() core.FetchAndCons, opts ...core.Option) 
 }
 
 // Defaults returns the options of waitfree.NewShardedKV and the server:
-// batching and log GC at core.DefaultGCEvery, then opts, which may override.
+// log GC at core.DefaultGCEvery, then opts, which may override.
 func Defaults(opts ...core.Option) []core.Option {
-	return append([]core.Option{core.WithBatching(), core.WithLogGC(core.DefaultGCEvery)}, opts...)
+	return append([]core.Option{core.WithLogGC(core.DefaultGCEvery)}, opts...)
 }
 
 // Instrument records the front end's routing metrics into reg: shard.ops.<i>
@@ -212,17 +211,13 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Shard exposes shard i for tests, inspection and the server's snapshots.
 func (s *Sharded) Shard(i int) *core.Universal { return s.shards[i] }
 
-// FastReads reports the read-fast-path operations across shards. It and
-// Helped, BatchStats and ReplayStats read the registry the shards share
-// (see New) once, through shard 0.
+// FastReads reports the read-fast-path operations across shards. It,
+// BatchStats and ReplayStats read the registry the shards share (see New)
+// once, through shard 0.
 func (s *Sharded) FastReads() int64 { return s.shards[0].FastReads() }
 
-// Helped reports the batched writes across shards that returned a response
-// published by a concurrent executor (see core.WithBatching).
-func (s *Sharded) Helped() int64 { return s.shards[0].Helped() }
-
-// BatchStats reports batch-execution statistics across shards: executor
-// passes, mean batch size and max batch size.
+// BatchStats reports InvokeBatch statistics across shards: replay passes,
+// mean batch size and max batch size.
 func (s *Sharded) BatchStats() (batches int64, mean float64, max int64) {
 	return s.shards[0].BatchStats()
 }

@@ -169,9 +169,19 @@ func TestShardedFastReads(t *testing.T) {
 // still selects the no-op mode.
 func TestShardedStatsSharedRegistry(t *testing.T) {
 	const shards, keys = 4, 10
-	s := NewKV(shards, 1, mkSwap, core.WithMetrics(wfstats.NewRegistry()), core.WithBatching())
+	s := NewKV(shards, 1, mkSwap, core.WithMetrics(wfstats.NewRegistry()))
 	for k := int64(0); k < keys; k++ {
 		s.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
+	}
+	// One two-put wave per shard: S InvokeBatch passes of 2.
+	for sh := 0; sh < shards; sh++ {
+		var wave []seqspec.Op
+		for k := int64(0); len(wave) < 2; k++ {
+			if s.ShardOf(k) == sh {
+				wave = append(wave, seqspec.Op{Kind: "put", Args: []int64{k, k}})
+			}
+		}
+		s.InvokeBatch(sh, 0, wave, make([]int64, 2))
 	}
 	for k := int64(0); k < keys; k++ {
 		s.Invoke(0, seqspec.Op{Kind: "get", Args: []int64{k}})
@@ -179,16 +189,13 @@ func TestShardedStatsSharedRegistry(t *testing.T) {
 	if got := s.FastReads(); got != keys {
 		t.Errorf("FastReads = %d, want %d", got, keys)
 	}
-	if batches, mean, _ := s.BatchStats(); batches != keys || mean != 1 {
-		t.Errorf("BatchStats = (%d, %v), want (%d, 1)", batches, mean, keys)
+	if batches, mean, _ := s.BatchStats(); batches != shards || mean != 2 {
+		t.Errorf("BatchStats = (%d, %v), want (%d, 2)", batches, mean, shards)
 	}
-	if got := s.Helped(); got != 0 {
-		t.Errorf("Helped = %d, want 0 with one writer", got)
-	}
-	// Every put replays once; every get reads its shard's settled head
-	// from the head's snapshot and replays nothing.
-	if ops, _, _ := s.ReplayStats(); ops != keys {
-		t.Errorf("ReplayStats ops = %d, want %d", ops, keys)
+	// Every put and every wave replays once; every get reads its shard's
+	// settled head from the head's snapshot and replays nothing.
+	if ops, _, _ := s.ReplayStats(); ops != keys+shards {
+		t.Errorf("ReplayStats ops = %d, want %d", ops, keys+shards)
 	}
 	off := NewKV(shards, 1, mkSwap, core.WithMetrics(nil))
 	off.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{1, 1}})

@@ -1,10 +1,16 @@
 package synth
 
 import (
+	"flag"
 	"testing"
 
 	"waitfree/internal/model"
 )
+
+// deep opts in to the searches that take minutes and cannot close, so
+// their outcome is a skip: `go test -run '^TestSynthNoAssign2For3Procs$'
+// ./internal/synth -deep`. CI runs it in a step of its own.
+var deep = flag.Bool("deep", false, "run the minute-scale searches that cannot close")
 
 // TestSynthNoAssign2For3Procs is the Theorem 22 evidence at m=2:
 // 2-register atomic assignment cannot solve (2m-1)=3-process consensus.
@@ -12,7 +18,14 @@ import (
 // other process; its menu offers its own atomic assignments plus reads.
 // The searched depth is 2 (assign + one read before deciding); Theorem 22's
 // counting argument covers all depths.
+//
+// The search cannot close at that depth and ends in a skip after about a
+// minute, so it runs only with -deep; E11's counting argument carries the
+// claim.
 func TestSynthNoAssign2For3Procs(t *testing.T) {
+	if !*deep {
+		t.Skip("minute-scale search that cannot close; run with -deep")
+	}
 	if testing.Short() {
 		t.Skip("minute-scale search; skipped in -short mode")
 	}

@@ -78,12 +78,12 @@ func TestTreeBoundsReport(t *testing.T) {
 	}
 }
 
-// TestCoreBoundsReport pins the certifier's headline on internal/core: the
-// help-wait window in awaitHelp is a counted loop the certifier proves
-// outright (a stalled executor delays a helped writer by at most the window),
-// the replay and anchor walks — trusted on their Section 4.1 arguments until
-// the structural-walk class landed — are now machine-verified self-projection
-// descents, and nothing in the package is contradicted.
+// TestCoreBoundsReport pins the certifier's headline on internal/core:
+// InvokeBatch's per-entry loops are ranges over the caller's slice the
+// certifier proves outright, the replay and anchor walks — trusted on their
+// Section 4.1 arguments until the structural-walk class landed — are now
+// machine-verified self-projection descents, and nothing in the package is
+// contradicted.
 func TestCoreBoundsReport(t *testing.T) {
 	_, p := loadFixture(t, "../../../core")
 	records, diags := analyzeBounds(p)
@@ -97,8 +97,8 @@ func TestCoreBoundsReport(t *testing.T) {
 		}
 		byScope[r.Scope] = r.Status
 	}
-	if got := byScope["loop in awaitHelp"]; got != BoundVerified {
-		t.Errorf("awaitHelp help-wait window certified %q, want %q (counted loop)", got, BoundVerified)
+	if got := byScope["loop in InvokeBatch"]; got != BoundVerified {
+		t.Errorf("InvokeBatch per-entry loop certified %q, want %q (range over the batch)", got, BoundVerified)
 	}
 	if got := byScope["loop in replayPublish"]; got != BoundVerified {
 		t.Errorf("replayPublish walk certified %q, want %q (structural walk)", got, BoundVerified)
@@ -141,8 +141,9 @@ func TestTreeBoundsTotals(t *testing.T) {
 		// ranges over the caller's slice — trip count fixed at loop entry,
 		// so both verify. The replay's edit window adds one [n] bracket, the
 		// range that publishes each applied entry's response from the
-		// window's out, and it verifies the same way.
-		BoundVerified: 12, BoundTrusted: 11, BoundLockFree: 4, BoundContradicted: 0,
+		// window's out, and it verifies the same way. Deleting the batched
+		// Invoke path took out awaitHelp's counted help-wait loop.
+		BoundVerified: 11, BoundTrusted: 11, BoundLockFree: 4, BoundContradicted: 0,
 	}
 	for status, n := range want {
 		if counts[status] != n {

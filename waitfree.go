@@ -147,18 +147,6 @@ func WithoutTruncation() Option { return core.WithoutTruncation() }
 // (cons + snapshot); useful for measuring the read fast path against it.
 func WithoutFastReads() Option { return core.WithoutFastReads() }
 
-// WithBatching enables helping-based batch execution on the write path:
-// concurrent writers' announced operations are settled by a single
-// executor's replay pass — one replay, one snapshot clone, every batch
-// member's response published into its entry's result slot — while helped
-// writers return without replaying or cloning. Off by default for New;
-// NewShardedKV turns it on (pass WithoutBatching to disable there).
-func WithBatching() Option { return core.WithBatching() }
-
-// WithoutBatching disables helping-based batch execution; mainly useful to
-// switch off NewShardedKV's default.
-func WithoutBatching() Option { return core.WithoutBatching() }
-
 // WithLogGC enables low-water-mark log truncation: each front end publishes
 // the log index its replays stop at, and each process's every-th write
 // computes the collective minimum and severs the decided log below it, so
@@ -215,11 +203,9 @@ type Sharded = shard.Sharded
 // objects: each key is hashed to one of them, and each has its own
 // fetch-and-cons from mk and serves procs processes. For read-dominated,
 // key-partitionable workloads this
-// scales throughput near-linearly in the shard count. Helping-based write
-// batching (WithBatching) is on by default — writers that contend on one
-// shard are served by a single replay pass — and so is low-water-mark log
-// GC (WithLogGC), keeping each shard's log memory bounded; disable either
-// with WithoutBatching / WithoutLogGC.
+// scales throughput near-linearly in the shard count. Low-water-mark log GC
+// (WithLogGC) is on by default, keeping each shard's log memory bounded;
+// disable it with WithoutLogGC.
 func NewShardedKV(shards, procs int, mk func() FetchAndCons, opts ...Option) *Sharded {
 	return shard.NewKV(shards, procs, mk, shard.Defaults(opts...)...)
 }

@@ -182,45 +182,34 @@ func TestFastReadsFacade(t *testing.T) {
 	}
 }
 
-// TestBatchingDefaults pins the option's default surface: off for New, on
-// for NewShardedKV, and WithoutBatching switches the sharded default back
-// off. Executor passes (BatchStats) are the observable: every batched write
-// that is not helped is one pass, so a batched object records passes even
-// single-threaded, and an unbatched one records none.
+// TestBatchingDefaults pins the batching surface: neither New nor
+// NewShardedKV batches an Invoke, so a run of Invokes records no batch
+// pass (BatchStats), and the one batch path, InvokeBatch, records one pass
+// per wave.
 func TestBatchingDefaults(t *testing.T) {
 	put := func(k, v int64) waitfree.Op {
 		return waitfree.Op{Kind: "put", Args: []int64{k, v}}
 	}
 
 	plain := waitfree.New(waitfree.KV{}, waitfree.NewSwapFetchAndCons(), 1)
-	batched := waitfree.New(waitfree.KV{}, waitfree.NewSwapFetchAndCons(), 1,
-		waitfree.WithBatching())
+	sharded := waitfree.NewShardedKV(4, 2, waitfree.NewSwapFetchAndCons)
 	for k := int64(0); k < 10; k++ {
 		plain.Invoke(0, put(k, k))
-		batched.Invoke(0, put(k, k))
+		sharded.Invoke(0, put(k, k))
 	}
 	if b, _, _ := plain.BatchStats(); b != 0 {
-		t.Errorf("New default: %d executor passes, want 0 (batching off)", b)
+		t.Errorf("New: %d batch passes after Invokes, want 0", b)
 	}
-	if b, _, _ := batched.BatchStats(); b != 10 {
-		t.Errorf("WithBatching: %d executor passes, want 10", b)
+	if b, _, _ := sharded.BatchStats(); b != 0 {
+		t.Errorf("NewShardedKV: %d batch passes after Invokes, want 0", b)
 	}
 
-	sharded := waitfree.NewShardedKV(4, 2, waitfree.NewSwapFetchAndCons)
-	off := waitfree.NewShardedKV(4, 2, waitfree.NewSwapFetchAndCons,
-		waitfree.WithoutBatching())
-	for k := int64(0); k < 10; k++ {
-		sharded.Invoke(0, put(k, k))
-		off.Invoke(0, put(k, k))
+	out := make([]int64, 3)
+	for w := int64(0); w < 10; w++ {
+		plain.InvokeBatch(0, []waitfree.Op{put(w, 1), put(w, 2), put(w, 3)}, out)
 	}
-	if b, _, _ := sharded.BatchStats(); b != 10 {
-		t.Errorf("NewShardedKV default: %d executor passes, want 10 (batching on)", b)
-	}
-	if b, _, _ := off.BatchStats(); b != 0 {
-		t.Errorf("NewShardedKV WithoutBatching: %d executor passes, want 0", b)
-	}
-	if h := sharded.Helped(); h != 0 {
-		t.Errorf("sequential sharded run counted %d helped ops", h)
+	if b, mean, _ := plain.BatchStats(); b != 10 || mean != 3 {
+		t.Errorf("InvokeBatch: (%d passes, mean %v), want (10, 3)", b, mean)
 	}
 }
 
