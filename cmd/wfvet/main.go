@@ -194,7 +194,7 @@ func printOps(ops []wfcheck.OpCert) {
 var paramGloss = map[string]string{
 	"n": "number of processes (MaxProcs)",
 	"S": "shard count of a sharded object",
-	"B": "records in one `InvokeBatch` call (the server drains at most `drainCap` = 64)",
+	"B": "records in one `InvokeBatch` call (the server's committer drains at most `drainCap` × S = 64·S requests)",
 	"g": "GC interval: operations between log-GC anchor swings",
 	"M": "registered metrics in a wfstats registry",
 	"C": "live-sample cap of the space accountant",

@@ -21,8 +21,8 @@ const entryChunk = 4
 // covers all of them, and one GC mark advance amortizes the min-scan over
 // the batch. Responses land in out[i] (which must have room for len(ops)).
 //
-// It is the construction's one batch path: the server's shard applier
-// drains N decided-and-persisted operations from its queue and retires them
+// It is the construction's one batch path: the server's committer drains
+// persisted operations from every shard and retires each shard's N of them
 // in one pass, paying the replay/clone/mark costs once instead of N times.
 // Invoke never batches.
 //

@@ -236,8 +236,8 @@ func TestReadCacheEpochMiss(t *testing.T) {
 // writes with GC on must leave a live region bounded by O(n + n·gcEvery),
 // not by the op count. (The heap-level version of this claim is
 // BenchmarkSteadyStateHeap at the repo root; this is the node-count pin.)
-// The invoke-batch case drains waves of 1–16 ops from one pid, as a server
-// shard's applier does, and pins the heap as well: InvokeBatch takes its
+// The invoke-batch case drains waves of 1–16 ops from one pid, as the
+// server's committer does on each shard, and pins the heap as well: InvokeBatch takes its
 // entries from shared chunks, and a chunk that outlives the swing retiring
 // its entries would keep their list cells, and the log below them, alive
 // where no Rest walk can see it (see entryChunk).

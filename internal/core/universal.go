@@ -287,8 +287,8 @@ func (u *Universal) readFast(pid int, op seqspec.Op) int64 {
 // list Observe loads, as a private copy the caller may mutate or keep.
 // Like a fast read it conses nothing and linearizes at that load, but it
 // neither reads nor fills the read cache. pid is bound by Invoke's
-// sequential-use contract. The server's appliers persist shard snapshots
-// from it.
+// sequential-use contract. The server's committer persists shard
+// snapshots from it.
 func (u *Universal) State(pid int) seqspec.State {
 	u.gcAttach(pid)
 	return u.replay(pid, u.fac.Observe())

@@ -39,7 +39,7 @@ func FuzzLogSegment(f *testing.F) {
 				seqs[sh]++
 				recs[j] = Record{Shard: sh, Seq: seqs[sh], Op: seqspec.Op{Kind: "put", Args: []int64{int64(i), int64(g) - int64(j)}}}
 			}
-			seg, _ = appendFrame(seg, []appendReq{{recs: recs}})
+			seg = appendFrame(seg, recs)
 			written = append(written, recs...)
 		}
 		if at >= 0 {

@@ -26,17 +26,20 @@
 //
 // # Group commit
 //
-// AppendBatch blocks until its records are durable. One flusher goroutine
-// drains concurrently queued appends into one frame and commits it with one
-// write and one fsync on the open segment, so the fsync amortizes across
-// however many appliers are committing at once — the classic group-commit
-// trade: under load, latency per append approaches one fsync / group size.
-// Past segmentBytes the flusher seals the segment and publishes the next.
+// AppendBatch blocks until its records are durable: it encodes them as one
+// frame and commits it with one write and one fsync on the open segment,
+// under the store's commit mutex. The grouping is the caller's: the server's
+// single committer drains every shard's pending writes and hands the whole
+// drain to one AppendBatch, so one fsync covers however many records queued
+// behind the last one — under load, latency per append approaches one
+// fsync / group size. Past segmentBytes AppendBatch seals the segment and
+// publishes the next.
 //
 // # Torn-tail repair
 //
-// The flusher fsyncs frame k before it writes frame k+1, so a crash can
-// leave at most one frame that is not intact: the final frame of the newest
+// AppendBatch fsyncs frame k before it returns, and the commit mutex orders
+// frame k+1 after it, so a crash can leave at most one frame that is not
+// intact: the final frame of the newest
 // segment, whose group was never acknowledged. Open cuts it off and fsyncs
 // the cut before any later segment can exist, and appends after Open go to
 // a fresh segment. A bad frame anywhere else — in a sealed segment, or with
@@ -55,11 +58,10 @@
 // write leaves behind is the torn tail the next Open cuts off.
 //
 // Wait-freedom claims stop at the wait-free core this store feeds: the
-// public methods carry function-level //wf:blocking (fsync, rename and
-// channel handoff are the point), the commit paths are audited by wfvet's
+// public methods carry function-level //wf:blocking (fsync, rename and the
+// commit mutex are the point), and the commit paths are audited by wfvet's
 // fsyncorder analyzer (//wf:durable on publish, writeFrame and
-// truncateTail), and the flusher goroutine's shutdown edge is declared with
-// //wf:owns.
+// truncateTail). The store runs no goroutine of its own.
 package logstore
 
 import (
@@ -69,6 +71,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,8 +83,8 @@ import (
 )
 
 // Record is one decided operation bound for shard's log: Seq is the
-// shard-local persistence sequence number assigned by the shard's single
-// applier (dense from 1), Op the decided operation.
+// shard-local persistence sequence number assigned by the server's single
+// committer (dense from 1 per shard), Op the decided operation.
 type Record struct {
 	Shard uint32
 	Seq   uint64
@@ -105,9 +108,11 @@ var (
 )
 
 const (
-	// segmentBytes is the size past which the flusher seals a segment and
-	// starts the next.
-	segmentBytes = 1 << 20
+	// segmentBytes is the size past which AppendBatch seals a segment and
+	// starts the next. Boot reads every live segment whole, covered records
+	// included, so a smaller segment is compacted sooner and a crash image
+	// holds less of it.
+	segmentBytes = 256 << 10
 	// frameHeader is a frame's u32 len | u32 count; frameOverhead adds the
 	// trailing u32 crc32.
 	frameHeader   = 8
@@ -116,7 +121,7 @@ const (
 	recordHeader = 12
 )
 
-// ErrClosed is returned by AppendBatch after Close.
+// ErrClosed is returned by AppendBatch and WriteSnapshot after Close.
 var ErrClosed = errors.New("logstore: store is closed")
 
 // ErrCorrupt wraps integrity failures in committed segments. A bad frame
@@ -137,16 +142,6 @@ type Stats struct {
 	Orphans   int64 // tmp-* files Open removed
 }
 
-type appendReq struct {
-	recs []Record
-	err  chan error
-}
-
-// acks recycles AppendBatch's one-value ack channels, so a steady-state
-// group commit allocates nothing: a channel whose value AppendBatch has
-// received is empty again and the flusher holds no further send for it.
-var acks = sync.Pool{New: func() any { return make(chan error, 1) }}
-
 // segment is one live log segment. max is its per-shard newest seq, known
 // once the segment is sealed by this process or replayed (nil before):
 // Compact leaves a segment it does not know alone.
@@ -163,7 +158,7 @@ type Store struct {
 
 	mu sync.Mutex
 	// segs holds the live segments in ascending index order. active is the
-	// index of the segment the flusher appends to (0 while none is open),
+	// index of the segment AppendBatch appends to (0 while none is open),
 	// always the last entry, and synced is its fsynced length: Compact
 	// never erases it and Replay reads it no further.
 	segs   []segment
@@ -182,30 +177,30 @@ type Store struct {
 	snaps     map[uint32]snapRef
 	snapFiles []snapRef
 	validated map[uint32]Snapshot
+
+	// commit serialises every write to the directory: AppendBatch,
+	// WriteSnapshot and Close. It guards the fields below it.
+	commit sync.Mutex
 	// failed is the first error a log or snapshot write returned. It is
 	// sticky: after a failed fsync the kernel may have dropped the dirty
 	// pages and a retry can report success over a hole, so the store stops
 	// writing and every later AppendBatch/WriteSnapshot returns this error
 	// until the directory is reopened.
 	failed error
-
-	// Owned by the flusher: the open segment (nil until the first commit),
-	// its length and per-shard newest seq, the next segment index, and the
-	// frame buffer every group is encoded into.
+	closed bool
+	// The open segment (nil until the first commit), its length and
+	// per-shard newest seq, the next segment index, the buffer every frame
+	// and snapshot is encoded into, and a snapshot's sorted keys.
 	seg     *os.File
 	segLen  int
 	segMax  map[uint32]uint64
 	nextIdx uint64
 	buf     []byte
+	keys    []int64
 
 	// Set by Open, read-only after.
 	tornBytes int64
 	orphans   int64
-
-	reqs        chan appendReq
-	quit        chan struct{}
-	flusherDone chan struct{}
-	closed      atomic.Bool
 
 	n storeCounters
 }
@@ -235,10 +230,7 @@ func segName(idx uint64) string { return fmt.Sprintf("log-%016d", idx) }
 
 // Open opens (creating if needed) the store directory at dir: removes tmp-*
 // orphans from a previous crash, indexes the segments and snapshots, cuts a
-// torn final frame off the newest segment, and starts the group-commit
-// flusher.
-//
-//wf:blocking opens and fsyncs files; launches the blocking flusher
+// torn final frame off the newest segment.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -248,13 +240,10 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:         dir,
-		dirf:        dirf,
-		nextIdx:     1,
-		snaps:       make(map[uint32]snapRef),
-		reqs:        make(chan appendReq, 256),
-		quit:        make(chan struct{}),
-		flusherDone: make(chan struct{}),
+		dir:     dir,
+		dirf:    dirf,
+		nextIdx: 1,
+		snaps:   make(map[uint32]snapRef),
 	}
 	names, err := dirf.Readdirnames(-1)
 	if err != nil {
@@ -300,8 +289,6 @@ func Open(dir string) (*Store, error) {
 			return nil, err
 		}
 	}
-	//wf:owns s.quit Close closes quit; the flusher drains and exits
-	go s.flusher()
 	return s, nil
 }
 
@@ -356,146 +343,69 @@ func (s *Store) Dir() string { return s.dir }
 
 // AppendBatch durably commits recs as one batch: it returns only after the
 // records are in a CRC-sealed frame fsynced into the open segment. This is
-// the batch-drained applier's entry point — a shard applier drains its
-// queue and commits the whole drain here, paying one fsync for N records;
-// concurrent batches from other appliers may be committed together in one
-// frame (group commit), each still getting its own error. Records of one
+// the server committer's entry point — it drains every shard's pending
+// writes and commits the whole drain here, paying one fsync for N records.
+// Concurrent calls commit one after another, one frame each. Records of one
 // batch stay contiguous and in order, and an empty batch returns nil
-// without touching the flusher.
+// without touching the segment.
 //
-//wf:blocking blocks until the group commit's fsync completes
+//wf:blocking takes the commit mutex and fsyncs the frame
 func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	req := appendReq{recs: recs, err: acks.Get().(chan error)}
-	select {
-	case s.reqs <- req:
-	case <-s.quit:
-		acks.Put(req.err)
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	if s.closed {
 		return ErrClosed
 	}
-	select {
-	case err := <-req.err:
-		acks.Put(req.err)
-		return err
-	case <-s.flusherDone:
-		// The flusher exited between our enqueue and its drain; the ack
-		// channel is buffered, so a commit that did see us is not lost.
-		// Shutdown is rare, so its channel is left to the collector.
-		select {
-		case err := <-req.err:
-			return err
-		default:
-			return ErrClosed
-		}
+	if s.failed == nil {
+		s.failed = s.commitFrame(recs)
 	}
+	return s.failed
 }
 
-// flusher is the group-commit loop: take everything queued, seal it into
-// one frame, ack every contributor, repeat.
-//
-//wf:blocking the group-commit loop: waits on the request channel for work
-func (s *Store) flusher() {
-	defer close(s.flusherDone)
-	group := make([]appendReq, 0, 64)
-	for {
-		group = group[:0]
-		select {
-		case req := <-s.reqs:
-			group = append(group, req)
-		case <-s.quit:
-			// Graceful drain: commit what was enqueued before Close.
-			for {
-				select {
-				case req := <-s.reqs:
-					group = append(group, req)
-				default:
-					if len(group) > 0 {
-						s.commitGroup(group)
-					}
-					return
-				}
-			}
-		}
-	gather:
-		for len(group) < cap(group) {
-			select {
-			case req := <-s.reqs:
-				group = append(group, req)
-			default:
-				break gather
-			}
-		}
-		s.commitGroup(group)
-	}
-}
-
-// commitGroup commits one group as one frame and acks every req.
-//
-//wf:blocking reads the sticky failure under the store mutex around the commit
-func (s *Store) commitGroup(group []appendReq) {
-	s.mu.Lock()
-	err := s.failed
-	s.mu.Unlock()
-	if err == nil {
-		if err = s.appendGroup(group); err != nil {
-			err = s.fail(err)
-		}
-	}
-	for _, req := range group {
-		req.err <- err
-	}
-}
-
-// appendGroup encodes group into the reusable frame buffer and commits it
-// to the open segment, first sealing a full segment (or opening the first).
+// commitFrame encodes recs as one frame into the reused buffer and commits
+// it to the open segment, first sealing a full segment (or opening the
+// first). The caller holds commit.
 //
 //wf:blocking publishes the fsynced length under the store mutex
-func (s *Store) appendGroup(group []appendReq) error {
+func (s *Store) commitFrame(recs []Record) error {
 	if s.seg == nil || s.segLen >= segmentBytes {
 		if err := s.rotate(); err != nil {
 			return err
 		}
 	}
-	var count int
-	s.buf, count = appendFrame(s.buf[:0], group)
+	s.buf = appendFrame(s.buf[:0], recs)
 	if err := s.writeFrame(s.buf); err != nil {
 		return err
 	}
 	s.segLen += len(s.buf)
-	for _, req := range group {
-		for _, r := range req.recs {
-			if r.Seq > s.segMax[r.Shard] {
-				s.segMax[r.Shard] = r.Seq
-			}
+	for _, r := range recs {
+		if r.Seq > s.segMax[r.Shard] {
+			s.segMax[r.Shard] = r.Seq
 		}
 	}
 	s.mu.Lock()
 	s.synced = s.segLen
 	s.mu.Unlock()
 	s.n.batches.Add(1)
-	s.n.records.Add(int64(count))
+	s.n.records.Add(int64(len(recs)))
 	return nil
 }
 
-// appendFrame appends one frame holding every record of group to b and
-// returns it with the frame's record count.
-func appendFrame(b []byte, group []appendReq) ([]byte, int) {
+// appendFrame appends one frame holding recs to b.
+func appendFrame(b []byte, recs []Record) []byte {
 	start := len(b)
 	b = append(b, make([]byte, frameHeader)...)
-	count := 0
-	for _, req := range group {
-		for _, r := range req.recs {
-			b = binary.BigEndian.AppendUint32(b, r.Shard)
-			b = binary.BigEndian.AppendUint64(b, r.Seq)
-			b = wire.AppendOp(b, r.Op)
-		}
-		count += len(req.recs)
+	for _, r := range recs {
+		b = binary.BigEndian.AppendUint32(b, r.Shard)
+		b = binary.BigEndian.AppendUint64(b, r.Seq)
+		b = wire.AppendOp(b, r.Op)
 	}
 	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-frameHeader))
-	binary.BigEndian.PutUint32(b[start+4:], uint32(count))
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:])), count
+	binary.BigEndian.PutUint32(b[start+4:], uint32(len(recs)))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // writeFrame appends one sealed frame to the open segment and makes it
@@ -512,7 +422,7 @@ func (s *Store) writeFrame(frame []byte) error {
 
 // rotate seals the open segment, if any, and publishes the next one with
 // just its header. Every frame of the sealed segment was fsynced before its
-// group was acked, so closing it reports nothing a reopen needs.
+// AppendBatch returned, so closing it reports nothing a reopen needs.
 //
 //wf:blocking swaps the active segment under the store mutex
 func (s *Store) rotate() error {
@@ -535,19 +445,6 @@ func (s *Store) rotate() error {
 	s.seg, s.segLen, s.segMax = f, len(logMagic), make(map[uint32]uint64)
 	s.nextIdx++
 	return nil
-}
-
-// fail makes err the store's sticky failure unless an earlier write already
-// failed, and returns the failure that stuck.
-//
-//wf:blocking takes the store mutex to record the failure
-func (s *Store) fail(err error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed == nil {
-		s.failed = err
-	}
-	return s.failed
 }
 
 // publish atomically creates name with content: temp file, file fsync,
@@ -770,35 +667,39 @@ func (s *Store) readSnapshot(ref snapRef) (Snapshot, error) {
 // hands snap.State over: the store keeps the map, uncopied, as the shard's
 // validated state, so the caller must not mutate it afterwards.
 //
-//wf:blocking fsyncs the snapshot file and updates the index under the store mutex
+//wf:blocking takes the commit mutex, fsyncs the snapshot file and updates the index under the store mutex
 func (s *Store) WriteSnapshot(snap Snapshot) error {
-	s.mu.Lock()
-	err := s.failed
-	s.mu.Unlock()
-	if err != nil {
-		return err
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	buf := snapMagic[:4:4]
+	if s.failed != nil {
+		return s.failed
+	}
+	buf := append(s.buf[:0], snapMagic[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, snap.Shard)
 	buf = binary.BigEndian.AppendUint64(buf, snap.Seq)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(snap.State)))
-	keys := make([]int64, 0, len(snap.State))
+	keys := s.keys[:0]
 	for k := range snap.State {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	s.keys = keys
 	for _, k := range keys {
 		buf = binary.AppendVarint(buf, k)
 		buf = binary.AppendVarint(buf, snap.State[k])
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
+	s.buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
 	name := fmt.Sprintf("snap-%010d-%016d", snap.Shard, snap.Seq)
-	f, err := s.publish(name, buf)
+	f, err := s.publish(name, s.buf)
 	if err == nil {
 		err = f.Close()
 	}
 	if err != nil {
-		return s.fail(err)
+		s.failed = err
+		return err
 	}
 	ref := snapRef{shard: snap.Shard, seq: snap.Seq, name: name}
 	s.mu.Lock()
@@ -895,8 +796,8 @@ func (s *Store) Replay(fn func(Record) error) error {
 // snapshots (same set Replay skips by — erasing behind an unverified
 // snapshot would lose acked data), and snapshot files superseded by a newer
 // valid one for the same shard. Only segments whose contents this process
-// has seen (sealed or replayed) are considered, and never the one the
-// flusher is appending to. Returns the number of files erased. Safe to
+// has seen (sealed or replayed) are considered, and never the one
+// AppendBatch is appending to. Returns the number of files erased. Safe to
 // crash at any point: erasure is idempotent and recovery never needs an
 // erased file.
 //
@@ -969,20 +870,21 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close drains queued appends, stops the flusher and releases the
-// directory handle. Appends issued after Close return ErrClosed.
+// Close waits for a commit in progress and releases the segment and
+// directory handles. Writes issued after Close return ErrClosed.
 //
-//wf:blocking waits for the flusher's graceful drain
+//wf:blocking waits on the commit mutex for a commit in progress
 func (s *Store) Close() error {
-	if s.closed.Swap(true) {
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	if s.closed {
 		return nil
 	}
-	close(s.quit)
-	<-s.flusherDone
+	s.closed = true
 	if s.seg != nil {
-		// Every frame was fsynced before its group was acked, so closing
-		// reports nothing a reopen needs; the handle may also be one a
-		// failed write already left closed.
+		// Every frame was fsynced before its AppendBatch returned, so
+		// closing reports nothing a reopen needs; the handle may also be
+		// one a failed write already left closed.
 		s.seg.Close()
 	}
 	return s.dirf.Close()

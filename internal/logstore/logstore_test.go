@@ -84,8 +84,8 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestAppendBatchAllocs: a steady-state group commit allocates nothing —
-// the ack channel is recycled, the frame is encoded into the flusher's
-// reused buffer, and the open segment is written and fsynced in place.
+// the frame is encoded into the store's reused buffer, and the open
+// segment is written and fsynced in place.
 func TestAppendBatchAllocs(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -109,9 +109,9 @@ func TestAppendBatchAllocs(t *testing.T) {
 }
 
 // TestGroupCommitConcurrent: concurrent appenders all become durable, each
-// shard's records replay in seq order, and the group commit actually
-// groups (no more frames than appends — asserted loosely since grouping
-// depends on scheduling).
+// shard's records replay in seq order, and every AppendBatch call commits
+// exactly one frame of its own: the grouping is the caller's drain, and the
+// commit mutex serialises the calls.
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -135,8 +135,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := st.Stats().Batches; got > shards*perShard {
-		t.Errorf("batches = %d, more than one per append", got)
+	if got := st.Stats().Batches; got != shards*perShard {
+		t.Errorf("batches = %d, want one per append (%d)", got, shards*perShard)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestDoubleReplayIdempotent(t *testing.T) {
 
 // TestSnapshotCompact: a snapshot covering the whole log lets Compact
 // erase every sealed segment and the superseded snapshot, but never the
-// segment the flusher is appending to, and recovery from the compacted
+// segment AppendBatch is appending to, and recovery from the compacted
 // directory serves the identical state.
 func TestSnapshotCompact(t *testing.T) {
 	dir := t.TempDir()
@@ -520,8 +520,8 @@ func TestAppendAfterClose(t *testing.T) {
 // store refuses every later write with that first error, even after the
 // fault clears — otherwise the next group would be acked on top of the hole
 // the failed one left. The fault is injected on the open segment's handle
-// (closed under the flusher between two groups) and cleared by handing the
-// flusher a working handle again.
+// (closed between two commits) and cleared by handing the store a working
+// handle again.
 func TestWriteFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -531,8 +531,9 @@ func TestWriteFailureIsSticky(t *testing.T) {
 	if err := st.AppendBatch([]Record{{Shard: 0, Seq: 1, Op: put(1, 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	// The flusher is idle between groups, and the AppendBatch round trips
-	// order these handle swaps with its own use of st.seg.
+	// AppendBatch commits on its caller's goroutine under the commit mutex,
+	// so these handle swaps between two calls are ordered with its use of
+	// st.seg.
 	st.seg.Close()
 	first := st.AppendBatch([]Record{{Shard: 0, Seq: 2, Op: put(1, 2)}})
 	if first == nil {

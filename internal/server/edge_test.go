@@ -15,9 +15,9 @@ import (
 // TestServerSlowPeer: a peer that pipelines requests and never reads its
 // replies stalls only its own connection. Its reader ends up blocked in a
 // socket write, or on a window of routed writes whose completions its
-// writer cannot flush; the shard appliers never block on it, so a second
-// client's put and get on the same shards, and its len (in durable mode a
-// barrier through every applier it dirtied), still complete. Once the
+// writer cannot flush; the committer never blocks on it, so a second
+// client's put and get on the same shards, and its len (in durable mode
+// routed behind its own writes), still complete. Once the
 // stuck peer hangs up, its pid goes back to the pool, Close returns and
 // the goroutines return to baseline.
 func TestServerSlowPeer(t *testing.T) {
@@ -46,8 +46,9 @@ func TestServerSlowPeer(t *testing.T) {
 
 			// The stuck peer puts to keys of shard 0 and gets keys of
 			// shard 1, so its gets stay inline and fill its reply path at
-			// CPU speed while its puts keep its window routed to shard 0's
-			// applier. The second client uses other keys on both shards.
+			// CPU speed while its puts to shard 0 keep its window routed to
+			// the committer. The second client uses other keys on both
+			// shards.
 			var putKeys, getKeys []int64
 			for k := int64(1000); len(putKeys) < 8 || len(getKeys) < 8; k++ {
 				if s.KV().ShardOf(k) == 0 {

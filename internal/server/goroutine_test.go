@@ -9,7 +9,7 @@ import (
 )
 
 // serverCycle runs one full server lifetime: start (with persistence, so
-// the appliers and stats loop spawn too), serve a few clients — including
+// the committer and stats loop spawn too), serve a few clients — including
 // a pipelined burst, so each connection's writer goroutine carries real
 // out-of-order traffic before the shutdown edge — then close.
 func serverCycle(t *testing.T, dir string) {
@@ -33,7 +33,7 @@ func serverCycle(t *testing.T, dir string) {
 			}
 		}
 		// Pipelined burst: mixed writes and reads in flight together, so
-		// completions traverse both the applier path and the inline fast
+		// completions traverse both the committer path and the inline fast
 		// path while the window is deep.
 		pending := map[uint64]bool{}
 		for k := int64(0); k < 16; k++ {
@@ -108,7 +108,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 
 // TestServerGoroutineHygiene pins the //wf:owns contract dynamically: after
 // a full start/serve/shutdown cycle every spawned goroutine — accept loop,
-// stats server, per-shard appliers, per-connection handlers — has reached
+// stats server, committer, per-connection handlers — has reached
 // its declared shutdown mechanism and exited, returning the process to its
 // goroutine baseline.
 func TestServerGoroutineHygiene(t *testing.T) {
@@ -121,10 +121,30 @@ func TestServerGoroutineHygiene(t *testing.T) {
 }
 
 // TestServerGoroutineHygieneInMemory is the same pin for the no-persistence
-// configuration (no appliers, no store flusher).
+// configuration (no committer).
 func TestServerGoroutineHygieneInMemory(t *testing.T) {
 	serverCycle(t, "")
 	baseline := settledGoroutines()
 	serverCycle(t, "")
 	waitGoroutines(t, baseline)
+}
+
+// TestServerOneCommitter pins the durable pipeline's goroutine count: after
+// New, a durable server with 16 shards runs exactly one goroutine more than
+// an in-memory one — the committer. No shard and no store runs its own.
+func TestServerOneCommitter(t *testing.T) {
+	spawned := func(dir string) int {
+		baseline := settledGoroutines()
+		s, err := New(Config{Addr: "127.0.0.1:0", Shards: 16, Procs: 8, Dir: dir})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		n := settledGoroutines() - baseline
+		s.Close()
+		waitGoroutines(t, baseline)
+		return n
+	}
+	if mem, durable := spawned(""), spawned(t.TempDir()); durable != mem+1 {
+		t.Fatalf("New spawned %d goroutines durable and %d in memory, want exactly one more durable", durable, mem)
+	}
 }

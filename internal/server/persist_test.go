@@ -293,7 +293,7 @@ func TestServerRecoveryAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestServerSnapshotsAreShardState: the appliers snapshot each shard's own
+// TestServerSnapshotsAreShardState: the committer snapshots each shard's own
 // state. One sequential client sends seeded random put/del while the test
 // records every shard's ops in order. After Close, each shard's newest
 // snapshot must equal a model of that shard's first Seq ops, so deleted

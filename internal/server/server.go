@@ -16,30 +16,30 @@
 // frames (many per read syscall, through wire.Decoder) and writes the
 // replies it completes itself — inline reads, in-memory writes, refusals —
 // in one socket write each time the decoder runs dry; a writer goroutine
-// coalesces the shard appliers' completions the same way. Requests carry
-// ids and may complete out of order (a read answered inline overtakes an
+// coalesces the committer's completions the same way. Requests carry ids
+// and may complete out of order (a read answered inline overtakes an
 // earlier write still waiting on its fsync); the client reassembles by id.
-// Slot tokens (Config.Window) bound the requests routed to appliers and
-// not yet flushed, which makes every applier-to-writer send non-blocking
-// and the shutdown hand-off (reclaim every slot, then close the completion
-// channel) race-free.
+// Slot tokens (Config.Window) bound the requests routed to the committer
+// and not yet flushed, which makes every committer-to-writer send
+// non-blocking and the shutdown hand-off (reclaim every slot, then close
+// the completion channel) race-free.
 //
 // Persistence (Config.Dir != "") follows persist-before-apply: writes are
-// routed to a per-shard applier goroutine that assigns the shard's next
-// dense sequence numbers, appends the whole drained batch to the log store
-// as one group (logstore.AppendBatch; concurrent appliers still share one
-// fsync through the store's flusher), and only then applies the batch to
-// the in-memory KV — through the construction's one batch path
-// (shard.InvokeBatch), one replay pass and one snapshot per drain — and
-// acks each client. An acked write is therefore on disk before any client
-// observes it, and boot starts each shard from exactly those writes —
-// durable linearizability. Snapshots are each shard's own state
+// routed to one committer goroutine, which drains every shard's pending
+// requests, assigns each shard's next dense sequence numbers, appends the
+// whole drain to the log store as one frame (logstore.AppendBatch, one
+// fsync), and only then applies it to the in-memory KV — each shard's
+// writes through the construction's one batch path (shard.InvokeBatch) —
+// and acks each client. A durable write makes two channel hops, reader →
+// committer → writer. An acked write is therefore on disk before any
+// client observes it, and boot starts each shard from exactly those writes
+// — durable linearizability. Snapshots are each shard's own state
 // (core.Universal.State); the server keeps no second copy of the KV. Reads
 // never touch the store; a get is answered inline from the connection's
 // leased pid unless this same connection has writes still in flight on the
-// key's shard, in which case it is routed through the applier FIFO behind
-// them (read-your-writes in program order); a len barriers every shard the
-// connection has dirtied.
+// key's shard, and a len unless it has writes in flight on any shard. A
+// read that is not inline is routed through the committer's FIFO behind
+// those writes (read-your-writes in program order).
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -74,7 +74,7 @@ type Config struct {
 	StatsAddr     string                           // HTTP stats address; "" disables the stats server
 	Shards        int                              // KV shard count (default 8)
 	Procs         int                              // connection pid pool size (default 64)
-	Window        int                              // max requests routed to appliers and not yet flushed, per connection (default 256)
+	Window        int                              // max requests routed to the committer and not yet flushed, per connection (default 256)
 	Dir           string                           // log store directory; "" runs without persistence
 	SnapshotEvery int                              // records per shard between snapshots (default 4096)
 	Logf          func(format string, args ...any) // nil silences logging
@@ -103,7 +103,7 @@ func (c *Config) fill() {
 // shard a server without a store starts from.
 var kvSpec = seqspec.KV{}
 
-// completion is one request an applier finished, on its way to the
+// completion is one request the committer finished, on its way to the
 // connection's writer. err != "" is a failed persist: an error frame, after
 // which the writer hangs up (the stream past it is not trustworthy).
 type completion struct {
@@ -113,43 +113,45 @@ type completion struct {
 }
 
 // connState is the per-connection plumbing shared by the reader goroutine,
-// the writer goroutine and the shard appliers a request may pass through.
+// the writer goroutine and the committer a request may pass through.
 type connState struct {
 	c    net.Conn
 	mu   sync.Mutex // serialises the reader's and the writer's socket writes
 	out  *[]byte    // replies the reader completed and has not flushed (reader-only)
 	outN int        // frames in out
-	// ch carries applier completions to the writer. Capacity Window and
-	// the slot tokens below make every send non-blocking: a routed request
-	// holds a slot from admission to the flush that carries its reply.
+	// ch carries the committer's completions to the writer. Capacity
+	// Window and the slot tokens below make every send non-blocking: a
+	// routed request holds a slot from admission to the flush that carries
+	// its reply.
 	ch chan completion
 	// slots is the window: the reader takes a token per routed request,
 	// the writer returns one per flushed completion. Reclaiming all Window
 	// tokens is the reader's proof that nothing references ch any more.
 	slots chan struct{}
-	// outW[sh] counts this connection's writes handed to shard sh's
-	// applier and not yet applied; outWT is the total. The reader consults
+	// outW[sh] counts this connection's writes to shard sh handed to the
+	// committer and not yet applied; outWT is the total. The reader consults
 	// them to decide whether a read may take the inline fast path or must
 	// queue behind the connection's own writes.
 	outW  []atomic.Int64
 	outWT atomic.Int64
 }
 
-// applyReq is one unit handed to a shard applier: a write to persist and
-// apply, a read (read == true) queued behind a connection's earlier writes
-// on that shard, or a barrier (barrier != nil) closed once everything
-// ahead of it has been applied. The op's argument words travel by value
-// in args (op.Args is nil in flight), because the reader decodes every
-// request into one reused buffer; the applier points op.Args at args in
-// its own drained batch.
+// applyReq is one request handed to the committer: a write to persist and
+// apply, or a read (read == true) queued behind a connection's earlier
+// writes. sh is the op's shard, -1 for a len. The op's argument words
+// travel by value in args (op.Args is nil in flight), because the reader
+// decodes every request into one reused buffer; the committer points
+// op.Args at args in its own drain, and keeps the result in v until the
+// ack.
 type applyReq struct {
-	op      seqspec.Op
-	args    [3]int64
-	argc    uint8
-	id      uint64
-	w       *connState
-	read    bool
-	barrier chan struct{}
+	op   seqspec.Op
+	args [3]int64
+	argc uint8
+	read bool
+	sh   int
+	id   uint64
+	w    *connState
+	v    int64
 }
 
 // Server is a running service-tier instance.
@@ -163,7 +165,9 @@ type Server struct {
 	statsLn net.Listener
 	pool    chan int // free connection pids
 
-	appliers []chan applyReq // one per shard; nil when store == nil
+	commits     chan applyReq // the committer's FIFO; nil when store == nil
+	commitDrain *wfstats.Histogram
+	boot        bootReport
 
 	connsActive   atomic.Int64
 	connsTotal    *wfstats.Counter
@@ -177,12 +181,21 @@ type Server struct {
 
 	closed atomic.Bool
 	connWG sync.WaitGroup // connection readers and writers
-	loopWG sync.WaitGroup // accept loop, stats server, appliers
+	loopWG sync.WaitGroup // accept loop, stats server, committer
+}
+
+// bootReport is what recovery did in New, served at /recovery.
+type bootReport struct {
+	SnapshotsLoaded int   `json:"snapshots_loaded"`
+	RecordsReplayed int   `json:"records_replayed"`
+	TornBytes       int64 `json:"torn_bytes"`
+	Orphans         int64 `json:"orphans"`
+	WallUs          int64 `json:"wall_us"`
 }
 
 // New recovers the log store if a directory is configured, builds the KV
 // with each shard starting from its recovered state, binds the listeners
-// and launches the appliers. The server does not accept connections until
+// and launches the committer. The server does not accept connections until
 // Start.
 //
 //wf:blocking opens and recovers the store and seeds the pid pool channel
@@ -195,29 +208,31 @@ func New(cfg Config) (*Server, error) {
 	}
 	var st *logstore.Store
 	var boots []shardBoot
+	var boot bootReport
 	if cfg.Dir != "" {
 		start := time.Now()
 		var err error
 		if st, err = logstore.Open(cfg.Dir); err != nil {
 			return nil, err
 		}
-		var snaps, replayed int
-		if boots, snaps, replayed, err = recoverShards(st, cfg.Shards); err != nil {
+		if boots, boot.SnapshotsLoaded, boot.RecordsReplayed, err = recoverShards(st, cfg.Shards); err != nil {
 			st.Close()
 			return nil, err
 		}
 		for sh, b := range boots {
 			seqs[sh] = seqspec.KVFrom(b.state)
 		}
-		boot := st.Stats()
-		cfg.Logf("server: recovered %s in %v: %d snapshots loaded, %d records replayed, %d torn bytes truncated, %d orphans removed",
-			cfg.Dir, time.Since(start).Round(time.Microsecond), snaps, replayed, boot.TornBytes, boot.Orphans)
+		opened := st.Stats()
+		boot.TornBytes, boot.Orphans, boot.WallUs = opened.TornBytes, opened.Orphans, time.Since(start).Microseconds()
+		cfg.Logf("server: recovered %s in %dµs: %d snapshots loaded, %d records replayed, %d torn bytes truncated, %d orphans removed",
+			cfg.Dir, boot.WallUs, boot.SnapshotsLoaded, boot.RecordsReplayed, boot.TornBytes, boot.Orphans)
 		reg.GaugeFunc("logstore.segments", func() int64 { return st.Stats().LogFiles })
 		reg.GaugeFunc("logstore.fsyncs", func() int64 { return st.Stats().Fsyncs })
 		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
 		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
 	}
-	kv := shard.New(seqs, cfg.Procs+cfg.Shards,
+	// Connections lease pids 0..Procs-1; the committer applies as pid Procs.
+	kv := shard.New(seqs, cfg.Procs+1,
 		func() core.FetchAndCons { return core.NewSwapFAC() },
 		shard.Defaults(core.WithMetrics(reg))...)
 	kv.Instrument(reg)
@@ -227,6 +242,7 @@ func New(cfg Config) (*Server, error) {
 		kv:            kv,
 		store:         st,
 		reg:           reg,
+		boot:          boot,
 		pool:          make(chan int, cfg.Procs),
 		connsTotal:    reg.Counter("server.conns_total"),
 		opsServed:     reg.Counter("server.ops"),
@@ -261,19 +277,22 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.statsLn = sln
 	}
-	s.appliers = make([]chan applyReq, len(boots))
-	for sh, b := range boots {
-		ch := make(chan applyReq, 256)
-		s.appliers[sh] = ch
+	if st != nil {
+		// 256 queued requests per shard, so a reader rarely waits on the
+		// send while the committer is in an fsync or a snapshot.
+		s.commits = make(chan applyReq, 256*cfg.Shards)
+		s.commitDrain = reg.Histogram("server.commit_drain")
+		reg.GaugeFunc("server.commit_queue", func() int64 { return int64(len(s.commits)) })
 		s.loopWG.Add(1)
-		//wf:owns ch stopAppliers closes every applier channel; the range drains and exits
-		go s.runApplier(sh, ch, b.nextSeq, b.sinceSnap)
+		//wf:owns s.commits Close closes the commit channel once every reader has exited; the range drains and exits
+		go s.runCommitter(boots)
 	}
 	return s, nil
 }
 
-// drainCap is the most requests one applier drain takes, and so the most
-// operations one shard.InvokeBatch call applies.
+// drainCap is the most requests one committer drain takes per shard; a
+// drain takes at most drainCap × Shards, and so one shard.InvokeBatch call
+// applies at most that many operations.
 const drainCap = 64
 
 // shardBoot is where one shard starts after recovery: its state, its next
@@ -287,8 +306,8 @@ type shardBoot struct {
 // recoverShards reads the store into one KV state per shard without the
 // universal construction (DESIGN.md §4): the newest snapshot in one edit
 // window (seqspec.KVOf), then the log records above it in one ApplyAll.
-// Every key stored under shard sh must route to sh, because the appliers
-// snapshot each shard's own state, so a store written with another shard
+// Every key stored under shard sh must route to sh, because the committer
+// snapshots each shard's own state, so a store written with another shard
 // count is refused. It also counts the snapshots loaded and records replayed.
 //
 //wf:blocking reads the store's snapshots and segments
@@ -348,36 +367,63 @@ func checkRoute(sh, shards int, key int64) error {
 	return nil
 }
 
-// runApplier is shard sh's single writer: it drains a batch of pending
-// requests (one blocking receive, then a non-blocking sweep), persists
-// every write in the drain as one group through AppendBatch (the store's
-// flusher merges groups from concurrent appliers into one fsync), then
-// applies the drain in arrival order — contiguous write runs go through
-// one InvokeBatch replay pass (shard.InvokeBatch),
-// routed reads are answered at their queue position, barriers are closed —
-// and builds each completion. Building completions strictly after
-// AppendBatch returns is the durability contract — no client can observe
-// a write that a crash could lose; wfvet's ackpersist analyzer checks
-// that every marked ack below is dominated by the marked group commit.
+// runCommitter is every shard's single writer: it drains a batch of
+// pending requests from all shards (one blocking receive, then a
+// non-blocking sweep), assigns each shard's writes their dense seqs,
+// persists the whole drain as one frame through AppendBatch, then applies
+// it in arrival order. Each shard's writes wait in a pending run that one
+// InvokeBatch call applies; a routed get first applies its own shard's
+// run, a routed len every shard's, so each read sees the writes queued
+// ahead of it. Only then are the completions built and sent. Building them
+// strictly after AppendBatch returns is the durability contract — no
+// client can observe a write that a crash could lose; wfvet's ackpersist
+// analyzer checks that every marked ack below is dominated by the marked
+// group commit. The committer never waits on a connection: the window's
+// slot tokens make every completion send non-blocking.
 //
-// Every SnapshotEvery records it persists the shard's own state: as the
-// shard's only writer, between drains its recovered initial state and its
-// decided list together hold exactly the records 1..seq-1.
+// Every SnapshotEvery records of a shard it persists the shard's own
+// state: as the shard's only writer, between drains its recovered initial
+// state and its decided list together hold exactly the records 1..seq-1.
 //
-//wf:blocking waits on the applier channel and the store's group commit
-func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int) {
+//wf:blocking waits on the commit channel and the store's group commit
+func (s *Server) runCommitter(boots []shardBoot) {
 	defer s.loopWG.Done()
-	pid := s.cfg.Procs + sh // appliers lease the pids above the connection pool
-	batch := make([]applyReq, 0, drainCap)
-	recs := make([]logstore.Record, 0, drainCap)
-	runOps := make([]seqspec.Op, 0, drainCap)
-	runOut := make([]int64, drainCap)
-	for req := range ch {
+	pid := s.cfg.Procs
+	seq := make([]uint64, len(boots)) // each shard's next record seq
+	drained := make([]uint64, len(boots))
+	sinceSnap := make([]int, len(boots))
+	for sh, b := range boots {
+		seq[sh], sinceSnap[sh] = b.nextSeq, b.sinceSnap
+	}
+	batch := make([]applyReq, 0, drainCap*len(boots))
+	recs := make([]logstore.Record, 0, cap(batch))
+	pending := make([][]int, len(boots)) // per shard: drain indices of unapplied writes
+	runOps := make([]seqspec.Op, 0, cap(batch))
+	runOut := make([]int64, cap(batch))
+	// applyRun applies shard sh's pending writes in one InvokeBatch call
+	// and keeps each result in its request for the ack.
+	applyRun := func(sh int) {
+		run := pending[sh]
+		if len(run) == 0 {
+			return
+		}
+		runOps = runOps[:0]
+		for _, i := range run {
+			runOps = append(runOps, batch[i].op)
+		}
+		s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
+		for k, i := range run {
+			batch[i].v = runOut[k]
+		}
+		sinceSnap[sh] += len(run)
+		pending[sh] = run[:0]
+	}
+	for req := range s.commits {
 		batch = append(batch[:0], req)
 	gather:
 		for len(batch) < cap(batch) {
 			select {
-			case more, ok := <-ch:
+			case more, ok := <-s.commits:
 				if !ok {
 					break gather
 				}
@@ -386,74 +432,64 @@ func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int)
 				break gather
 			}
 		}
+		s.commitDrain.Observe(int64(len(batch)))
 		// Each op's words stay in place in batch until the next drain:
 		// AppendBatch encodes them and InvokeBatch copies them into the
 		// shard's log entries before either returns.
-		for i := range batch {
-			if it := &batch[i]; it.argc > 0 {
-				it.op.Args = it.args[:it.argc:it.argc]
-			}
-		}
 		recs = recs[:0]
 		for i := range batch {
-			if batch[i].read || batch[i].barrier != nil {
-				continue
+			it := &batch[i]
+			if it.argc > 0 {
+				it.op.Args = it.args[:it.argc:it.argc]
 			}
-			recs = append(recs, logstore.Record{Shard: uint32(sh), Seq: seq + uint64(len(recs)), Op: batch[i].op})
+			if !it.read {
+				recs = append(recs, logstore.Record{Shard: uint32(it.sh), Seq: seq[it.sh] + drained[it.sh], Op: it.op})
+				drained[it.sh]++
+			}
 		}
 		//wf:persist the drain's single group commit: no completion below is built before AppendBatch returns
-		if err := s.store.AppendBatch(recs); err != nil {
+		err := s.store.AppendBatch(recs)
+		var failure string // a failed persist applies nothing and fails every request of the drain
+		if err != nil {
+			failure = "persist: " + err.Error()
+		} else {
+			for sh, n := range drained {
+				seq[sh] += n
+			}
+			s.recsLogged.Add(int64(len(recs)))
 			for i := range batch {
-				it := &batch[i]
-				if it.barrier != nil {
-					close(it.barrier)
-					continue
+				switch it := &batch[i]; {
+				case !it.read:
+					pending[it.sh] = append(pending[it.sh], i)
+				case it.sh >= 0: // a get, behind its connection's writes to its shard
+					applyRun(it.sh)
+					it.v = s.kv.Invoke(pid, it.op)
+				default: // a len, behind its connection's writes to every shard
+					for sh := range pending {
+						applyRun(sh)
+					}
+					it.v = s.kv.Invoke(pid, it.op)
 				}
-				if !it.read {
-					it.w.outW[sh].Add(-1)
-					it.w.outWT.Add(-1)
-				}
-				it.w.ch <- completion{id: it.id, err: "persist: " + err.Error()} //wf:ack the failure is client-visible too
 			}
-			continue
+			for sh := range pending {
+				applyRun(sh)
+			}
 		}
-		seq += uint64(len(recs))
-		s.recsLogged.Add(int64(len(recs)))
-		for i := 0; i < len(batch); {
+		clear(drained)
+		for i := range batch {
 			it := &batch[i]
-			if it.barrier != nil {
-				close(it.barrier)
-				i++
-				continue
+			if !it.read {
+				it.w.outW[it.sh].Add(-1)
+				it.w.outWT.Add(-1)
 			}
-			if it.read {
-				// A read routed here queued behind this connection's own
-				// writes; its position in the FIFO is its ordering.
-				it.w.ch <- completion{id: it.id, v: s.kv.Invoke(pid, it.op)} //wf:ack ordered behind the conn's persisted writes
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(batch) && !batch[j].read && batch[j].barrier == nil {
-				j++
-			}
-			run := batch[i:j]
-			runOps = runOps[:0]
-			for k := range run {
-				runOps = append(runOps, run[k].op)
-			}
-			s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
-			for k := range run {
-				run[k].w.outW[sh].Add(-1)
-				run[k].w.outWT.Add(-1)
-				run[k].w.ch <- completion{id: run[k].id, v: runOut[k]} //wf:ack durable before visible
-			}
-			sinceSnap += len(run)
-			i = j
+			it.w.ch <- completion{id: it.id, v: it.v, err: failure} //wf:ack durable before visible; a read after the writes queued ahead of it
 		}
-		if sinceSnap >= s.cfg.SnapshotEvery {
-			sinceSnap = 0
-			snap := logstore.Snapshot{Shard: uint32(sh), Seq: seq - 1, State: seqspec.KVPairs(s.kv.Shard(sh).State(pid))}
+		for sh, n := range sinceSnap {
+			if n < s.cfg.SnapshotEvery {
+				continue
+			}
+			sinceSnap[sh] = 0
+			snap := logstore.Snapshot{Shard: uint32(sh), Seq: seq[sh] - 1, State: seqspec.KVPairs(s.kv.Shard(sh).State(pid))}
 			if err := s.store.WriteSnapshot(snap); err != nil {
 				s.cfg.Logf("server: shard %d snapshot: %v", sh, err)
 				continue
@@ -464,13 +500,6 @@ func (s *Server) runApplier(sh int, ch chan applyReq, seq uint64, sinceSnap int)
 			}
 		}
 	}
-}
-
-func (s *Server) stopAppliers() {
-	for _, ch := range s.appliers {
-		close(ch)
-	}
-	s.appliers = nil
 }
 
 // Start begins accepting connections (and serving stats and profiles, if
@@ -494,6 +523,10 @@ func (s *Server) Start() {
 		})
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			json.NewEncoder(w).Encode(map[string]any{"ok": true, "conns": s.connsActive.Load()})
+		})
+		mux.HandleFunc("/recovery", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(s.boot)
 		})
 		// Profiles on this mux only (the server never serves DefaultServeMux).
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -554,7 +587,7 @@ const errNoFreePid = "no free pid: connection pool exhausted"
 // run the read loop (which flushes the reader's own replies on exit), then
 // hand the window back. The shutdown edge is the slot reclaim: once the
 // reader re-acquires all Window slot tokens, every request it routed has
-// been flushed (or dropped by a failed writer) — no applier holds a
+// been flushed (or dropped by a failed writer) — the committer holds no
 // reference to the connection any more — so closing the completion
 // channel is safe and the writer's range drains out.
 //
@@ -611,11 +644,11 @@ func (s *Server) serveConn(c net.Conn) {
 // readLoop is a connection's reader half. Refusals, in-memory operations
 // and inline reads complete right here, into w.out, which it flushes when
 // the decoder runs dry, when it reaches maxCoalesce, before any step that
-// blocks, and on exit; durable writes and routed reads go to their shard's
-// applier and complete through the writer. A malformed request ends the
-// loop, which returns its error frame for serveConn to send last.
+// blocks, and on exit; durable writes and routed reads go to the committer
+// and complete through the writer. A malformed request ends the loop,
+// which returns its error frame for serveConn to send last.
 //
-//wf:blocking socket reads and writes, window acquisition and the applier hand-off
+//wf:blocking socket reads and writes, window acquisition and the committer hand-off
 func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
 	defer s.flush(w)
 	dec := wire.NewDecoder(w.c)
@@ -638,7 +671,7 @@ func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
 			s.opsRefused.Inc()
 			return wire.AppendErrorFrame(nil, id, "malformed request: "+err.Error())
 		}
-		//wf:persist a durable write group-commits in runApplier before its completion is built; reads, refusals and in-memory operations have nothing to persist
+		//wf:persist a durable write group-commits in runCommitter before its completion is built; reads, refusals and in-memory operations have nothing to persist
 		if reason := validateOp(op); reason != "" {
 			// A well-framed but unsupported op is the client's bug, not
 			// a protocol failure; refuse it and keep the connection.
@@ -669,37 +702,36 @@ func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
 
 // serveRead answers a read-only operation. Reads never touch the store;
 // the only question is ordering against the connection's own in-flight
-// writes: a get on a shard where this connection still has writes queued
-// (and a len while any shard is dirty) must not be answered from
-// pre-write state, so it is routed through — or barriered behind — the
-// applier FIFO, and serveRead returns false. Otherwise it returns the
-// value from the wait-free read fast path and true. Nothing is persisted
-// on either path.
+// writes: a get on a shard where this connection still has writes queued,
+// or a len while any shard is, must not be answered from pre-write state,
+// so it is routed through the committer's FIFO behind them, and serveRead
+// returns false. Otherwise it returns the value from the wait-free read
+// fast path and true. Nothing is persisted on either path.
 //
-//wf:blocking a routed read or barrier queues behind the applier FIFO
+//wf:blocking a routed read queues behind the committer's FIFO
 func (s *Server) serveRead(pid int, w *connState, id uint64, op seqspec.Op) (int64, bool) {
-	if s.store != nil && op.Kind == "get" {
-		if sh := s.kv.ShardOf(op.Arg(0)); w.outW[sh].Load() > 0 {
+	if s.store != nil {
+		sh, dirty := -1, w.outWT.Load() > 0 // a len reads every shard
+		if op.Kind == "get" {
+			sh = s.kv.ShardOf(op.Arg(0))
+			dirty = w.outW[sh].Load() > 0
+		}
+		if dirty {
 			s.route(w, sh, op, id, true)
 			return 0, false
 		}
-	} else if s.store != nil && w.outWT.Load() > 0 {
-		// len is a cross-shard sum; barrier every shard this connection
-		// has dirtied before reading.
-		s.flush(w)
-		s.awaitApplied(w)
 	}
 	return s.kv.Invoke(pid, op), true
 }
 
-// route admits op to the window and hands it to shard sh's applier, its
-// argument words copied by value out of the reader's decode buffer. A step
-// that would block flushes the reader's replies first, so none of them
-// waits behind another request's fsync.
+// route admits op, on shard sh (-1 for a len), to the window and hands it
+// to the committer, its argument words copied by value out of the reader's
+// decode buffer. A step that would block flushes the reader's replies
+// first, so none of them waits behind another request's fsync.
 //
-//wf:blocking window acquisition and the applier channel send
+//wf:blocking window acquisition and the commit channel send
 func (s *Server) route(w *connState, sh int, op seqspec.Op, id uint64, read bool) {
-	r := applyReq{op: seqspec.Op{Kind: op.Kind}, id: id, w: w, read: read}
+	r := applyReq{op: seqspec.Op{Kind: op.Kind}, read: read, sh: sh, id: id, w: w}
 	r.argc = uint8(copy(r.args[:], op.Args))
 	select {
 	case <-w.slots:
@@ -708,30 +740,10 @@ func (s *Server) route(w *connState, sh int, op seqspec.Op, id uint64, read bool
 		<-w.slots
 	}
 	select {
-	case s.appliers[sh] <- r:
+	case s.commits <- r:
 	default:
 		s.flush(w)
-		s.appliers[sh] <- r
-	}
-}
-
-// awaitApplied blocks until every write this connection has routed to an
-// applier is applied: one barrier request per dirty shard, closed by its
-// applier at the barrier's queue position. The reader is the only
-// goroutine that adds writes, so a shard sampled clean stays clean.
-//
-//wf:blocking one barrier round trip per dirty shard
-func (s *Server) awaitApplied(w *connState) {
-	barriers := make([]chan struct{}, 0, len(w.outW))
-	for sh := range w.outW {
-		if w.outW[sh].Load() > 0 {
-			b := make(chan struct{})
-			s.appliers[sh] <- applyReq{w: w, barrier: b}
-			barriers = append(barriers, b)
-		}
-	}
-	for _, b := range barriers {
-		<-b
+		s.commits <- r
 	}
 }
 
@@ -770,7 +782,7 @@ func (s *Server) write(w *connState, b []byte, n int, hangup bool) error {
 	return err
 }
 
-// connWriter is a connection's writer half: it waits for an applier
+// connWriter is a connection's writer half: it waits for a committer
 // completion, coalesces every other one already ready (up to maxCoalesce
 // bytes) into one pooled buffer and writes it in one syscall. Slot tokens
 // go back only after that write: that lets the reader route the next
@@ -830,7 +842,7 @@ func validateOp(op seqspec.Op) string {
 }
 
 // Close stops accepting, waits for in-flight connections, drains the
-// appliers (every acked write is already durable) and closes the store.
+// committer (every acked write is already durable) and closes the store.
 //
 //wf:blocking waits for in-flight connections and loops to drain
 func (s *Server) Close() error {
@@ -842,7 +854,9 @@ func (s *Server) Close() error {
 		s.statsLn.Close()
 	}
 	s.connWG.Wait()
-	s.stopAppliers()
+	if s.commits != nil {
+		close(s.commits)
+	}
 	s.loopWG.Wait()
 	if s.store != nil {
 		return s.store.Close()

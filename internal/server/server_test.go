@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -223,7 +224,7 @@ func TestServerPipelinedDifferential(t *testing.T) {
 // a deep window of puts, gets, dels and lens in flight, every put with a
 // fresh value; each reply must equal a sequential KV model's at the same
 // stream position, and afterwards every key must read back the model's
-// value, from a reopened store in durable mode. Under -race, an applier
+// value, from a reopened store in durable mode. Under -race, a committer
 // that read the reader's buffer would also be reported as a race.
 func TestServerPipelinedArgsReuse(t *testing.T) {
 	const (
@@ -545,10 +546,11 @@ func TestServerLeaseChurnGC(t *testing.T) {
 	t.Logf("retired %d log entries across %d churned sessions", lastRetired, sessions)
 }
 
-// TestServerStatsEndpoint: the HTTP side serves JSON with the server and
-// shard metrics in it, and the runtime profiles under /debug/pprof/.
+// TestServerStatsEndpoint: the HTTP side serves JSON with the server,
+// committer and shard metrics in it, the boot report under /recovery, and
+// the runtime profiles under /debug/pprof/.
 func TestServerStatsEndpoint(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Procs: 4, StatsAddr: "127.0.0.1:0"})
+	s := startServer(t, Config{Shards: 2, Procs: 4, StatsAddr: "127.0.0.1:0", Dir: t.TempDir()})
 	cl, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -562,7 +564,7 @@ func TestServerStatsEndpoint(t *testing.T) {
 	for _, smp := range s.Metrics().Snapshot() {
 		found[smp.Name] = true
 	}
-	for _, want := range []string{"server.conns_total", "server.ops", "server.conns_active", "shard.imbalance_pct"} {
+	for _, want := range []string{"server.conns_total", "server.ops", "server.conns_active", "shard.imbalance_pct", "server.commit_queue", "server.commit_drain"} {
 		if !found[want] {
 			t.Errorf("metric %q missing from registry", want)
 		}
@@ -577,8 +579,28 @@ func TestServerStatsEndpoint(t *testing.T) {
 	buf := make([]byte, 1<<16)
 	n, _ := c.Read(buf)
 	body := string(buf[:n])
-	if !strings.Contains(body, "200 OK") || !strings.Contains(body, "server.ops") {
+	if !strings.Contains(body, "200 OK") || !strings.Contains(body, "server.ops") ||
+		!strings.Contains(body, "server.commit_queue") || !strings.Contains(body, "server.commit_drain") {
 		t.Fatalf("stats response missing expected content:\n%s", body)
+	}
+
+	// The boot report: a fresh directory loads and replays nothing.
+	rc, err := net.Dial("tcp", s.StatsAddr().String())
+	if err != nil {
+		t.Fatalf("dial stats: %v", err)
+	}
+	defer rc.Close()
+	fmt.Fprintf(rc, "GET /recovery HTTP/1.0\r\n\r\n")
+	resp, err := io.ReadAll(rc)
+	_, js, _ := strings.Cut(string(resp), "\r\n\r\n")
+	var boot map[string]int64
+	if err != nil || !strings.Contains(string(resp), "200 OK") || json.Unmarshal([]byte(js), &boot) != nil {
+		t.Fatalf("GET /recovery: %v\n%s", err, resp)
+	}
+	for _, k := range []string{"snapshots_loaded", "records_replayed", "torn_bytes", "orphans", "wall_us"} {
+		if v, ok := boot[k]; !ok || (k != "wall_us" && v != 0) {
+			t.Errorf("/recovery %s = %d (present %v), want 0 on a fresh directory", k, v, ok)
+		}
 	}
 
 	// Profiles are served from the same listener.

@@ -22,8 +22,8 @@
 //
 // Sharding splits contention across logs; within a shard every Invoke is
 // the paper's one cons plus one replay. The one batch path is InvokeBatch:
-// the server's applier retires a drained run of one shard's writes in one
-// replay pass.
+// the server's committer retires a drained run of one shard's writes in
+// one replay pass.
 //
 //wf:waitfree
 package shard
@@ -160,8 +160,8 @@ func (s *Sharded) Invoke(pid int, op seqspec.Op) int64 {
 }
 
 // InvokeBatch executes ops — every one already routed to shard sh by the
-// caller (its one production caller, the server's per-shard applier,
-// partitions work with ShardOf) — as one announced wave on that shard: one
+// caller (its one production caller, the server's committer, partitions
+// work with ShardOf) — as one announced wave on that shard: one
 // replay pass settles the whole batch, one snapshot covers it (see
 // core.Universal.InvokeBatch).
 // Responses land in out[i]. The per-pid sequential contract applies; the
@@ -186,7 +186,7 @@ func (s *Sharded) Detach(pid int) {
 
 // ShardOf reports which shard a partition key routes to — the same hash
 // Invoke uses. Exported for front ends that partition work per shard (the
-// server's persistence appliers) and for tests.
+// server's committer) and for tests.
 func (s *Sharded) ShardOf(key int64) int { return KeyShard(key, len(s.shards)) }
 
 // Handle returns pid's front end bound to the whole sharded object.
