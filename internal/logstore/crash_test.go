@@ -272,13 +272,15 @@ func checkCrashImage(dir string, img crashImage, recs []Record, cuts []int) erro
 }
 
 // openReplay opens dir and returns the store with every record it replays.
+// A record's Args are valid only during its Replay callback, so each kept
+// record gets a copy.
 func openReplay(dir string) (*Store, []Record, error) {
 	st, err := Open(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	var got []Record
-	if err := st.Replay(func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if err := st.Replay(func(r Record) error { got = append(got, keepRecord(r)); return nil }); err != nil {
 		st.Close()
 		return nil, nil, err
 	}
@@ -297,6 +299,12 @@ func readFiles(dir string) (map[string][]byte, error) {
 		}
 	}
 	return files, nil
+}
+
+// keepRecord returns r with its own copy of the Args Replay lent it.
+func keepRecord(r Record) Record {
+	r.Op.Args = slices.Clone(r.Op.Args)
+	return r
 }
 
 func sameRecords(a, b []Record) bool {

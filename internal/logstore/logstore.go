@@ -24,6 +24,17 @@
 // durable before any frame lands in it. The retired WFL1 format (one file
 // per group commit) has no reader: Open fails on it, naming the format.
 //
+// # Replay
+//
+// Boot reads the store once: Snapshots decodes and checks the newest
+// snapshot per shard, and Replay reads every live segment and validates
+// every frame's CRC and every record's op encoding, the records those
+// snapshots cover included. It hands its callback only the records above
+// the snapshots, each decoded into one argument buffer Replay reuses, so
+// a Record's Op.Args is valid only during the call it is passed to.
+// Stats counts the snapshot files rejected and the covered records passed
+// over.
+//
 // # Group commit
 //
 // AppendBatch blocks until its records are durable: it encodes them as one
@@ -69,6 +80,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -84,7 +96,8 @@ import (
 
 // Record is one decided operation bound for shard's log: Seq is the
 // shard-local persistence sequence number assigned by the server's single
-// committer (dense from 1 per shard), Op the decided operation.
+// committer (dense from 1 per shard), Op the decided operation. A Record
+// Replay delivers lends its Op.Args only for the callback's duration.
 type Record struct {
 	Shard uint32
 	Seq   uint64
@@ -140,6 +153,11 @@ type Stats struct {
 	Fsyncs    int64 // fsync syscalls issued (file + directory syncs)
 	TornBytes int64 // bytes of a torn final frame Open cut off
 	Orphans   int64 // tmp-* files Open removed
+	// SnapshotsRejected counts the snapshot files Snapshots tried and
+	// skipped as invalid; RecordsSkipped the covered records Replay
+	// validated and passed over.
+	SnapshotsRejected int64
+	RecordsSkipped    int64
 }
 
 // segment is one live log segment. max is its per-shard newest seq, known
@@ -147,7 +165,57 @@ type Stats struct {
 // Compact leaves a segment it does not know alone.
 type segment struct {
 	idx uint64
-	max map[uint32]uint64
+	max *shardSeqs
+}
+
+// shardSeqs is a seq per shard, 0 for none: a slice below denseShards,
+// where every store a server writes keeps its shards, so boot pays no map
+// operation per record, and a map above it, so a large shard number in an
+// intact frame costs no large slice.
+type shardSeqs struct {
+	dense []uint64
+	rest  map[uint32]uint64
+}
+
+const denseShards = 1 << 10
+
+func (m *shardSeqs) get(shard uint32) uint64 {
+	if int(shard) < len(m.dense) {
+		return m.dense[shard]
+	}
+	return m.rest[shard]
+}
+
+// raise sets shard's seq to seq where that is higher.
+func (m *shardSeqs) raise(shard uint32, seq uint64) {
+	switch {
+	case int(shard) < len(m.dense):
+		m.dense[shard] = max(m.dense[shard], seq)
+	case shard < denseShards:
+		m.dense = append(m.dense, make([]uint64, int(shard)+1-len(m.dense))...)
+		m.dense[shard] = seq
+	case seq > m.rest[shard]:
+		if m.rest == nil {
+			m.rest = make(map[uint32]uint64)
+		}
+		m.rest[shard] = seq
+	}
+}
+
+// coveredBy reports whether every shard's seq is at or below the seq of
+// its snapshot in valid (a shard with a seq and no snapshot is not).
+func (m *shardSeqs) coveredBy(valid map[uint32]Snapshot) bool {
+	for shard, seq := range m.dense {
+		if seq > valid[uint32(shard)].Seq {
+			return false
+		}
+	}
+	for shard, seq := range m.rest {
+		if seq > valid[shard].Seq {
+			return false
+		}
+	}
+	return true
 }
 
 // Store is an open segment directory. All methods are safe for concurrent
@@ -177,6 +245,9 @@ type Store struct {
 	snaps     map[uint32]snapRef
 	snapFiles []snapRef
 	validated map[uint32]Snapshot
+	// rejected is how many snapshot files the validation that filled
+	// validated skipped as invalid.
+	rejected int64
 
 	// commit serialises every write to the directory: AppendBatch,
 	// WriteSnapshot and Close. It guards the fields below it.
@@ -193,7 +264,7 @@ type Store struct {
 	// and snapshot is encoded into, and a snapshot's sorted keys.
 	seg     *os.File
 	segLen  int
-	segMax  map[uint32]uint64
+	segMax  *shardSeqs
 	nextIdx uint64
 	buf     []byte
 	keys    []int64
@@ -218,6 +289,8 @@ type storeCounters struct {
 	// group commit amortizes one fsync over a whole drained batch, and this
 	// counter is how a bench proves it.
 	fsyncs atomic.Int64
+	// skipped counts the covered records Replay passed over.
+	skipped atomic.Int64
 }
 
 type snapRef struct {
@@ -382,9 +455,7 @@ func (s *Store) commitFrame(recs []Record) error {
 	}
 	s.segLen += len(s.buf)
 	for _, r := range recs {
-		if r.Seq > s.segMax[r.Shard] {
-			s.segMax[r.Shard] = r.Seq
-		}
+		s.segMax.raise(r.Shard, r.Seq)
 	}
 	s.mu.Lock()
 	s.synced = s.segLen
@@ -442,7 +513,7 @@ func (s *Store) rotate() error {
 	s.segs = append(s.segs, segment{idx: s.nextIdx})
 	s.active, s.synced = s.nextIdx, len(logMagic)
 	s.mu.Unlock()
-	s.seg, s.segLen, s.segMax = f, len(logMagic), make(map[uint32]uint64)
+	s.seg, s.segLen, s.segMax = f, len(logMagic), &shardSeqs{}
 	s.nextIdx++
 	return nil
 }
@@ -535,10 +606,12 @@ func intactLen(name string, b []byte) (int, error) {
 	return off, nil
 }
 
-// readSegment calls fn on every record of segment b, in order. Every frame
-// must be intact: Open already cut off the one frame a crash can tear, so a
-// bad frame here is ErrCorrupt.
-func readSegment(name string, b []byte, fn func(Record) error) error {
+// readSegment calls fn on every record of segment b, in order, decoding
+// every record's op arguments into *args, which it grows as needed: a
+// record's Op.Args is valid only during its fn call. Every frame must be
+// intact: Open already cut off the one frame a crash can tear, so a bad
+// frame here is ErrCorrupt.
+func readSegment(name string, b []byte, args *[]int64, fn func(Record) error) error {
 	if err := checkHeader(name, b); err != nil {
 		return err
 	}
@@ -553,9 +626,12 @@ func readSegment(name string, b []byte, fn func(Record) error) error {
 			if len(body) < recordHeader {
 				return fmt.Errorf("%w: %s: truncated record in frame at offset %d", ErrCorrupt, name, off)
 			}
-			op, rest, err := wire.DecodeOp(body[recordHeader:])
+			op, rest, err := wire.DecodeOpInto(body[recordHeader:], *args)
 			if err != nil {
 				return fmt.Errorf("%w: %s: bad op encoding in frame at offset %d", ErrCorrupt, name, off)
+			}
+			if cap(op.Args) > cap(*args) {
+				*args = op.Args
 			}
 			r := Record{Shard: binary.BigEndian.Uint32(body), Seq: binary.BigEndian.Uint64(body[4:]), Op: op}
 			body = rest
@@ -597,12 +673,14 @@ func (s *Store) Snapshots() (map[uint32]Snapshot, error) {
 	s.mu.Unlock()
 
 	out := make(map[uint32]Snapshot, len(refs))
+	rejected := int64(0)
 	for _, ref := range refs {
 		snap, err := s.readSnapshot(ref)
 		if err == nil {
 			out[ref.shard] = snap
 			continue
 		}
+		rejected++
 		// Fall back to the newest older snapshot of the shard that decodes.
 		var older []snapRef
 		for _, o := range all {
@@ -612,10 +690,12 @@ func (s *Store) Snapshots() (map[uint32]Snapshot, error) {
 		}
 		sort.Slice(older, func(i, j int) bool { return older[i].seq > older[j].seq })
 		for _, o := range older {
-			if snap, err := s.readSnapshot(o); err == nil {
+			snap, err := s.readSnapshot(o)
+			if err == nil {
 				out[ref.shard] = snap
 				break
 			}
+			rejected++
 		}
 	}
 	s.mu.Lock()
@@ -624,6 +704,7 @@ func (s *Store) Snapshots() (map[uint32]Snapshot, error) {
 		for shard, snap := range out {
 			s.validated[shard] = snap
 		}
+		s.rejected = rejected
 	}
 	s.mu.Unlock()
 	return out, nil
@@ -721,12 +802,18 @@ func (s *Store) WriteSnapshot(snap Snapshot) error {
 // Replay streams every committed record not covered by the newest durable
 // snapshots, in commit order, to fn. Load the states from Snapshots()
 // first; together they reconstruct exactly the durable history. Replay
-// validates every frame's seal and fails with ErrCorrupt on a bad one —
-// sealed frames held acknowledged writes, so silence would be data loss.
-// The active segment is read only up to its fsynced length. Safe to call
-// more than once (it re-reads the segments each time); the records
-// delivered are identical, so replay is idempotent as long as fn applies
-// them to a fresh state.
+// validates every frame's seal and every record's op encoding, covered
+// records included, and fails with ErrCorrupt on a bad one — sealed frames
+// held acknowledged writes, so silence would be data loss. It passes over
+// a covered record without calling fn and counts it in
+// Stats.RecordsSkipped. The active segment is read only up to its fsynced
+// length. Safe to call more than once (it re-reads the segments each
+// time); the records delivered are identical, so replay is idempotent as
+// long as fn applies them to a fresh state.
+//
+// Replay decodes every record's op arguments into one buffer it reuses: a
+// Record's Op.Args is valid only during the fn call it is passed to, so fn
+// copies the arguments it keeps.
 //
 //wf:blocking reads and validates every live segment
 func (s *Store) Replay(fn func(Record) error) error {
@@ -737,9 +824,9 @@ func (s *Store) Replay(fn func(Record) error) error {
 	if err != nil {
 		return err
 	}
-	covered := make(map[uint32]uint64, len(valid))
+	var covered shardSeqs
 	for shard, snap := range valid {
-		covered[shard] = snap.Seq
+		covered.raise(shard, snap.Seq)
 	}
 	s.mu.Lock()
 	segs := append([]segment(nil), s.segs...)
@@ -748,13 +835,16 @@ func (s *Store) Replay(fn func(Record) error) error {
 	s.tail = nil
 	s.mu.Unlock()
 
+	var buf []byte // every segment but the one Open kept
+	var args []int64
 	for _, seg := range segs {
 		name := segName(seg.idx)
 		b := tail
 		if seg.idx != tailIdx || tail == nil {
-			if b, err = os.ReadFile(filepath.Join(s.dir, name)); err != nil {
+			if buf, err = readFile(filepath.Join(s.dir, name), buf); err != nil {
 				return err
 			}
+			b = buf
 		}
 		if seg.idx == active {
 			if len(b) < synced {
@@ -762,19 +852,22 @@ func (s *Store) Replay(fn func(Record) error) error {
 			}
 			b = b[:synced]
 		}
-		var max map[uint32]uint64
+		var max *shardSeqs
 		if seg.max == nil && seg.idx != active {
-			max = make(map[uint32]uint64)
+			max = &shardSeqs{}
 		}
-		err := readSegment(name, b, func(r Record) error {
-			if max != nil && r.Seq > max[r.Shard] {
-				max[r.Shard] = r.Seq
+		skipped := int64(0)
+		err := readSegment(name, b, &args, func(r Record) error {
+			if max != nil {
+				max.raise(r.Shard, r.Seq)
 			}
-			if r.Seq <= covered[r.Shard] {
-				return nil // the snapshot already reflects it
+			if r.Seq <= covered.get(r.Shard) {
+				skipped++ // the snapshot already reflects it
+				return nil
 			}
 			return fn(r)
 		})
+		s.n.skipped.Add(skipped)
 		if err != nil {
 			return err
 		}
@@ -789,6 +882,32 @@ func (s *Store) Replay(fn func(Record) error) error {
 		}
 	}
 	return nil
+}
+
+// readFile reads the file at path, as long as it was when opened, into
+// buf's backing array, growing it when the file is larger, and returns the
+// content. Replay reads no segment past that length: a sealed segment
+// never grows, and the active one is cut at its fsynced length, which the
+// file had reached before Replay opened it.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := int(fi.Size())
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Compact erases files made redundant by newer snapshots: sealed segments
@@ -811,14 +930,7 @@ func (s *Store) Compact() (int, error) {
 	var victims []string
 	keepSegs := s.segs[:0]
 	for _, seg := range s.segs {
-		dead := seg.max != nil && seg.idx != s.active
-		for shard, seq := range seg.max {
-			if snap, ok := valid[shard]; !ok || seq > snap.Seq {
-				dead = false
-				break
-			}
-		}
-		if dead {
+		if seg.max != nil && seg.idx != s.active && seg.max.coveredBy(valid) {
 			victims = append(victims, segName(seg.idx))
 		} else {
 			keepSegs = append(keepSegs, seg)
@@ -853,10 +965,10 @@ func (s *Store) Compact() (int, error) {
 
 // Stats returns a point-in-time activity snapshot.
 //
-//wf:blocking takes the store mutex to read the live segment count
+//wf:blocking takes the store mutex to read the live segment and rejected snapshot counts
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	live := int64(len(s.segs))
+	live, rejected := int64(len(s.segs)), s.rejected
 	s.mu.Unlock()
 	return Stats{
 		Batches:   s.n.batches.Load(),
@@ -867,6 +979,9 @@ func (s *Store) Stats() Stats {
 		Fsyncs:    s.n.fsyncs.Load(),
 		TornBytes: s.tornBytes,
 		Orphans:   s.orphans,
+
+		SnapshotsRejected: rejected,
+		RecordsSkipped:    s.n.skipped.Load(),
 	}
 }
 

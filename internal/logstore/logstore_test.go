@@ -108,6 +108,72 @@ func TestAppendBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayAllocs: Replay's allocations do not grow with the record
+// count. Two stores hold the same files, two shards with a snapshot
+// each, in one segment, but 4x the records of the other: half of them
+// covered, half delivered, with arguments of every varint width. Opening
+// either and replaying it must allocate equally: the arguments decode into
+// one reused buffer, and the per-shard seqs live in a slice.
+func TestReplayAllocs(t *testing.T) {
+	build := func(perShard int) string {
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []Record
+		for i := 1; i <= perShard; i++ {
+			for sh := uint32(0); sh < 2; sh++ {
+				recs = append(recs, Record{Shard: sh, Seq: uint64(i), Op: put(int64(i)<<(i%60), -int64(i))})
+			}
+			if len(recs) >= 64 || i == perShard {
+				if err := st.AppendBatch(recs); err != nil {
+					t.Fatal(err)
+				}
+				recs = recs[:0]
+			}
+		}
+		for sh := uint32(0); sh < 2; sh++ {
+			if err := st.WriteSnapshot(Snapshot{Shard: sh, Seq: uint64(perShard / 2), State: map[int64]int64{1: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	const short = 200
+	allocs := func(dir string) (float64, int) {
+		delivered := 0
+		a := testing.AllocsPerRun(50, func() {
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered = 0
+			if err := st.Replay(func(Record) error { delivered++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if n := st.Stats().LogFiles; n != 1 {
+				t.Fatalf("%d segments, want 1", n)
+			}
+			st.Close()
+		})
+		return a, delivered
+	}
+	aShort, nShort := allocs(build(short))
+	aLong, nLong := allocs(build(4 * short))
+	if nShort != short || nLong != 4*short {
+		t.Fatalf("replayed %d and %d records, want %d and %d", nShort, nLong, short, 4*short)
+	}
+	// Two allocations of slack: a sync.Pool emptied by a GC the larger
+	// files bring on refills once more. One per record would be 1 200.
+	if aLong > aShort+2 {
+		t.Errorf("Open+Replay allocates %.0f times over %d records, %.0f over %d: want no growth", aShort, 2*short, aLong, 8*short)
+	}
+}
+
 // TestGroupCommitConcurrent: concurrent appenders all become durable, each
 // shard's records replay in seq order, and every AppendBatch call commits
 // exactly one frame of its own: the grouping is the caller's drain, and the
@@ -357,6 +423,61 @@ func TestSnapshotCompact(t *testing.T) {
 	for k := int64(0); k < 4; k++ {
 		if a, b := got.Apply(get(k)), state.Apply(get(k)); a != b {
 			t.Errorf("get(%d) = %d after compaction, want %d", k, a, b)
+		}
+	}
+}
+
+// TestLargeShardNumbers: shard numbers beyond the per-shard seqs' slice
+// (denseShards) go to their map, in Replay's covered-prefix skip and in
+// the per-segment newest seqs Compact goes by. A sealed segment holds
+// shards 3 and 1<<31, seqs 1-6 each, and both shards have a snapshot at
+// seq 4: Replay delivers seqs 5-6 of each, and Compact keeps the segment
+// until snapshots at seq 6 cover both shards, the large one last.
+func TestLargeShardNumbers(t *testing.T) {
+	const big = 1 << 31
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 6; i++ {
+		if err := st.AppendBatch([]Record{{Shard: big, Seq: uint64(i), Op: put(1, int64(i))}, {Shard: 3, Seq: uint64(i), Op: put(2, int64(i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sh := range []uint32{3, big} {
+		if err := st.WriteSnapshot(Snapshot{Shard: sh, Seq: 4, State: map[int64]int64{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var got []string
+	if err := st.Replay(func(r Record) error { got = append(got, fmt.Sprintf("%d:%d", r.Shard, r.Seq)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%d:5 3:5 %d:6 3:6", big, big); strings.Join(got, " ") != want {
+		t.Fatalf("Replay delivered %v, want %s", got, want)
+	}
+	if n := st.Stats().RecordsSkipped; n != 8 {
+		t.Errorf("RecordsSkipped = %d, want 8", n)
+	}
+	// The reopen opens no segment, so the one on disk is sealed and known.
+	for _, step := range []struct {
+		shard uint32
+		segs  int64 // live segments after the snapshot and a Compact
+	}{{3, 1}, {big, 0}} {
+		if err := st.WriteSnapshot(Snapshot{Shard: step.shard, Seq: 6, State: map[int64]int64{}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if live := st.Stats().LogFiles; live != step.segs {
+			t.Fatalf("after shard %d's snapshot at seq 6: %d live segments, want %d", step.shard, live, step.segs)
 		}
 	}
 }

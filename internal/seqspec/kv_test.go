@@ -573,3 +573,137 @@ func FuzzKVState(f *testing.F) {
 		}
 	})
 }
+
+// kvBuildPool is FuzzKVBuild's key space: kvFuzzPool plus two families
+// built through the inverse mixer, 32 keys whose hashes differ only in
+// their last five bits (chains down to the last levels) and 32 that differ
+// only in bits 30-34 (a chain halfway down).
+var kvBuildPool = func() []int64 {
+	out := append([]int64(nil), kvFuzzPool...)
+	deep, mid := kvHash(-4242)&^0x1f, kvHash(777)&^(0x1f<<30)
+	for i := uint64(0); i < 32; i++ {
+		out = append(out, kvUnhash(deep|i), kvUnhash(mid|i<<30))
+	}
+	return out
+}()
+
+// kvSameShape fails unless a and b are the same trie node for node: equal
+// bitmaps, equal leaves in equal slots and internal slots in the same
+// places, single-slot chains included. Every internal slot of a must carry
+// edit token 0.
+func kvSameShape(t *testing.T, a, b *kvState) {
+	t.Helper()
+	var walk func(pa, pb *kvSlot, bma, bmb uint32, level int)
+	walk = func(pa, pb *kvSlot, bma, bmb uint32, level int) {
+		if bma != bmb {
+			t.Fatalf("level %d: bitmap %032b, want %032b", level, bma, bmb)
+		}
+		na, nb := kvNode(pa, bma), kvNode(pb, bmb)
+		for i := range na {
+			sa, sb := na[i], nb[i]
+			switch {
+			case (sa.kids == nil) != (sb.kids == nil):
+				t.Fatalf("level %d slot %d: internal %v, want %v", level, i, sa.kids != nil, sb.kids != nil)
+			case sa.kids == nil:
+				if sa.key != sb.key || sa.val != sb.val {
+					t.Fatalf("level %d slot %d: leaf %d=%d, want %d=%d", level, i, sa.key, sa.val, sb.key, sb.val)
+				}
+			default:
+				if sa.val != 0 {
+					t.Fatalf("level %d slot %d: internal slot stamped %d, want edit token 0", level, i, sa.val)
+				}
+				walk(sa.kids, sb.kids, uint32(sa.key), uint32(sb.key), level+1)
+			}
+		}
+	}
+	walk(a.root, b.root, a.bm, b.bm, 0)
+	if a.n != b.n {
+		t.Fatalf("len %d, want %d", a.n, b.n)
+	}
+}
+
+// FuzzKVBuild checks the one-pass KVOf against puts into an empty state.
+// data[0] is the count of pair bytes that follow it, each one a key of
+// kvBuildPool (its value is the byte's position); KVOf of those pairs must
+// have the same Key and the same trie, node for node, as their puts one
+// by one. The rest of data is put and del ops on the built state, two
+// bytes each: a flag byte, whose bit 0 picks put over del and whose bit 1
+// puts the op in the open edit window (opening one if none is open) where
+// a clear bit 1 closes it first and applies op by op, then a key of the
+// pool (a put's value is the op's position). Every response and the final
+// Key must match a map model, the trie must keep its shape invariants, and
+// a Clone of the built state taken before the ops must keep its Key.
+func FuzzKVBuild(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 0, 1, 2, 2, 0, 3, 1, 0, 5})
+	all := []byte{255}
+	for i := 0; i < 255; i++ {
+		all = append(all, byte(i))
+	}
+	f.Add(append(all, 1, 100, 3, 101, 2, 102, 0, 3, 3, 3))
+	d := byte(len(kvFuzzPool))
+	deep := []byte{64}
+	for i := byte(0); i < 64; i++ {
+		deep = append(deep, d+i)
+	}
+	f.Add(append(deep, 1, d, 3, d+2, 2, d+4, 2, d+6, 0, d+1, 1, d+60))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		np := min(int(data[0]), len(data)-1)
+		pairs, model := map[int64]int64{}, map[int64]int64{}
+		ref := KV{}.Init()
+		for i, b := range data[1 : 1+np] {
+			k := kvBuildPool[int(b)%len(kvBuildPool)]
+			pairs[k], model[k] = int64(i), int64(i)
+			ref.Apply(Op{Kind: "put", Args: []int64{k, int64(i)}})
+		}
+		built := KVOf(pairs)
+		if got, want := built.Key(), ref.Key(); got != want {
+			t.Fatalf("KVOf Key\n got %q\nwant %q", got, want)
+		}
+		kvSameShape(t, built.(*kvState), ref.(*kvState))
+		kvCheckShape(t, built.(*kvState))
+
+		fork := built.Clone()
+		before := fork.Key()
+		var win Window
+		open := false
+		ops := data[1+np:]
+		for i := 0; i+1 < len(ops); i += 2 {
+			flags, k := ops[i], kvBuildPool[int(ops[i+1])%len(kvBuildPool)]
+			op := Op{Kind: "del", Args: []int64{k}}
+			if flags&1 != 0 {
+				op = Op{Kind: "put", Args: []int64{k, int64(i)}}
+			}
+			var got int64
+			switch windowed := flags&2 != 0; {
+			case windowed && !open:
+				win, open = OpenWindow(built), true
+				fallthrough
+			case windowed:
+				got = win.Apply(op)
+			default:
+				if open {
+					win.Close()
+					open = false
+				}
+				got = built.Apply(op)
+			}
+			if want := kvModelApply(model, op); got != want {
+				t.Fatalf("op %d %v: got %d, want %d", i, op, got, want)
+			}
+		}
+		if open {
+			win.Close()
+		}
+		if got, want := built.Key(), kvModelKey(model); got != want {
+			t.Fatalf("after the ops: Key\n got %q\nwant %q", got, want)
+		}
+		kvCheckShape(t, built.(*kvState))
+		if fork.Key() != before {
+			t.Fatal("a clone of the built state changed while the ops ran on it")
+		}
+	})
+}

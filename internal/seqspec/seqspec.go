@@ -17,14 +17,16 @@
 // bytes: a child is one pointer, and its node's length is the popcount of
 // the bitmap the same slot carries (kvNode, this package's one use of
 // unsafe). A trie node is never edited once the call that built it
-// returns: only an ApplyAll window edits in place, and only the nodes it
+// returns: only an edit Window edits in place, and only the nodes it
 // built itself.
 //
 //wf:waitfree
 package seqspec
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -123,23 +125,45 @@ type State interface {
 // construction, where one executor applies the decided entries above a
 // snapshot, and its own operation, to a single reconstructed state.
 //
-// One call is one edit window. Inside it a KV state edits in place every
-// trie node the same call built, and copies every other node as Apply
-// does, so a window of m puts copies each node their paths share once
-// instead of m times. The window closes before ApplyAll returns; every
-// other object just applies op by op. Every op goes through State.Apply,
-// whose //wf:steps 1 contract covers the window's puts too.
-// Boot recovery in internal/server, a blocking caller outside the certified
-// closure, passes a whole log tail; the [n + 1] bracket below is the
-// construction's.
+// Two or more ops share one edit Window, closed before ApplyAll returns;
+// a single op has nothing to share. Every op goes through State.Apply,
+// whose //wf:steps 1 contract covers the window's puts too. The [n + 1]
+// bracket below is the construction's; boot recovery in internal/server,
+// a blocking caller outside the certified closure, holds a Window of its
+// own open across a whole log tail instead.
 func ApplyAll(s State, ops []Op, out []int64) {
-	if kv, ok := s.(*kvState); ok && len(ops) > 1 {
-		kv.openWindow()
-		defer kv.closeWindow()
+	if len(ops) > 1 {
+		defer OpenWindow(s).Close()
 	}
 	//wf:bounded [n + 1] one Apply per op: the universal construction passes one replay's pending entries (at most one per process, Section 4.1) plus its own op
 	for i, op := range ops {
 		out[i] = s.Apply(op)
+	}
+}
+
+// Window is one open edit window on a state. Inside it a KV state edits in
+// place every trie node the same window built, and copies every other node
+// as Apply does, so a window of m puts copies each node their paths share
+// once instead of m times; every other object just applies op by op. The
+// state must not be cloned, shared or applied to outside the window until
+// Close: only then are its nodes immutable again.
+type Window struct{ s State }
+
+// OpenWindow opens a Window on s.
+func OpenWindow(s State) Window {
+	if kv, ok := s.(*kvState); ok {
+		kv.openWindow()
+	}
+	return Window{s}
+}
+
+// Apply applies op to the window's state and returns its response.
+func (w Window) Apply(op Op) int64 { return w.s.Apply(op) }
+
+// Close ends the window.
+func (w Window) Close() {
+	if kv, ok := w.s.(*kvState); ok {
+		kv.closeWindow()
 	}
 }
 
@@ -470,7 +494,7 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 // copy and put/del copy one root-to-leaf path (at most kvMaxDepth nodes of
 // at most 32 slots of 24 bytes each); nodes are never edited once the call
 // that built them returns, which is what lets clones, snapshots and the
-// read fast path share them across goroutines. Inside one ApplyAll window a
+// read fast path share them across goroutines. Inside one edit Window a
 // put edits in place the nodes that window built (see kvState). The zero KV
 // starts empty.
 type KV struct{ from *kvState }
@@ -502,9 +526,9 @@ const kvMaxDepth = 13
 // bitmap-compressed slot array (one allocation). A leaf slot (kids == nil)
 // holds a key and its value; an internal slot holds a pointer to the child
 // node's first slot in kids, the child's bitmap in key, and in val the edit
-// token of the window that built the child (0 for a child built by del or
-// kvSplit, which no window ever edits). The child's length is not stored:
-// it is the popcount of the bitmap beside the pointer (kvNode).
+// token of the window that built the child (0 for a child built by del,
+// kvSplit or KVOf, which no window ever edits). The child's length is not
+// stored: it is the popcount of the bitmap beside the pointer (kvNode).
 type kvSlot struct {
 	key  int64
 	val  int64
@@ -542,15 +566,15 @@ type kvFrame struct {
 	own     bool
 }
 
-// kvState is one trie root plus its edit-window bookkeeping. An ApplyAll
-// window bumps edit and opens; a put inside it stamps every node it copies
+// kvState is one trie root plus its edit-window bookkeeping. OpenWindow
+// bumps edit and opens a window; a put inside it stamps every node it copies
 // with edit (in the parent slot's val, or owned for the root) and edits in
 // place only a node stamped with the open token. That is race-free without
 // any owner retiring a token:
 //   - every node a state reaches carries a stamp no greater than its edit,
 //     so a fresh window can only edit nodes it built itself;
 //   - those nodes are reachable only from this private state until the
-//     window closes, before ApplyAll returns;
+//     window closes (before ApplyAll returns, or at Window.Close);
 //   - Clone is a struct copy that writes nothing, so concurrent clones of
 //     one stored snapshot stay read-only. Two of them may open windows with
 //     the same token value, but they share no node built after the clone.
@@ -566,8 +590,8 @@ type kvState struct {
 	owned, editing bool
 }
 
-// openWindow starts an ApplyAll edit window under a token no reachable
-// node carries.
+// openWindow starts an edit window under a token no reachable node
+// carries.
 func (s *kvState) openWindow() {
 	s.edit++
 	s.owned, s.editing = false, true
@@ -827,15 +851,115 @@ func KVPairs(st State) map[int64]int64 {
 	return m
 }
 
-// KVOf is the inverse of KVPairs: a fresh KV state holding pairs, put in
-// one edit window, so each trie node is allocated once.
-func KVOf(pairs map[int64]int64) State {
-	s := &kvState{}
-	s.openWindow()
-	for k, v := range pairs {
-		s.put(k, v)
+// kvLeaf is a pair beside its key's hash, for KVOf's sort. It holds no
+// pointer, so the sort's buffers cost the garbage collector no scan.
+type kvLeaf struct {
+	h        uint64
+	key, val int64
+}
+
+// kvBitmap is the bitmap of the node at level that holds leaves.
+func kvBitmap(leaves []kvLeaf, level int) uint32 {
+	var bm uint32
+	for _, l := range leaves {
+		bm |= kvBit(l.h, level)
 	}
-	s.closeWindow()
+	return bm
+}
+
+// kvSortLeaves sorts leaves by hash: two counting-sort passes on the top
+// 16 bits, then a comparison sort of each run of leaves whose hashes share
+// those bits, which is rare and short unless the keys were chosen to
+// collide.
+func kvSortLeaves(leaves []kvLeaf) {
+	src, dst := leaves, make([]kvLeaf, len(leaves))
+	for shift := 48; shift < 64; shift += 8 {
+		var at [256]int
+		for _, l := range src {
+			at[l.h>>shift&0xff]++
+		}
+		sum := 0
+		for i, c := range at {
+			at[i], sum = sum, sum+c
+		}
+		for _, l := range src {
+			b := l.h >> shift & 0xff
+			dst[at[b]] = l
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	// An even number of passes leaves the result in leaves.
+	for lo := 0; lo < len(leaves); {
+		hi := lo + 1
+		for hi < len(leaves) && leaves[hi].h>>48 == leaves[lo].h>>48 {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(leaves[lo:hi], func(a, b kvLeaf) int { return cmp.Compare(a.h, b.h) })
+		}
+		lo = hi
+	}
+}
+
+// KVOf is the inverse of KVPairs: a fresh KV state holding pairs, built in
+// one pass. It sorts the pairs by hash, which is trie order because kvBit
+// reads the top bits first, then allocates every node once, at its final
+// size, in the shape puts of the same pairs would give it, kvSplit's
+// single-slot chains included. Every internal slot carries edit token 0,
+// so a later window copies these nodes rather than editing them.
+func KVOf(pairs map[int64]int64) State {
+	leaves := make([]kvLeaf, 0, len(pairs))
+	for k, v := range pairs {
+		leaves = append(leaves, kvLeaf{h: kvHash(k), key: k, val: v})
+	}
+	kvSortLeaves(leaves)
+	s := &kvState{n: int64(len(leaves))}
+	if len(leaves) == 0 {
+		return s
+	}
+	s.bm = kvBitmap(leaves, 0)
+	root := make([]kvSlot, bits.OnesCount32(s.bm))
+	s.root = &root[0]
+	// A depth-first fill with one frame per level, as in each: the node
+	// being filled, its level, its next slot and the leaves left below it.
+	type frame struct {
+		node   []kvSlot
+		level  int
+		next   int
+		leaves []kvLeaf
+	}
+	var stack [kvMaxDepth]frame
+	stack[0] = frame{node: root, leaves: leaves}
+	top := 0
+	for top >= 0 {
+		f := &stack[top]
+		if len(f.leaves) == 0 {
+			top--
+			continue
+		}
+		// The next slot holds the leaves that share the first one's bit.
+		bit := kvBit(f.leaves[0].h, f.level)
+		n := 1
+		for n < len(f.leaves) && kvBit(f.leaves[n].h, f.level) == bit {
+			n++
+		}
+		group := f.leaves[:n]
+		f.leaves = f.leaves[n:]
+		sl := &f.node[f.next]
+		f.next++
+		if n == 1 {
+			*sl = kvSlot{key: group[0].key, val: group[0].val}
+			continue
+		}
+		// Two or more leaves: a child one level down, a single-slot chain
+		// node when they share its bit too.
+		bm := kvBitmap(group, f.level+1)
+		child := make([]kvSlot, bits.OnesCount32(bm))
+		*sl = kvSlot{key: int64(bm), kids: &child[0]}
+		top++
+		stack[top] = frame{node: child, level: f.level + 1, leaves: group}
+	}
 	return s
 }
 

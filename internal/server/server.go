@@ -186,11 +186,13 @@ type Server struct {
 
 // bootReport is what recovery did in New, served at /recovery.
 type bootReport struct {
-	SnapshotsLoaded int   `json:"snapshots_loaded"`
-	RecordsReplayed int   `json:"records_replayed"`
-	TornBytes       int64 `json:"torn_bytes"`
-	Orphans         int64 `json:"orphans"`
-	WallUs          int64 `json:"wall_us"`
+	SnapshotsLoaded   int   `json:"snapshots_loaded"`
+	SnapshotsRejected int64 `json:"snapshots_rejected"` // invalid snapshot files passed over
+	RecordsReplayed   int   `json:"records_replayed"`
+	RecordsSkipped    int64 `json:"records_skipped"` // covered records validated and passed over
+	TornBytes         int64 `json:"torn_bytes"`
+	Orphans           int64 `json:"orphans"`
+	WallUs            int64 `json:"wall_us"`
 }
 
 // New recovers the log store if a directory is configured, builds the KV
@@ -223,9 +225,10 @@ func New(cfg Config) (*Server, error) {
 			seqs[sh] = seqspec.KVFrom(b.state)
 		}
 		opened := st.Stats()
+		boot.SnapshotsRejected, boot.RecordsSkipped = opened.SnapshotsRejected, opened.RecordsSkipped
 		boot.TornBytes, boot.Orphans, boot.WallUs = opened.TornBytes, opened.Orphans, time.Since(start).Microseconds()
-		cfg.Logf("server: recovered %s in %dµs: %d snapshots loaded, %d records replayed, %d torn bytes truncated, %d orphans removed",
-			cfg.Dir, boot.WallUs, boot.SnapshotsLoaded, boot.RecordsReplayed, boot.TornBytes, boot.Orphans)
+		cfg.Logf("server: recovered %s in %dµs: %d snapshots loaded, %d snapshots rejected, %d records replayed, %d records skipped, %d torn bytes truncated, %d orphans removed",
+			cfg.Dir, boot.WallUs, boot.SnapshotsLoaded, boot.SnapshotsRejected, boot.RecordsReplayed, boot.RecordsSkipped, boot.TornBytes, boot.Orphans)
 		reg.GaugeFunc("logstore.segments", func() int64 { return st.Stats().LogFiles })
 		reg.GaugeFunc("logstore.fsyncs", func() int64 { return st.Stats().Fsyncs })
 		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
@@ -304,8 +307,11 @@ type shardBoot struct {
 }
 
 // recoverShards reads the store into one KV state per shard without the
-// universal construction (DESIGN.md §4): the newest snapshot in one edit
-// window (seqspec.KVOf), then the log records above it in one ApplyAll.
+// universal construction (DESIGN.md §4), in one pass over the store: each
+// shard's newest snapshot built into a trie at once (seqspec.KVOf), then
+// one edit window per shard (seqspec.Window) held open across the whole
+// replay, which applies each log record above the snapshot as Replay
+// streams it. Every window is closed before the states are returned.
 // Every key stored under shard sh must route to sh, because the committer
 // snapshots each shard's own state, so a store written with another shard
 // count is refused. It also counts the snapshots loaded and records replayed.
@@ -333,7 +339,10 @@ func recoverShards(st *logstore.Store, shards int) (boots []shardBoot, snapsLoad
 		boots[sh].state = seqspec.KVOf(snap.State)
 		boots[sh].nextSeq = snap.Seq + 1
 	}
-	tails := make([][]seqspec.Op, shards)
+	wins := make([]seqspec.Window, shards)
+	for sh := range wins {
+		wins[sh] = seqspec.OpenWindow(boots[sh].state)
+	}
 	err = st.Replay(func(rec logstore.Record) error {
 		sh := int(rec.Shard)
 		if sh >= shards {
@@ -344,17 +353,17 @@ func recoverShards(st *logstore.Store, shards int) (boots []shardBoot, snapsLoad
 				return err
 			}
 		}
-		tails[sh] = append(tails[sh], rec.Op)
+		wins[sh].Apply(rec.Op)
 		boots[sh].nextSeq = rec.Seq + 1
 		boots[sh].sinceSnap++
 		replayed++
 		return nil
 	})
+	for _, w := range wins {
+		w.Close()
+	}
 	if err != nil {
 		return nil, 0, 0, err
-	}
-	for sh, tail := range tails {
-		seqspec.ApplyAll(boots[sh].state, tail, make([]int64, len(tail)))
 	}
 	return boots, len(snaps), replayed, nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -585,19 +584,8 @@ func TestServerStatsEndpoint(t *testing.T) {
 	}
 
 	// The boot report: a fresh directory loads and replays nothing.
-	rc, err := net.Dial("tcp", s.StatsAddr().String())
-	if err != nil {
-		t.Fatalf("dial stats: %v", err)
-	}
-	defer rc.Close()
-	fmt.Fprintf(rc, "GET /recovery HTTP/1.0\r\n\r\n")
-	resp, err := io.ReadAll(rc)
-	_, js, _ := strings.Cut(string(resp), "\r\n\r\n")
-	var boot map[string]int64
-	if err != nil || !strings.Contains(string(resp), "200 OK") || json.Unmarshal([]byte(js), &boot) != nil {
-		t.Fatalf("GET /recovery: %v\n%s", err, resp)
-	}
-	for _, k := range []string{"snapshots_loaded", "records_replayed", "torn_bytes", "orphans", "wall_us"} {
+	boot := getRecovery(t, s)
+	for _, k := range []string{"snapshots_loaded", "snapshots_rejected", "records_replayed", "records_skipped", "torn_bytes", "orphans", "wall_us"} {
 		if v, ok := boot[k]; !ok || (k != "wall_us" && v != 0) {
 			t.Errorf("/recovery %s = %d (present %v), want 0 on a fresh directory", k, v, ok)
 		}
