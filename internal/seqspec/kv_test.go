@@ -2,6 +2,7 @@ package seqspec
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -590,8 +591,8 @@ var kvBuildPool = func() []int64 {
 // kvSameShape fails unless a and b are the same trie node for node: equal
 // bitmaps, equal leaves in equal slots and internal slots in the same
 // places, single-slot chains included. Every internal slot of a must carry
-// edit token 0.
-func kvSameShape(t *testing.T, a, b *kvState) {
+// edit token tok.
+func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 	t.Helper()
 	var walk func(pa, pb *kvSlot, bma, bmb uint32, level int)
 	walk = func(pa, pb *kvSlot, bma, bmb uint32, level int) {
@@ -609,8 +610,8 @@ func kvSameShape(t *testing.T, a, b *kvState) {
 					t.Fatalf("level %d slot %d: leaf %d=%d, want %d=%d", level, i, sa.key, sa.val, sb.key, sb.val)
 				}
 			default:
-				if sa.val != 0 {
-					t.Fatalf("level %d slot %d: internal slot stamped %d, want edit token 0", level, i, sa.val)
+				if sa.val != tok {
+					t.Fatalf("level %d slot %d: internal slot stamped %d, want edit token %d", level, i, sa.val, tok)
 				}
 				walk(sa.kids, sb.kids, uint32(sa.key), uint32(sb.key), level+1)
 			}
@@ -620,6 +621,15 @@ func kvSameShape(t *testing.T, a, b *kvState) {
 	if a.n != b.n {
 		t.Fatalf("len %d, want %d", a.n, b.n)
 	}
+}
+
+// kvBuildOp decodes FuzzKVBuild's op at ops[i:i+2].
+func kvBuildOp(ops []byte, i int) Op {
+	k := kvBuildPool[int(ops[i+1])%len(kvBuildPool)]
+	if ops[i]&1 != 0 {
+		return Op{Kind: "put", Args: []int64{k, int64(i)}}
+	}
+	return Op{Kind: "del", Args: []int64{k}}
 }
 
 // FuzzKVBuild checks the one-pass KVOf against puts into an empty state.
@@ -633,6 +643,12 @@ func kvSameShape(t *testing.T, a, b *kvState) {
 // pool (a put's value is the op's position). Every response and the final
 // Key must match a map model, the trie must keep its shape invariants, and
 // a Clone of the built state taken before the ops must keep its Key.
+//
+// The same pairs built inside a window (OpenKVWindow) must give the same
+// trie with every internal slot stamped with the window's token; the ops,
+// all inside that window, edit the build's nodes in place and must match a
+// map model of their own; and a Clone taken after Close must keep its Key
+// while the ops run on the state again, in and out of later windows.
 func FuzzKVBuild(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 0, 1, 2, 2, 0, 3, 1, 0, 5})
@@ -663,7 +679,7 @@ func FuzzKVBuild(f *testing.F) {
 		if got, want := built.Key(), ref.Key(); got != want {
 			t.Fatalf("KVOf Key\n got %q\nwant %q", got, want)
 		}
-		kvSameShape(t, built.(*kvState), ref.(*kvState))
+		kvSameShape(t, built.(*kvState), ref.(*kvState), 0)
 		kvCheckShape(t, built.(*kvState))
 
 		fork := built.Clone()
@@ -672,13 +688,9 @@ func FuzzKVBuild(f *testing.F) {
 		open := false
 		ops := data[1+np:]
 		for i := 0; i+1 < len(ops); i += 2 {
-			flags, k := ops[i], kvBuildPool[int(ops[i+1])%len(kvBuildPool)]
-			op := Op{Kind: "del", Args: []int64{k}}
-			if flags&1 != 0 {
-				op = Op{Kind: "put", Args: []int64{k, int64(i)}}
-			}
+			op := kvBuildOp(ops, i)
 			var got int64
-			switch windowed := flags&2 != 0; {
+			switch windowed := ops[i]&2 != 0; {
 			case windowed && !open:
 				win, open = OpenWindow(built), true
 				fallthrough
@@ -704,6 +716,40 @@ func FuzzKVBuild(f *testing.F) {
 		kvCheckShape(t, built.(*kvState))
 		if fork.Key() != before {
 			t.Fatal("a clone of the built state changed while the ops ran on it")
+		}
+
+		bw := OpenKVWindow(pairs)
+		owned := bw.State().(*kvState)
+		kvSameShape(t, owned, ref.(*kvState), int64(owned.edit))
+		model = maps.Clone(pairs)
+		for i := 0; i+1 < len(ops); i += 2 {
+			op := kvBuildOp(ops, i)
+			if got, want := bw.Apply(op), kvModelApply(model, op); got != want {
+				t.Fatalf("windowed build, op %d %v: got %d, want %d", i, op, got, want)
+			}
+		}
+		bw.Close()
+		if got, want := owned.Key(), kvModelKey(model); got != want {
+			t.Fatalf("windowed build after the ops: Key\n got %q\nwant %q", got, want)
+		}
+		kvCheckShape(t, owned)
+		fork, before = owned.Clone(), owned.Key()
+		open = false
+		for i := 0; i+1 < len(ops); i += 2 {
+			switch windowed := ops[i]&2 != 0; {
+			case windowed && !open:
+				win, open = OpenWindow(owned), true
+			case !windowed && open:
+				win.Close()
+				open = false
+			}
+			owned.Apply(kvBuildOp(ops, i))
+		}
+		if open {
+			win.Close()
+		}
+		if fork.Key() != before {
+			t.Fatal("a clone of the window-built state taken after Close changed while the ops ran on it")
 		}
 	})
 }

@@ -160,6 +160,9 @@ func OpenWindow(s State) Window {
 // Apply applies op to the window's state and returns its response.
 func (w Window) Apply(op Op) int64 { return w.s.Apply(op) }
 
+// State is the state the window edits.
+func (w Window) State() State { return w.s }
+
 // Close ends the window.
 func (w Window) Close() {
 	if kv, ok := w.s.(*kvState); ok {
@@ -527,7 +530,8 @@ const kvMaxDepth = 13
 // holds a key and its value; an internal slot holds a pointer to the child
 // node's first slot in kids, the child's bitmap in key, and in val the edit
 // token of the window that built the child (0 for a child built by del,
-// kvSplit or KVOf, which no window ever edits). The child's length is not
+// kvSplit or KVOf, which no window ever edits; OpenKVWindow's build carries
+// its window's token). The child's length is not
 // stored: it is the popcount of the bitmap beside the pointer (kvNode).
 type kvSlot struct {
 	key  int64
@@ -908,13 +912,28 @@ func kvSortLeaves(leaves []kvLeaf) {
 // size, in the shape puts of the same pairs would give it, kvSplit's
 // single-slot chains included. Every internal slot carries edit token 0,
 // so a later window copies these nodes rather than editing them.
-func KVOf(pairs map[int64]int64) State {
+func KVOf(pairs map[int64]int64) State { return kvOf(pairs, false) }
+
+// OpenKVWindow builds pairs as KVOf does, inside an edit Window opened on
+// the new state, which owns every node: the window's puts edit them in
+// place instead of copying each node a path shares with the build. Close
+// the window before the state (Window.State) is cloned or shared.
+func OpenKVWindow(pairs map[int64]int64) Window { return Window{kvOf(pairs, true)} }
+
+// kvOf is KVOf, and OpenKVWindow when open: the build then stamps every
+// internal slot, and the root, with the token of the window it opens.
+func kvOf(pairs map[int64]int64, open bool) *kvState {
+	s := &kvState{n: int64(len(pairs))}
+	var tok int64
+	if open {
+		s.openWindow()
+		s.owned, tok = true, int64(s.edit)
+	}
 	leaves := make([]kvLeaf, 0, len(pairs))
 	for k, v := range pairs {
 		leaves = append(leaves, kvLeaf{h: kvHash(k), key: k, val: v})
 	}
 	kvSortLeaves(leaves)
-	s := &kvState{n: int64(len(leaves))}
 	if len(leaves) == 0 {
 		return s
 	}
@@ -956,7 +975,7 @@ func KVOf(pairs map[int64]int64) State {
 		// node when they share its bit too.
 		bm := kvBitmap(group, f.level+1)
 		child := make([]kvSlot, bits.OnesCount32(bm))
-		*sl = kvSlot{key: int64(bm), kids: &child[0]}
+		*sl = kvSlot{key: int64(bm), val: tok, kids: &child[0]}
 		top++
 		stack[top] = frame{node: child, level: f.level + 1, leaves: group}
 	}

@@ -15,14 +15,17 @@
 // Each connection is pipelined. A reader goroutine decodes a stream of
 // frames (many per read syscall, through wire.Decoder) and writes the
 // replies it completes itself — inline reads, in-memory writes, refusals —
-// in one socket write each time the decoder runs dry; a writer goroutine
-// coalesces the committer's completions the same way. Requests carry ids
-// and may complete out of order (a read answered inline overtakes an
-// earlier write still waiting on its fsync); the client reassembles by id.
-// Slot tokens (Config.Window) bound the requests routed to the committer
-// and not yet flushed, which makes every committer-to-writer send
-// non-blocking and the shutdown hand-off (reclaim every slot, then close
-// the completion channel) race-free.
+// in one socket write each time the decoder runs dry. The committer writes
+// a connection's replies from one drain itself, in one non-blocking socket
+// write, when there are two or more and nobody else is writing; a writer
+// goroutine per connection carries the rest (a lone reply, a failed
+// persist and its hangup, a short write's tail) and coalesces them the
+// same way. Requests carry ids and may complete out of order (a read
+// answered inline overtakes an earlier write still waiting on its fsync);
+// the client reassembles by id. Slot tokens (Config.Window) bound the
+// requests routed to the committer and not yet written, which makes every
+// committer-to-writer send non-blocking and the shutdown hand-off (reclaim
+// every slot, then close the completion channel) race-free.
 //
 // Persistence (Config.Dir != "") follows persist-before-apply: writes are
 // routed to one committer goroutine, which drains every shard's pending
@@ -30,16 +33,18 @@
 // whole drain to the log store as one frame (logstore.AppendBatch, one
 // fsync), and only then applies it to the in-memory KV — each shard's
 // writes through the construction's one batch path (shard.InvokeBatch) —
-// and acks each client. A durable write makes two channel hops, reader →
-// committer → writer. An acked write is therefore on disk before any
-// client observes it, and boot starts each shard from exactly those writes
-// — durable linearizability. Snapshots are each shard's own state
-// (core.Universal.State); the server keeps no second copy of the KV. Reads
-// never touch the store; a get is answered inline from the connection's
-// leased pid unless this same connection has writes still in flight on the
-// key's shard, and a len unless it has writes in flight on any shard. A
-// read that is not inline is routed through the committer's FIFO behind
-// those writes (read-your-writes in program order).
+// and acks each client. A durable write makes one channel hop, reader →
+// committer, when the committer writes its ack, and a second, to the
+// connection's writer, when it does not. An acked write is therefore on
+// disk before any client observes it, and boot starts each shard from
+// exactly those writes — durable linearizability. Snapshots are each
+// shard's own state (core.Universal.State); the server keeps no second
+// copy of the KV. Reads never touch the store; a get is answered inline
+// from the connection's leased pid unless this same connection has writes
+// still in flight on the key's shard, and a len unless it has writes in
+// flight on any shard. A read that is not inline is routed through the
+// committer's FIFO behind those writes (read-your-writes in program
+// order).
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -58,6 +63,7 @@ import (
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"waitfree/internal/core"
@@ -103,30 +109,46 @@ func (c *Config) fill() {
 // shard a server without a store starts from.
 var kvSpec = seqspec.KV{}
 
-// completion is one request the committer finished, on its way to the
-// connection's writer. err != "" is a failed persist: an error frame, after
-// which the writer hangs up (the stream past it is not trustworthy).
+// completion is one drain's replies to one connection that the committer
+// did not write itself, on their way to the connection's writer: n frames
+// in buf, a pooled buffer the writer returns, or none in buf when a short
+// direct write left their tail in connState.left. The n replies hold n
+// slot tokens, which the writer returns after its write. hangup marks a
+// failed persist: buf holds error frames, after which the writer hangs up
+// (the stream past them is not trustworthy).
 type completion struct {
-	id  uint64
-	v   int64
-	err string
+	buf    *[]byte
+	n      int
+	hangup bool
 }
 
 // connState is the per-connection plumbing shared by the reader goroutine,
 // the writer goroutine and the committer a request may pass through.
 type connState struct {
-	c    net.Conn
-	mu   sync.Mutex // serialises the reader's and the writer's socket writes
-	out  *[]byte    // replies the reader completed and has not flushed (reader-only)
-	outN int        // frames in out
+	c net.Conn
+	// mu serialises every socket write: the reader's, the writer's and the
+	// committer's. The committer only ever TryLocks it.
+	mu sync.Mutex
+	// left is the tail of a direct write the socket did not take (under
+	// mu): every later write sends it first, so no frame is split by
+	// another.
+	left []byte
+	out  *[]byte // replies the reader completed and has not flushed (reader-only)
+	outN int     // frames in out
 	// ch carries the committer's completions to the writer. Capacity
 	// Window and the slot tokens below make every send non-blocking: a
-	// routed request holds a slot from admission to the flush that carries
-	// its reply.
-	ch chan completion
-	// slots is the window: the reader takes a token per routed request,
-	// the writer returns one per flushed completion. Reclaiming all Window
-	// tokens is the reader's proof that nothing references ch any more.
+	// routed request holds a slot from admission to the write that carries
+	// its reply, and every completion carries at least one. queued counts
+	// the completions sent and not yet written: the committer writes
+	// directly only while it is 0, so its writes never overtake the
+	// writer's.
+	ch     chan completion
+	queued atomic.Int32
+	// slots is the window: the reader takes a token per routed request;
+	// the committer returns one per reply it wrote itself, the writer one
+	// per reply of each completion it wrote. Reclaiming all Window tokens
+	// is the reader's proof that nothing references the connection or ch
+	// any more.
 	slots chan struct{}
 	// outW[sh] counts this connection's writes to shard sh handed to the
 	// committer and not yet applied; outWT is the total. The reader consults
@@ -134,6 +156,33 @@ type connState struct {
 	// queue behind the connection's own writes.
 	outW  []atomic.Int64
 	outWT atomic.Int64
+	// Committer-only: the replies of the current drain encoded so far
+	// (ack, ackN frames), and the non-blocking write's descriptor, its
+	// callback (bound once, so a write allocates nothing), argument and
+	// result.
+	ack   *[]byte
+	ackN  int
+	raw   syscall.RawConn // nil when c has no descriptor: every reply goes to the writer
+	rawFn func(fd uintptr) bool
+	rawB  []byte
+	rawN  int
+}
+
+// directWrite is the committer's non-blocking socket write, called under
+// w.mu: it returns how much of b the socket took, possibly less than all
+// and possibly 0 (a full socket buffer, or a failed connection). A
+// variable so tests can force short writes.
+var directWrite = (*connState).tryWrite
+
+// tryWrite writes b in one non-blocking write(2) through w's descriptor.
+func (w *connState) tryWrite(b []byte) int {
+	if w.raw == nil {
+		return 0
+	}
+	w.rawB, w.rawN = b, 0
+	w.raw.Write(w.rawFn) // an error (a closed connection) leaves rawN 0
+	w.rawB = nil
+	return w.rawN
 }
 
 // applyReq is one request handed to the committer: a write to persist and
@@ -176,8 +225,9 @@ type Server struct {
 	leaseMiss     *wfstats.Counter
 	recsLogged    *wfstats.Counter
 	snapsTaken    *wfstats.Counter
-	writerFlushes *wfstats.Counter // coalesced socket writes, by the reader and the writer
+	writerFlushes *wfstats.Counter // coalesced socket writes, by the reader, the writer and the committer
 	writerFrames  *wfstats.Counter // response frames carried by those writes
+	acksDirect    *wfstats.Counter // replies the committer wrote itself
 
 	closed atomic.Bool
 	connWG sync.WaitGroup // connection readers and writers
@@ -255,6 +305,7 @@ func New(cfg Config) (*Server, error) {
 		snapsTaken:    reg.Counter("server.snapshots"),
 		writerFlushes: reg.Counter("server.writer_flushes"),
 		writerFrames:  reg.Counter("server.writer_frames"),
+		acksDirect:    reg.Counter("server.acks_direct"),
 	}
 	reg.GaugeFunc("server.conns_active", s.connsActive.Load)
 	for pid := 0; pid < cfg.Procs; pid++ {
@@ -308,10 +359,11 @@ type shardBoot struct {
 
 // recoverShards reads the store into one KV state per shard without the
 // universal construction (DESIGN.md §4), in one pass over the store: each
-// shard's newest snapshot built into a trie at once (seqspec.KVOf), then
-// one edit window per shard (seqspec.Window) held open across the whole
-// replay, which applies each log record above the snapshot as Replay
-// streams it. Every window is closed before the states are returned.
+// shard's newest snapshot built into a trie at once, inside an edit window
+// that owns the new nodes (seqspec.OpenKVWindow) and stays open across the
+// whole replay, which applies each log record above the snapshot as Replay
+// streams it, editing the snapshot's nodes in place. Every window is
+// closed before the states are returned.
 // Every key stored under shard sh must route to sh, because the committer
 // snapshots each shard's own state, so a store written with another shard
 // count is refused. It also counts the snapshots loaded and records replayed.
@@ -320,12 +372,13 @@ type shardBoot struct {
 func recoverShards(st *logstore.Store, shards int) (boots []shardBoot, snapsLoaded, replayed int, err error) {
 	boots = make([]shardBoot, shards)
 	for sh := range boots {
-		boots[sh] = shardBoot{state: kvSpec.Init(), nextSeq: 1}
+		boots[sh].nextSeq = 1
 	}
 	snaps, err := st.Snapshots()
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	pairs := make([]map[int64]int64, shards) // nil: the shard starts empty
 	for _, snap := range snaps {
 		sh := int(snap.Shard)
 		if sh >= shards {
@@ -336,12 +389,13 @@ func recoverShards(st *logstore.Store, shards int) (boots []shardBoot, snapsLoad
 				return nil, 0, 0, err
 			}
 		}
-		boots[sh].state = seqspec.KVOf(snap.State)
+		pairs[sh] = snap.State
 		boots[sh].nextSeq = snap.Seq + 1
 	}
 	wins := make([]seqspec.Window, shards)
 	for sh := range wins {
-		wins[sh] = seqspec.OpenWindow(boots[sh].state)
+		wins[sh] = seqspec.OpenKVWindow(pairs[sh])
+		boots[sh].state = wins[sh].State()
 	}
 	err = st.Replay(func(rec logstore.Record) error {
 		sh := int(rec.Shard)
@@ -383,12 +437,17 @@ func checkRoute(sh, shards int, key int64) error {
 // it in arrival order. Each shard's writes wait in a pending run that one
 // InvokeBatch call applies; a routed get first applies its own shard's
 // run, a routed len every shard's, so each read sees the writes queued
-// ahead of it. Only then are the completions built and sent. Building them
-// strictly after AppendBatch returns is the durability contract — no
-// client can observe a write that a crash could lose; wfvet's ackpersist
-// analyzer checks that every marked ack below is dominated by the marked
-// group commit. The committer never waits on a connection: the window's
-// slot tokens make every completion send non-blocking.
+// ahead of it. Only then are the replies encoded, one pooled buffer per
+// connection, and sent: written by the committer itself when a connection
+// has two or more and nobody else is writing to it, else handed to its
+// writer. Building them strictly after AppendBatch returns is the
+// durability contract — no client can observe a write that a crash could
+// lose; wfvet's ackpersist analyzer checks that every marked ack below is
+// dominated by the marked group commit. The committer never waits on a
+// connection: it takes the connection's mutex only by TryLock, writes only
+// what the socket takes without blocking, and the window's slot tokens
+// make every completion send non-blocking. It returns a reply's slot token
+// only after its last use of the connection.
 //
 // Every SnapshotEvery records of a shard it persists the shard's own
 // state: as the shard's only writer, between drains its recovered initial
@@ -409,6 +468,7 @@ func (s *Server) runCommitter(boots []shardBoot) {
 	pending := make([][]int, len(boots)) // per shard: drain indices of unapplied writes
 	runOps := make([]seqspec.Op, 0, cap(batch))
 	runOut := make([]int64, cap(batch))
+	acked := make([]*connState, 0, cap(batch)) // the drain's connections, each with its replies in ack
 	// applyRun applies shard sh's pending writes in one InvokeBatch call
 	// and keeps each result in its request for the ack.
 	applyRun := func(sh int) {
@@ -486,13 +546,57 @@ func (s *Server) runCommitter(boots []shardBoot) {
 		}
 		clear(drained)
 		for i := range batch {
-			it := &batch[i]
+			it, w := &batch[i], batch[i].w
 			if !it.read {
-				it.w.outW[it.sh].Add(-1)
-				it.w.outWT.Add(-1)
+				w.outW[it.sh].Add(-1)
+				w.outWT.Add(-1)
 			}
-			it.w.ch <- completion{id: it.id, v: it.v, err: failure} //wf:ack durable before visible; a read after the writes queued ahead of it
+			if w.ack == nil {
+				w.ack = wire.GetBuf()
+				acked = append(acked, w)
+			}
+			if failure != "" {
+				*w.ack = wire.AppendErrorFrame(*w.ack, it.id, failure)
+			} else {
+				*w.ack = wire.AppendResponseFrame(*w.ack, it.id, it.v)
+			}
+			w.ackN++
 		}
+		for _, w := range acked {
+			buf, n := w.ack, w.ackN
+			w.ack, w.ackN = nil, 0
+			// A lone reply goes to the writer: at depth 1 the committer's
+			// syscall would sit on every connection's round trip, where the
+			// writer's runs beside the committer's next drain.
+			if failure == "" && n >= 2 && w.queued.Load() == 0 && w.mu.TryLock() {
+				sent := 0
+				if len(w.left) == 0 { // else a failed write's tail is still pending
+					sent = directWrite(w, *buf) //wf:ack durable before visible; a read after the writes queued ahead of it
+				}
+				done := sent == len(*buf)
+				if !done {
+					// The socket is full, or failing: the writer's blocking
+					// write sends the tail first, or reports the failure.
+					w.left = append(w.left, (*buf)[sent:]...)
+					*buf = (*buf)[:0]
+				}
+				w.mu.Unlock()
+				if done {
+					s.writerFlushes.Inc()
+					s.writerFrames.Add(int64(n))
+					s.acksDirect.Add(int64(n))
+					wire.PutBuf(buf)
+					for ; n > 0; n-- { // the last use of w
+						w.slots <- struct{}{}
+					}
+					continue
+				}
+			}
+			w.queued.Add(1)
+			w.ch <- completion{buf: buf, n: n, hangup: failure != ""} //wf:ack durable before visible; a read after the writes queued ahead of it
+		}
+		clear(acked)
+		acked = acked[:0]
 		for sh, n := range sinceSnap {
 			if n < s.cfg.SnapshotEvery {
 				continue
@@ -596,9 +700,10 @@ const errNoFreePid = "no free pid: connection pool exhausted"
 // run the read loop (which flushes the reader's own replies on exit), then
 // hand the window back. The shutdown edge is the slot reclaim: once the
 // reader re-acquires all Window slot tokens, every request it routed has
-// been flushed (or dropped by a failed writer) — the committer holds no
-// reference to the connection any more — so closing the completion
-// channel is safe and the writer's range drains out.
+// been written, by the committer or the writer (or dropped after a failed
+// write) — the committer holds no reference to the connection any more —
+// so closing the completion channel is safe and the writer's range drains
+// out.
 //
 //wf:blocking socket reads and writes, pid-pool handoff and the window reclaim
 func (s *Server) serveConn(c net.Conn) {
@@ -631,6 +736,10 @@ func (s *Server) serveConn(c net.Conn) {
 		slots: make(chan struct{}, s.cfg.Window),
 		outW:  make([]atomic.Int64, s.cfg.Shards),
 	}
+	if sc, ok := c.(syscall.Conn); ok {
+		w.raw, _ = sc.SyscallConn()
+	}
+	w.rawFn = w.rawWrite
 	defer wire.PutBuf(w.out)
 	for i := 0; i < s.cfg.Window; i++ {
 		w.slots <- struct{}{}
@@ -772,15 +881,23 @@ func (s *Server) flush(w *connState) bool {
 	return err == nil
 }
 
-// write is the socket write both halves of a connection share: n frames in
-// b, under the connection's mutex. A failed write, or a hangup, closes the
-// connection before the mutex is released, so nothing follows it.
+// write is the blocking socket write the reader and the writer share: n
+// frames in b, under the connection's mutex, after the tail a short direct
+// write left. A failed write, or a hangup, closes the connection before
+// the mutex is released, so nothing follows it.
 //
 //wf:blocking the connection mutex and the socket write: the kernel can stall on a slow peer's window
 func (s *Server) write(w *connState, b []byte, n int, hangup bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, err := w.c.Write(b)
+	var err error
+	if len(w.left) > 0 {
+		_, err = w.c.Write(w.left)
+		w.left = w.left[:0]
+	}
+	if err == nil && len(b) > 0 {
+		_, err = w.c.Write(b)
+	}
 	if err == nil {
 		s.writerFlushes.Inc()
 		s.writerFrames.Add(int64(n))
@@ -792,42 +909,34 @@ func (s *Server) write(w *connState, b []byte, n int, hangup bool) error {
 }
 
 // connWriter is a connection's writer half: it waits for a committer
-// completion, coalesces every other one already ready (up to maxCoalesce
-// bytes) into one pooled buffer and writes it in one syscall. Slot tokens
-// go back only after that write: that lets the reader route the next
-// request, and at shutdown proves the window quiet. A failed connection
-// keeps draining and releasing, so shutdown never deadlocks.
+// completion, appends every other one already ready (up to maxCoalesce
+// bytes) to its buffer and writes them in one syscall. Slot tokens go back
+// only after that write: that lets the reader route the next request, and
+// at shutdown proves the window quiet. A failed connection keeps draining
+// and releasing, so shutdown never deadlocks.
 //
 //wf:blocking waits on the completion channel and the socket write
 func (s *Server) connWriter(w *connState) {
 	defer s.connWG.Done()
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
 	failed := false
 	for c := range w.ch {
-		*buf = appendCompletion((*buf)[:0], c)
-		n, fatal := 1, c.err != ""
+		buf, n, hangup, msgs := c.buf, c.n, c.hangup, int32(1)
 		// The writer is ch's only receiver, so a non-empty ch never blocks.
-		for ; len(*buf) < maxCoalesce && len(w.ch) > 0; n++ {
+		for ; len(*buf) < maxCoalesce && len(w.ch) > 0; msgs++ {
 			c = <-w.ch
-			*buf = appendCompletion(*buf, c)
-			fatal = fatal || c.err != ""
+			*buf = append(*buf, *c.buf...)
+			wire.PutBuf(c.buf)
+			n, hangup = n+c.n, hangup || c.hangup
 		}
 		if !failed {
-			failed = s.write(w, *buf, n, fatal) != nil || fatal
+			failed = s.write(w, *buf, n, hangup) != nil || hangup
 		}
-		for i := 0; i < n; i++ {
+		wire.PutBuf(buf)
+		w.queued.Add(-msgs)
+		for ; n > 0; n-- {
 			w.slots <- struct{}{}
 		}
 	}
-}
-
-// appendCompletion encodes one completion as its wire frame.
-func appendCompletion(b []byte, c completion) []byte {
-	if c.err != "" {
-		return wire.AppendErrorFrame(b, c.id, c.err)
-	}
-	return wire.AppendResponseFrame(b, c.id, c.v)
 }
 
 // validateOp admits exactly the KV surface the router understands; the

@@ -546,8 +546,8 @@ func TestServerLeaseChurnGC(t *testing.T) {
 }
 
 // TestServerStatsEndpoint: the HTTP side serves JSON with the server,
-// committer and shard metrics in it, the boot report under /recovery, and
-// the runtime profiles under /debug/pprof/.
+// committer (its direct acks included) and shard metrics in it, the boot
+// report under /recovery, and the runtime profiles under /debug/pprof/.
 func TestServerStatsEndpoint(t *testing.T) {
 	s := startServer(t, Config{Shards: 2, Procs: 4, StatsAddr: "127.0.0.1:0", Dir: t.TempDir()})
 	cl, err := Dial(s.Addr().String())
@@ -563,7 +563,7 @@ func TestServerStatsEndpoint(t *testing.T) {
 	for _, smp := range s.Metrics().Snapshot() {
 		found[smp.Name] = true
 	}
-	for _, want := range []string{"server.conns_total", "server.ops", "server.conns_active", "shard.imbalance_pct", "server.commit_queue", "server.commit_drain"} {
+	for _, want := range []string{"server.conns_total", "server.ops", "server.conns_active", "shard.imbalance_pct", "server.commit_queue", "server.commit_drain", "server.acks_direct"} {
 		if !found[want] {
 			t.Errorf("metric %q missing from registry", want)
 		}
@@ -579,7 +579,8 @@ func TestServerStatsEndpoint(t *testing.T) {
 	n, _ := c.Read(buf)
 	body := string(buf[:n])
 	if !strings.Contains(body, "200 OK") || !strings.Contains(body, "server.ops") ||
-		!strings.Contains(body, "server.commit_queue") || !strings.Contains(body, "server.commit_drain") {
+		!strings.Contains(body, "server.commit_queue") || !strings.Contains(body, "server.commit_drain") ||
+		!strings.Contains(body, "server.acks_direct") {
 		t.Fatalf("stats response missing expected content:\n%s", body)
 	}
 

@@ -3,6 +3,7 @@ package wfcheck
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -141,6 +142,11 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		// A file built only on other platforms (a //go:build line or a
+		// _GOOS suffix) would redeclare its platform twin.
+		if ok, err := build.Default.MatchFile(dir, name); err == nil && !ok {
 			continue
 		}
 		names = append(names, name)

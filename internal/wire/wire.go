@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"waitfree/internal/seqspec"
 )
@@ -156,8 +157,7 @@ func DecodeOpInto(b []byte, args []int64) (seqspec.Op, []byte, error) {
 			if n <= 0 {
 				return seqspec.Op{}, nil, ErrTruncated
 			}
-			var canon [binary.MaxVarintLen64]byte
-			if binary.PutVarint(canon[:], v) != n {
+			if n != varintLen(v) {
 				return seqspec.Op{}, nil, ErrNonCanonical
 			}
 			op.Args[i] = v
@@ -165,6 +165,14 @@ func DecodeOpInto(b []byte, args []int64) (seqspec.Op, []byte, error) {
 		}
 	}
 	return op, b, nil
+}
+
+// varintLen is the length of v's canonical (shortest) varint encoding:
+// one byte per started 7 bits of its zig-zag form, at least one.
+//
+//wf:waitfree
+func varintLen(v int64) int {
+	return (bits.Len64(uint64(v<<1)^uint64(v>>63)|1) + 6) / 7
 }
 
 // opKind returns the kind b spells: a constant string for each kind the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -109,6 +110,50 @@ func TestDecodeTruncated(t *testing.T) {
 	for i := 0; i < len(req); i++ {
 		if _, _, err := DecodeRequest(req[:i]); err == nil {
 			t.Fatalf("DecodeRequest accepted a %d/%d-byte prefix", i, len(req))
+		}
+	}
+}
+
+// TestVarintLenMatchesReencode: the canonical-length check computed from
+// the value (varintLen) makes exactly the refusals of the check it
+// replaced, which re-encoded the value with binary.PutVarint and compared
+// lengths: over every boundary value, each encoded canonically, overlong
+// by one byte up to ten, and past ten bytes.
+func TestVarintLenMatchesReencode(t *testing.T) {
+	reencode := func(b []byte) error {
+		v, n := binary.Varint(b)
+		if n <= 0 {
+			return ErrTruncated
+		}
+		var canon [binary.MaxVarintLen64]byte
+		if binary.PutVarint(canon[:], v) != n {
+			return ErrNonCanonical
+		}
+		return nil
+	}
+	values := []int64{0, 1, -1, 63, -63, 64, -64, 8191, -8192, 8192, math.MinInt64, math.MaxInt64}
+	for _, v := range values {
+		canon := binary.AppendVarint(nil, v)
+		encs := [][]byte{canon}
+		// Overlong: a continuation bit on the last byte, then 0x80 bytes
+		// and a final 0x00, which adds no value bits.
+		for extra := 1; len(canon)+extra <= binary.MaxVarintLen64+1; extra++ {
+			enc := append([]byte(nil), canon...)
+			enc[len(enc)-1] |= 0x80
+			for i := 1; i < extra; i++ {
+				enc = append(enc, 0x80)
+			}
+			encs = append(encs, append(enc, 0))
+		}
+		for _, enc := range encs {
+			op := append([]byte{3, 'p', 'u', 't', 1}, enc...)
+			_, _, err := DecodeOp(op)
+			if want := reencode(enc); err != want {
+				t.Errorf("DecodeOp of %d encoded as %x: %v, the re-encoding check says %v", v, enc, err, want)
+			}
+			if len(enc) == len(canon) && err != nil {
+				t.Errorf("DecodeOp of %d encoded canonically as %x: %v", v, enc, err)
+			}
 		}
 	}
 }
