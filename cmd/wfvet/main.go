@@ -18,8 +18,7 @@
 //	go run ./cmd/wfvet -all ./...     # audit mode: treat every function as claiming wait-freedom
 //	go run ./cmd/wfvet -bounds ./...  # bounds report + per-operation symbolic step certificates
 //	go run ./cmd/wfvet -bounds -md BOUNDS.md ./...  # also write the certificates as Markdown
-//	go run ./cmd/wfvet -json ./...    # findings as a JSON array
-//	go run ./cmd/wfvet -sarif ./...   # findings as SARIF 2.1.0, for code-scanning upload
+//	go run ./cmd/wfvet -sarif wfvet.sarif ./...  # also write the findings as SARIF 2.1.0, for code-scanning upload
 //	go run ./cmd/wfvet -all -strict-stale ./...     # CI: stale directives fail the run
 //
 // Exit status: 0 clean (warnings allowed), 1 violations found, 2 load failure.
@@ -40,20 +39,16 @@ import (
 func main() {
 	all := flag.Bool("all", false, "audit mode: treat every unannotated function as wf:waitfree (enables stale-directive warnings)")
 	bounds := flag.Bool("bounds", false, "print the bounds report: one line per wf:bounded/wf:lockfree directive with its certification status")
-	jsonOut := flag.Bool("json", false, "emit findings (and the bounds report) as JSON on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
+	sarifOut := flag.String("sarif", "", "write the findings as SARIF 2.1.0 to this file (for code-scanning upload)")
 	mdOut := flag.String("md", "", "write the symbolic step certificates as Markdown to this file (for committing as BOUNDS.md)")
 	strictStale := flag.Bool("strict-stale", false, "promote stale-directive warnings to errors unless allowlisted (implies -all)")
 	staleAllow := flag.String("stale-allow", "", "comma-separated allowlist of stale findings (file.go:FuncName) exempt from -strict-stale")
 	verbose := flag.Bool("v", false, "report per-package finding and type-error counts")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: wfvet [-all] [-bounds] [-md file] [-strict-stale] [-stale-allow keys] [-json|-sarif] [-v] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: wfvet [-all] [-bounds] [-md file] [-sarif file] [-strict-stale] [-stale-allow keys] [-v] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fatal(fmt.Errorf("-json and -sarif are mutually exclusive"))
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -64,30 +59,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	root, err := wfcheck.FindModuleRoot(cwd)
+	loader, targets, err := load(cwd, patterns)
 	if err != nil {
 		fatal(err)
 	}
-	loader, err := wfcheck.NewLoader(root)
-	if err != nil {
-		fatal(err)
-	}
-
-	dirs, err := expand(cwd, patterns)
-	if err != nil {
-		fatal(err)
-	}
-
-	var targets []*wfcheck.Package
-	for _, dir := range dirs {
-		p, err := loader.LoadDir(dir)
-		if err == wfcheck.ErrNoGoFiles {
-			continue
-		}
-		if err != nil {
-			fatal(fmt.Errorf("loading %s: %w", dir, err))
-		}
-		targets = append(targets, p)
+	for _, p := range targets {
 		if len(p.TypeErrors) > 0 {
 			fmt.Fprintf(os.Stderr, "wfvet: %s: %d type errors; analysis may be incomplete\n", p.Path, len(p.TypeErrors))
 			if *verbose {
@@ -109,22 +85,20 @@ func main() {
 	}
 	res := conf.RunProgram(wfcheck.NewProgram(loader), targets)
 
-	switch {
-	case *jsonOut:
-		writeJSON(cwd, res, *bounds)
-	case *sarifOut:
-		writeSARIF(cwd, res)
-	default:
-		for _, d := range res.Diags {
-			fmt.Println(rel(cwd, d))
-		}
-		if *bounds {
-			printBounds(cwd, res.Bounds)
-			printOps(res.Ops)
-		}
+	for _, d := range res.Diags {
+		fmt.Println(rel(cwd, d))
+	}
+	if *bounds {
+		printBounds(cwd, res.Bounds)
+		printOps(res.Ops)
 	}
 	if *mdOut != "" {
 		if err := os.WriteFile(*mdOut, boundsMarkdown(res.Ops), 0o644); err != nil {
+			fatal(err)
+		}
+	}
+	if *sarifOut != "" {
+		if err := os.WriteFile(*sarifOut, sarif(cwd, res), 0o644); err != nil {
 			fatal(err)
 		}
 	}
@@ -153,6 +127,35 @@ func main() {
 	if *verbose || warns > 0 {
 		fmt.Fprintf(os.Stderr, "wfvet: %d packages clean (%d warnings)\n", len(targets), warns)
 	}
+}
+
+// load loads the packages the patterns name (relative to cwd) as targets,
+// through one loader over the enclosing module.
+func load(cwd string, patterns []string) (*wfcheck.Loader, []*wfcheck.Package, error) {
+	root, err := wfcheck.FindModuleRoot(cwd)
+	if err != nil {
+		return nil, nil, err
+	}
+	loader, err := wfcheck.NewLoader(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	dirs, err := expand(cwd, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	var targets []*wfcheck.Package
+	for _, dir := range dirs {
+		p, err := loader.LoadDir(dir)
+		if err == wfcheck.ErrNoGoFiles {
+			continue
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("loading %s: %w", dir, err)
+		}
+		targets = append(targets, p)
+	}
+	return loader, targets, nil
 }
 
 // printBounds renders the bounds report as aligned text: one line per
@@ -249,75 +252,9 @@ func boundsMarkdown(ops []wfcheck.OpCert) []byte {
 	return []byte(b.String())
 }
 
-// jsonFinding is one diagnostic in -json output.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"` // "error" or "warning"
-	Message  string `json:"message"`
-}
-
-// jsonBound is one bounds-report row in -json output.
-type jsonBound struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Pkg    string `json:"pkg"`
-	Scope  string `json:"scope"`
-	Status string `json:"status"`
-	Arg    string `json:"arg"`
-	Detail string `json:"detail"`
-}
-
-// jsonOp is one symbolic step certificate in -json output.
-type jsonOp struct {
-	Op     string `json:"op"`
-	Bound  string `json:"bound"`
-	Status string `json:"status"`
-	Basis  string `json:"basis"`
-}
-
-// writeJSON emits the findings (and, when requested, the bounds report and
-// step certificates) as one JSON object, filenames relative to the working
-// directory.
-func writeJSON(cwd string, res *wfcheck.Result, withBounds bool) {
-	out := struct {
-		Findings []jsonFinding `json:"findings"`
-		Bounds   []jsonBound   `json:"bounds,omitempty"`
-		Ops      []jsonOp      `json:"ops,omitempty"`
-	}{Findings: []jsonFinding{}}
-	for _, d := range res.Diags {
-		sev := "error"
-		if d.Warn {
-			sev = "warning"
-		}
-		out.Findings = append(out.Findings, jsonFinding{
-			File: relPath(cwd, d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
-			Analyzer: d.Analyzer, Severity: sev, Message: d.Message,
-		})
-	}
-	if withBounds {
-		for _, r := range res.Bounds {
-			out.Bounds = append(out.Bounds, jsonBound{
-				File: relPath(cwd, r.Pos.Filename), Line: r.Pos.Line,
-				Pkg: r.Pkg, Scope: r.Scope, Status: string(r.Status), Arg: r.Arg, Detail: r.Detail,
-			})
-		}
-		for _, c := range res.Ops {
-			out.Ops = append(out.Ops, jsonOp{Op: c.Op, Bound: c.Bound, Status: string(c.Status), Basis: c.Basis})
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-// writeSARIF emits findings as a minimal SARIF 2.1.0 log — one run, one
+// sarif renders the findings as a minimal SARIF 2.1.0 log — one run, one
 // rule per analyzer — in the shape GitHub code scanning ingests.
-func writeSARIF(cwd string, res *wfcheck.Result) {
+func sarif(cwd string, res *wfcheck.Result) []byte {
 	type sarifMessage struct {
 		Text string `json:"text"`
 	}
@@ -406,11 +343,11 @@ func writeSARIF(cwd string, res *wfcheck.Result) {
 			"results": results,
 		}},
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(log); err != nil {
+	out, err := json.MarshalIndent(log, "", "  ")
+	if err != nil {
 		fatal(err)
 	}
+	return append(out, '\n')
 }
 
 // relPath relativizes a filename against the working directory when it

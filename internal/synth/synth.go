@@ -28,6 +28,7 @@
 package synth
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -83,52 +84,44 @@ func (r Result) String() string {
 // cfg is one reachable configuration under one input assignment.
 type cfg struct {
 	obj      string
-	resps    []string // per-process response history, encoded
-	depth    []int8   // per-process operation count
-	decided  []bool
-	moved    []bool
+	procs    []proc
 	inputs   []model.Value
 	firstDec model.Value
 }
 
-// key canonically encodes the configuration. Process knowledge determines
-// decided/moved/depth implicitly, but they are cheap to include and keep the
-// encoding self-evident; inputs must be included because one strategy serves
-// all input assignments.
-func (c *cfg) key() string {
-	var b strings.Builder
-	b.WriteString(c.obj)
-	b.WriteByte('#')
-	for p, r := range c.resps {
-		if p > 0 {
-			b.WriteByte('&')
-		}
-		if c.decided[p] {
-			b.WriteByte('D')
-		}
-		b.WriteString(strconv.Itoa(int(c.inputs[p])))
-		b.WriteString(r)
-	}
-	b.WriteByte('#')
-	b.WriteString(strconv.Itoa(int(c.firstDec)))
-	return b.String()
+// proc is one process's part of a configuration.
+type proc struct {
+	hist    int32 // response history, interned in searcher.hists
+	depth   int8  // operations executed
+	decided bool
+	moved   bool
+}
+
+// knowledge is what process pid knows — its input and the responses it has
+// received — and so the domain of a strategy.
+type knowledge struct {
+	pid   int
+	input model.Value
+	hist  int32
+}
+
+// histStep names the history that extends history from by one response.
+type histStep struct {
+	from int32
+	resp model.Value
+}
+
+// cfgBox allocates a configuration together with room for the per-process
+// state of up to four processes.
+type cfgBox struct {
+	cfg
+	buf [4]proc
 }
 
 func (c *cfg) clone() *cfg {
-	return &cfg{
-		obj:      c.obj,
-		resps:    append([]string(nil), c.resps...),
-		depth:    append([]int8(nil), c.depth...),
-		decided:  append([]bool(nil), c.decided...),
-		moved:    append([]bool(nil), c.moved...),
-		inputs:   c.inputs,
-		firstDec: c.firstDec,
-	}
-}
-
-// knowledge returns the strategy key for process p in c.
-func (c *cfg) knowledge(p int) string {
-	return strconv.Itoa(p) + "|" + strconv.Itoa(int(c.inputs[p])) + "|" + c.resps[p]
+	box := &cfgBox{cfg: *c}
+	box.procs = append(box.buf[:0], c.procs...)
+	return &box.cfg
 }
 
 // obligation is a pending proof obligation: all scheduler choices >= minPid
@@ -143,9 +136,16 @@ type searcher struct {
 	obj      model.Object
 	params   Params
 	menus    [][]model.Action // per-pid action menus (decides then ops)
-	strategy map[string]model.Action
+	strategy map[knowledge]model.Action
 	nodes    int64
 	overflow bool
+
+	// Response histories are interned: hists[id] renders history id as
+	// ",r1,r2,...", and histIDs finds the one-response extensions. A
+	// history is then one integer in a configuration, its key and a
+	// knowledge state.
+	hists   []string
+	histIDs map[histStep]int32
 
 	// Verified-subtree memoization, aligned with the strategy trail. An
 	// entry in memo means "every schedule from this configuration satisfies
@@ -153,9 +153,49 @@ type searcher struct {
 	// A proof can only depend on assignments that existed at its creation,
 	// so entries stay valid while those assignments stand; when the search
 	// retracts an assignment it discards every entry created after it
-	// (memoTrail records creation order).
+	// (memoTrail records creation order). Keys are built into keyBuf and
+	// looked up without allocating; only an insert copies one out.
 	memo      map[string]bool
 	memoTrail []string
+	keyBuf    []byte
+}
+
+// key canonically encodes the configuration into s.keyBuf. Process
+// knowledge determines decided/moved/depth implicitly, but decided is cheap
+// to include and keeps the encoding self-evident; inputs must be included
+// because one strategy serves all input assignments.
+func (s *searcher) key(c *cfg) []byte {
+	b := binary.AppendUvarint(s.keyBuf[:0], uint64(len(c.obj)))
+	b = append(b, c.obj...)
+	for p, pr := range c.procs {
+		b = binary.AppendVarint(b, int64(c.inputs[p]))
+		if pr.decided {
+			b = append(b, 'D')
+		} else {
+			b = append(b, '-')
+		}
+		b = binary.AppendUvarint(b, uint64(pr.hist))
+	}
+	b = binary.AppendVarint(b, int64(c.firstDec))
+	s.keyBuf = b
+	return b
+}
+
+// knowledge returns the strategy key for process p in c.
+func (c *cfg) knowledge(p int) knowledge {
+	return knowledge{pid: p, input: c.inputs[p], hist: c.procs[p].hist}
+}
+
+// extend returns the history that follows history h by one response.
+func (s *searcher) extend(h int32, resp model.Value) int32 {
+	step := histStep{from: h, resp: resp}
+	if id, ok := s.histIDs[step]; ok {
+		return id
+	}
+	id := int32(len(s.hists))
+	s.hists = append(s.hists, s.hists[h]+","+strconv.Itoa(int(resp)))
+	s.histIDs[step] = id
+	return id
 }
 
 // Search runs the synthesis. obj supplies the operation menu via Ops.
@@ -167,7 +207,9 @@ func Search(obj model.Object, params Params) Result {
 	s := &searcher{
 		obj:      obj,
 		params:   params,
-		strategy: make(map[string]model.Action),
+		strategy: make(map[knowledge]model.Action),
+		hists:    []string{""},
+		histIDs:  make(map[histStep]int32),
 		memo:     make(map[string]bool),
 	}
 	s.menus = make([][]model.Action, n)
@@ -195,10 +237,7 @@ func Search(obj model.Object, params Params) Result {
 		}
 		c := &cfg{
 			obj:      obj.Init(),
-			resps:    make([]string, n),
-			depth:    make([]int8, n),
-			decided:  make([]bool, n),
-			moved:    make([]bool, n),
+			procs:    make([]proc, n),
 			inputs:   inputs,
 			firstDec: model.None,
 		}
@@ -213,7 +252,10 @@ func Search(obj model.Object, params Params) Result {
 		MenuSize: len(s.menus[0]),
 	}
 	if found {
-		res.Strategy = s.strategy
+		res.Strategy = make(map[string]model.Action, len(s.strategy))
+		for k, act := range s.strategy {
+			res.Strategy[strconv.Itoa(k.pid)+"|"+strconv.Itoa(int(k.input))+"|"+s.hists[k.hist]] = act
+		}
 		res.Complete = true
 	}
 	return res
@@ -232,25 +274,21 @@ func (s *searcher) solve(ob *obligation) bool {
 	}
 	c, minPid := ob.c, ob.minPid
 
-	var ckey string
-	if minPid == 0 {
-		ckey = c.key()
-		if s.memo[ckey] {
-			return s.solve(ob.next)
-		}
+	if minPid == 0 && s.memo[string(s.key(c))] {
+		return s.solve(ob.next)
 	}
 
 	// Find the next scheduler branch to expand at c.
 	p := minPid
-	for p < s.params.Procs && c.decided[p] {
+	for p < s.params.Procs && c.procs[p].decided {
 		p++
 	}
 	if p >= s.params.Procs {
 		// All branches of c verified along this path: memoize the subtree.
-		k := c.key()
-		if !s.memo[k] {
-			s.memo[k] = true
-			s.memoTrail = append(s.memoTrail, k)
+		if k := s.key(c); !s.memo[string(k)] {
+			ks := string(k)
+			s.memo[ks] = true
+			s.memoTrail = append(s.memoTrail, ks)
 		}
 		return s.solve(ob.next)
 	}
@@ -266,7 +304,7 @@ func (s *searcher) solve(ob *obligation) bool {
 	}
 
 	// EXISTS: choose p's action at this fresh knowledge state.
-	mustDecide := int(c.depth[p]) >= s.params.Depth
+	mustDecide := int(c.procs[p].depth) >= s.params.Depth
 	for _, act := range s.menus[p] {
 		if mustDecide && act.Kind != model.ActDecide {
 			continue
@@ -297,15 +335,13 @@ func (s *searcher) solve(ob *obligation) bool {
 // apply executes p's action on c, returning the successor configuration and
 // whether the action is immediately safe (agreement and validity hold).
 func (s *searcher) apply(c *cfg, p int, act model.Action) (*cfg, bool) {
-	child := c.clone()
-	child.moved[p] = true
 	if act.Kind == model.ActDecide {
 		if c.firstDec != model.None && c.firstDec != act.Dec {
 			return nil, false // agreement
 		}
 		owned := false
 		for j, in := range c.inputs {
-			if in == act.Dec && (c.moved[j] || j == p) {
+			if in == act.Dec && (c.procs[j].moved || j == p) {
 				owned = true
 				break
 			}
@@ -313,7 +349,12 @@ func (s *searcher) apply(c *cfg, p int, act model.Action) (*cfg, bool) {
 		if !owned {
 			return nil, false // validity
 		}
-		child.decided[p] = true
+	}
+	child := c.clone()
+	pr := &child.procs[p]
+	pr.moved = true
+	if act.Kind == model.ActDecide {
+		pr.decided = true
 		if child.firstDec == model.None {
 			child.firstDec = act.Dec
 		}
@@ -321,8 +362,8 @@ func (s *searcher) apply(c *cfg, p int, act model.Action) (*cfg, bool) {
 	}
 	var resp model.Value
 	child.obj, resp = s.obj.Apply(c.obj, act.Op)
-	child.resps[p] = c.resps[p] + "," + strconv.Itoa(int(resp))
-	child.depth[p]++
+	pr.hist = s.extend(pr.hist, resp)
+	pr.depth++
 	return child, true
 }
 

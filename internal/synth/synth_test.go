@@ -24,6 +24,16 @@ func casObject() model.Object {
 		model.WithRMW(fn), model.WithoutRW())
 }
 
+// pinNodes asserts a search visited exactly the recorded number of nodes: a
+// change to the searcher's data structures must explore the same
+// configurations in the same order.
+func pinNodes(t *testing.T, res Result, want int64) {
+	t.Helper()
+	if res.Nodes != want {
+		t.Errorf("search visited %d nodes, want %d", res.Nodes, want)
+	}
+}
+
 // TestSynthFindsCASProtocol is the positive control: the synthesizer must
 // discover the Theorem 7 protocol shape (CAS your input, decide what is in
 // the register) within depth 1 for two processes.
@@ -32,6 +42,7 @@ func TestSynthFindsCASProtocol(t *testing.T) {
 	if !res.Found {
 		t.Fatalf("expected to find a CAS protocol: %s", res)
 	}
+	pinNodes(t, res, 459)
 	t.Logf("found: %s\n%s", res, FormatStrategy(res.Strategy))
 
 	// Independently re-verify the synthesized protocol with the checker
@@ -57,6 +68,7 @@ func TestSynthFindsAugQueueProtocol(t *testing.T) {
 	if !res.Found {
 		t.Fatalf("expected to find an augmented-queue protocol: %s", res)
 	}
+	pinNodes(t, res, 841_292)
 	t.Logf("found: %s\n%s", res, FormatStrategy(res.Strategy))
 }
 
@@ -68,9 +80,10 @@ func TestSynthNoRegisterConsensus(t *testing.T) {
 		name  string
 		regs  int
 		depth int
+		nodes int64
 	}{
-		{name: "1reg-depth3", regs: 1, depth: 3},
-		{name: "2reg-depth2", regs: 2, depth: 2},
+		{name: "1reg-depth3", regs: 1, depth: 3, nodes: 43_693_913},
+		{name: "2reg-depth2", regs: 2, depth: 2, nodes: 2_336_149},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -86,6 +99,7 @@ func TestSynthNoRegisterConsensus(t *testing.T) {
 			if !res.Complete {
 				t.Fatalf("search did not complete: %s", res)
 			}
+			pinNodes(t, res, tt.nodes)
 			t.Logf("%s: %s (menu %d actions)", tt.name, res, res.MenuSize)
 		})
 	}
@@ -105,6 +119,7 @@ func TestSynthNoQueue3Consensus(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("search did not complete: %s", res)
 	}
+	pinNodes(t, res, 42_221_171)
 	t.Logf("%s", res)
 }
 
@@ -120,12 +135,13 @@ func TestSynthNoInterferingRMW3Consensus(t *testing.T) {
 	faa := model.FetchAndAdd
 	faa.Operands = [][2]model.Value{{1, model.None}}
 	tests := []struct {
-		name string
-		fns  []model.RMWFn
+		name  string
+		fns   []model.RMWFn
+		nodes int64
 	}{
-		{name: "test-and-set", fns: []model.RMWFn{model.TestAndSet}},
-		{name: "swap", fns: []model.RMWFn{swap}},
-		{name: "fetch-and-add", fns: []model.RMWFn{faa}},
+		{name: "test-and-set", fns: []model.RMWFn{model.TestAndSet}, nodes: 18_795},
+		{name: "swap", fns: []model.RMWFn{swap}, nodes: 3_056_616},
+		{name: "fetch-and-add", fns: []model.RMWFn{faa}, nodes: 10_697_617},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -138,6 +154,7 @@ func TestSynthNoInterferingRMW3Consensus(t *testing.T) {
 			if !res.Complete {
 				t.Fatalf("search did not complete: %s", res)
 			}
+			pinNodes(t, res, tt.nodes)
 			t.Logf("%s: %s", tt.name, res)
 		})
 	}
@@ -155,5 +172,6 @@ func TestSynthNoFIFOChannel2Consensus(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("search did not complete: %s", res)
 	}
+	pinNodes(t, res, 226_710)
 	t.Logf("%s", res)
 }

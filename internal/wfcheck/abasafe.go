@@ -3,7 +3,6 @@ package wfcheck
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // abasafe audits compare-and-swap on recyclable pointers for the ABA
@@ -31,83 +30,36 @@ import (
 // "ABA" on a counter is just an equal value, and the ordered cases that do
 // matter (the GC anchor swing) are the monotone analyzer's job.
 
-// analyzeABA checks every sync/atomic pointer CompareAndSwap in the package.
-func analyzeABA(prog *Program, p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			diags = append(diags, checkABA(prog, p, fd)...)
-		}
+// abaCall audits one sync/atomic call: a CompareAndSwap whose compared
+// values are pointers — the atomic.Pointer[T] method form, or the
+// CompareAndSwapPointer function form on unsafe.Pointer — needs one of the
+// protections above.
+func (r *run) abaCall(p *Package, binds map[string]string, call *ast.CallExpr, op atomicOp) {
+	if op.kind != "CompareAndSwap" || len(op.args) != 2 {
+		return
 	}
-	return diags
-}
-
-// checkABA audits one function body.
-func checkABA(prog *Program, p *Package, fd *ast.FuncDecl) []Diagnostic {
-	binds := loadBindings(p, fd.Body)
-	var diags []Diagnostic
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			return true
-		}
-		recv, old, new, ok := pointerCAS(p, call)
-		if !ok {
-			return true
-		}
-		recvPath := ""
-		var fa *FieldAnn
-		if recv != nil {
-			if _, a := annFieldOf(prog, p, recv); a != nil {
-				fa = a
-			}
-			recvPath = types.ExprString(ast.Unparen(recv))
-		}
-		switch {
-		case fa != nil && (fa.Monotone || fa.ABAGuard != ""):
-			return true // declared protection at the field
-		case isNilExpr(p, old):
-			return true // install-once: nil is never a recycled address
-		case recvPath != "" && refMatches(types.ExprString(ast.Unparen(old)), recvPath, binds):
-			return true // held-pointer: the GC pins old's address while we hold it
-		case mentions(new, types.ExprString(ast.Unparen(old))):
-			return true // value-derived RMW: new is a function of old
-		}
-		if d := disciplineDiag(p, call.Pos(), "abasafe",
-			"pointer CompareAndSwap(%s, %s) has no ABA protection: old is neither nil, held from this register's own Load, nor an operand of new, and the field declares no //wf:monotone or //wf:abaguard",
-			types.ExprString(old), types.ExprString(new)); d != nil {
-			diags = append(diags, *d)
-		}
-		return true
-	})
-	return diags
-}
-
-// pointerCAS decomposes a sync/atomic CompareAndSwap whose compared values
-// are pointers: the atomic.Pointer[T] method form (recv, args old/new) or
-// the CompareAndSwapPointer function form (recv nil, unsafe.Pointer args).
-func pointerCAS(p *Package, call *ast.CallExpr) (recv, old, new ast.Expr, ok bool) {
-	fn := calleeFunc(p, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
-		!strings.HasPrefix(fn.Name(), "CompareAndSwap") {
-		return nil, nil, nil, false
+	old, new := op.args[0], op.args[1]
+	if t := p.Info.TypeOf(op.recv); op.method && (t == nil || !isPointerAtomic(t)) {
+		return
 	}
-	if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel && len(call.Args) == 2 {
-		if t := p.Info.TypeOf(sel.X); t != nil && isPointerAtomic(t) {
-			return sel.X, call.Args[0], call.Args[1], true
-		}
-		return nil, nil, nil, false
+	if t := p.Info.TypeOf(old); !op.method && (t == nil || !isPointerValue(t)) {
+		return
 	}
-	if len(call.Args) == 3 { // CompareAndSwapPointer(addr, old, new)
-		if t := p.Info.TypeOf(call.Args[1]); t != nil && isPointerValue(t) {
-			return nil, call.Args[1], call.Args[2], true
-		}
+	recvPath := types.ExprString(ast.Unparen(op.recv))
+	_, fa := annFieldOf(r.prog, p, op.recv)
+	switch {
+	case fa != nil && (fa.Monotone || fa.ABAGuard != ""):
+		return // declared protection at the field
+	case isNilExpr(p, old):
+		return // install-once: nil is never a recycled address
+	case refMatches(types.ExprString(ast.Unparen(old)), recvPath, binds):
+		return // held-pointer: the GC pins old's address while we hold it
+	case mentions(new, types.ExprString(ast.Unparen(old))):
+		return // value-derived RMW: new is a function of old
 	}
-	return nil, nil, nil, false
+	r.report(p, "abasafe", call.Pos(),
+		"pointer CompareAndSwap(%s, %s) has no ABA protection: old is neither nil, held from this register's own Load, nor an operand of new, and the field declares no //wf:monotone or //wf:abaguard",
+		types.ExprString(old), types.ExprString(new))
 }
 
 // isPointerAtomic reports an atomic wrapper whose payload is an address:

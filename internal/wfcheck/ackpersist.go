@@ -2,6 +2,7 @@ package wfcheck
 
 import (
 	"go/ast"
+	"slices"
 )
 
 // ackpersist statically pins the persist-before-apply contract of the
@@ -27,22 +28,9 @@ type markedStmt struct {
 	mark *LineMark
 }
 
-// analyzeAckPersist runs the ackpersist analyzer over one package.
-func analyzeAckPersist(p *Package, diags *[]Diagnostic) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ackPersistFunc(p, fd, diags)
-		}
-	}
-}
-
 // ackPersistFunc attaches the function's ack/persist marks to statements and
 // checks that every ack is dominated by a persist.
-func ackPersistFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
+func (r *run) ackPersistFunc(p *Package, fd *ast.FuncDecl) {
 	var acks, persists []markedStmt
 	// Pre-order walk: the outermost statement starting on a mark's line
 	// claims it, so a mark above `if init; cond {` attaches to the whole if
@@ -66,198 +54,17 @@ func ackPersistFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
 	})
 	for _, a := range acks {
 		if len(persists) == 0 {
-			if d := disciplineDiag(p, a.mark.Pos, "ackpersist",
-				"//wf:ack in %s has no //wf:persist in the function: the acknowledgement precedes any durability", fd.Name.Name); d != nil {
-				*diags = append(*diags, *d)
-			}
+			r.report(p, "ackpersist", a.mark.Pos, "//wf:ack in %s has no //wf:persist in the function: the acknowledgement precedes any durability", fd.Name.Name)
 			continue
 		}
-		dominated := false
-		for _, pr := range persists {
-			if stmtDominates(fd.Body, pr.stmt, a.stmt) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			if d := disciplineDiag(p, a.mark.Pos, "ackpersist",
-				"//wf:ack in %s is not dominated by a completed //wf:persist: some path acknowledges before persisting", fd.Name.Name); d != nil {
-				*diags = append(*diags, *d)
-			}
+		d := dominatorsOf(fd.Body, a.stmt)
+		if !slices.ContainsFunc(persists, func(pr markedStmt) bool { return d.completed(pr.stmt) }) {
+			r.report(p, "ackpersist", a.mark.Pos, "//wf:ack in %s is not dominated by a completed //wf:persist: some path acknowledges before persisting", fd.Name.Name)
 		}
 	}
 	for _, pr := range persists {
 		if len(acks) == 0 {
-			if d := disciplineDiag(p, pr.mark.Pos, "ackpersist",
-				"//wf:persist in %s acknowledges nothing: no //wf:ack in the function", fd.Name.Name); d != nil {
-				*diags = append(*diags, *d)
-			}
+			r.report(p, "ackpersist", pr.mark.Pos, "//wf:persist in %s acknowledges nothing: no //wf:ack in the function", fd.Name.Name)
 		}
 	}
-}
-
-// pathTo returns the chain of nodes from root down to target (inclusive of
-// both), or nil if target is not under root.
-func pathTo(root, target ast.Node) []ast.Node {
-	var stack, path []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if path != nil {
-			return false
-		}
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if n == target {
-			path = append([]ast.Node(nil), stack...)
-			return false
-		}
-		return true
-	})
-	return path
-}
-
-// stmtDominates reports whether the persist statement completes before the
-// ack on every path through body that reaches the ack: the persist is (or
-// sits unconditionally inside) an earlier sibling in a statement list
-// enclosing the ack, or lives in the init/condition of a compound statement
-// the ack's path descends into.
-func stmtDominates(body *ast.BlockStmt, pers, ack ast.Stmt) bool {
-	path := pathTo(body, ack)
-	if path == nil {
-		return false
-	}
-	for i, n := range path {
-		var next ast.Node
-		if i+1 < len(path) {
-			next = path[i+1]
-		}
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			if earlierSiblingHolds(n.List, next, pers) {
-				return true
-			}
-		case *ast.CaseClause:
-			if earlierSiblingHolds(n.Body, next, pers) {
-				return true
-			}
-		case *ast.CommClause:
-			if earlierSiblingHolds(n.Body, next, pers) {
-				return true
-			}
-		case *ast.IfStmt:
-			// Init and Cond run before either branch; an else-if link keeps
-			// descending through nested IfStmts on the path. A mark on the if
-			// line attaches to the whole IfStmt, so a persist-marked
-			// `if err := persist(); err == nil { ack }` dominates acks in its
-			// own branches: the init has completed by the time either runs.
-			if next == n.Body || next == n.Else {
-				if ast.Node(pers) == ast.Node(n) {
-					return true
-				}
-				if preludeHolds(pers, n.Init, n.Cond) {
-					return true
-				}
-			}
-		case *ast.ForStmt:
-			if next == n.Body || next == n.Cond || next == n.Post {
-				if preludeHolds(pers, n.Init) {
-					return true
-				}
-			}
-		case *ast.RangeStmt:
-			if next == n.Body {
-				if preludeHolds(pers, n.X) {
-					return true
-				}
-			}
-		case *ast.SwitchStmt:
-			if next == n.Body && preludeHolds(pers, n.Init, n.Tag) {
-				return true
-			}
-		case *ast.TypeSwitchStmt:
-			if next == n.Body && preludeHolds(pers, n.Init, n.Assign) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// earlierSiblingHolds reports whether pers executes to completion inside a
-// sibling that precedes the path's continuation stmt in the list.
-func earlierSiblingHolds(list []ast.Stmt, next ast.Node, pers ast.Stmt) bool {
-	for _, s := range list {
-		if s == next {
-			return false
-		}
-		if nodeContains(s, pers) && uncondWithin(s, pers) {
-			return true
-		}
-	}
-	return false
-}
-
-// preludeHolds reports whether pers sits (unconditionally) inside one of the
-// given prelude nodes — inits, conditions, range operands — which execute
-// before the statement's body.
-func preludeHolds(pers ast.Stmt, preludes ...ast.Node) bool {
-	for _, pr := range preludes {
-		if pr == nil {
-			continue
-		}
-		if pr == ast.Node(pers) || (nodeContains(pr, pers) && uncondWithin(pr, pers)) {
-			return true
-		}
-	}
-	return false
-}
-
-// nodeContains reports whether inner's source range sits inside outer's.
-func nodeContains(outer, inner ast.Node) bool {
-	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
-}
-
-// uncondWithin reports whether inner is reached unconditionally whenever
-// outer executes to completion: the path from outer to inner crosses no
-// conditional body, loop body, select/switch clause, function literal, or
-// deferred/spawned call.
-func uncondWithin(outer, inner ast.Node) bool {
-	if outer == inner {
-		return true
-	}
-	path := pathTo(outer, inner)
-	if path == nil {
-		return false
-	}
-	for i := 0; i < len(path)-1; i++ {
-		next := path[i+1]
-		switch n := path[i].(type) {
-		case *ast.IfStmt:
-			if next != n.Init && next != n.Cond {
-				return false
-			}
-		case *ast.ForStmt:
-			if next != n.Init && next != n.Cond {
-				return false
-			}
-		case *ast.RangeStmt:
-			if next != n.X {
-				return false
-			}
-		case *ast.SwitchStmt:
-			if next != n.Init && next != n.Tag {
-				return false
-			}
-		case *ast.TypeSwitchStmt:
-			if next != n.Init && next != n.Assign {
-				return false
-			}
-		case *ast.SelectStmt, *ast.CaseClause, *ast.CommClause,
-			*ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		}
-	}
-	return true
 }

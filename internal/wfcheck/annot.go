@@ -77,24 +77,16 @@ type FieldAnn struct {
 	Pos   token.Pos
 }
 
-// Waiver is one //wf:waiver <analyzer> <reason> directive: a reasoned,
-// line-scoped exemption from a register-discipline analyzer. A waiver no
-// analyzer consumes is itself an error.
-type Waiver struct {
-	Analyzer string
-	Reason   string
-	Pos      token.Pos
-	used     bool
-}
-
-// LineMark is one line-scoped service-tier discipline mark:
-// //wf:ack (a client-visible acknowledgement), //wf:persist (a completed
-// durability call), or //wf:owns <mechanism> (the shutdown edge of a go
-// statement). Like waivers, a mark no analyzer consumes is an error.
+// LineMark is one line-scoped directive: //wf:waiver <analyzer> <reason>
+// (a reasoned exemption from one analyzer's findings on the line), or a
+// service-tier discipline mark — //wf:ack (a client-visible
+// acknowledgement), //wf:persist (a completed durability call), or
+// //wf:owns <mechanism> (the shutdown edge of a go statement). A line
+// directive no analyzer consumes is an error.
 type LineMark struct {
-	Verb string // "ack", "persist" or "owns"
-	Mech string // owns only: the shutdown mechanism expression
-	Note string // optional free-text remainder
+	Verb string // "waiver", "ack", "persist" or "owns"
+	Mech string // waiver: the analyzer; owns: the shutdown mechanism expression
+	Note string // waiver: the reason; otherwise an optional free-text remainder
 	Pos  token.Pos
 	used bool
 }
@@ -131,10 +123,8 @@ type Annotations struct {
 	// own line. The boundcert pass checks that each of these attaches to a
 	// loop.
 	loopDirs map[string]map[int]*Directive
-	// waivers records //wf:waiver comments by file and line; analyzers
-	// consume them through Waive, and UnusedWaivers reports the leftovers.
-	waivers map[string]map[int][]*Waiver
-	// marks records //wf:ack, //wf:persist and //wf:owns comments by file
+	// marks records //wf:waiver, //wf:ack, //wf:persist and //wf:owns
+	// comments by file
 	// and line; analyzers consume them through ConsumeMark, and UnusedMarks
 	// reports the leftovers.
 	marks map[string]map[int][]*LineMark
@@ -164,13 +154,6 @@ func (a *Annotations) LoopDirective(pos token.Pos) *Directive {
 	return lines[p.Line]
 }
 
-// LoopBounded reports whether a loop starting at pos carries a loop-line
-// justification (wf:bounded or wf:lockfree) that suppresses the loop-shape
-// checks.
-func (a *Annotations) LoopBounded(pos token.Pos) bool {
-	return a.LoopDirective(pos) != nil
-}
-
 // loopDirectives yields every loop-line directive with its position, for
 // the attachment check in boundcert.
 func (a *Annotations) loopDirectives() []*Directive {
@@ -185,45 +168,25 @@ func (a *Annotations) loopDirectives() []*Directive {
 
 // Waive consumes a waiver covering pos for the named analyzer — on the same
 // line as the finding or the line directly above — and reports whether one
-// was found.
+// was found. One waiver excuses every finding of its analyzer on its line.
 func (a *Annotations) Waive(pos token.Position, analyzer string) bool {
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, w := range a.waivers[pos.Filename][line] {
-			if w.Analyzer == analyzer {
-				w.used = true
-				return true
-			}
-		}
-	}
-	return false
+	return a.lineMark(pos, func(m *LineMark) bool { return m.Verb == "waiver" && m.Mech == analyzer }) != nil
 }
 
-// UnusedWaivers returns every waiver no analyzer consumed, in position
-// order. A dead waiver is an error: it can never silently outlive the
-// finding it excused.
-func (a *Annotations) UnusedWaivers() []*Waiver {
-	var out []*Waiver
-	for _, lines := range a.waivers {
-		for _, ws := range lines {
-			for _, w := range ws {
-				if !w.used {
-					out = append(out, w)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out
-}
-
-// ConsumeMark finds and consumes a line mark of the given verb covering pos
-// — trailing on the statement's own line or on the line directly above —
-// and returns it, or nil. Mirrors the attachment rule of Waive and of
-// loop-line directives.
+// ConsumeMark finds and consumes an unconsumed line mark of the given verb
+// covering pos — trailing on the statement's own line or on the line
+// directly above — and returns it, or nil. Mirrors the attachment rule of
+// Waive and of loop-line directives.
 func (a *Annotations) ConsumeMark(pos token.Position, verb string) *LineMark {
+	return a.lineMark(pos, func(m *LineMark) bool { return m.Verb == verb && !m.used })
+}
+
+// lineMark returns the first match on pos's line or the line above it,
+// marked used.
+func (a *Annotations) lineMark(pos token.Position, match func(*LineMark) bool) *LineMark {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, m := range a.marks[pos.Filename][line] {
-			if m.Verb == verb && !m.used {
+			if match(m) {
 				m.used = true
 				return m
 			}
@@ -232,9 +195,11 @@ func (a *Annotations) ConsumeMark(pos token.Position, verb string) *LineMark {
 	return nil
 }
 
-// UnusedMarks returns every line mark no analyzer consumed, in position
-// order. A floating mark is an error: an //wf:ack that attaches to nothing
-// would silently exempt the acknowledgement it meant to pin.
+// UnusedMarks returns every waiver and line mark no analyzer consumed, in
+// position order. A leftover is an error: a dead waiver would silently
+// excuse the next finding to appear on its line, and an //wf:ack that
+// attaches to nothing would silently exempt the acknowledgement it meant
+// to pin.
 func (a *Annotations) UnusedMarks() []*LineMark {
 	var out []*LineMark
 	for _, lines := range a.marks {
@@ -270,7 +235,6 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 		Durable:  make(map[*ast.FuncDecl]token.Pos),
 		fset:     fset,
 		loopDirs: make(map[string]map[int]*Directive),
-		waivers:  make(map[string]map[int][]*Waiver),
 		marks:    make(map[string]map[int][]*LineMark),
 	}
 	for _, f := range files {
@@ -336,9 +300,7 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 			}
 			for _, x := range extras {
 				switch x.verb {
-				case "waiver":
-					a.recordWaiver(x)
-				case "ack", "persist", "owns":
+				case "waiver", "ack", "persist", "owns":
 					a.recordMark(x)
 				default:
 					a.errorf(x.pos, "wf:%s must sit in a declaration's doc comment", x.verb)
@@ -348,11 +310,7 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 		// Package-level directives sit on the package clause's doc comment.
 		pkgDirs, pkgExtras := a.parseGroup(f.Doc)
 		for _, d := range pkgDirs {
-			if a.Pkg == nil {
-				a.Pkg = d
-			} else if a.Pkg.Mode != d.Mode {
-				a.errorf(d.Pos, "package %s: conflicting %s and %s directives", f.Name.Name, a.Pkg.Mode, d.Mode)
-			}
+			a.Pkg = a.merge(a.Pkg, d, "package "+f.Name.Name)
 		}
 		for _, x := range pkgExtras {
 			a.errorf(x.pos, "wf:%s is not valid on a package clause", x.verb)
@@ -364,11 +322,7 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 			}
 			dirs, extras := a.parseGroup(fd.Doc)
 			for _, d := range dirs {
-				if prev := a.Funcs[fd]; prev == nil {
-					a.Funcs[fd] = d
-				} else if prev.Mode != d.Mode {
-					a.errorf(d.Pos, "func %s: conflicting %s and %s directives", fd.Name.Name, prev.Mode, d.Mode)
-				}
+				a.Funcs[fd] = a.merge(a.Funcs[fd], d, "func "+fd.Name.Name)
 			}
 			for _, x := range extras {
 				switch x.verb {
@@ -391,11 +345,7 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 			for _, cg := range []*ast.CommentGroup{m.Doc, m.Comment} {
 				dirs, extras := a.parseGroup(cg)
 				for _, d := range dirs {
-					if prev := a.Methods[name]; prev == nil {
-						a.Methods[name] = d
-					} else if prev.Mode != d.Mode {
-						a.errorf(d.Pos, "interface method %s: conflicting %s and %s directives", name.Name, prev.Mode, d.Mode)
-					}
+					a.Methods[name] = a.merge(a.Methods[name], d, "interface method "+name.Name)
 				}
 				for _, x := range extras {
 					if x.verb == "steps" {
@@ -423,6 +373,18 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 	}
 	a.Errors = dedup
 	return a
+}
+
+// merge keeps a declaration's first mode directive, erroring a later one
+// that conflicts with it.
+func (a *Annotations) merge(prev, d *Directive, what string) *Directive {
+	if prev == nil {
+		return d
+	}
+	if prev.Mode != d.Mode {
+		a.errorf(d.Pos, "%s: conflicting %s and %s directives", what, prev.Mode, d.Mode)
+	}
+	return prev
 }
 
 // parseDeclGroups applies the doc and trailing comment groups of one field
@@ -499,36 +461,23 @@ func (a *Annotations) setSteps(name *ast.Ident, x extraDir) {
 	a.Steps[name] = &StepsAnn{Expr: x.arg, Pos: x.pos}
 }
 
-// recordWaiver indexes one //wf:waiver <analyzer> <reason> by file and line.
-func (a *Annotations) recordWaiver(x extraDir) {
-	analyzer, reason, _ := strings.Cut(x.arg, " ")
-	reason = strings.TrimSpace(reason)
-	switch analyzer {
-	case "singlewriter", "monotone", "abasafe", "fsyncorder", "ackpersist", "goown":
-	default:
-		a.errorf(x.pos, "wf:waiver analyzer must be singlewriter, monotone, abasafe, fsyncorder, ackpersist or goown, got %q", analyzer)
-		return
-	}
-	if reason == "" {
-		a.errorf(x.pos, "wf:waiver requires a reason after the analyzer name")
-		return
-	}
-	p := a.fset.Position(x.pos)
-	if a.waivers[p.Filename] == nil {
-		a.waivers[p.Filename] = make(map[int][]*Waiver)
-	}
-	a.waivers[p.Filename][p.Line] = append(a.waivers[p.Filename][p.Line], &Waiver{Analyzer: analyzer, Reason: reason, Pos: x.pos})
-}
-
-// recordMark indexes one //wf:ack, //wf:persist or //wf:owns by file and
-// line. For owns the first argument field is the shutdown mechanism
-// expression; the remainder (and the whole argument for ack/persist) is a
-// free-text note.
+// recordMark indexes one //wf:waiver, //wf:ack, //wf:persist or //wf:owns
+// by file and line. For waiver and owns the first argument field is the
+// analyzer or the shutdown mechanism expression; the remainder (and the
+// whole argument for ack/persist) is the reason or a free-text note.
 func (a *Annotations) recordMark(x extraDir) {
 	m := &LineMark{Verb: x.verb, Note: x.arg, Pos: x.pos}
-	if x.verb == "owns" {
+	if x.verb == "owns" || x.verb == "waiver" {
 		mech, note, _ := strings.Cut(x.arg, " ")
 		m.Mech, m.Note = mech, strings.TrimSpace(note)
+	}
+	if x.verb == "waiver" && !waivable[m.Mech] {
+		a.errorf(x.pos, "wf:waiver analyzer must be singlewriter, monotone, abasafe, fsyncorder, ackpersist or goown, got %q", m.Mech)
+		return
+	}
+	if x.verb == "waiver" && m.Note == "" {
+		a.errorf(x.pos, "wf:waiver requires a reason after the analyzer name")
+		return
 	}
 	p := a.fset.Position(x.pos)
 	if a.marks[p.Filename] == nil {

@@ -224,8 +224,8 @@ func f() {
 		t.Fatalf("found %d loops, want 3", len(loops))
 	}
 	for i, want := range []bool{true, true, false} {
-		if got := a.LoopBounded(loops[i].Pos()); got != want {
-			t.Errorf("LoopBounded(loop %d) = %v, want %v", i, got, want)
+		if got := a.LoopDirective(loops[i].Pos()) != nil; got != want {
+			t.Errorf("LoopDirective(loop %d) != nil = %v, want %v", i, got, want)
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package wfcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// analyzeAtomicMix flags struct fields accessed both through sync/atomic
+// atomicMix flags struct fields accessed both through sync/atomic
 // package-level functions (atomic.LoadInt64(&s.f), ...) and by plain
 // read/write anywhere in the package. Such a field has no consistent access
 // discipline: the plain access races with the atomic one, and the race
@@ -15,7 +14,7 @@ import (
 // modern atomic.Int64-style types cannot be accessed plainly and need no
 // check. The whole package is scanned regardless of annotations — a mixed
 // field is a bug in blocking code too.
-func analyzeAtomicMix(p *Package) []Diagnostic {
+func (r *run) atomicMix(p *Package) {
 	type access struct {
 		pos   token.Pos
 		fname string // atomic function used, e.g. sync/atomic.LoadInt64
@@ -27,14 +26,14 @@ func analyzeAtomicMix(p *Package) []Diagnostic {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
+			if !ok {
 				return true
 			}
-			fn := calleeFunc(p, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+			op, ok := atomicCall(p, call)
+			if !ok || op.method {
 				return true
 			}
-			unary, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
+			unary, ok := ast.Unparen(op.recv).(*ast.UnaryExpr)
 			if !ok || unary.Op != token.AND {
 				return true
 			}
@@ -48,17 +47,16 @@ func analyzeAtomicMix(p *Package) []Diagnostic {
 			}
 			viaAtomic[sel] = true
 			if _, seen := atomicFields[field]; !seen {
-				atomicFields[field] = access{pos: sel.Pos(), fname: fn.FullName()}
+				atomicFields[field] = access{pos: sel.Pos(), fname: op.fn.FullName()}
 			}
 			return true
 		})
 	}
 	if len(atomicFields) == 0 {
-		return nil
+		return
 	}
 
 	// Pass 2: every other selector of those fields is a plain access.
-	var diags []Diagnostic
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -74,15 +72,11 @@ func analyzeAtomicMix(p *Package) []Diagnostic {
 				return true
 			}
 			firstPos := p.Fset.Position(first.pos)
-			diags = append(diags, Diagnostic{
-				Pos: p.Fset.Position(sel.Pos()), Analyzer: "atomicmix",
-				Message: fmt.Sprintf("field %s is accessed with %s (at %s:%d) but plainly here: pick one discipline",
-					field.Name(), first.fname, firstPos.Filename, firstPos.Line),
-			})
+			r.report(p, "atomicmix", sel.Pos(), "field %s is accessed with %s (at %s:%d) but plainly here: pick one discipline",
+				field.Name(), first.fname, firstPos.Filename, firstPos.Line)
 			return true
 		})
 	}
-	return diags
 }
 
 // fieldOf resolves a selector expression to the struct field it denotes,

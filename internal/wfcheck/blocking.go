@@ -20,43 +20,32 @@ var blockedCalls = map[string]string{
 	"time.Sleep":             "stalls unconditionally",
 }
 
-// analyzeBlocking builds the whole-program call graph from the wf:waitfree
-// entry points of the target packages (every unannotated function too, in
-// audit mode) and flags every blocking construct transitively reachable
-// from them. Calls resolve across package boundaries through the program
-// index; interface call sites conservatively fan out to every in-module
-// implementation; only the standard library and function values remain
-// unresolved boundaries.
-func analyzeBlocking(prog *Program, targets []*Package, all bool) []Diagnostic {
-	b := &blockingPass{
-		prog:    prog,
-		visited: make(map[*ast.FuncDecl]bool),
-	}
-	for _, p := range targets {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				pf := prog.FuncOf(p.Info.Defs[fd.Name])
-				if pf == nil {
-					continue
-				}
-				mode := pf.Mode().Mode
-				if mode == ModeWaitFree || (all && mode == ModeNone) {
-					b.visit(pf, pf)
-				}
-			}
-		}
-	}
-	return b.diags
+// blockingPass is the whole-program call-graph audit. The per-function
+// walk seeds it with the target packages' wf:waitfree entry points (every
+// unannotated function too, in audit mode), and it flags every blocking
+// construct transitively reachable from them. Calls resolve across package
+// boundaries through the program index; interface call sites
+// conservatively fan out to every in-module implementation; only the
+// standard library and function values remain unresolved boundaries.
+type blockingPass struct {
+	*run
+	visited map[*ast.FuncDecl]bool
 }
 
-type blockingPass struct {
-	prog    *Program
-	visited map[*ast.FuncDecl]bool
-	diags   []Diagnostic
+// newBlockingPass starts a call-graph audit reporting into r.
+func newBlockingPass(r *run) *blockingPass {
+	return &blockingPass{run: r, visited: make(map[*ast.FuncDecl]bool)}
+}
+
+// seed audits fd as an entry point when its mode makes it one.
+func (b *blockingPass) seed(p *Package, fd *ast.FuncDecl) {
+	pf := b.prog.FuncOf(p.Info.Defs[fd.Name])
+	if pf == nil {
+		return
+	}
+	if mode := pf.Mode().Mode; mode == ModeWaitFree || (b.All && mode == ModeNone) {
+		b.visit(pf, pf)
+	}
 }
 
 // visit scans pf once, attributing findings to the entry point that first
@@ -98,7 +87,7 @@ func (b *blockingPass) scan(pf, entry *ProgFunc) {
 			})
 		}
 		if !hasDefault {
-			b.report(pf, entry, sel.Pos(), "select without a default case blocks until another process communicates")
+			b.flag(pf, entry, sel.Pos(), "select without a default case blocks until another process communicates")
 		}
 		return true
 	})
@@ -107,16 +96,16 @@ func (b *blockingPass) scan(pf, entry *ProgFunc) {
 		switch n := n.(type) {
 		case *ast.SendStmt:
 			if !accounted[n] {
-				b.report(pf, entry, n.Pos(), "channel send outside a select with default can block on a slow receiver")
+				b.flag(pf, entry, n.Pos(), "channel send outside a select with default can block on a slow receiver")
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !accounted[n] {
-				b.report(pf, entry, n.Pos(), "channel receive outside a select with default blocks until another process sends")
+				b.flag(pf, entry, n.Pos(), "channel receive outside a select with default blocks until another process sends")
 			}
 		case *ast.RangeStmt:
 			if t := p.Info.TypeOf(n.X); t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					b.report(pf, entry, n.Pos(), "ranging over a channel blocks between messages")
+					b.flag(pf, entry, n.Pos(), "ranging over a channel blocks between messages")
 				}
 			}
 		case *ast.ForStmt:
@@ -128,27 +117,31 @@ func (b *blockingPass) scan(pf, entry *ProgFunc) {
 	})
 }
 
-// checkLoop applies the loop-shape rules: a loop with no exit condition is
-// unbounded unless annotated, and a conditioned loop that yields via
-// runtime.Gosched is a spin-wait on another process's progress. Loops whose
-// exit condition is local (three-clause scans, range over data) pass — the
-// analyzer is a conservative syntactic check, per Theorem 6's spirit of
-// trading completeness for decidability. A loop-line wf:bounded or
-// wf:lockfree directive suppresses the shape checks; boundcert and progress
-// then audit the directive itself.
+// checkLoop applies the loop-shape rules unless a loop-line wf:bounded or
+// wf:lockfree directive suppresses them; boundcert and progress then audit
+// the directive itself.
 func (b *blockingPass) checkLoop(pf, entry *ProgFunc, loop *ast.ForStmt) {
-	if pf.Pkg.Annots.LoopDirective(loop.Pos()) != nil {
-		return
+	if pf.Pkg.Annots.LoopDirective(loop.Pos()) == nil {
+		if msg := loopShape(pf.Pkg, loop); msg != "" {
+			b.flag(pf, entry, loop.Pos(), msg)
+		}
 	}
+}
+
+// loopShape is the one rule for which loops need a directive: a loop with
+// no exit condition is unbounded, and a conditioned loop that yields via
+// runtime.Gosched is a spin-wait on another process's progress. It returns
+// the finding, or "" for a loop whose exit condition is local (three-clause
+// scans, range over data) — the analyzer is a conservative syntactic
+// check, per Theorem 6's spirit of trading completeness for decidability.
+func loopShape(p *Package, loop *ast.ForStmt) string {
 	if loop.Cond == nil {
-		b.report(pf, entry, loop.Pos(),
-			"unbounded loop: no exit condition; justify with //wf:bounded <bound> or //wf:lockfree <reason>, or restructure with helping")
-		return
+		return "unbounded loop: no exit condition; justify with //wf:bounded <bound> or //wf:lockfree <reason>, or restructure with helping"
 	}
-	if gosched := goschedIn(pf.Pkg, loop); gosched.IsValid() {
-		b.report(pf, entry, loop.Pos(),
-			"spin loop: runtime.Gosched marks waiting on another process's progress; justify with //wf:bounded <bound> or restructure with helping")
+	if goschedIn(p, loop).IsValid() {
+		return "spin loop: runtime.Gosched marks waiting on another process's progress; justify with //wf:bounded <bound> or restructure with helping"
 	}
+	return ""
 }
 
 // goschedIn reports the position of a runtime.Gosched call directly inside
@@ -180,37 +173,28 @@ func (b *blockingPass) checkCall(pf, entry *ProgFunc, call *ast.CallExpr) {
 	full := f.FullName()
 	if why, ok := blockedCalls[full]; ok {
 		name := strings.NewReplacer("(*", "", ")", "").Replace(full)
-		b.report(pf, entry, call.Pos(), fmt.Sprintf("calls %s: %s", name, why))
+		b.flag(pf, entry, call.Pos(), fmt.Sprintf("calls %s: %s", name, why))
 		return
 	}
-	if isInterfaceMethod(f) {
-		if d := b.prog.Contract(f); d != nil {
-			// The interface declares a contract; trust or flag the call on
-			// the contract's own terms. Implementations are still audited at
-			// their declarations — a wf:waitfree implementation is its own
-			// entry point, and a wf:blocking one (the demo harnesses) is
-			// honest about breaking the contract and answers only to its own
-			// callers.
-			switch d.Mode {
-			case ModeBlocking:
-				b.report(pf, entry, call.Pos(),
-					fmt.Sprintf("calls %s, whose interface contract is wf:blocking (%s)", f.FullName(), d.Arg))
-			case ModeLockFree:
-				b.report(pf, entry, call.Pos(),
-					fmt.Sprintf("calls %s, whose interface contract is wf:lockfree (%s): lock-free progress does not compose into wait-freedom", f.FullName(), d.Arg))
-			}
-			return
-		}
-		for _, impl := range b.prog.Implementations(f) {
-			b.follow(pf, entry, impl, call, true)
-		}
-		return
+	contract, targets := b.prog.callees(f)
+	// A contracted interface method is trusted or flagged on the contract's
+	// own terms. Implementations are still audited at their declarations —
+	// a wf:waitfree implementation is its own entry point, and a
+	// wf:blocking one (the demo harnesses) is honest about breaking the
+	// contract and answers only to its own callers.
+	switch {
+	case contract != nil && contract.Mode == ModeBlocking:
+		b.flag(pf, entry, call.Pos(),
+			fmt.Sprintf("calls %s, whose interface contract is wf:blocking (%s)", f.FullName(), contract.Arg))
+	case contract != nil && contract.Mode == ModeLockFree:
+		b.flag(pf, entry, call.Pos(),
+			fmt.Sprintf("calls %s, whose interface contract is wf:lockfree (%s): lock-free progress does not compose into wait-freedom", f.FullName(), contract.Arg))
 	}
-	target := b.prog.FuncOf(f)
-	if target == nil {
-		return // standard library or bodyless: trusted at the module boundary
+	// Without a contract, interface dispatch fans out to every in-module
+	// implementation; the standard library is trusted at the module boundary.
+	for _, target := range targets {
+		b.follow(pf, entry, target, call, isInterfaceMethod(f))
 	}
-	b.follow(pf, entry, target, call, false)
 }
 
 // follow handles one resolved callee according to its effective directive.
@@ -221,10 +205,10 @@ func (b *blockingPass) follow(pf, entry *ProgFunc, target *ProgFunc, call *ast.C
 	}
 	switch d := target.Mode(); d.Mode {
 	case ModeBlocking:
-		b.report(pf, entry, call.Pos(),
+		b.flag(pf, entry, call.Pos(),
 			fmt.Sprintf("%s %s, annotated wf:blocking (%s)", via, target.Name(pf.Pkg), d.Arg))
 	case ModeLockFree:
-		b.report(pf, entry, call.Pos(),
+		b.flag(pf, entry, call.Pos(),
 			fmt.Sprintf("%s %s, annotated wf:lockfree (%s): lock-free progress does not compose into wait-freedom", via, target.Name(pf.Pkg), d.Arg))
 	case ModeBounded:
 		// Trusted manual bound; do not descend.
@@ -235,24 +219,19 @@ func (b *blockingPass) follow(pf, entry *ProgFunc, target *ProgFunc, call *ast.C
 	}
 }
 
-// report records a finding, naming the containing function and, when it
+// flag records a finding, naming the containing function and, when it
 // differs, the wait-free entry point that reaches it.
-func (b *blockingPass) report(pf, entry *ProgFunc, pos token.Pos, msg string) {
+func (b *blockingPass) flag(pf, entry *ProgFunc, pos token.Pos, msg string) {
 	where := pf.Name(pf.Pkg)
 	label := "wf:waitfree"
 	if entry.Mode().Mode != ModeWaitFree {
 		label = "unannotated" // audit-mode entry, assumed wait-free
 	}
-	var context string
 	if pf.Decl != entry.Decl {
-		context = fmt.Sprintf(" (in %s, reached from %s %s)", where, label, entry.Name(pf.Pkg))
+		b.report(pf.Pkg, "blocking", pos, "%s (in %s, reached from %s %s)", msg, where, label, entry.Name(pf.Pkg))
 	} else {
-		context = fmt.Sprintf(" (in %s %s)", label, where)
+		b.report(pf.Pkg, "blocking", pos, "%s (in %s %s)", msg, label, where)
 	}
-	b.diags = append(b.diags, Diagnostic{
-		Pos: pf.Pkg.Fset.Position(pos), Analyzer: "blocking",
-		Message: msg + context,
-	})
 }
 
 // calleeFunc resolves a call expression to the *types.Func it invokes, or

@@ -42,88 +42,55 @@ type BoundRecord struct {
 	Detail string // why the engine reached the verdict
 }
 
-// analyzeBounds certifies every wf:bounded (and wf:lockfree) directive in
-// the package: declaration-level directives are trusted boundaries by
-// definition; loop-line directives are classified against the provable
-// loop shapes. A loop-line directive that attaches to no loop is an error —
-// its suppression is silently lost otherwise.
-func analyzeBounds(p *Package) ([]BoundRecord, []Diagnostic) {
-	var records []BoundRecord
-	var diags []Diagnostic
+// boundcert certifies every wf:bounded (and wf:lockfree) directive in a
+// package: declaration-level directives are trusted boundaries by
+// definition (declBound); loop-line directives are classified against the
+// provable loop shapes as the per-function walk meets their loops
+// (loopBound). A loop-line directive that attaches to no loop is an error —
+// its suppression is silently lost otherwise (finishBounds).
 
-	if d := p.Annots.Pkg; d != nil && d.Mode == ModeBounded {
-		records = append(records, BoundRecord{
-			Pos: p.Fset.Position(d.Pos), Pkg: p.Path, Scope: "package",
+// declBound records a declaration-level wf:bounded directive.
+func (r *run) declBound(p *Package, scope string, d *Directive) {
+	if d != nil && d.Mode == ModeBounded {
+		r.res.Bounds = append(r.res.Bounds, BoundRecord{
+			Pos: p.Fset.Position(d.Pos), Pkg: p.Path, Scope: scope,
 			Status: BoundTrusted, Arg: d.Arg,
 			Detail: "declaration-level bound: trusted simulation boundary",
 		})
 	}
+}
 
-	consumed := make(map[token.Pos]bool)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if d := p.Annots.Funcs[fd]; d != nil && d.Mode == ModeBounded {
-				records = append(records, BoundRecord{
-					Pos: p.Fset.Position(d.Pos), Pkg: p.Path,
-					Scope:  "func " + fd.Name.Name,
-					Status: BoundTrusted, Arg: d.Arg,
-					Detail: "declaration-level bound: trusted simulation boundary",
-				})
-			}
-			if fd.Body == nil {
-				continue
-			}
-			fname := fd.Name.Name
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				var pos token.Pos
-				switch n.(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					pos = n.Pos()
-				default:
-					return true
-				}
-				d := p.Annots.LoopDirective(pos)
-				if d == nil {
-					return true
-				}
-				consumed[d.Pos] = true
-				rec := BoundRecord{
-					Pos: p.Fset.Position(d.Pos), Pkg: p.Path,
-					Scope: "loop in " + fname, Arg: d.Arg,
-				}
-				if d.Mode == ModeLockFree {
-					rec.Status = BoundLockFree
-					rec.Detail = "acknowledged lock-free retry (progress-checked)"
-				} else {
-					rec.Status, rec.Detail = classifyLoop(p, n)
-				}
-				records = append(records, rec)
-				if rec.Status == BoundContradicted {
-					diags = append(diags, Diagnostic{
-						Pos: p.Fset.Position(pos), Analyzer: "boundcert",
-						Message: fmt.Sprintf("wf:bounded (%s) is contradicted: %s", d.Arg, rec.Detail),
-					})
-				}
-				return true
-			})
-		}
+// loopBound certifies the directive a loop claims, if any, and marks it
+// attached.
+func (r *run) loopBound(p *Package, fd *ast.FuncDecl, loop ast.Node, attached map[token.Pos]bool) {
+	d := p.Annots.LoopDirective(loop.Pos())
+	if d == nil {
+		return
 	}
+	attached[d.Pos] = true
+	rec := BoundRecord{
+		Pos: p.Fset.Position(d.Pos), Pkg: p.Path, Scope: "loop in " + fd.Name.Name, Arg: d.Arg,
+		Status: BoundLockFree, Detail: "acknowledged lock-free retry (progress-checked)",
+	}
+	if d.Mode != ModeLockFree {
+		rec.Status, rec.Detail = classifyLoop(p, loop)
+	}
+	r.res.Bounds = append(r.res.Bounds, rec)
+	if rec.Status == BoundContradicted {
+		r.report(p, "boundcert", loop.Pos(), "wf:bounded (%s) is contradicted: %s", d.Arg, rec.Detail)
+	}
+}
 
-	// Loop-line directives that attach to no loop lost their suppression
-	// silently — that is an error, not a warning.
+// finishBounds closes a package's boundcert pass: it errors every
+// loop-line directive no loop claimed, then orders the package's bounds
+// records (those from index from on) by position.
+func (r *run) finishBounds(p *Package, attached map[token.Pos]bool, from int) {
 	for _, d := range p.Annots.loopDirectives() {
-		if !consumed[d.Pos] {
-			diags = append(diags, Diagnostic{
-				Pos: p.Fset.Position(d.Pos), Analyzer: "boundcert",
-				Message: fmt.Sprintf("%s directive attaches to no loop (it must sit directly above the loop or trail on its line)", d.Mode),
-			})
+		if !attached[d.Pos] {
+			r.report(p, "boundcert", d.Pos, "%s directive attaches to no loop (it must sit directly above the loop or trail on its line)", d.Mode)
 		}
 	}
-
+	records := r.res.Bounds[from:]
 	sort.Slice(records, func(i, j int) bool {
 		a, b := records[i], records[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -131,7 +98,6 @@ func analyzeBounds(p *Package) ([]BoundRecord, []Diagnostic) {
 		}
 		return a.Pos.Line < b.Pos.Line
 	})
-	return records, diags
 }
 
 // classifyLoop decides one wf:bounded loop directive. The provable classes
@@ -396,23 +362,7 @@ func classifyMonotone(p *Package, loop *ast.ForStmt) (BoundStatus, string) {
 	}
 	// The counter must have exactly the one step: any other write could
 	// reset it below the threshold.
-	extra := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.IncDecStmt:
-			if s != inc && types.ExprString(ast.Unparen(s.X)) == counter {
-				extra = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if types.ExprString(ast.Unparen(lhs)) == counter {
-					extra = true
-				}
-			}
-		}
-		return !extra
-	})
-	if extra {
+	if writesExpr(p, &ast.BlockStmt{List: stmts[1:]}, counter) {
 		return BoundTrusted, fmt.Sprintf("%s is written outside its monotone step", counter)
 	}
 	if mutated, how := boundMutated(p, loop, bound); mutated {
@@ -462,25 +412,7 @@ func classifyWalk(p *Package, loop *ast.ForStmt) (BoundStatus, string, bool) {
 	}
 	// The post projection must be the iterator's only write: a body reset
 	// could re-lift the iterator arbitrarily far up the chain.
-	reset := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.IncDecStmt:
-			if types.ExprString(ast.Unparen(s.X)) == iter {
-				reset = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if types.ExprString(ast.Unparen(lhs)) == iter {
-					reset = true
-				}
-			}
-		}
-		return !reset
-	})
-	if reset {
+	if writesExpr(p, loop.Body, iter) {
 		return "", "", false
 	}
 	return BoundVerified,
@@ -520,38 +452,21 @@ func isSelfProjection(p *Package, rhs ast.Expr, iter *ast.Ident) bool {
 	return rt != nil && types.Identical(rt, it)
 }
 
-// isNilExit reports whether ifs is `if iter == nil { ...; break/return }`.
+// isNilExit reports whether ifs is `if iter == nil { ...; exit }`, where
+// exit leaves the loop.
 func isNilExit(p *Package, ifs *ast.IfStmt, iter string) bool {
 	cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
 	if !ok || cond.Op != token.EQL {
 		return false
 	}
 	x, y := ast.Unparen(cond.X), ast.Unparen(cond.Y)
-	isNil := func(e ast.Expr) bool {
-		tv, ok := p.Info.Types[e]
-		return ok && tv.IsNil()
-	}
-	switch {
-	case types.ExprString(x) == iter && isNil(y):
-	case types.ExprString(y) == iter && isNil(x):
-	default:
-		return false
-	}
-	if len(ifs.Body.List) == 0 {
-		return false
-	}
-	switch last := ifs.Body.List[len(ifs.Body.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return last.Tok == token.BREAK
-	}
-	return false
+	nilCheck := types.ExprString(x) == iter && isNilExpr(p, y) || types.ExprString(y) == iter && isNilExpr(p, x)
+	return nilCheck && leavesLoop(ifs.Body)
 }
 
 // thresholdExit reports whether ifs is `if counter >= bound { exit }` (for
-// an increasing counter; <= for a decreasing one), where exit ends in
-// return, break, or panic. The counter side may be wrapped in a conversion
+// an increasing counter; <= for a decreasing one), where exit leaves the
+// loop. The counter side may be wrapped in a conversion
 // (`int(v[4]) >= n`).
 func thresholdExit(p *Package, ifs *ast.IfStmt, counter string, up bool) (ast.Expr, bool) {
 	cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
@@ -571,24 +486,16 @@ func thresholdExit(p *Package, ifs *ast.IfStmt, counter string, up bool) (ast.Ex
 	default:
 		return nil, false
 	}
-	if len(ifs.Body.List) == 0 {
-		return nil, false
+	return bound, leavesLoop(ifs.Body)
+}
+
+// leavesLoop reports whether the block ends by leaving the loop around it:
+// return, break, or panic (continue and goto do not count).
+func leavesLoop(b *ast.BlockStmt) bool {
+	if br, isBranch := lastStmt(b).(*ast.BranchStmt); isBranch {
+		return br.Tok == token.BREAK
 	}
-	switch last := ifs.Body.List[len(ifs.Body.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return bound, true
-	case *ast.BranchStmt:
-		if last.Tok == token.BREAK {
-			return bound, true
-		}
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return bound, true
-			}
-		}
-	}
-	return nil, false
+	return endsInExit(b)
 }
 
 // unwrapConversion strips parens and a single type-conversion wrapper.

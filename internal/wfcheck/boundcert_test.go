@@ -10,7 +10,8 @@ import (
 // argument, must match the class the engine claims to prove.
 func TestBoundCertification(t *testing.T) {
 	_, p := loadFixture(t, "boundcert")
-	records, diags := analyzeBounds(p)
+	res := Config{}.RunProgram(SinglePackage(p), []*Package{p})
+	records, diags := res.Bounds, analyzerDiags(res, "boundcert")
 
 	want := map[string]BoundStatus{
 		"one iteration per element": BoundVerified, // range over a slice
@@ -58,13 +59,12 @@ func TestBoundCertification(t *testing.T) {
 // previously trusted on their stated arguments, are now machine-verified
 // as monotone counters.
 func TestTreeBoundsReport(t *testing.T) {
-	_, p := loadFixture(t, "../../../protocols")
-	records, diags := analyzeBounds(p)
-	if len(diags) != 0 {
-		t.Fatalf("internal/protocols has boundcert diagnostics: %v", diags)
+	res := treeResult(t)
+	if diags := analyzerDiags(res, "boundcert"); len(diags) != 0 {
+		t.Fatalf("the tree has boundcert diagnostics: %v", diags)
 	}
 	verified := 0
-	for _, r := range records {
+	for _, r := range boundsOf(res, "protocols") {
 		if r.Status == BoundVerified {
 			verified++
 			if !strings.Contains(r.Detail, "monotone counter") {
@@ -85,13 +85,12 @@ func TestTreeBoundsReport(t *testing.T) {
 // machine-verified self-projection descents, and nothing in the package is
 // contradicted.
 func TestCoreBoundsReport(t *testing.T) {
-	_, p := loadFixture(t, "../../../core")
-	records, diags := analyzeBounds(p)
-	if len(diags) != 0 {
-		t.Fatalf("internal/core has boundcert diagnostics: %v", diags)
+	res := treeResult(t)
+	if diags := analyzerDiags(res, "boundcert"); len(diags) != 0 {
+		t.Fatalf("the tree has boundcert diagnostics: %v", diags)
 	}
 	byScope := make(map[string]BoundStatus)
-	for _, r := range records {
+	for _, r := range boundsOf(res, "core") {
 		if r.Status == BoundContradicted {
 			t.Errorf("contradicted bound at %s:%d: %s", r.Pos.Filename, r.Pos.Line, r.Detail)
 		}
@@ -113,19 +112,13 @@ func TestCoreBoundsReport(t *testing.T) {
 // budget. A new directive moves a number here on purpose; a contradiction
 // anywhere fails outright.
 func TestTreeBoundsTotals(t *testing.T) {
-	pkgs := []string{
-		"../../../check", "../../../combine", "../../../core",
-		"../../../protocols", "../../../queue", "../../../registers",
-		"../../../shard", "../../../wfcheck", "../../../wfstats",
+	res := treeResult(t)
+	if diags := analyzerDiags(res, "boundcert"); len(diags) != 0 {
+		t.Errorf("the tree has boundcert diagnostics: %v", diags)
 	}
 	counts := make(map[BoundStatus]int)
-	for _, rel := range pkgs {
-		_, p := loadFixture(t, rel)
-		records, diags := analyzeBounds(p)
-		if len(diags) != 0 {
-			t.Errorf("%s has boundcert diagnostics: %v", rel, diags)
-		}
-		for _, r := range records {
+	for _, pkg := range treePackages {
+		for _, r := range boundsOf(res, pkg) {
 			counts[r.Status]++
 			if r.Status == BoundContradicted {
 				t.Errorf("contradicted bound at %s:%d: %s", r.Pos.Filename, r.Pos.Line, r.Detail)

@@ -1,21 +1,63 @@
 package wfcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
-// Shared machinery for the register-discipline analyzers (singlewriter,
-// monotone, abasafe). All three reason about the same kinds of facts: which
-// annotated field an atomic call or assignment actually targets (possibly
-// through a one-level `slot := &owner.field[i]` alias), which locals are
-// bound from a register's own Load (`old := reg.Load()`), and which
-// comparisons dominate a statement (enclosing if conditions plus the
-// negations of preceding same-block early exits). Matching is syntactic —
-// expression strings, the same currency boundcert trades in — which is the
-// usual static-analysis trade: decidable and reviewable over complete.
+// The shared machinery of the package doc's "Shared machinery" section.
+
+// atomicOp is one sync/atomic call, decomposed the same way for the method
+// form (reg.Store(v)) and the package-function form (atomic.StoreInt64(&x,
+// v)).
+type atomicOp struct {
+	fn     *types.Func
+	method bool       // the wrapper-type method form
+	recv   ast.Expr   // the register: the method receiver, or the &x first argument
+	kind   string     // the name without its type suffix: CompareAndSwap, Store, Swap, Add, Or, And or Load
+	args   []ast.Expr // the operands after the register
+}
+
+// atomicCall classifies call as a sync/atomic operation; ok is false for any
+// other call.
+func atomicCall(p *Package, call *ast.CallExpr) (op atomicOp, ok bool) {
+	fn := calleeFunc(p, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return atomicOp{}, false
+	}
+	op = atomicOp{fn: fn, kind: fn.Name(), args: call.Args}
+	for _, kind := range []string{"CompareAndSwap", "Store", "Swap", "Add", "Or", "And", "Load"} {
+		if strings.HasPrefix(op.kind, kind) {
+			op.kind = kind
+			break
+		}
+	}
+	if fn.Type().(*types.Signature).Recv() == nil {
+		if len(call.Args) == 0 {
+			return atomicOp{}, false
+		}
+		op.recv, op.args = call.Args[0], call.Args[1:]
+		return op, true
+	}
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return atomicOp{}, false
+	}
+	op.method, op.recv = true, sel.X
+	return op, true
+}
+
+// mutates reports whether the operation writes its register.
+func (op atomicOp) mutates() bool {
+	switch op.kind {
+	case "CompareAndSwap", "Store", "Swap", "Add", "Or", "And":
+		return true
+	}
+	return false
+}
 
 // annFieldOf resolves an expression to its annotated field object, if the
 // expression is a field selection (or plain identifier) carrying a FieldAnn.
@@ -33,193 +75,242 @@ func annFieldOf(prog *Program, p *Package, e ast.Expr) (*types.Var, *FieldAnn) {
 	return nil, nil
 }
 
-// atomicCallSite decomposes a sync/atomic method call into its receiver
-// expression and method name; ok is false for anything else.
-func atomicCallSite(p *Package, call *ast.CallExpr) (recv ast.Expr, name string, ok bool) {
-	fn := calleeFunc(p, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return nil, "", false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	return sel.X, fn.Name(), true
-}
-
-// loadBindings maps local identifiers defined as `x := path.Load()` (also in
-// if-statement inits) to the receiver path string of the Load. The monotone
-// and abasafe guards use it to recognize that a comparison against x is a
-// comparison against the register's own prior value.
-func loadBindings(p *Package, body *ast.BlockStmt) map[string]string {
-	binds := make(map[string]string)
-	ast.Inspect(body, func(n ast.Node) bool {
+// disciplineFunc runs the register-discipline checks over one function
+// body in one walk. Two facts are gathered first, because a use may precede
+// its binding in source order (a loop re-reads at its end):
+// locals bound from a register's own Load (`old := reg.Load()`, for
+// monotone and abasafe) and singlewriter's slot aliases (`slot :=
+// &t.field[i]`).
+func (r *run) disciplineFunc(p *Package, fd *ast.FuncDecl) {
+	binds := make(map[string]string) // local → the receiver path of the Load it holds
+	aliases := make(map[types.Object]*swSite)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, isAssign := n.(*ast.AssignStmt)
 		if !isAssign || len(as.Lhs) != len(as.Rhs) {
 			return true
 		}
 		for i, lhs := range as.Lhs {
 			id, isIdent := ast.Unparen(lhs).(*ast.Ident)
-			if !isIdent || id.Name == "_" {
+			if !isIdent {
 				continue
 			}
-			call, isCall := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-			if !isCall || len(call.Args) != 0 {
-				continue
+			if recv, ok := loadOf(as.Rhs[i]); ok && id.Name != "_" {
+				binds[id.Name] = recv
 			}
-			sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !isSel || sel.Sel.Name != "Load" {
-				continue
-			}
-			binds[id.Name] = types.ExprString(ast.Unparen(sel.X))
+			r.swAlias(p, aliases, id, as.Rhs[i])
 		}
 		return true
 	})
-	return binds
-}
-
-// guardSet is the set of comparisons known to hold at one statement: conds
-// are conditions whose then-branch encloses it; negs are conditions of
-// preceding same-block `if cond { ...exit }` statements, known false.
-type guardSet struct {
-	conds []ast.Expr
-	negs  []ast.Expr
-}
-
-// collectGuards gathers the guard set dominating target within body.
-// Descending into a function literal resets the set — a closure's call sites
-// are not dominated by the literal's lexical context — which errs toward
-// findings, the sound direction.
-func collectGuards(body *ast.BlockStmt, target ast.Node) guardSet {
-	var out guardSet
-	var visit func(n ast.Node, gs guardSet) bool
-	contains := func(n ast.Node) bool {
-		return n != nil && n.Pos() <= target.Pos() && target.End() <= n.End()
-	}
-	visit = func(n ast.Node, gs guardSet) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.CallExpr:
+			op, ok := atomicCall(p, n)
+			if !ok {
+				return true
+			}
+			if op.mutates() {
+				r.swCheck(p, aliases, n, op.recv, op.fn.Name()+" mutates an element of")
+				r.monotoneCall(p, fd, binds, n, op)
+			}
+			r.abaCall(p, binds, n, op)
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				// A bare identifier lhs (re)binds a local — taking a slot
+				// alias is not an element write; writes through it (*slot,
+				// slot.v.Store) are caught at their own sites.
+				if _, isIdent := ast.Unparen(lhs).(*ast.Ident); !isIdent {
+					r.swCheck(p, aliases, n, lhs, "assignment writes an element of")
+				}
+				r.monotoneField(p, n, lhs, "plain assignment bypasses the register's atomic monotone protocol")
+			}
+		case *ast.IncDecStmt:
+			r.swCheck(p, aliases, n, n.X, "step writes an element of")
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				r.monotoneField(p, n, n.X, "taking its address moves mutations out of the analyzer's sight")
+			}
+		}
+		return true
+	})
+}
+
+// loadOf recognizes `path.Load()` and returns the receiver path string.
+func loadOf(e ast.Expr) (string, bool) {
+	call, isCall := ast.Unparen(e).(*ast.CallExpr)
+	if !isCall || len(call.Args) != 0 {
+		return "", false
+	}
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel || sel.Sel.Name != "Load" {
+		return "", false
+	}
+	return types.ExprString(ast.Unparen(sel.X)), true
+}
+
+// dominators is what holds on every path from a function's entry to one
+// node inside it: the conditions known true (conds) and known false (negs)
+// there, and the statements and prelude expressions known to have run to
+// completion (done).
+type dominators struct {
+	conds, negs []ast.Expr
+	done        []ast.Node
+}
+
+// dominatorsOf walks the one path from body down to target and collects
+// what dominates target. Along the path:
+//   - an earlier statement of an enclosing statement list has completed, and
+//     an earlier `if cond { ...exit }` with no else leaves cond false;
+//   - a compound statement's body or branches run after its prelude (the
+//     if's init and condition, a for's init and condition, a range operand,
+//     a switch's init and tag); an if's body runs with its condition true,
+//     and a mark on the if line, which covers the whole if, covers its init;
+//   - in `a && b`, a holds while b runs; in `a || b`, !a does;
+//   - a function literal's body runs when it is called, not where it is
+//     written, so the conditions reset there; statements that completed
+//     before the literal was built stay done.
+//
+// The engine is structural, so it errs toward findings: a condition it
+// cannot see through is simply not known.
+func dominatorsOf(body *ast.BlockStmt, target ast.Node) dominators {
+	var d dominators
+	path := pathTo(body, target)
+	for i := 0; i+1 < len(path); i++ {
+		next := path[i+1]
+		switch n := path[i].(type) {
 		case *ast.BlockStmt:
-			for _, s := range n.List {
-				if contains(s) {
-					return visit(s, gs)
-				}
-				if ifs, isIf := s.(*ast.IfStmt); isIf && ifs.Else == nil && endsInExit(ifs.Body) {
-					gs.negs = append(gs.negs, ifs.Cond)
-				}
+			d.precede(n.List, next)
+		case *ast.CaseClause:
+			d.precede(n.Body, next)
+		case *ast.CommClause:
+			d.precede(n.Body, next)
+		case *ast.BinaryExpr:
+			if next == n.Y && n.Op == token.LAND {
+				d.conds = append(d.conds, n.X)
+			} else if next == n.Y && n.Op == token.LOR {
+				d.negs = append(d.negs, n.X)
 			}
-		case *ast.IfStmt:
-			if contains(n.Body) {
-				gs.conds = append(gs.conds, n.Cond)
-				return visit(n.Body, gs)
-			}
-			if n.Else != nil && contains(n.Else) {
-				return visit(n.Else, gs)
-			}
-			if n.Init != nil && contains(n.Init) {
-				out = gs
-				return true
-			}
-			if contains(n.Cond) {
-				// Inside the condition itself: short-circuit operands left of
-				// target on && dominate it; on ||, their negations do.
-				gs = condGuards(n.Cond, target, gs)
-				out = gs
-				return true
-			}
-		case *ast.ForStmt:
-			for _, sub := range []ast.Node{n.Init, n.Cond, n.Post, n.Body} {
-				if contains(sub) {
-					return visit(sub, gs)
-				}
-			}
-		case *ast.RangeStmt:
-			if contains(n.Body) {
-				return visit(n.Body, gs)
-			}
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.LabeledStmt, *ast.CaseClause, *ast.CommClause:
-			found := false
-			ast.Inspect(n, func(m ast.Node) bool {
-				if found || m == n {
-					return true
-				}
-				if b, isBlock := m.(*ast.BlockStmt); isBlock && contains(b) {
-					found = visit(b, gs)
-					return false
-				}
-				if _, isLit := m.(*ast.FuncLit); isLit {
-					return contains(m)
-				}
-				return true
-			})
-			if found {
-				return true
-			}
-			out = gs
-			return true
 		case *ast.FuncLit:
-			return visit(n.Body, guardSet{})
+			d.conds, d.negs = nil, nil
 		default:
-			// A plain statement or expression containing the target: look for
-			// nested literals and short-circuit guards, then settle.
-			var settled bool
-			ast.Inspect(n, func(m ast.Node) bool {
-				if settled {
-					return false
-				}
-				if lit, isLit := m.(*ast.FuncLit); isLit && contains(lit) && lit != n {
-					settled = visit(lit, gs)
-					return false
-				}
-				if be, isBin := m.(*ast.BinaryExpr); isBin && (be.Op == token.LAND || be.Op == token.LOR) && contains(be) {
-					gs = condGuards(be, target, gs)
-					settled = true
-					out = gs
-					return false
-				}
-				return true
-			})
-			if !settled {
-				out = gs
+			pre := prelude(n)
+			if pre == nil || slices.Contains(pre, next) {
+				continue
 			}
+			for _, p := range pre {
+				if p != nil {
+					d.done = append(d.done, p)
+				}
+			}
+			if ifs, isIf := n.(*ast.IfStmt); isIf {
+				d.done = append(d.done, ifs)
+				if next == ifs.Body {
+					d.conds = append(d.conds, ifs.Cond)
+				}
+			}
+		}
+	}
+	return d
+}
+
+// prelude returns the parts of a compound statement that run before its
+// body or branches, or nil for any other node.
+func prelude(n ast.Node) []ast.Node {
+	switch n := n.(type) {
+	case *ast.IfStmt:
+		return []ast.Node{n.Init, n.Cond}
+	case *ast.ForStmt:
+		return []ast.Node{n.Init, n.Cond}
+	case *ast.RangeStmt:
+		return []ast.Node{n.X}
+	case *ast.SwitchStmt:
+		return []ast.Node{n.Init, n.Tag}
+	case *ast.TypeSwitchStmt:
+		return []ast.Node{n.Init, n.Assign}
+	}
+	return nil
+}
+
+// precede records the statements of list that run before next.
+func (d *dominators) precede(list []ast.Stmt, next ast.Node) {
+	for _, s := range list {
+		if s == next {
+			return
+		}
+		d.done = append(d.done, s)
+		if ifs, isIf := s.(*ast.IfStmt); isIf && ifs.Else == nil && endsInExit(ifs.Body) {
+			d.negs = append(d.negs, ifs.Cond)
+		}
+	}
+}
+
+// completed reports whether stmt has run to completion on every path to the
+// node: it is, or sits unconditionally inside, one of the done nodes.
+func (d dominators) completed(stmt ast.Node) bool {
+	for _, n := range d.done {
+		if nodeContains(n, stmt) && uncondWithin(n, stmt) {
 			return true
 		}
-		out = gs
+	}
+	return false
+}
+
+// pathTo returns the chain of nodes from root down to target (inclusive of
+// both), or nil if target is not under root.
+func pathTo(root, target ast.Node) []ast.Node {
+	var stack, path []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if path != nil {
+			return false
+		}
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		if n == target {
+			path = append([]ast.Node(nil), stack...)
+			return false
+		}
+		return true
+	})
+	return path
+}
+
+// nodeContains reports whether inner's source range sits inside outer's.
+func nodeContains(outer, inner ast.Node) bool {
+	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
+}
+
+// uncondWithin reports whether inner is reached unconditionally whenever
+// outer executes to completion: the path from outer to inner crosses no
+// conditional body, loop body, select/switch clause, function literal, or
+// deferred/spawned call.
+func uncondWithin(outer, inner ast.Node) bool {
+	if outer == inner {
 		return true
 	}
-	visit(body, guardSet{})
-	return out
-}
-
-// condGuards extends the guard set for a target nested inside a boolean
-// expression: on `a && b`, a dominates b; on `a || b`, !a dominates b.
-func condGuards(cond ast.Expr, target ast.Node, gs guardSet) guardSet {
-	be, isBin := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !isBin {
-		return gs
+	path := pathTo(outer, inner)
+	if path == nil {
+		return false
 	}
-	inY := be.Y.Pos() <= target.Pos() && target.End() <= be.Y.End()
-	if inY {
-		switch be.Op {
-		case token.LAND:
-			gs.conds = append(gs.conds, be.X)
-		case token.LOR:
-			gs.negs = append(gs.negs, be.X)
+	for i := 0; i < len(path)-1; i++ {
+		switch n := path[i].(type) {
+		case *ast.SelectStmt, *ast.CaseClause, *ast.CommClause,
+			*ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		default:
+			if pre := prelude(n); pre != nil && !slices.Contains(pre, path[i+1]) {
+				return false
+			}
 		}
-		return condGuards(be.Y, target, gs)
 	}
-	if be.X.Pos() <= target.Pos() && target.End() <= be.X.End() {
-		return condGuards(be.X, target, gs)
-	}
-	return gs
+	return true
 }
 
 // endsInExit reports whether the block's last statement unconditionally
 // leaves the enclosing flow: return, break, continue, goto, or panic.
 func endsInExit(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
+	switch last := lastStmt(b).(type) {
 	case *ast.ReturnStmt:
 		return true
 	case *ast.BranchStmt:
@@ -234,6 +325,14 @@ func endsInExit(b *ast.BlockStmt) bool {
 	return false
 }
 
+// lastStmt returns the block's last statement, or nil for an empty block.
+func lastStmt(b *ast.BlockStmt) ast.Stmt {
+	if len(b.List) == 0 {
+		return nil
+	}
+	return b.List[len(b.List)-1]
+}
+
 // refMatches reports whether expression string e denotes the current value
 // of the register at path: the literal `path.Load()` call, or a local the
 // binds map ties to that Load.
@@ -244,13 +343,13 @@ func refMatches(e string, path string, binds map[string]string) bool {
 	return binds[e] == path
 }
 
-// guardProvesGE reports whether the guard set proves a >= b (a, b rendered
-// expression strings): a positive guard comparing a above b, or a known-
-// false guard comparing a at-or-below b. matchB widens what counts as b
-// (e.g. the register's own Load under any bound name).
-func guardProvesGE(gs guardSet, a string, matchB func(string) bool) bool {
+// provesGE reports whether the dominating conditions prove a >= b (a, b
+// rendered expression strings): a known-true condition comparing a above b,
+// or a known-false one comparing a at-or-below b. matchB widens what counts
+// as b (e.g. the register's own Load under any bound name).
+func (d dominators) provesGE(a string, matchB func(string) bool) bool {
 	side := func(e ast.Expr) string { return types.ExprString(ast.Unparen(e)) }
-	for _, c := range gs.conds {
+	for _, c := range d.conds {
 		be, isBin := ast.Unparen(c).(*ast.BinaryExpr)
 		if !isBin {
 			continue
@@ -266,13 +365,13 @@ func guardProvesGE(gs guardSet, a string, matchB func(string) bool) bool {
 				return true
 			}
 		case token.LAND:
-			if guardProvesGE(guardSet{conds: []ast.Expr{be.X}}, a, matchB) ||
-				guardProvesGE(guardSet{conds: []ast.Expr{be.Y}}, a, matchB) {
+			if (dominators{conds: []ast.Expr{be.X}}).provesGE(a, matchB) ||
+				(dominators{conds: []ast.Expr{be.Y}}).provesGE(a, matchB) {
 				return true
 			}
 		}
 	}
-	for _, c := range gs.negs {
+	for _, c := range d.negs {
 		be, isBin := ast.Unparen(c).(*ast.BinaryExpr)
 		if !isBin {
 			continue
@@ -303,14 +402,4 @@ func mentions(hay ast.Node, needle string) bool {
 		return !found
 	})
 	return found
-}
-
-// disciplineDiag builds one finding, consuming a waiver if the line (or the
-// line above) carries one for the analyzer.
-func disciplineDiag(p *Package, pos token.Pos, analyzer, format string, args ...any) *Diagnostic {
-	position := p.Fset.Position(pos)
-	if p.Annots.Waive(position, analyzer) {
-		return nil
-	}
-	return &Diagnostic{Pos: position, Analyzer: analyzer, Message: fmt.Sprintf(format, args...)}
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // fsyncorder audits the crash-durability commit protocols on functions
@@ -47,21 +48,8 @@ func fileCall(call *ast.CallExpr) (syncCall, bool) {
 	return syncCall{recv: types.ExprString(ast.Unparen(sel.X)), method: sel.Sel.Name, pos: call.Pos()}, true
 }
 
-// analyzeFsyncOrder runs the fsyncorder analyzer over one package.
-func analyzeFsyncOrder(p *Package, diags *[]Diagnostic) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fsyncOrderFunc(p, fd, diags)
-		}
-	}
-}
-
 // fsyncOrderFunc checks one function's commit protocol.
-func fsyncOrderFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
+func (r *run) fsyncOrderFunc(p *Package, fd *ast.FuncDecl) {
 	var renames []*ast.CallExpr
 	var syncs, writes []syncCall
 	nameBinds := make(map[string]string) // local := f.Name() → "f"
@@ -102,49 +90,33 @@ func fsyncOrderFunc(p *Package, fd *ast.FuncDecl, diags *[]Diagnostic) {
 	})
 	durablePos, durable := p.Annots.Durable[fd]
 	if durable && len(renames) == 0 && len(writes) == 0 {
-		*diags = append(*diags, Diagnostic{
-			Pos: p.Fset.Position(durablePos), Analyzer: "fsyncorder",
-			Message: fd.Name.Name + " is marked //wf:durable but commits nothing: no os.Rename, (*os.File).Write or Truncate in the body",
-		})
+		r.report(p, "fsyncorder", durablePos, "%s is marked //wf:durable but commits nothing: no os.Rename, (*os.File).Write or Truncate in the body", fd.Name.Name)
 		return
 	}
-	if durable {
-		for _, w := range writes {
-			if !syncAfter(syncs, w) {
-				if d := disciplineDiag(p, w.pos, "fsyncorder",
-					"%s.%s in %s is not followed by %s.Sync() before return: a crash can lose what the commit reports durable", w.recv, w.method, fd.Name.Name, w.recv); d != nil {
-					*diags = append(*diags, *d)
-				}
-			}
+	for _, w := range writes {
+		// A write or truncate must be followed by a Sync on the same handle.
+		if durable && !slices.ContainsFunc(syncs, func(s syncCall) bool { return s.recv == w.recv && s.pos > w.pos }) {
+			r.report(p, "fsyncorder", w.pos, "%s.%s in %s is not followed by %s.Sync() before return: a crash can lose what the commit reports durable", w.recv, w.method, fd.Name.Name, w.recv)
 		}
 	}
 	for _, rn := range renames {
 		if !durable {
-			if d := disciplineDiag(p, rn.Pos(), "fsyncorder",
-				"os.Rename commits a file but %s is not marked //wf:durable, so the fsync ordering is unaudited", fd.Name.Name); d != nil {
-				*diags = append(*diags, *d)
-			}
+			r.report(p, "fsyncorder", rn.Pos(), "os.Rename commits a file but %s is not marked //wf:durable, so the fsync ordering is unaudited", fd.Name.Name)
 			continue
 		}
 		fileExpr, ok := renameSource(p, rn, nameBinds)
 		if !ok {
-			if d := disciplineDiag(p, rn.Pos(), "fsyncorder",
-				"cannot trace the os.Rename source in %s to a file handle, so the file-sync ordering is unverifiable", fd.Name.Name); d != nil {
-				*diags = append(*diags, *d)
-			}
+			r.report(p, "fsyncorder", rn.Pos(), "cannot trace the os.Rename source in %s to a file handle, so the file-sync ordering is unverifiable", fd.Name.Name)
 			continue
 		}
-		if !syncBefore(syncs, fileExpr, rn.Pos()) {
-			if d := disciplineDiag(p, rn.Pos(), "fsyncorder",
-				"os.Rename in %s is not preceded by %s.Sync(): a crash can commit a torn file", fd.Name.Name, fileExpr); d != nil {
-				*diags = append(*diags, *d)
-			}
+		// The renamed file's handle must be synced before the rename, and
+		// some other handle — the directory, by the commit protocol's shape
+		// — after it.
+		if !slices.ContainsFunc(syncs, func(s syncCall) bool { return s.recv == fileExpr && s.pos < rn.Pos() }) {
+			r.report(p, "fsyncorder", rn.Pos(), "os.Rename in %s is not preceded by %s.Sync(): a crash can commit a torn file", fd.Name.Name, fileExpr)
 		}
-		if !dirSyncAfter(syncs, fileExpr, rn.Pos()) {
-			if d := disciplineDiag(p, rn.Pos(), "fsyncorder",
-				"commit rename in %s is not followed by a directory fsync before return: a crash can lose the rename itself", fd.Name.Name); d != nil {
-				*diags = append(*diags, *d)
-			}
+		if !slices.ContainsFunc(syncs, func(s syncCall) bool { return s.recv != fileExpr && s.pos > rn.Pos() }) {
+			r.report(p, "fsyncorder", rn.Pos(), "commit rename in %s is not followed by a directory fsync before return: a crash can lose the rename itself", fd.Name.Name)
 		}
 	}
 }
@@ -156,15 +128,11 @@ func fileNameCall(p *Package, e ast.Expr) (string, bool) {
 	if !isCall {
 		return "", false
 	}
-	fn := calleeFunc(p, call)
-	if fn == nil || fn.FullName() != "(*os.File).Name" {
+	if fn := calleeFunc(p, call); fn == nil || fn.FullName() != "(*os.File).Name" {
 		return "", false
 	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false
-	}
-	return types.ExprString(ast.Unparen(sel.X)), true
+	c, ok := fileCall(call)
+	return c.recv, ok
 }
 
 // renameSource resolves an os.Rename call's source argument to the file
@@ -182,37 +150,4 @@ func renameSource(p *Package, rn *ast.CallExpr, binds map[string]string) (string
 		return "", false
 	}
 	return fileNameCall(p, src)
-}
-
-// syncBefore reports whether the renamed file's handle was Synced at an
-// earlier position than the rename.
-func syncBefore(syncs []syncCall, fileExpr string, rename token.Pos) bool {
-	for _, s := range syncs {
-		if s.recv == fileExpr && s.pos < rename {
-			return true
-		}
-	}
-	return false
-}
-
-// dirSyncAfter reports whether some other handle — the directory, by the
-// commit protocol's shape — is Synced after the rename.
-func dirSyncAfter(syncs []syncCall, fileExpr string, rename token.Pos) bool {
-	for _, s := range syncs {
-		if s.recv != fileExpr && s.pos > rename {
-			return true
-		}
-	}
-	return false
-}
-
-// syncAfter reports whether the handle a Write or Truncate went through is
-// Synced at a later position.
-func syncAfter(syncs []syncCall, w syncCall) bool {
-	for _, s := range syncs {
-		if s.recv == w.recv && s.pos > w.pos {
-			return true
-		}
-	}
-	return false
 }

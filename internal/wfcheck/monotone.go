@@ -3,7 +3,6 @@ package wfcheck
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 )
 
@@ -28,94 +27,44 @@ import (
 // the register's address (which moves the mutation out of the analyzer's
 // sight) — is a finding, to be fixed or waived with a reason.
 
-// analyzeMonotone checks every mutation of a //wf:monotone field in the
-// package.
-func analyzeMonotone(prog *Program, p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			diags = append(diags, checkMonotone(prog, p, fd)...)
-		}
+// monotoneCall checks one mutating sync/atomic call against its register's
+// //wf:monotone annotation.
+func (r *run) monotoneCall(p *Package, fd *ast.FuncDecl, binds map[string]string, call *ast.CallExpr, op atomicOp) {
+	field, fa := annFieldOf(r.prog, p, op.recv)
+	if field == nil || fa == nil || !fa.Monotone {
+		return
 	}
-	return diags
+	report := func(format string, args ...any) {
+		r.report(p, "monotone", call.Pos(), "%s is //wf:monotone: "+format, append([]any{field.Name()}, args...)...)
+	}
+	recvPath := types.ExprString(ast.Unparen(op.recv))
+	switch op.kind {
+	case "Store":
+		stored := types.ExprString(ast.Unparen(op.args[0]))
+		if !dominatorsOf(fd.Body, call).provesGE(stored, func(b string) bool { return refMatches(b, recvPath, binds) }) {
+			report("Store(%s) is not dominated by a %s >= %s.Load() guard", stored, stored, recvPath)
+		}
+	case "Add", "Or":
+		if !nonNegativeConst(p, op.args[0]) {
+			report("%s(%s) is not a provably non-negative constant step", op.kind, types.ExprString(op.args[0]))
+		}
+	case "CompareAndSwap":
+		oldS := types.ExprString(ast.Unparen(op.args[0]))
+		newS := types.ExprString(ast.Unparen(op.args[1]))
+		if !dominatorsOf(fd.Body, call).provesGE(newS, func(b string) bool { return b == oldS }) {
+			report("CompareAndSwap(%s, %s) is not dominated by a %s >= %s guard", oldS, newS, newS, oldS)
+		}
+	default: // Swap, And
+		report("%s cannot be proven non-decreasing", op.fn.Name())
+	}
 }
 
-// checkMonotone audits one function body.
-func checkMonotone(prog *Program, p *Package, fd *ast.FuncDecl) []Diagnostic {
-	binds := loadBindings(p, fd.Body)
-	var diags []Diagnostic
-	report := func(pos ast.Node, field *types.Var, format string, args ...any) {
-		args = append([]any{field.Name()}, args...)
-		if d := disciplineDiag(p, pos.Pos(), "monotone", "%s is //wf:monotone: "+format, args...); d != nil {
-			diags = append(diags, *d)
-		}
+// monotoneField flags a plain write to, or the address of, a //wf:monotone
+// register.
+func (r *run) monotoneField(p *Package, at ast.Node, e ast.Expr, why string) {
+	if field, fa := annFieldOf(r.prog, p, e); field != nil && fa != nil && fa.Monotone {
+		r.report(p, "monotone", at.Pos(), "%s is //wf:monotone: %s", field.Name(), why)
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			recv, name, ok := atomicCallSite(p, n)
-			if !ok || !isMutatingAtomic(name) {
-				return true
-			}
-			field, fa := annFieldOf(prog, p, recv)
-			if field == nil || fa == nil || !fa.Monotone {
-				return true
-			}
-			recvPath := types.ExprString(ast.Unparen(recv))
-			switch {
-			case callKind(name) == "Store":
-				stored := types.ExprString(ast.Unparen(n.Args[0]))
-				gs := collectGuards(fd.Body, n)
-				if !guardProvesGE(gs, stored, func(b string) bool { return refMatches(b, recvPath, binds) }) {
-					report(n, field, "Store(%s) is not dominated by a %s >= %s.Load() guard", stored, stored, recvPath)
-				}
-			case callKind(name) == "Add" || callKind(name) == "Or":
-				if !nonNegativeConst(p, n.Args[0]) {
-					report(n, field, "%s(%s) is not a provably non-negative constant step",
-						callKind(name), types.ExprString(n.Args[0]))
-				}
-			case callKind(name) == "CompareAndSwap":
-				oldS := types.ExprString(ast.Unparen(n.Args[0]))
-				newS := types.ExprString(ast.Unparen(n.Args[1]))
-				gs := collectGuards(fd.Body, n)
-				if !guardProvesGE(gs, newS, func(b string) bool { return b == oldS }) {
-					report(n, field, "CompareAndSwap(%s, %s) is not dominated by a %s >= %s guard", oldS, newS, newS, oldS)
-				}
-			default: // Swap, And
-				report(n, field, "%s cannot be proven non-decreasing", name)
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if field, fa := annFieldOf(prog, p, lhs); field != nil && fa != nil && fa.Monotone {
-					report(n, field, "plain assignment bypasses the register's atomic monotone protocol")
-				}
-			}
-		case *ast.UnaryExpr:
-			if n.Op != token.AND {
-				return true
-			}
-			if field, fa := annFieldOf(prog, p, n.X); field != nil && fa != nil && fa.Monotone {
-				report(n, field, "taking its address moves mutations out of the analyzer's sight")
-			}
-		}
-		return true
-	})
-	return diags
-}
-
-// callKind strips the type suffix off a sync/atomic method or function name
-// (CompareAndSwapInt64 → CompareAndSwap).
-func callKind(name string) string {
-	for _, prefix := range []string{"CompareAndSwap", "Store", "Swap", "Add", "Or", "And", "Load"} {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			return prefix
-		}
-	}
-	return name
 }
 
 // nonNegativeConst reports whether e is a compile-time constant >= 0.

@@ -77,16 +77,21 @@ func (pf *ProgFunc) Name(from *Package) string {
 // the target packages: transitively imported module packages are already in
 // the loader's cache and participate in resolution.
 func NewProgram(l *Loader) *Program {
+	return newProgram(l.Packages(), l.Module)
+}
+
+// newProgram indexes pkgs into a program.
+func newProgram(pkgs []*Package, module string) *Program {
 	prog := &Program{
-		Pkgs:      l.Packages(),
+		Pkgs:      pkgs,
 		funcs:     make(map[types.Object]*ProgFunc),
 		impls:     make(map[*types.Func][]*ProgFunc),
 		contracts: make(map[types.Object]*Directive),
-		Module:    l.Module,
+		Module:    module,
 		steps:     make(map[types.Object]string),
 		fields:    make(map[types.Object]*FieldAnn),
 	}
-	for _, p := range prog.Pkgs {
+	for _, p := range pkgs {
 		prog.index(p)
 	}
 	return prog
@@ -145,23 +150,7 @@ func (prog *Program) index(p *Package) {
 // cross-package index: calls that leave the package stay unresolved. Run
 // analyzes a lone package (the golden fixtures) through it.
 func SinglePackage(p *Package) *Program {
-	prog := &Program{
-		Pkgs:      []*Package{p},
-		funcs:     make(map[types.Object]*ProgFunc),
-		impls:     make(map[*types.Func][]*ProgFunc),
-		contracts: make(map[types.Object]*Directive),
-		steps:     make(map[types.Object]string),
-		fields:    make(map[types.Object]*FieldAnn),
-	}
-	prog.index(p)
-	return prog
-}
-
-// Contract returns the directive annotated on an interface method
-// declaration, or nil. A non-nil contract resolves the dispatch site; the
-// implementations still stand or fall on their own annotations.
-func (prog *Program) Contract(f *types.Func) *Directive {
-	return prog.contracts[f]
+	return newProgram([]*Package{p}, "")
 }
 
 // FuncOf resolves a function object (from any package's Defs/Uses) to its
@@ -217,6 +206,22 @@ func (prog *Program) Implementations(m *types.Func) []*ProgFunc {
 	})
 	prog.impls[m] = out
 	return out
+}
+
+// callees resolves a call to f: a contracted interface method to its
+// contract, any other interface method to its in-module implementations, a
+// module function to its declaration, and the standard library to nothing.
+func (prog *Program) callees(f *types.Func) (*Directive, []*ProgFunc) {
+	if isInterfaceMethod(f) {
+		if d := prog.contracts[f]; d != nil {
+			return d, nil
+		}
+		return nil, prog.Implementations(f)
+	}
+	if pf := prog.FuncOf(f); pf != nil {
+		return nil, []*ProgFunc{pf}
+	}
+	return nil, nil
 }
 
 // isInterfaceMethod reports whether f is declared on an interface type

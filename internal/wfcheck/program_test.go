@@ -3,6 +3,7 @@ package wfcheck
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,6 +31,77 @@ func loadFixture(t *testing.T, rel string) (*Loader, *Package) {
 		t.Errorf("fixture does not type-check: %v", terr)
 	}
 	return loader, p
+}
+
+// treePackages are the internal packages whose bounds the tree tests pin.
+var treePackages = []string{"check", "combine", "core", "protocols", "queue", "registers", "shard", "wfcheck", "wfstats"}
+
+// tree is one analysis of the real module, shared by every test that reads
+// it: one loader type-checks each package once, and one RunProgram covers
+// the façade (for its step certificates) and treePackages.
+var tree struct {
+	once sync.Once
+	res  *Result
+	errs []string
+}
+
+// treeResult returns the shared analysis of the real module.
+func treeResult(t *testing.T) *Result {
+	t.Helper()
+	tree.once.Do(func() {
+		root, err := FindModuleRoot(".")
+		if err != nil {
+			tree.errs = append(tree.errs, err.Error())
+			return
+		}
+		loader, err := NewLoader(root)
+		if err != nil {
+			tree.errs = append(tree.errs, err.Error())
+			return
+		}
+		var targets []*Package
+		for _, dir := range append([]string{"."}, treePackages...) {
+			if dir != "." {
+				dir = filepath.Join("internal", dir)
+			}
+			p, err := loader.LoadDir(filepath.Join(root, dir))
+			if err != nil {
+				tree.errs = append(tree.errs, err.Error())
+				return
+			}
+			for _, terr := range p.TypeErrors {
+				tree.errs = append(tree.errs, "does not type-check: "+terr.Error())
+			}
+			targets = append(targets, p)
+		}
+		tree.res = Config{}.RunProgram(NewProgram(loader), targets)
+	})
+	if len(tree.errs) != 0 {
+		t.Fatalf("loading the module: %s", strings.Join(tree.errs, "\n"))
+	}
+	return tree.res
+}
+
+// boundsOf returns the bounds records of one internal package.
+func boundsOf(res *Result, pkg string) []BoundRecord {
+	var out []BoundRecord
+	for _, r := range res.Bounds {
+		if strings.HasSuffix(r.Pkg, "/internal/"+pkg) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// analyzerDiags returns the findings of one analyzer.
+func analyzerDiags(res *Result, analyzer string) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range res.Diags {
+		if d.Analyzer == analyzer {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // TestCrossPackageResolution pins the point of whole-program analysis:

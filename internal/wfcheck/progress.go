@@ -1,10 +1,8 @@
 package wfcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // progress is the static mirror of the paper's central distinction: a
@@ -23,49 +21,30 @@ import (
 // rejected: its trip count is a fact about other processes' schedules,
 // which is precisely what a step bound must not depend on.
 
-// analyzeProgress lints every function that is not declared blocking or
+// progressFunc lints one function unless it is declared blocking or
 // lock-free; the audit runs on unannotated functions too, because a
 // disguised retry loop is as wrong there as in a wf:waitfree function.
-func analyzeProgress(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			switch p.Annots.Effective(fd).Mode {
-			case ModeBlocking, ModeLockFree:
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				loop, ok := n.(*ast.ForStmt)
-				if !ok || loop.Cond != nil {
-					return true
-				}
-				d := p.Annots.LoopDirective(loop.Pos())
-				if d != nil && d.Mode == ModeLockFree {
-					return true // acknowledged; surfaced in the bounds report
-				}
-				if !isCASRetryLoop(p, loop) {
-					return true
-				}
-				if d != nil && d.Mode == ModeBounded {
-					diags = append(diags, Diagnostic{
-						Pos: p.Fset.Position(loop.Pos()), Analyzer: "progress",
-						Message: fmt.Sprintf("wf:bounded (%s) claims a step bound, but this CAS retry loop's trip count depends on other processes' writes; annotate //wf:lockfree <reason> or add a helping write (in %s)", d.Arg, fd.Name.Name),
-					})
-				} else {
-					diags = append(diags, Diagnostic{
-						Pos: p.Fset.Position(loop.Pos()), Analyzer: "progress",
-						Message: fmt.Sprintf("lock-free retry loop: every exit needs this process's CAS to win or shared state to change, and the retry path helps no one; annotate //wf:blocking on the function or //wf:lockfree <reason> on the loop, or restructure with helping (in %s)", fd.Name.Name),
-					})
-				}
-				return true
-			})
-		}
+func (r *run) progressFunc(p *Package, fd *ast.FuncDecl) {
+	switch p.Annots.Effective(fd).Mode {
+	case ModeBlocking, ModeLockFree:
+		return
 	}
-	return diags
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		loop, ok := n.(*ast.ForStmt)
+		if !ok || loop.Cond != nil {
+			return true
+		}
+		d := p.Annots.LoopDirective(loop.Pos())
+		if d != nil && d.Mode == ModeLockFree || !isCASRetryLoop(p, loop) {
+			return true // acknowledged loops surface in the bounds report
+		}
+		if d != nil && d.Mode == ModeBounded {
+			r.report(p, "progress", loop.Pos(), "wf:bounded (%s) claims a step bound, but this CAS retry loop's trip count depends on other processes' writes; annotate //wf:lockfree <reason> or add a helping write (in %s)", d.Arg, fd.Name.Name)
+		} else {
+			r.report(p, "progress", loop.Pos(), "lock-free retry loop: every exit needs this process's CAS to win or shared state to change, and the retry path helps no one; annotate //wf:blocking on the function or //wf:lockfree <reason> on the loop, or restructure with helping (in %s)", fd.Name.Name)
+		}
+		return true
+	})
 }
 
 // isCASRetryLoop reports whether loop (condition-less) matches the
@@ -86,9 +65,11 @@ func isCASRetryLoop(p *Package, loop *ast.ForStmt) bool {
 		found := false
 		for _, g := range guards {
 			ast.Inspect(g, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && isCASCall(p, call) {
-					exitCASes[call] = true
-					found = true
+				if call, isCall := n.(*ast.CallExpr); isCall {
+					if op, ok := atomicCall(p, call); ok && op.kind == "CompareAndSwap" {
+						exitCASes[call] = true
+						found = true
+					}
 				}
 				return true
 			})
@@ -101,19 +82,14 @@ func isCASRetryLoop(p *Package, loop *ast.ForStmt) bool {
 	var walkExits func(n ast.Node, guards []ast.Expr)
 	walkExits = func(n ast.Node, guards []ast.Expr) {
 		switch s := n.(type) {
-		case nil:
-			return
-		case *ast.FuncLit:
-			return // its returns do not exit this loop
 		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 			// Nested regions where a plain break does not exit this loop;
 			// returns (and labeled breaks) still do. Approximate them as
 			// conditional exits under the guards in force at the region.
-			ast.Inspect(s.(ast.Node), func(m ast.Node) bool {
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
-				}
+			ast.Inspect(s, func(m ast.Node) bool {
 				switch mm := m.(type) {
+				case *ast.FuncLit:
+					return false // its returns do not exit this loop
 				case *ast.ReturnStmt:
 					recordExit(guards)
 				case *ast.BranchStmt:
@@ -123,39 +99,26 @@ func isCASRetryLoop(p *Package, loop *ast.ForStmt) bool {
 				}
 				return true
 			})
-			return
 		case *ast.IfStmt:
 			walkExits(s.Init, guards)
 			inner := append(append([]ast.Expr(nil), guards...), s.Cond)
-			for _, st := range s.Body.List {
-				walkExits(st, inner)
-			}
+			walkExits(s.Body, inner)
 			walkExits(s.Else, inner)
-			return
 		case *ast.BlockStmt:
 			for _, st := range s.List {
 				walkExits(st, guards)
 			}
-			return
-		case *ast.ReturnStmt:
+		case *ast.ReturnStmt, *ast.BranchStmt:
+			if br, isBranch := s.(*ast.BranchStmt); isBranch && br.Tok != token.BREAK && br.Tok != token.GOTO {
+				return // continue stays in the loop
+			}
 			if len(guards) == 0 {
 				unconditional++
-				return
-			}
-			recordExit(guards)
-			return
-		case *ast.BranchStmt:
-			if s.Tok == token.BREAK || s.Tok == token.GOTO {
-				if len(guards) == 0 {
-					unconditional++
-					return
-				}
+			} else {
 				recordExit(guards)
 			}
-			return
 		case *ast.LabeledStmt:
 			walkExits(s.Stmt, guards)
-			return
 		}
 	}
 	for _, st := range loop.Body.List {
@@ -178,7 +141,7 @@ func isCASRetryLoop(p *Package, loop *ast.ForStmt) bool {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if !exitCASes[s] && isAtomicMutation(p, s) {
+			if op, ok := atomicCall(p, s); ok && op.mutates() && !exitCASes[s] {
 				helping = true
 			}
 		case *ast.AssignStmt:
@@ -195,33 +158,6 @@ func isCASRetryLoop(p *Package, loop *ast.ForStmt) bool {
 		return !helping
 	})
 	return !helping
-}
-
-// isCASCall reports a sync/atomic compare-and-swap: the package functions
-// (CompareAndSwapInt64, ...) or the methods of the atomic wrapper types.
-func isCASCall(p *Package, call *ast.CallExpr) bool {
-	f := calleeFunc(p, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	return strings.HasPrefix(f.Name(), "CompareAndSwap")
-}
-
-// isAtomicMutation reports a sync/atomic call that writes shared state:
-// stores, adds, swaps, bit operations, and CAS (a non-exit CAS is a
-// helping install attempt).
-func isAtomicMutation(p *Package, call *ast.CallExpr) bool {
-	f := calleeFunc(p, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	name := f.Name()
-	for _, prefix := range []string{"Store", "Add", "Swap", "CompareAndSwap", "Or", "And"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // isSharedLvalue reports an assignment target that can be shared state: a

@@ -1,7 +1,6 @@
 package wfcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -25,151 +24,120 @@ import (
 // read of F is then flagged in any function that neither acquires (Load,
 // CompareAndSwap, Swap on a wrapper field of T) nor releases T itself
 // (the writer reads its own plain writes in program order).
-func analyzePubSafety(p *Package) []Diagnostic {
-	type fieldAt struct {
-		field *types.Var
-		owner *types.Named
-		pos   token.Pos
-	}
-	type funcFacts struct {
-		decl        *ast.FuncDecl
-		releases    map[*types.Named]bool
-		acquires    map[*types.Named]bool
-		plainWrites []fieldAt
-		plainReads  []fieldAt
-	}
-
+type pubSafety struct {
 	// pubName remembers, per struct, the wrapper field used to publish it
 	// (the first one released), for the diagnostic message.
-	pubName := make(map[*types.Named]string)
-	var facts []*funcFacts
+	pubName map[*types.Named]string
+	funcs   []*pubFacts
+}
 
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ff := &funcFacts{
-				decl:     fd,
-				releases: make(map[*types.Named]bool),
-				acquires: make(map[*types.Named]bool),
-			}
-			// writeTargets marks selectors appearing as assignment targets so
-			// the read pass can skip them.
-			writeTargets := make(map[ast.Expr]bool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					fun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					base, ok := ast.Unparen(fun.X).(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					field := fieldOf(p, base)
-					if field == nil || !isAtomicWrapper(field.Type()) {
-						return true
-					}
-					owner := ownerStruct(p, base)
-					if owner == nil {
-						return true
-					}
-					switch fun.Sel.Name {
-					case "Store":
-						ff.releases[owner] = true
-						if _, ok := pubName[owner]; !ok {
-							pubName[owner] = field.Name()
-						}
-					case "CompareAndSwap", "Swap":
-						// Both read and write the publication word.
-						ff.releases[owner] = true
-						ff.acquires[owner] = true
-						if _, ok := pubName[owner]; !ok {
-							pubName[owner] = field.Name()
-						}
-					case "Load":
-						ff.acquires[owner] = true
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						writeTargets[sel] = true
-						if field := fieldOf(p, sel); field != nil && !isAtomicWrapper(field.Type()) {
-							if owner := ownerStruct(p, sel); owner != nil {
-								ff.plainWrites = append(ff.plainWrites, fieldAt{field, owner, sel.Pos()})
-							}
-						}
-					}
-				case *ast.IncDecStmt:
-					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-						writeTargets[sel] = true
-						if field := fieldOf(p, sel); field != nil && !isAtomicWrapper(field.Type()) {
-							if owner := ownerStruct(p, sel); owner != nil {
-								ff.plainWrites = append(ff.plainWrites, fieldAt{field, owner, sel.Pos()})
-								ff.plainReads = append(ff.plainReads, fieldAt{field, owner, sel.Pos()})
-							}
-						}
-					}
-				}
-				return true
-			})
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || writeTargets[sel] {
-					// An lhs selector is the write already recorded above.
-					return true
-				}
-				field := fieldOf(p, sel)
-				if field == nil || isAtomicWrapper(field.Type()) {
-					return true
-				}
-				if owner := ownerStruct(p, sel); owner != nil {
-					ff.plainReads = append(ff.plainReads, fieldAt{field, owner, sel.Pos()})
-				}
-				return true
-			})
-			facts = append(facts, ff)
+// fieldAt is one plain access of a payload field.
+type fieldAt struct {
+	field *types.Var
+	owner *types.Named
+	pos   token.Pos
+}
+
+// pubFacts is what one function does to publication structs.
+type pubFacts struct {
+	decl        *ast.FuncDecl
+	releases    map[*types.Named]bool
+	acquires    map[*types.Named]bool
+	plainWrites []fieldAt
+	plainReads  []fieldAt
+}
+
+// gather records one function's releases, acquires and plain payload
+// accesses.
+func (ps *pubSafety) gather(p *Package, fd *ast.FuncDecl) {
+	ff := &pubFacts{decl: fd, releases: make(map[*types.Named]bool), acquires: make(map[*types.Named]bool)}
+	ps.funcs = append(ps.funcs, ff)
+	plain := func(sel *ast.SelectorExpr) (fieldAt, bool) {
+		field := fieldOf(p, sel)
+		if field == nil || isAtomicWrapper(field.Type()) {
+			return fieldAt{}, false
 		}
+		owner := ownerStruct(p, sel)
+		return fieldAt{field, owner, sel.Pos()}, owner != nil
 	}
+	// An assignment target is the write recorded at its statement, which
+	// the pre-order walk meets before the target selector itself.
+	writeTargets := make(map[ast.Expr]bool)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			op, ok := atomicCall(p, n)
+			if !ok || !op.method {
+				return true
+			}
+			base, ok := ast.Unparen(op.recv).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			field, owner := fieldOf(p, base), ownerStruct(p, base)
+			if field == nil || !isAtomicWrapper(field.Type()) || owner == nil {
+				return true
+			}
+			// CompareAndSwap and Swap both read and write the publication word.
+			if op.kind == "Load" || op.kind == "CompareAndSwap" || op.kind == "Swap" {
+				ff.acquires[owner] = true
+			}
+			if op.kind == "Store" || op.kind == "CompareAndSwap" || op.kind == "Swap" {
+				ff.releases[owner] = true
+				if _, ok := ps.pubName[owner]; !ok {
+					ps.pubName[owner] = field.Name()
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+					writeTargets[sel] = true
+					if w, ok := plain(sel); ok {
+						ff.plainWrites = append(ff.plainWrites, w)
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+				writeTargets[sel] = true
+				if w, ok := plain(sel); ok {
+					ff.plainWrites = append(ff.plainWrites, w)
+					ff.plainReads = append(ff.plainReads, w)
+				}
+			}
+		case *ast.SelectorExpr:
+			if rd, ok := plain(n); ok && !writeTargets[n] {
+				ff.plainReads = append(ff.plainReads, rd)
+			}
+		}
+		return true
+	})
+}
 
-	// A payload field is published when one function both plainly writes it
-	// and releases a wrapper field of the same struct.
+// join flags the plain reads of published payload fields in functions that
+// neither acquire nor release the publishing struct. A payload field is
+// published when one function both plainly writes it and releases a
+// wrapper field of the same struct.
+func (ps *pubSafety) join(r *run, p *Package) {
 	published := make(map[*types.Var]token.Pos)
-	for _, ff := range facts {
+	for _, ff := range ps.funcs {
 		for _, w := range ff.plainWrites {
-			if ff.releases[w.owner] {
-				if _, seen := published[w.field]; !seen {
-					published[w.field] = w.pos
-				}
+			if _, seen := published[w.field]; !seen && ff.releases[w.owner] {
+				published[w.field] = w.pos
 			}
 		}
 	}
-	if len(published) == 0 {
-		return nil
-	}
-
-	var diags []Diagnostic
-	for _, ff := range facts {
-		for _, r := range ff.plainReads {
-			wpos, ok := published[r.field]
-			if !ok || ff.acquires[r.owner] || ff.releases[r.owner] {
+	for _, ff := range ps.funcs {
+		for _, rd := range ff.plainReads {
+			wpos, ok := published[rd.field]
+			if !ok || ff.acquires[rd.owner] || ff.releases[rd.owner] {
 				continue
 			}
-			where := p.Fset.Position(wpos)
-			diags = append(diags, Diagnostic{
-				Pos: p.Fset.Position(r.pos), Analyzer: "pubsafety",
-				Message: fmt.Sprintf("plain read of %s.%s, which is published under an atomic store of %s.%s (write at %s:%d); load %s first or the release never reaches this reader (in %s)",
-					r.owner.Obj().Name(), r.field.Name(), r.owner.Obj().Name(), pubName[r.owner], where.Filename, where.Line, pubName[r.owner], ff.decl.Name.Name),
-			})
+			where, owner, pub := p.Fset.Position(wpos), rd.owner.Obj().Name(), ps.pubName[rd.owner]
+			r.report(p, "pubsafety", rd.pos, "plain read of %s.%s, which is published under an atomic store of %s.%s (write at %s:%d); load %s first or the release never reaches this reader (in %s)",
+				owner, rd.field.Name(), owner, pub, where.Filename, where.Line, pub, ff.decl.Name.Name)
 		}
 	}
-	return diags
 }
 
 // isAtomicWrapper reports a sync/atomic wrapper type (atomic.Int64,

@@ -29,103 +29,36 @@ type swSite struct {
 	index ast.Expr
 }
 
-// analyzeSingleWriter checks every function in the package against the
-// package's (and, whole-program, the module's) singlewriter annotations.
-func analyzeSingleWriter(prog *Program, p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			diags = append(diags, checkSingleWriter(prog, p, fd)...)
-		}
+// swAlias records a one-level alias: `slot := &f.field[i]` (possibly
+// deeper, `s := &c.slots[i].v`) transfers the indexed element — and the
+// ownership obligation — to a local. One level is enough for the tree's
+// idiom; an alias of an alias does not resolve and simply escapes the check.
+func (r *run) swAlias(p *Package, aliases map[types.Object]*swSite, id *ast.Ident, rhs ast.Expr) {
+	site := swResolve(r.prog, p, aliases, rhs)
+	if site == nil {
+		return
 	}
-	return diags
+	if obj := p.Info.Defs[id]; obj != nil {
+		aliases[obj] = site
+	} else if obj := p.Info.Uses[id]; obj != nil {
+		aliases[obj] = site
+	}
 }
 
-// checkSingleWriter audits one function body.
-func checkSingleWriter(prog *Program, p *Package, fd *ast.FuncDecl) []Diagnostic {
-	// Aliases: `slot := &f.field[i]` (possibly deeper, `s := &c.slots[i].v`)
-	// transfers the indexed element — and the ownership obligation — to a
-	// local. One level is enough for the tree's idiom; an alias of an alias
-	// does not resolve and simply escapes the check.
-	aliases := make(map[types.Object]*swSite)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, isAssign := n.(*ast.AssignStmt)
-		if !isAssign || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, isIdent := ast.Unparen(lhs).(*ast.Ident)
-			if !isIdent {
-				continue
-			}
-			site := swResolve(prog, p, aliases, as.Rhs[i])
-			if site == nil {
-				continue
-			}
-			if obj := p.Info.Defs[id]; obj != nil {
-				aliases[obj] = site
-			} else if obj := p.Info.Uses[id]; obj != nil {
-				aliases[obj] = site
-			}
-		}
-		return true
-	})
-
-	var diags []Diagnostic
-	report := func(pos ast.Node, site *swSite, how string) {
-		if d := disciplineDiag(p, pos.Pos(), "singlewriter",
-			"%s %s, annotated //wf:singlewriter %s, but indexes by %s — only the owning process may store its slot",
-			how, site.field.Name(), site.ann.SingleWriter, types.ExprString(ast.Unparen(site.index))); d != nil {
-			diags = append(diags, *d)
-		}
+// swCheck flags an element store through e — an lvalue, or the register of
+// a mutating atomic call — unless it indexes by the annotated owner.
+// Whole-field assignment resolves to no site.
+func (r *run) swCheck(p *Package, aliases map[types.Object]*swSite, at ast.Node, e ast.Expr, how string) {
+	site := swResolve(r.prog, p, aliases, e)
+	if site == nil {
+		return
 	}
-	check := func(pos ast.Node, e ast.Expr, how string) {
-		site := swResolve(prog, p, aliases, e)
-		if site == nil {
-			return
-		}
-		idx, isIdent := unwrapConversion(p, site.index).(*ast.Ident)
-		if !isIdent || idx.Name != site.ann.SingleWriter {
-			report(pos, site, how)
-		}
+	if idx, isIdent := unwrapConversion(p, site.index).(*ast.Ident); isIdent && idx.Name == site.ann.SingleWriter {
+		return
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				// A bare identifier lhs (re)binds a local — taking the alias is
-				// not an element write; writes through it (*slot, slot.v.Store)
-				// are caught at their own sites. Whole-field assignment resolves
-				// to no site; element writes resolve through swResolve.
-				if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
-					continue
-				}
-				check(n, lhs, "assignment writes an element of")
-			}
-		case *ast.IncDecStmt:
-			check(n, n.X, "step writes an element of")
-		case *ast.CallExpr:
-			if recv, name, ok := atomicCallSite(p, n); ok && isMutatingAtomic(name) {
-				check(n, recv, name+" mutates an element of")
-			}
-		}
-		return true
-	})
-	return diags
-}
-
-// isMutatingAtomic reports a sync/atomic method that writes its target.
-func isMutatingAtomic(name string) bool {
-	for _, prefix := range []string{"Store", "Add", "Swap", "CompareAndSwap", "Or", "And"} {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
+	r.report(p, "singlewriter", at.Pos(),
+		"%s %s, annotated //wf:singlewriter %s, but indexes by %s — only the owning process may store its slot",
+		how, site.field.Name(), site.ann.SingleWriter, types.ExprString(ast.Unparen(site.index)))
 }
 
 // swResolve walks an lvalue or receiver path down to the index expression

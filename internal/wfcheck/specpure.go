@@ -23,55 +23,59 @@ var nondetPackages = map[string]string{
 	"math/rand/v2": "draws randomness",
 }
 
-// analyzeSpecPurity finds, in any package that defines implementations of
+// specPass finds, in any package that defines implementations of
 // seqspec.State or seqspec.Object (the seqspec package itself included),
 // the transition methods of those implementations, and flags constructs
 // that break replay determinism: clock and randomness calls, goroutine
 // launches, channel operations, package-level state mutation, and map
 // iteration feeding output without a subsequent sort.
-func analyzeSpecPurity(p *Package) []Diagnostic {
-	stateIface, objectIface := seqspecInterfaces(p)
-	if stateIface == nil && objectIface == nil {
+type specPass struct {
+	*run
+	p                    *Package
+	stateIface, objIface *types.Interface
+	roots                []*ast.FuncDecl
+	visited              map[*ast.FuncDecl]bool
+}
+
+// newSpecPass prepares the purity audit of p; nil when p can define no
+// spec implementation.
+func newSpecPass(r *run, p *Package) *specPass {
+	state, object := seqspecInterfaces(p)
+	if state == nil && object == nil {
 		return nil
 	}
-	s := &specPass{
-		p:       p,
-		decls:   make(map[types.Object]*ast.FuncDecl),
-		visited: make(map[*ast.FuncDecl]bool),
+	return &specPass{run: r, p: p, stateIface: state, objIface: object, visited: make(map[*ast.FuncDecl]bool)}
+}
+
+// root collects fd when it is a transition method of a spec implementation.
+func (s *specPass) root(fd *ast.FuncDecl) {
+	if s == nil || fd.Recv == nil {
+		return
 	}
-	var roots []*ast.FuncDecl
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := p.Info.Defs[fd.Name]; obj != nil {
-				s.decls[obj] = fd
-			}
-			if fd.Recv == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			recv := fn.Type().(*types.Signature).Recv().Type()
-			ptr := recv
-			if _, ok := recv.(*types.Pointer); !ok {
-				ptr = types.NewPointer(recv)
-			}
-			isState := stateIface != nil && types.Implements(ptr, stateIface)
-			isObject := objectIface != nil && types.Implements(ptr, objectIface)
-			if (isState && stateMethods[fd.Name.Name]) || (isObject && objectMethods[fd.Name.Name]) {
-				roots = append(roots, fd)
-			}
-		}
+	fn, ok := s.p.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return
 	}
-	for _, fd := range roots {
+	ptr := fn.Type().(*types.Signature).Recv().Type()
+	if _, ok := ptr.(*types.Pointer); !ok {
+		ptr = types.NewPointer(ptr)
+	}
+	isState := s.stateIface != nil && types.Implements(ptr, s.stateIface)
+	isObject := s.objIface != nil && types.Implements(ptr, s.objIface)
+	if (isState && stateMethods[fd.Name.Name]) || (isObject && objectMethods[fd.Name.Name]) {
+		s.roots = append(s.roots, fd)
+	}
+}
+
+// audit scans every collected transition method and, transitively, the
+// same-package helpers they call.
+func (s *specPass) audit() {
+	if s == nil {
+		return
+	}
+	for _, fd := range s.roots {
 		s.visit(fd)
 	}
-	return s.diags
 }
 
 // seqspecInterfaces locates the State and Object interfaces of a seqspec
@@ -98,13 +102,6 @@ func seqspecInterfaces(p *Package) (state, object *types.Interface) {
 	return state, object
 }
 
-type specPass struct {
-	p       *Package
-	decls   map[types.Object]*ast.FuncDecl
-	visited map[*ast.FuncDecl]bool
-	diags   []Diagnostic
-}
-
 // visit scans one transition function and, transitively, the same-package
 // helpers it calls.
 func (s *specPass) visit(fd *ast.FuncDecl) {
@@ -113,41 +110,29 @@ func (s *specPass) visit(fd *ast.FuncDecl) {
 	}
 	s.visited[fd] = true
 
-	// Positions of sort calls, for suppressing collect-then-sort map ranges.
-	var sortCalls []token.Pos
+	// The last sort call, for suppressing collect-then-sort map ranges.
+	lastSort := token.NoPos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if f := calleeFunc(s.p, call); f != nil && f.Pkg() != nil {
-			if path := f.Pkg().Path(); path == "sort" || path == "slices" {
-				sortCalls = append(sortCalls, call.Pos())
+		if call, ok := n.(*ast.CallExpr); ok {
+			if f := calleeFunc(s.p, call); f != nil && f.Pkg() != nil && (f.Pkg().Path() == "sort" || f.Pkg().Path() == "slices") {
+				lastSort = max(lastSort, call.Pos())
 			}
 		}
 		return true
 	})
-	sortedAfter := func(pos token.Pos) bool {
-		for _, sp := range sortCalls {
-			if sp > pos {
-				return true
-			}
-		}
-		return false
-	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			s.report(fd, n.Pos(), "launches a goroutine: replays must be single-threaded and repeatable")
+			s.flag(fd, n.Pos(), "launches a goroutine: replays must be single-threaded and repeatable")
 		case *ast.SendStmt:
-			s.report(fd, n.Pos(), "channel send: transition functions must not communicate")
+			s.flag(fd, n.Pos(), "channel send: transition functions must not communicate")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				s.report(fd, n.Pos(), "channel receive: transition functions must not communicate")
+				s.flag(fd, n.Pos(), "channel receive: transition functions must not communicate")
 			}
 		case *ast.SelectStmt:
-			s.report(fd, n.Pos(), "select: transition functions must not communicate")
+			s.flag(fd, n.Pos(), "select: transition functions must not communicate")
 		case *ast.CallExpr:
 			if f := calleeFunc(s.p, n); f != nil {
 				if f.Pkg() != nil {
@@ -157,11 +142,11 @@ func (s *specPass) visit(fd *ast.FuncDecl) {
 					// functions. rand methods all draw from the generator.
 					recv := f.Type().(*types.Signature).Recv()
 					if why, ok := nondetPackages[path]; ok && (recv == nil || path != "time") {
-						s.report(fd, n.Pos(), fmt.Sprintf("calls %s: %s, so replays diverge", f.FullName(), why))
+						s.flag(fd, n.Pos(), fmt.Sprintf("calls %s: %s, so replays diverge", f.FullName(), why))
 					}
 				}
-				if target := s.decls[f]; target != nil {
-					s.visit(target)
+				if target := s.prog.FuncOf(f); target != nil && target.Pkg == s.p {
+					s.visit(target.Decl)
 				}
 			}
 		case *ast.AssignStmt:
@@ -171,7 +156,7 @@ func (s *specPass) visit(fd *ast.FuncDecl) {
 		case *ast.IncDecStmt:
 			s.checkGlobalWrite(fd, n.X)
 		case *ast.RangeStmt:
-			s.checkMapRange(fd, n, sortedAfter)
+			s.checkMapRange(fd, n, lastSort)
 		}
 		return true
 	})
@@ -200,7 +185,7 @@ func (s *specPass) checkGlobalWrite(fd *ast.FuncDecl, lhs ast.Expr) {
 		return
 	}
 	if v.Parent() == v.Pkg().Scope() {
-		s.report(fd, lhs.Pos(), fmt.Sprintf("mutates package-level variable %s: state must live in the receiver", v.Name()))
+		s.flag(fd, lhs.Pos(), fmt.Sprintf("mutates package-level variable %s: state must live in the receiver", v.Name()))
 	}
 }
 
@@ -208,7 +193,7 @@ func (s *specPass) checkGlobalWrite(fd *ast.FuncDecl, lhs ast.Expr) {
 // writer calls) unless the function sorts afterwards: Go randomizes map
 // order, so unsorted iteration makes Apply/Key nondeterministic. Pure folds
 // (min/max scans, map-to-map copies) are order-insensitive and pass.
-func (s *specPass) checkMapRange(fd *ast.FuncDecl, rng *ast.RangeStmt, sortedAfter func(token.Pos) bool) {
+func (s *specPass) checkMapRange(fd *ast.FuncDecl, rng *ast.RangeStmt, lastSort token.Pos) {
 	t := s.p.Info.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -234,16 +219,13 @@ func (s *specPass) checkMapRange(fd *ast.FuncDecl, rng *ast.RangeStmt, sortedAft
 		}
 		return sink == token.NoPos
 	})
-	if sink.IsValid() && !sortedAfter(rng.Pos()) {
-		s.report(fd, sink,
+	if sink.IsValid() && lastSort <= rng.Pos() {
+		s.flag(fd, sink,
 			"map iteration order feeds output and nothing sorts afterwards: iterate a sorted key slice instead")
 	}
 }
 
-// report records a purity finding against the transition method fd.
-func (s *specPass) report(fd *ast.FuncDecl, pos token.Pos, msg string) {
-	s.diags = append(s.diags, Diagnostic{
-		Pos: s.p.Fset.Position(pos), Analyzer: "specpure",
-		Message: fmt.Sprintf("%s (in spec function %s)", msg, fd.Name.Name),
-	})
+// flag records a purity finding against the transition method fd.
+func (s *specPass) flag(fd *ast.FuncDecl, pos token.Pos, msg string) {
+	s.report(s.p, "specpure", pos, "%s (in spec function %s)", msg, fd.Name.Name)
 }

@@ -1,7 +1,6 @@
 package wfcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"path/filepath"
@@ -26,30 +25,13 @@ import (
 // progress analyzers need nothing.
 //
 // Findings are warnings by default; Config.StrictStale promotes them to
-// errors unless allowlisted by "file.go:FuncName" (see staleKey).
-func analyzeStale(prog *Program, targets []*Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, p := range targets {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if d := p.Annots.Funcs[fd]; d != nil {
-					switch d.Mode {
-					case ModeBlocking, ModeLockFree, ModeBounded:
-						if !justifiesDirective(prog, p, fd) {
-							diags = append(diags, staleDiag(p, d, fd,
-								fmt.Sprintf("stale %s (%s) on %s: the analyzers find nothing in it that a wait-free function could not contain; remove the directive or update the reason", d.Mode, d.Arg, fd.Name.Name)))
-						}
-					}
-				}
-				diags = append(diags, staleLoopDirectives(prog, p, fd)...)
-			}
-		}
+// errors unless allowlisted by "file.go:FuncName" (see stale).
+
+// staleFunc checks the function's own directive.
+func (r *run) staleFunc(p *Package, fd *ast.FuncDecl) {
+	if d := p.Annots.Funcs[fd]; d != nil && d.Mode != ModeWaitFree && !r.justifiesDirective(p, fd) {
+		r.stale(p, d, fd, "stale %s (%s) on %s: the analyzers find nothing in it that a wait-free function could not contain; remove the directive or update the reason", d.Mode, d.Arg, fd.Name.Name)
 	}
-	return diags
 }
 
 // justifiesDirective reports whether fd, audited as an unannotated
@@ -58,14 +40,14 @@ func analyzeStale(prog *Program, targets []*Package) []Diagnostic {
 // function whose effective mode makes a non-waitfree claim (a bounded
 // wrapper around a bounded primitive is the substitution-table idiom, not
 // staleness).
-func justifiesDirective(prog *Program, p *Package, fd *ast.FuncDecl) bool {
-	pf := prog.FuncOf(p.Info.Defs[fd.Name])
+func (r *run) justifiesDirective(p *Package, fd *ast.FuncDecl) bool {
+	pf := r.prog.FuncOf(p.Info.Defs[fd.Name])
 	if pf == nil {
 		return true // unresolvable: stay quiet
 	}
-	b := &blockingPass{prog: prog, visited: make(map[*ast.FuncDecl]bool)}
-	b.visit(pf, pf)
-	if len(b.diags) > 0 {
+	probe := newBlockingPass(&run{prog: r.prog, res: &Result{}})
+	probe.visit(pf, pf)
+	if len(probe.res.Diags) > 0 {
 		return true
 	}
 	justified := false
@@ -74,37 +56,17 @@ func justifiesDirective(prog *Program, p *Package, fd *ast.FuncDecl) bool {
 			return false
 		}
 		switch n := n.(type) {
-		case *ast.ForStmt:
-			if p.Annots.LoopDirective(n.Pos()) != nil {
-				justified = true
-			}
-		case *ast.RangeStmt:
-			if p.Annots.LoopDirective(n.Pos()) != nil {
-				justified = true
-			}
+		case *ast.ForStmt, *ast.RangeStmt:
+			justified = p.Annots.LoopDirective(n.Pos()) != nil
 		case *ast.CallExpr:
 			f := calleeFunc(p, n)
 			if f == nil {
 				return true
 			}
-			var callees []*ProgFunc
-			if isInterfaceMethod(f) {
-				if d := prog.Contract(f); d != nil {
-					switch d.Mode {
-					case ModeBounded, ModeLockFree, ModeBlocking:
-						justified = true
-					}
-					return true
-				}
-				callees = prog.Implementations(f)
-			} else if t := prog.FuncOf(f); t != nil {
-				callees = []*ProgFunc{t}
-			}
+			contract, callees := r.prog.callees(f)
+			justified = contract != nil && contract.Mode != ModeWaitFree
 			for _, c := range callees {
-				switch c.Mode().Mode {
-				case ModeBounded, ModeLockFree, ModeBlocking:
-					justified = true
-				}
+				justified = justified || c.Mode().Mode > ModeWaitFree
 			}
 		}
 		return !justified
@@ -112,52 +74,33 @@ func justifiesDirective(prog *Program, p *Package, fd *ast.FuncDecl) bool {
 	return justified
 }
 
-// staleDiag builds a stale warning carrying its allowlist key.
-func staleDiag(p *Package, d *Directive, fd *ast.FuncDecl, msg string) Diagnostic {
-	pos := p.Fset.Position(d.Pos)
-	return Diagnostic{
-		Pos: pos, Analyzer: "stale", Warn: true, Message: msg,
-		allowKey: filepath.Base(pos.Filename) + ":" + fd.Name.Name,
+// stale reports a stale-directive finding at the directive: a warning, or
+// under StrictStale an error unless Config.StaleAllow lists its
+// "file.go:FuncName" key, which stays stable across line-number churn.
+func (r *run) stale(p *Package, d *Directive, fd *ast.FuncDecl, format string, args ...any) {
+	key := filepath.Base(p.Fset.Position(d.Pos).Filename) + ":" + fd.Name.Name
+	r.report(p, "stale", d.Pos, format, args...).Warn = !r.StrictStale || r.StaleAllow[key]
+}
+
+// staleLoop warns about a loop-line directive sitting on a loop whose shape
+// no analyzer flags: an exit condition with no Gosched spin needs no
+// justification, so the directive is decoration that will drift.
+func (r *run) staleLoop(p *Package, fd *ast.FuncDecl, loop ast.Node) {
+	d := p.Annots.LoopDirective(loop.Pos())
+	if d == nil || d.Steps != "" {
+		return // a [steps] bracket feeds the symbolic algebra
 	}
-}
-
-// staleKey is the StaleAllow allowlist key of a stale finding:
-// "file.go:FuncName", stable across line-number churn.
-func staleKey(d Diagnostic) string {
-	return d.allowKey
-}
-
-// staleLoopDirectives warns about loop-line directives sitting on loops
-// whose shape no analyzer flags: an exit condition with no Gosched spin
-// needs no justification, so the directive is decoration that will drift.
-func staleLoopDirectives(prog *Program, p *Package, fd *ast.FuncDecl) []Diagnostic {
-	var diags []Diagnostic
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			d := p.Annots.LoopDirective(n.Pos())
-			if d == nil || d.Steps != "" {
-				return true // a [steps] bracket feeds the symbolic algebra
-			}
-			if n.Cond == nil || goschedIn(p, n).IsValid() {
-				return true // the shape would be flagged; directive is load-bearing
-			}
-			diags = append(diags, staleDiag(p, d, fd,
-				fmt.Sprintf("stale %s (%s): this loop's own exit condition already satisfies the analyzers; remove the directive (in %s)", d.Mode, d.Arg, fd.Name.Name)))
-		case *ast.RangeStmt:
-			d := p.Annots.LoopDirective(n.Pos())
-			if d == nil || d.Steps != "" {
-				return true // a [steps] bracket feeds the symbolic algebra
-			}
-			if t := p.Info.TypeOf(n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					return true // blocking flags channel ranges regardless
-				}
-			}
-			diags = append(diags, staleDiag(p, d, fd,
-				fmt.Sprintf("stale %s (%s): range loops are bounded by their operand; remove the directive (in %s)", d.Mode, d.Arg, fd.Name.Name)))
+	switch n := loop.(type) {
+	case *ast.ForStmt:
+		if loopShape(p, n) == "" {
+			r.stale(p, d, fd, "stale %s (%s): this loop's own exit condition already satisfies the analyzers; remove the directive (in %s)", d.Mode, d.Arg, fd.Name.Name)
 		}
-		return true
-	})
-	return diags
+	case *ast.RangeStmt:
+		if t := p.Info.TypeOf(n.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				return // blocking flags channel ranges regardless
+			}
+		}
+		r.stale(p, d, fd, "stale %s (%s): range loops are bounded by their operand; remove the directive (in %s)", d.Mode, d.Arg, fd.Name.Name)
+	}
 }

@@ -571,7 +571,7 @@ func (e *costEngine) callCost(pf *ProgFunc, call *ast.CallExpr) symCost {
 		return symCost{poly: poly, status: BoundTrusted, note: fmt.Sprintf("declared //wf:steps %s on %s", expr, fn.Name())}
 	}
 	if isInterfaceMethod(fn) {
-		if d := e.prog.Contract(fn); d != nil {
+		if d := e.prog.contracts[fn]; d != nil {
 			switch d.Mode {
 			case ModeBounded:
 				return symCost{poly: polyConst(1), status: BoundTrusted, note: fmt.Sprintf("interface contract wf:bounded on %s", fn.Name())}
@@ -622,8 +622,8 @@ type OpCert struct {
 // Constructors and other setup functions are construction-time, not
 // operations, and are not certified. An operation with no finite symbolic
 // bound is a symbound error.
-func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
-	eng := newCostEngine(prog)
+func (r *run) analyzeSymbolic(root *Package) []OpCert {
+	eng := newCostEngine(r.prog)
 	modPath := root.Path
 	inModule := func(pkg *types.Package) bool {
 		return pkg != nil && (pkg.Path() == modPath || strings.HasPrefix(pkg.Path(), modPath+"/"))
@@ -679,7 +679,6 @@ func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
 	}
 
 	var certs []OpCert
-	var diags []Diagnostic
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -694,7 +693,7 @@ func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
 				if !m.Exported() {
 					continue
 				}
-				expr, ok := prog.steps[m]
+				expr, ok := r.prog.steps[m]
 				if !ok {
 					continue // no contract: concrete implementations certify on their own
 				}
@@ -704,7 +703,7 @@ func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
 				}
 				certs = append(certs, OpCert{
 					Op:  fmt.Sprintf("contract %s.%s.%s", short, n.Obj().Name(), m.Name()),
-					Pos: prog.fsetPosition(root, m.Pos()), Poly: poly, Bound: poly.String(),
+					Pos: root.Fset.Position(m.Pos()), Poly: poly, Bound: poly.String(),
 					Status: BoundTrusted, Basis: fmt.Sprintf("interface contract //wf:steps %s", expr),
 				})
 			}
@@ -715,7 +714,7 @@ func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
 			if !m.Exported() {
 				continue
 			}
-			pf := prog.FuncOf(m)
+			pf := r.prog.FuncOf(m)
 			if pf == nil {
 				continue
 			}
@@ -731,10 +730,7 @@ func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
 			}
 			if c.status == BoundUnbounded {
 				cert.Bound = "unbounded"
-				diags = append(diags, Diagnostic{
-					Pos: cert.Pos, Analyzer: "symbound",
-					Message: fmt.Sprintf("no finite symbolic step certificate for %s: %s", cert.Op, c.note),
-				})
+				r.report(pf.Pkg, "symbound", pf.Decl.Pos(), "no finite symbolic step certificate for %s: %s", cert.Op, c.note)
 			} else {
 				cert.Bound = c.poly.String()
 				if cert.Basis == "" {
@@ -745,10 +741,5 @@ func analyzeSymbolic(prog *Program, root *Package) ([]OpCert, []Diagnostic) {
 		}
 	}
 	sort.Slice(certs, func(i, j int) bool { return certs[i].Op < certs[j].Op })
-	return certs, diags
-}
-
-// fsetPosition positions an object's Pos through any package's shared fset.
-func (prog *Program) fsetPosition(p *Package, pos token.Pos) token.Position {
-	return p.Fset.Position(pos)
+	return certs
 }

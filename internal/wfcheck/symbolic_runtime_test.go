@@ -8,17 +8,15 @@ import (
 	"waitfree/internal/seqspec"
 )
 
-// loadFacadeCerts loads the real module from its root and returns the
-// symbolic certificates of the façade's operations.
+// loadFacadeCerts returns the symbolic certificates of the real module's
+// façade operations.
 func loadFacadeCerts(t *testing.T) []OpCert {
 	t.Helper()
-	loader, root := loadFixture(t, "../../../..")
-	prog := NewProgram(loader)
-	ops, diags := analyzeSymbolic(prog, root)
-	for _, d := range diags {
+	res := treeResult(t)
+	for _, d := range analyzerDiags(res, "symbound") {
 		t.Errorf("symbolic certification diagnostic: %s: %s", d.Pos, d.Message)
 	}
-	return ops
+	return res.Ops
 }
 
 // TestFacadeCertsComplete pins the tentpole acceptance criterion: every

@@ -73,8 +73,8 @@ func TestParseSteps(t *testing.T) {
 // is the declared //wf:len fact, and declared facts compose as trusted.
 func TestSymbolicComposition(t *testing.T) {
 	loader, p := loadFixture(t, "symb")
-	prog := NewProgram(loader)
-	ops, diags := analyzeSymbolic(prog, p)
+	r := newRun(Config{}, NewProgram(loader))
+	ops, diags := r.analyzeSymbolic(p), r.res.Diags
 	if len(diags) != 0 {
 		t.Fatalf("symb fixture has symbolic diagnostics: %v", diags)
 	}

@@ -144,7 +144,8 @@
 // wait-freedom is exactly the existence of this bound).
 //
 // singlewriter: enforces the per-process slot-ownership discipline on
-// //wf:singlewriter slices — every element store must index by the owner.
+// //wf:singlewriter slices — every element store (assignment, step, or a
+// sync/atomic method or package-function mutation) must index by the owner.
 //
 // monotone: proves writes to //wf:monotone registers non-decreasing, the
 // invariant the log GC's low-water protocol stands on.
@@ -169,11 +170,34 @@
 // function with nothing blocking in it, a loop-line bound on a loop whose
 // own condition already satisfies every check. Advisory by default;
 // StrictStale (CI) turns unallowlisted drift into errors.
+//
+// # Shared machinery
+//
+// RunProgram walks each target package's function declarations once and
+// hands every function to the per-function checks: progress, the register
+// disciplines (singlewriter, monotone and abasafe, in one walk),
+// fsyncorder, ackpersist, goown, boundcert's loop records, stale, and the
+// fact gathering of pubsafety and specpure. The same walk seeds blocking's
+// whole-program call graph with its entry points. The package-level joins
+// (atomicmix, pubsafety's cross-function join, specpure's transition audit)
+// run after the walk, and symbound certifies the façade last. Every finding
+// goes through one report function, which consumes a //wf:waiver for the
+// analyzers that take one. One classifier, atomicCall, decomposes a
+// sync/atomic call into its register, operation kind and operands, for the
+// method form and the package-function form (register: the &x operand)
+// alike. One dominance engine, dominatorsOf, walks the path from a function
+// body down to a node and derives both the conditions known to hold there
+// (monotone's guards) and the statements known to have completed
+// (ackpersist's persists); fsyncorder stays positional. Matching is
+// syntactic — expression strings, the same currency boundcert trades in —
+// the usual static-analysis trade: decidable and reviewable over complete.
 package wfcheck
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
@@ -185,9 +209,6 @@ type Diagnostic struct {
 	// Warn marks advisory findings (stale directives) that are reported but
 	// do not fail the run.
 	Warn bool
-	// allowKey identifies a stale finding for Config.StaleAllow
-	// ("file.go:FuncName"); empty on every other analyzer's findings.
-	allowKey string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -245,57 +266,124 @@ type Result struct {
 	Ops    []OpCert
 }
 
-// Errors reports whether any non-warning diagnostic is present (the
-// exit-code question).
-func (r *Result) Errors() bool {
-	for _, d := range r.Diags {
-		if !d.Warn {
-			return true
-		}
-	}
-	return false
-}
-
 // Run executes every analyzer on one loaded package in isolation — the
 // degenerate whole-program case. Kept for single-package callers and tests.
 func (c Config) Run(p *Package) []Diagnostic {
 	return c.RunProgram(SinglePackage(p), []*Package{p}).Diags
 }
 
+// run is one RunProgram invocation: the config, the program, and the
+// result every analyzer reports into.
+type run struct {
+	Config
+	prog     *Program
+	res      *Result
+	blocking *blockingPass
+}
+
+// newRun starts an analysis run over prog.
+func newRun(c Config, prog *Program) *run {
+	r := &run{Config: c, prog: prog, res: &Result{}}
+	r.blocking = newBlockingPass(r)
+	return r
+}
+
+// waivable lists the analyzers whose findings a //wf:waiver can excuse.
+var waivable = map[string]bool{
+	"singlewriter": true, "monotone": true, "abasafe": true,
+	"fsyncorder": true, "ackpersist": true, "goown": true,
+}
+
+// report is the one way an analyzer records a finding: analyzer's message
+// at pos in p, unless the analyzer takes waivers and a //wf:waiver for it
+// sits on that line or the line above, which the finding then consumes. It
+// returns the recorded diagnostic, or nil when waived.
+func (r *run) report(p *Package, analyzer string, pos token.Pos, format string, args ...any) *Diagnostic {
+	position := p.Fset.Position(pos)
+	if waivable[analyzer] && p.Annots.Waive(position, analyzer) {
+		return nil
+	}
+	r.res.Diags = append(r.res.Diags, Diagnostic{Pos: position, Analyzer: analyzer, Message: fmt.Sprintf(format, args...)})
+	return &r.res.Diags[len(r.res.Diags)-1]
+}
+
 // RunProgram executes every analyzer over the program, reporting findings
 // for the target packages (the ones the user named; the rest of the module
 // participates in call resolution only). Diagnostics come back sorted.
 func (c Config) RunProgram(prog *Program, targets []*Package) *Result {
-	res := &Result{}
-	res.Diags = append(res.Diags, analyzeBlocking(prog, targets, c.All)...)
+	r := newRun(c, prog)
 	for _, p := range targets {
-		res.Diags = append(res.Diags, p.Annots.Errors...)
-		bounds, diags := analyzeBounds(p)
-		res.Bounds = append(res.Bounds, bounds...)
-		res.Diags = append(res.Diags, diags...)
-		res.Diags = append(res.Diags, analyzeProgress(p)...)
-		res.Diags = append(res.Diags, analyzePubSafety(p)...)
-		res.Diags = append(res.Diags, analyzeAtomicMix(p)...)
-		res.Diags = append(res.Diags, analyzeSpecPurity(p)...)
-		res.Diags = append(res.Diags, analyzeSingleWriter(prog, p)...)
-		res.Diags = append(res.Diags, analyzeMonotone(prog, p)...)
-		res.Diags = append(res.Diags, analyzeABA(prog, p)...)
-		analyzeFsyncOrder(p, &res.Diags)
-		analyzeAckPersist(p, &res.Diags)
-		analyzeGoOwn(prog, p, &res.Diags)
-		res.Diags = append(res.Diags, unusedWaiverDiags(p)...)
-		res.Diags = append(res.Diags, unusedMarkDiags(p)...)
+		r.checkPackage(p)
 	}
 	if root := moduleRoot(prog, targets); root != nil {
-		ops, diags := analyzeSymbolic(prog, root)
-		res.Ops = ops
-		res.Diags = append(res.Diags, diags...)
+		r.res.Ops = r.analyzeSymbolic(root)
 	}
-	if c.All {
-		res.Diags = append(res.Diags, c.staleDiags(prog, targets)...)
+	SortDiagnostics(r.res.Diags)
+	return r.res
+}
+
+// checkPackage analyzes one target package: each function declaration
+// passes once through the per-function checks, then the package-level
+// joins run over what those gathered.
+func (r *run) checkPackage(p *Package) {
+	r.res.Diags = append(r.res.Diags, p.Annots.Errors...)
+	bounds := len(r.res.Bounds)
+	r.declBound(p, "package", p.Annots.Pkg)
+	attached := make(map[token.Pos]bool) // loop-line directives a loop claimed
+	pub := &pubSafety{pubName: make(map[*types.Named]string)}
+	spec := newSpecPass(r, p)
+	// goown skips packages whose clause carries wf:blocking, as blocking does.
+	ownGo := p.Annots.Pkg == nil || p.Annots.Pkg.Mode != ModeBlocking
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			r.declBound(p, "func "+fd.Name.Name, p.Annots.Funcs[fd])
+			if fd.Body == nil {
+				continue
+			}
+			r.blocking.seed(p, fd)
+			spec.root(fd)
+			pub.gather(p, fd)
+			r.progressFunc(p, fd)
+			r.disciplineFunc(p, fd)
+			r.fsyncOrderFunc(p, fd)
+			r.ackPersistFunc(p, fd)
+			if r.All {
+				r.staleFunc(p, fd)
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					if ownGo {
+						r.goOwnStmt(p, fd, n)
+					}
+				case *ast.ForStmt, *ast.RangeStmt:
+					r.loopBound(p, fd, n, attached)
+					if r.All {
+						r.staleLoop(p, fd, n)
+					}
+				}
+				return true
+			})
+		}
 	}
-	SortDiagnostics(res.Diags)
-	return res
+	r.finishBounds(p, attached, bounds)
+	pub.join(r, p)
+	spec.audit()
+	r.atomicMix(p)
+	// Dead waivers and floating marks would silently excuse or exempt the
+	// next statement to appear on their line; every analyzer that consumes
+	// them has run.
+	for _, m := range p.Annots.UnusedMarks() {
+		if m.Verb == "waiver" {
+			r.report(p, "annot", m.Pos, "wf:waiver %s excuses no finding on its line — remove it (reason was: %s)", m.Mech, m.Note)
+		} else {
+			r.report(p, "annot", m.Pos, "wf:%s attaches to no audited statement — remove it or move it onto the marked line", m.Verb)
+		}
+	}
 }
 
 // moduleRoot finds the target package whose import path is the module path —
@@ -311,47 +399,4 @@ func moduleRoot(prog *Program, targets []*Package) *Package {
 		}
 	}
 	return nil
-}
-
-// unusedWaiverDiags errors every waiver the discipline analyzers did not
-// consume: a dead waiver would silently excuse the next finding to appear on
-// its line. Must run after singlewriter, monotone and abasafe.
-func unusedWaiverDiags(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, w := range p.Annots.UnusedWaivers() {
-		diags = append(diags, Diagnostic{
-			Pos: p.Fset.Position(w.Pos), Analyzer: "annot",
-			Message: fmt.Sprintf("wf:waiver %s excuses no finding on its line — remove it (reason was: %s)", w.Analyzer, w.Reason),
-		})
-	}
-	return diags
-}
-
-// unusedMarkDiags errors every //wf:ack, //wf:persist or //wf:owns mark no
-// analyzer attached to a statement: a floating mark would silently exempt
-// the statement it meant to pin. Must run after ackpersist and goown.
-func unusedMarkDiags(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, m := range p.Annots.UnusedMarks() {
-		diags = append(diags, Diagnostic{
-			Pos: p.Fset.Position(m.Pos), Analyzer: "annot",
-			Message: fmt.Sprintf("wf:%s attaches to no audited statement — remove it or move it onto the marked line", m.Verb),
-		})
-	}
-	return diags
-}
-
-// staleDiags runs the stale analyzer, applying the strict-mode promotion
-// and allowlist.
-func (c Config) staleDiags(prog *Program, targets []*Package) []Diagnostic {
-	diags := analyzeStale(prog, targets)
-	if !c.StrictStale {
-		return diags
-	}
-	for i := range diags {
-		if diags[i].Warn && !c.StaleAllow[staleKey(diags[i])] {
-			diags[i].Warn = false
-		}
-	}
-	return diags
 }
