@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -444,5 +445,54 @@ func TestKVWriteBytes(t *testing.T) {
 	put := seqspec.Op{Kind: "put", Args: []int64{77, 70}}
 	if got, limit := bytesPerRun(50, func() { u.Invoke(0, put) }), 1800.0; got > limit {
 		t.Errorf("a put into %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
+	}
+}
+
+// BenchmarkCommitterApply prices the server committer's apply, set up as
+// the server sets up a durable shard: 2 048 keys seeded through
+// KVFrom(KVOf(…)), 65 pids with log GC at the server's default, and one
+// writer, pid 64, putting. InvokeBatch at 1, 4 and 16 ops runs beside bare
+// seqspec.ApplyAll at the same sizes on a clone of the previous call's
+// state, which is what the construction's replay starts from; the gap is
+// what the construction costs on the one-writer path. ns/op and B/op are
+// per call: divide by the op count for a put's share.
+func BenchmarkCommitterApply(b *testing.B) {
+	const keys = 2048
+	pairs := make(map[int64]int64, keys)
+	for k := int64(0); k < keys; k++ {
+		pairs[k] = k
+	}
+	for _, n := range []int{1, 4, 16} {
+		args := make([][2]int64, n)
+		ops := make([]seqspec.Op, n)
+		for j := range ops {
+			ops[j] = seqspec.Op{Kind: "put", Args: args[j][:]}
+		}
+		out := make([]int64, n)
+		// next points the ops at fresh keys and values for call i.
+		next := func(i int) {
+			for j := range args {
+				args[j] = [2]int64{int64((i*n+j)*97) % keys, int64(i)}
+			}
+		}
+		b.Run(fmt.Sprintf("InvokeBatch/%d", n), func(b *testing.B) {
+			u := NewUniversal(seqspec.KVFrom(seqspec.KVOf(pairs)), NewSwapFAC(), 65, WithLogGC(DefaultGCEvery))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next(i)
+				u.InvokeBatch(64, ops, out)
+			}
+		})
+		b.Run(fmt.Sprintf("ApplyAll/%d", n), func(b *testing.B) {
+			st := seqspec.KVOf(pairs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next(i)
+				st = st.Clone()
+				seqspec.ApplyAll(st, ops, out)
+			}
+		})
 	}
 }

@@ -138,14 +138,20 @@ func (m *Memory) Size() int { return len(m.init) }
 // Init implements Object.
 func (m *Memory) Init() string { return EncodeValues(m.init) }
 
-// Apply implements Object.
+// Apply implements Object. It decodes into a stack buffer, and returns
+// state itself when a read or a write of the value already there leaves
+// the registers unchanged.
 func (m *Memory) Apply(state string, op Op) (string, Value) {
-	regs := DecodeValues(state)
+	var buf [8]Value
+	regs := appendValues(buf[:0], state)
 	resp := None
 	switch op.Kind {
 	case "read":
-		resp = regs[op.A]
+		return state, regs[op.A]
 	case "write":
+		if regs[op.A] == op.B {
+			return state, None
+		}
 		regs[op.A] = op.B
 	case "rmw":
 		f := m.fns[op.B]

@@ -127,18 +127,24 @@ func EncodeValues(vs []Value) string {
 }
 
 // DecodeValues parses a string produced by EncodeValues.
-func DecodeValues(s string) []Value {
-	if s == "" {
-		return nil
+func DecodeValues(s string) []Value { return appendValues(nil, s) }
+
+// appendValues appends the values encoded in s to dst, so a caller may
+// decode into a buffer of its own.
+func appendValues(dst []Value, s string) []Value {
+	for s != "" {
+		var v string
+		v, s, _ = strings.Cut(s, ",")
+		dst = append(dst, parseValue(v))
 	}
-	parts := strings.Split(s, ",")
-	vs := make([]Value, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			panic("model: corrupt state encoding: " + s)
-		}
-		vs[i] = Value(n)
+	return dst
+}
+
+// parseValue parses one encoded value.
+func parseValue(s string) Value {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		panic("model: corrupt state encoding: " + s)
 	}
-	return vs
+	return Value(n)
 }

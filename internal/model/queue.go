@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Queue is the FIFO queue model object of Section 3.3, with the total deq of
 // Section 2.2 (returns None on empty rather than blocking). With Augmented
@@ -41,27 +45,31 @@ func (q *Queue) Name() string { return q.name }
 // Init implements Object.
 func (q *Queue) Init() string { return EncodeValues(q.init) }
 
-// Apply implements Object.
+// Apply implements Object. It works on the encoding itself: the head is
+// the text before the first comma, and enq appends ",v".
 func (q *Queue) Apply(state string, op Op) (string, Value) {
-	items := DecodeValues(state)
 	switch op.Kind {
 	case "enq":
-		items = append(items, op.A)
-		return EncodeValues(items), None
+		v := strconv.Itoa(int(op.A))
+		if state == "" {
+			return v, None
+		}
+		return state + "," + v, None
 	case "deq":
-		if len(items) == 0 {
+		if state == "" {
 			return state, None
 		}
-		head := items[0]
-		return EncodeValues(items[1:]), head
+		head, rest, _ := strings.Cut(state, ",")
+		return rest, parseValue(head)
 	case "peek":
 		if !q.augmented {
 			panic("model: queue " + q.name + ": peek on non-augmented queue")
 		}
-		if len(items) == 0 {
+		if state == "" {
 			return state, None
 		}
-		return state, items[0]
+		head, _, _ := strings.Cut(state, ",")
+		return state, parseValue(head)
 	default:
 		panic(fmt.Sprintf("model: queue %q: unknown op kind %q", q.name, op.Kind))
 	}

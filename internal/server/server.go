@@ -44,7 +44,8 @@
 // still in flight on the key's shard, and a len unless it has writes in
 // flight on any shard. A read that is not inline is routed through the
 // committer's FIFO behind those writes (read-your-writes in program
-// order).
+// order): the committer answers a get from the newest of the drain's
+// writes to its key queued ahead of it, or from its shard's head.
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -430,14 +431,15 @@ func checkRoute(sh, shards int, key int64) error {
 	return nil
 }
 
-// runCommitter is every shard's single writer: it drains a batch of
-// pending requests from all shards (one blocking receive, then a
-// non-blocking sweep), assigns each shard's writes their dense seqs,
-// persists the whole drain as one frame through AppendBatch, then applies
-// it in arrival order. Each shard's writes wait in a pending run that one
-// InvokeBatch call applies; a routed get first applies its own shard's
-// run, a routed len every shard's, so each read sees the writes queued
-// ahead of it. Only then are the replies encoded, one pooled buffer per
+// runCommitter is every shard's single writer: it drains a batch of pending
+// requests from all shards (one blocking receive, then a non-blocking
+// sweep), assigns each shard's writes their dense seqs, persists the whole
+// drain as one frame through AppendBatch, then applies it in arrival order.
+// Each shard's writes wait in a pending run that one InvokeBatch call
+// applies; a routed get reads the newest write to its key in its shard's
+// run so far (pendingGet), else the shard's head, and a routed len applies
+// every shard's run first, so each read sees the writes queued ahead of it
+// and none behind. Only then are the replies encoded, one pooled buffer per
 // connection, and sent: written by the committer itself when a connection
 // has two or more and nobody else is writing to it, else handed to its
 // writer. Building them strictly after AppendBatch returns is the
@@ -445,9 +447,9 @@ func checkRoute(sh, shards int, key int64) error {
 // lose; wfvet's ackpersist analyzer checks that every marked ack below is
 // dominated by the marked group commit. The committer never waits on a
 // connection: it takes the connection's mutex only by TryLock, writes only
-// what the socket takes without blocking, and the window's slot tokens
-// make every completion send non-blocking. It returns a reply's slot token
-// only after its last use of the connection.
+// what the socket takes without blocking, and the window's slot tokens make
+// every completion send non-blocking. It returns a reply's slot token only
+// after its last use of the connection.
 //
 // Every SnapshotEvery records of a shard it persists the shard's own
 // state: as the shard's only writer, between drains its recovered initial
@@ -531,8 +533,10 @@ func (s *Server) runCommitter(boots []shardBoot) {
 				case !it.read:
 					pending[it.sh] = append(pending[it.sh], i)
 				case it.sh >= 0: // a get, behind its connection's writes to its shard
-					applyRun(it.sh)
-					it.v = s.kv.Invoke(pid, it.op)
+					var ok bool
+					if it.v, ok = pendingGet(batch, pending[it.sh], it.op.Arg(0)); !ok {
+						it.v = s.kv.Invoke(pid, it.op)
+					}
 				default: // a len, behind its connection's writes to every shard
 					for sh := range pending {
 						applyRun(sh)
@@ -957,6 +961,21 @@ func validateOp(op seqspec.Op) string {
 		return fmt.Sprintf("op %q takes %d args, got %d", op.Kind, want, len(op.Args))
 	}
 	return ""
+}
+
+// pendingGet answers a get of key from its shard's pending run (drain
+// indices into batch, oldest first): a put's value or Empty for a del, from
+// the newest write to key; false when none writes key.
+func pendingGet(batch []applyReq, run []int, key int64) (v int64, ok bool) {
+	for k := len(run) - 1; k >= 0; k-- {
+		if op := batch[run[k]].op; op.Arg(0) == key {
+			if op.Kind == "del" {
+				return seqspec.Empty, true
+			}
+			return op.Arg(1), true
+		}
+	}
+	return 0, false
 }
 
 // Close stops accepting, waits for in-flight connections, drains the

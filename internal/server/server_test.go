@@ -126,15 +126,35 @@ func TestServerPipelining(t *testing.T) {
 // against a persistent server, while the same stream runs sequentially on
 // a second fresh server. Program order per connection must be preserved —
 // every pipelined response, reassembled by request id, must equal the
-// sequential run's response at the same stream position.
+// sequential run's response at the same stream position. The 2-key input
+// puts same-drain put k; get k; put k sequences on every run, so a routed
+// get that read the shard's head instead of the writes queued ahead of it,
+// or saw a write queued behind it, would answer wrongly.
 func TestServerPipelinedDifferential(t *testing.T) {
-	const (
-		nOps  = 600
-		keys  = 16
-		depth = 32
-	)
-	rng := rand.New(rand.NewSource(42))
-	ops := make([]seqspec.Op, nOps)
+	const depth = 32
+	for _, in := range []struct {
+		name string
+		nOps int
+		keys int64
+	}{{"16keys", 600, 16}, {"2keys", 5000, 2}} {
+		t.Run(in.name, func(t *testing.T) {
+			ops := mixedOps(rand.New(rand.NewSource(42)), in.nOps, in.keys)
+			want := runDifferential(t, ops, false, depth)
+			got := runDifferential(t, ops, true, depth)
+			for i := range ops {
+				if got[i] != want[i] {
+					t.Fatalf("op %d (%s): pipelined response %d, sequential %d — program order broken",
+						i, ops[i], got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// mixedOps draws n ops over keys keys: a third puts, a sixth dels, a sixth
+// lens and a third gets.
+func mixedOps(rng *rand.Rand, n int, keys int64) []seqspec.Op {
+	ops := make([]seqspec.Op, n)
 	for i := range ops {
 		k := rng.Int63n(keys)
 		switch rng.Intn(6) {
@@ -148,72 +168,66 @@ func TestServerPipelinedDifferential(t *testing.T) {
 			ops[i] = seqspec.Op{Kind: "get", Args: []int64{k}}
 		}
 	}
+	return ops
+}
 
-	run := func(pipelined bool) []int64 {
-		s := startServer(t, Config{Shards: 4, Procs: 8, Dir: t.TempDir(), Window: depth})
-		cl, err := Dial(s.Addr().String())
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		defer cl.Close()
-		out := make([]int64, nOps)
-		if !pipelined {
-			for i, op := range ops {
-				v, err := cl.Do(op)
-				if err != nil {
-					t.Fatalf("sequential Do(%s): %v", op, err)
-				}
-				out[i] = v
-			}
-			return out
-		}
-		// Pipelined: keep up to depth requests in flight, reassemble by id.
-		idx := make(map[uint64]int, depth)
-		inFlight := 0
-		recv := func() {
-			id, v, err := cl.Recv()
-			if err != nil {
-				t.Fatalf("pipelined Recv: %v", err)
-			}
-			i, ok := idx[id]
-			if !ok {
-				t.Fatalf("response id %d: duplicate or never requested", id)
-			}
-			delete(idx, id)
-			out[i] = v
-			inFlight--
-		}
+// runDifferential runs ops on a fresh persistent server, one at a time or
+// pipelined with up to depth in flight, and returns each op's response.
+func runDifferential(t *testing.T, ops []seqspec.Op, pipelined bool, depth int) []int64 {
+	s := startServer(t, Config{Shards: 4, Procs: 8, Dir: t.TempDir(), Window: depth})
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	out := make([]int64, len(ops))
+	if !pipelined {
 		for i, op := range ops {
-			if inFlight == depth {
-				if err := cl.Flush(); err != nil {
-					t.Fatalf("Flush: %v", err)
-				}
-				recv()
-			}
-			id, err := cl.Send(op)
+			v, err := cl.Do(op)
 			if err != nil {
-				t.Fatalf("Send: %v", err)
+				t.Fatalf("sequential Do(%s): %v", op, err)
 			}
-			idx[id] = i
-			inFlight++
-		}
-		if err := cl.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		for inFlight > 0 {
-			recv()
+			out[i] = v
 		}
 		return out
 	}
-
-	want := run(false)
-	got := run(true)
-	for i := range ops {
-		if got[i] != want[i] {
-			t.Fatalf("op %d (%s): pipelined response %d, sequential %d — program order broken",
-				i, ops[i], got[i], want[i])
+	// Pipelined: keep up to depth requests in flight, reassemble by id.
+	idx := make(map[uint64]int, depth)
+	inFlight := 0
+	recv := func() {
+		id, v, err := cl.Recv()
+		if err != nil {
+			t.Fatalf("pipelined Recv: %v", err)
 		}
+		i, ok := idx[id]
+		if !ok {
+			t.Fatalf("response id %d: duplicate or never requested", id)
+		}
+		delete(idx, id)
+		out[i] = v
+		inFlight--
 	}
+	for i, op := range ops {
+		if inFlight == depth {
+			if err := cl.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			recv()
+		}
+		id, err := cl.Send(op)
+		if err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		idx[id] = i
+		inFlight++
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	for inFlight > 0 {
+		recv()
+	}
+	return out
 }
 
 // TestServerPipelinedArgsReuse: the reader decodes every request into one
@@ -430,26 +444,20 @@ func TestServerPoolExhausted(t *testing.T) {
 }
 
 // TestServerConcurrentLinearizable: concurrent clients over real sockets
-// record a history that must linearize against the sequential KV.
+// record a history that must linearize against the sequential KV. In the
+// durable case every client pipelines put k; get k on 2 shared keys, so
+// each get is routed behind its own put and answered by the committer from
+// a drain that also holds other connections' writes to k. Pipelined ops of
+// one client are concurrent, so each is recorded as its own process.
 func TestServerConcurrentLinearizable(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Procs: 16})
 	const (
 		clients = 6
 		ops     = 12
 		keys    = 2
 	)
-	var rec linearize.Recorder
-	var wg sync.WaitGroup
-	for p := 0; p < clients; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			cl, err := Dial(s.Addr().String())
-			if err != nil {
-				t.Errorf("Dial: %v", err)
-				return
-			}
-			defer cl.Close()
+	t.Run("memory", func(t *testing.T) {
+		s := startServer(t, Config{Shards: 2, Procs: 16})
+		checkLinearizable(t, s, clients, func(p int, cl *Client, rec *linearize.Recorder) error {
 			rng := rand.New(rand.NewSource(int64(p) * 7919))
 			for i := 0; i < ops; i++ {
 				var op seqspec.Op
@@ -464,10 +472,75 @@ func TestServerConcurrentLinearizable(t *testing.T) {
 				ts := rec.Invoke()
 				v, err := cl.Do(op)
 				if err != nil {
-					t.Errorf("Do(%s): %v", op, err)
-					return
+					return fmt.Errorf("Do(%s): %w", op, err)
 				}
 				rec.Complete(p, op, v, ts)
+			}
+			return nil
+		})
+	})
+	t.Run("durable-pipelined", func(t *testing.T) {
+		s := startServer(t, Config{Shards: 2, Procs: 16, Dir: t.TempDir()})
+		const rounds = ops / 2
+		checkLinearizable(t, s, clients, func(p int, cl *Client, rec *linearize.Recorder) error {
+			rng := rand.New(rand.NewSource(int64(p) * 7919))
+			for i := 0; i < rounds; i++ {
+				k := rng.Int63n(keys)
+				pair := [2]seqspec.Op{
+					{Kind: "put", Args: []int64{k, rng.Int63n(50)}},
+					{Kind: "get", Args: []int64{k}},
+				}
+				var ids [2]uint64
+				var ts [2]int64
+				for j, op := range pair {
+					ts[j] = rec.Invoke()
+					id, err := cl.Send(op)
+					if err != nil {
+						return fmt.Errorf("Send(%s): %w", op, err)
+					}
+					ids[j] = id
+				}
+				if err := cl.Flush(); err != nil {
+					return fmt.Errorf("Flush: %w", err)
+				}
+				for range pair {
+					id, v, err := cl.Recv()
+					if err != nil {
+						return fmt.Errorf("Recv: %w", err)
+					}
+					j := 0
+					if id == ids[1] {
+						j = 1
+					} else if id != ids[0] {
+						return fmt.Errorf("response id %d, want %d or %d", id, ids[0], ids[1])
+					}
+					rec.Complete((p*rounds+i)*2+j, pair[j], v, ts[j])
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// checkLinearizable runs clients connections to s at once, each driven by
+// run, and requires the history they record to linearize against the
+// sequential KV.
+func checkLinearizable(t *testing.T, s *Server, clients int, run func(p int, cl *Client, rec *linearize.Recorder) error) {
+	t.Helper()
+	var rec linearize.Recorder
+	var wg sync.WaitGroup
+	for p := 0; p < clients; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+				return
+			}
+			defer cl.Close()
+			if err := run(p, cl, &rec); err != nil {
+				t.Errorf("client %d: %v", p, err)
 			}
 		}(p)
 	}
