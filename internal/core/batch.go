@@ -33,7 +33,10 @@ const entryChunk = 4
 // unchanged. If a concurrent pid's snapshot lands above one of the
 // batch's entries (stopping the settling replay early), the straggler is
 // re-resolved from its own cons result — the bound stays one bounded
-// replay per unresolved entry, same as Invoke.
+// replay per unresolved entry, same as Invoke. pid's GC register takes the
+// settling pass's stop only after the stragglers: until then it stays at
+// or below every straggler's stopping point, so no sever can cut the cells
+// a straggler's walk still has to pass.
 func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 	if len(ops) == 0 {
 		return
@@ -64,7 +67,10 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 	// One pass for the wave: the walk down from the last entry's prior
 	// traverses every earlier batch entry (they are below it and carry no
 	// snapshot yet) and publishes its response.
-	out[len(ops)-1] = u.execute(pid, entries[len(entries)-1], priors[len(priors)-1], true)
+	last := entries[len(entries)-1]
+	var stop int64
+	var published int
+	out[len(ops)-1], stop, published = u.execute(pid, last, priors[len(priors)-1], true)
 	//wf:bounded [B] one result collection (and at most one straggler replay) per batch entry
 	for i, e := range entries[:len(entries)-1] {
 		if v, ok := e.Result(); ok {
@@ -73,10 +79,13 @@ func (u *Universal) InvokeBatch(pid int, ops []seqspec.Op, out []int64) {
 		}
 		// Straggler: a concurrent pid's snapshot stopped the settling pass
 		// above this entry. Resolve it from its own decided prior, exactly
-		// as Invoke would have, in one window with its own op.
-		_, out[i], _ = u.replayPublish(pid, priors[i], e, false)
+		// as Invoke would have, in one window with its own op. Its walk
+		// stops below the settling pass's stop, so pid's register stays
+		// where it was until the last straggler is resolved.
+		_, out[i], _, _ = u.replayPublish(pid, priors[i], e, false)
 		e.Publish(out[i])
 	}
+	u.gcSettle(pid, last, stop, published > 0)
 	clear(entries)
 	clear(priors)
 	sc.entries, sc.priors = entries[:0], priors[:0]

@@ -217,6 +217,19 @@ func (u *Universal) gcObserve(pid int, stop int64) {
 	}
 }
 
+// gcSettle ends pid's write operation e: publish stop, the snapshot index
+// its replay stopped at, and advance the mark on schedule (every gcEvery-th
+// seq, or at once after a pass that published a wave's responses, paying
+// the min-scan once for the whole wave). Call it only once pid has no walk
+// left to make in the operation: a straggler's replay in InvokeBatch walks
+// below the settling pass's stop, which the register must not pass first.
+func (u *Universal) gcSettle(pid int, e *Entry, stop int64, published bool) {
+	u.gcObserve(pid, stop)
+	if u.gcEvery > 0 && (published || e.Seq%u.gcEvery == 0) {
+		u.gcAdvance()
+	}
+}
+
 // gcAttach arms pid's observed-prefix register for the min-scan. Called at
 // the top of every Invoke; the common case is one load of the pid's own
 // padded flag. On a genuine (re-)attach it validates the register against

@@ -531,6 +531,65 @@ func TestDetachSoakLinearizable(t *testing.T) {
 	}
 }
 
+// hookFAC runs before, when set, ahead of each cons it forwards: a test's
+// way to land another pid's whole operation between two entries of a wave.
+type hookFAC struct {
+	*SwapFAC
+	before func(pid int)
+}
+
+func (f *hookFAC) FetchAndCons(pid int, e *Entry) *Node {
+	if f.before != nil {
+		f.before(pid)
+	}
+	return f.SwapFAC.FetchAndCons(pid, e)
+}
+
+// TestBatchStragglerSurvivesSwing forces InvokeBatch's straggler path next
+// to an anchor swing. Pid 1's put lands between the second and third entry
+// of pid 0's wave and stores its snapshot there, then pid 1 detaches; so
+// the settling pass stops at pid 1's snapshot and the wave's first two
+// entries are stragglers. The second straggler replays from the first
+// entry's cell, which carries no snapshot. Pid 0's register must stay
+// below the stragglers until they are resolved: were it raised to pid 1's
+// snapshot first, the swing at that snapshot would sever the cells below
+// it (the chunk rule of gcSwing), the second straggler's walk would reach
+// nil and answer put(1,12) from an empty state. The swing itself happens
+// once the stragglers are resolved.
+func TestBatchStragglerSurvivesSwing(t *testing.T) {
+	fac := &hookFAC{SwapFAC: NewSwapFAC()}
+	u := NewUniversal(seqspec.KV{}, fac, 2, WithLogGC(1))
+	put := func(k, v int64) seqspec.Op { return seqspec.Op{Kind: "put", Args: []int64{k, v}} }
+	if got := u.Invoke(0, put(1, 10)); got != seqspec.Empty {
+		t.Fatalf("first put = %d, want Empty", got)
+	}
+	conses := 0
+	fac.before = func(pid int) {
+		if pid != 0 {
+			return
+		}
+		if conses++; conses == 3 {
+			u.Invoke(1, put(3, 30))
+			u.Detach(1)
+		}
+	}
+	out := make([]int64, 3)
+	u.InvokeBatch(0, []seqspec.Op{put(2, 20), put(1, 12), put(2, 21)}, out)
+	fac.before = nil
+	if want := []int64{seqspec.Empty, 10, 20}; fmt.Sprint(out) != fmt.Sprint(want) {
+		t.Fatalf("wave answered %v, want %v", out, want)
+	}
+	// Log indices: the first put 1, the wave's entries 2, 3 and 5, pid 1's
+	// put 4. Its snapshot is the newest pid 0 stopped at, so the swing
+	// anchors there.
+	if got := u.Anchor(); got != 4 {
+		t.Fatalf("anchor at %d, want 4 (pid 1's snapshot): no swing after the stragglers", got)
+	}
+	if got := u.Invoke(0, seqspec.Op{Kind: "get", Args: []int64{1}}); got != 12 {
+		t.Fatalf("get(1) = %d, want 12", got)
+	}
+}
+
 // TestLogGCSoakLinearizable is the -race soak hammer: concurrent writers and
 // readers over both fetch-and-cons constructions, batched and not, with the
 // mark advanced as aggressively as possible — every write attempts it

@@ -215,19 +215,22 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 	}
 	e := newEntry(pid, u.seqs[pid].Add(1), op)
 	u.stats.consOps.Inc()
-	return u.execute(pid, e, u.fac.FetchAndCons(pid, e), false)
+	resp, stop, _ := u.execute(pid, e, u.fac.FetchAndCons(pid, e), false)
+	u.gcSettle(pid, e, stop, false)
+	return resp
 }
 
 // execute is the second step of every write path (Figure 4-2's replay,
 // then Section 4.1's snapshot): replay prior — the decided list below e —
-// and e's own operation in one edit window, publish e's response, store
-// the resulting state as e's snapshot, and advance the GC mark on
-// schedule. It returns e's response. With help set (InvokeBatch) the replay
-// publishes the response of every entry it applies whose slot is still
-// empty, the pass counts as one batch, and a pass that published any
-// advances the mark at once, paying the min-scan once for the whole wave.
-func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) int64 {
-	state, resp, published := u.replayPublish(pid, prior, e, help)
+// and e's own operation in one edit window, publish e's response and store
+// the resulting state as e's snapshot. It returns e's response, the log
+// index its replay stopped at and how many responses it published; the
+// caller hands the stop to gcSettle once pid has no walk left to make.
+// With help set (InvokeBatch) the replay publishes the response of every
+// entry it applies whose slot is still empty and the pass counts as one
+// batch.
+func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, int64, int) {
+	state, resp, published, stop := u.replayPublish(pid, prior, e, help)
 	e.Publish(resp)
 	if u.truncate {
 		u.storeSnapshot(e, state)
@@ -235,10 +238,7 @@ func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) int64 {
 	if help {
 		u.stats.batchLen.Observe(int64(published) + 1)
 	}
-	if u.gcEvery > 0 && (published > 0 || e.Seq%u.gcEvery == 0) {
-		u.gcAdvance()
-	}
-	return resp
+	return resp, stop, published
 }
 
 // storeSnapshot stores state, the state after e's own operation, as e's
@@ -298,7 +298,8 @@ func (u *Universal) State(pid int) seqspec.State {
 // first), stopping early at snapshots when present. The result is private:
 // a clone of the snapshot the walk stopped at, or a fresh Init.
 func (u *Universal) replay(pid int, list *Node) seqspec.State {
-	state, _, _ := u.replayPublish(pid, list, nil, false)
+	state, _, _, stop := u.replayPublish(pid, list, nil, false)
+	u.gcObserve(pid, stop)
 	return state
 }
 
@@ -307,16 +308,18 @@ func (u *Universal) replay(pid int, list *Node) seqspec.State {
 // snapshot it stops at, oldest first, followed by own's op when own is
 // non-nil, and applies them in one seqspec.ApplyAll: one edit window, so a
 // KV replay copies each trie node the window's puts share once, not once
-// per put. It returns the state, own's response, and — with help set — how
-// many of the applied entries' empty result slots it filled from the
-// window's responses. The entry it stops at needs neither: its snapshot is
+// per put. It returns the state, own's response, with help set how many of
+// the applied entries' empty result slots it filled from the window's
+// responses, and the log index of the snapshot it stopped at (0 at the
+// log's origin), which it leaves to the caller to publish to pid's GC
+// register (gcObserve). The entry it stops at needs neither: its snapshot is
 // the state after its op, and execute publishes an entry's response before
 // storing its snapshot, so that entry's slot is already full. Publication
 // is sound because list is decided — every replayer reconstructs the same
 // state below each entry (Lemma 24's coherence plus snapshot correctness),
 // and Apply is deterministic (the seqspec response-publication contract),
 // so concurrent publishers store identical values.
-func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (seqspec.State, int64, int) {
+func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (seqspec.State, int64, int, int64) {
 	sc := &u.scratch[pid]
 	pending := sc.pending[:0]
 	var state seqspec.State
@@ -371,8 +374,7 @@ func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (s
 	// len(pending) entries, and the operation around this replay spends a
 	// constant on its cons or observe, its own apply, and publication.
 	u.stats.opSteps.Observe(2*int64(len(pending)) + 4)
-	u.gcObserve(pid, stop)
-	return state, resp, published
+	return state, resp, published, stop
 }
 
 // publishIfEmpty fills e's result slot if no one has, reporting 1 when this

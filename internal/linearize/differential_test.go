@@ -15,6 +15,7 @@ func naiveCheck(obj seqspec.Object, h []Event) bool {
 	n := len(h)
 	perm := make([]int, n)
 	used := make([]bool, n)
+	pred := predecessors(h)
 	var rec func(k int, state seqspec.State) bool
 	rec = func(k int, state seqspec.State) bool {
 		if k == n {
@@ -32,7 +33,7 @@ func naiveCheck(obj seqspec.Object, h []Event) bool {
 					break
 				}
 			}
-			if !ok {
+			if !ok || pred[i] >= 0 && !used[pred[i]] {
 				continue
 			}
 			next := state.Clone()
@@ -155,6 +156,51 @@ func TestDifferentialQueue(t *testing.T) {
 	t.Logf("agreed on %d linearizable and %d non-linearizable histories", agreeYes, agreeNo)
 	if agreeYes == 0 || agreeNo == 0 {
 		t.Error("differential corpus did not cover both verdicts")
+	}
+}
+
+// withProgramOrder gives about half of h's events an After edge to an
+// earlier-invoked event whose Invoke stamp no other event shares.
+func withProgramOrder(rng *rand.Rand, h []Event) []Event {
+	stamps := make(map[int64]int, len(h))
+	for _, e := range h {
+		stamps[e.Invoke]++
+	}
+	for i := range h {
+		j := rng.Intn(len(h))
+		if rng.Intn(2) == 0 && h[j].Invoke < h[i].Invoke && stamps[h[j].Invoke] == 1 {
+			h[i].After = h[j].Invoke
+		}
+	}
+	return h
+}
+
+// TestDifferentialProgramOrder: the two checkers also agree once events
+// carry program-order predecessors, and some edge changes a verdict.
+func TestDifferentialProgramOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	objs := map[string]seqspec.Object{"register": seqspec.Register{}, "queue": seqspec.Queue{}}
+	flipped := 0
+	for trial := 0; trial < 3000; trial++ {
+		name := []string{"register", "queue"}[trial%2]
+		h := withProgramOrder(rng, randomHistory(rng, name, 2+rng.Intn(5)))
+		fast := Check(objs[name], h).OK
+		if slow := naiveCheck(objs[name], h); fast != slow {
+			for _, e := range h {
+				t.Logf("  %s", e)
+			}
+			t.Fatalf("trial %d: Check=%v naive=%v", trial, fast, slow)
+		}
+		bare := append([]Event(nil), h...)
+		for i := range bare {
+			bare[i].After = 0
+		}
+		if Check(objs[name], bare).OK != fast {
+			flipped++
+		}
+	}
+	if flipped == 0 {
+		t.Error("no program-order edge changed a verdict: the corpus does not exercise After")
 	}
 }
 

@@ -8,7 +8,10 @@
 // The checker is the classic Wing–Gould search: pick a minimal operation
 // (one not really-time-preceded by any other pending operation), apply it to
 // the sequential specification, match the response, recurse; memoize on the
-// (remaining-set, state) pair.
+// (remaining-set, state) pair. An event may also name a program-order
+// predecessor (Event.After), which the search linearizes first: the
+// promise of an object whose clients pipeline, where a client's read may
+// overlap its own earlier write in real time yet must see it.
 //
 //wf:blocking test instrumentation: history recording takes a lock and the checker is an offline search, not a protocol
 package linearize
@@ -31,11 +34,20 @@ type Event struct {
 	Resp   int64
 	Invoke int64 // logical invocation timestamp
 	Return int64 // logical response timestamp
+	// After, when nonzero, is the Invoke stamp of the event's program-order
+	// predecessor in the same history: an event that takes effect first
+	// even where the two overlap in real time. The stamp must name exactly
+	// one event (a Recorder's stamps are unique).
+	After int64
 }
 
 // String renders the event.
 func (e Event) String() string {
-	return fmt.Sprintf("P%d %s=%d [%d,%d]", e.Pid, e.Op, e.Resp, e.Invoke, e.Return)
+	s := fmt.Sprintf("P%d %s=%d [%d,%d]", e.Pid, e.Op, e.Resp, e.Invoke, e.Return)
+	if e.After != 0 {
+		s += fmt.Sprintf(" after %d", e.After)
+	}
+	return s
 }
 
 // Recorder captures a concurrent history with a logical clock. It is safe
@@ -51,9 +63,15 @@ func (r *Recorder) Invoke() int64 { return r.clock.Add(1) }
 
 // Complete records a finished operation.
 func (r *Recorder) Complete(pid int, op seqspec.Op, resp int64, invokeTS int64) {
+	r.CompleteAfter(pid, op, resp, invokeTS, 0)
+}
+
+// CompleteAfter records a finished operation whose program-order
+// predecessor is the operation invoked at after (see Event.After).
+func (r *Recorder) CompleteAfter(pid int, op seqspec.Op, resp int64, invokeTS, after int64) {
 	ret := r.clock.Add(1)
 	r.mu.Lock()
-	r.events = append(r.events, Event{Pid: pid, Op: op, Resp: resp, Invoke: invokeTS, Return: ret})
+	r.events = append(r.events, Event{Pid: pid, Op: op, Resp: resp, Invoke: invokeTS, Return: ret, After: after})
 	r.mu.Unlock()
 }
 
@@ -96,6 +114,7 @@ func CheckWithPending(obj seqspec.Object, h []Event, pending []Event) Result {
 	c := &checker{
 		events:    events,
 		completed: nc,
+		pred:      predecessors(events),
 		memo:      make(map[string]bool),
 	}
 	// Only completed events are obligations; pending ones are optional, so
@@ -116,8 +135,35 @@ func CheckWithPending(obj seqspec.Object, h []Event, pending []Event) Result {
 
 type checker struct {
 	events    []Event
-	completed int // events[:completed] must linearize; the rest may
+	completed int   // events[:completed] must linearize; the rest may
+	pred      []int // pred[i]: the index of event i's After, -1 for none
 	memo      map[string]bool
+}
+
+// predecessors resolves each event's After stamp to an index into events;
+// it panics on a stamp that names no event or more than one.
+func predecessors(events []Event) []int {
+	byInvoke := make(map[int64]int, len(events))
+	for i, e := range events {
+		if _, dup := byInvoke[e.Invoke]; dup {
+			byInvoke[e.Invoke] = -1
+		} else {
+			byInvoke[e.Invoke] = i
+		}
+	}
+	pred := make([]int, len(events))
+	for i, e := range events {
+		pred[i] = -1
+		if e.After == 0 {
+			continue
+		}
+		p, ok := byInvoke[e.After]
+		if !ok || p < 0 {
+			panic(fmt.Sprintf("linearize: %s: After names no single event invoked at %d", e, e.After))
+		}
+		pred[i] = p
+	}
+	return pred
 }
 
 // search tries to linearize all remaining completed events from state,
@@ -166,6 +212,11 @@ func (c *checker) search(remaining *bitset, state seqspec.State, order *[]int) b
 		e := c.events[i]
 		if e.Invoke > minOtherReturn(i) {
 			continue // some remaining completed op really precedes e
+		}
+		// A set bit marks a completed event still to place, a pending one
+		// already placed.
+		if p := c.pred[i]; p >= 0 && remaining.get(p) != (p >= c.completed) {
+			continue // e's program-order predecessor is not linearized yet
 		}
 		next := state.Clone()
 		resp := next.Apply(e.Op)

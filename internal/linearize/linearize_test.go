@@ -151,6 +151,42 @@ func TestPendingOperations(t *testing.T) {
 	}
 }
 
+// TestProgramOrder: a read that overlaps its own client's earlier write in
+// real time may miss the write, unless it names the write as its
+// program-order predecessor; the Recorder carries the edge.
+func TestProgramOrder(t *testing.T) {
+	reg := seqspec.Register{}
+	write := ev(0, "write", []int64{5}, 0, 1, 4)
+	read := ev(0, "read", nil, 0, 2, 3)
+	if !Check(reg, []Event{write, read}).OK {
+		t.Fatal("an overlapping read may miss the write")
+	}
+	read.After = write.Invoke
+	if Check(reg, []Event{write, read}).OK {
+		t.Error("a read after its own write must see it")
+	}
+	read.Resp = 5
+	if !Check(reg, []Event{write, read}).OK {
+		t.Error("a read that sees its own write linearizes")
+	}
+
+	var rec Recorder
+	w, r := rec.Invoke(), rec.Invoke()
+	rec.CompleteAfter(1, seqspec.Op{Kind: "read"}, 0, r, w)
+	rec.Complete(1, seqspec.Op{Kind: "write", Args: []int64{5}}, 0, w)
+	if h := rec.History(); Check(reg, h).OK {
+		t.Errorf("recorded read after its own write linearized with a stale value: %v", h)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("an After that names no event must panic")
+		}
+	}()
+	read.After = 99
+	Check(reg, []Event{write, read})
+}
+
 // TestSequentialAlwaysLinearizable: any actually-sequential execution of any
 // object is linearizable; the recorder timestamps make it so by
 // construction. Uses testing/quick over random op streams.

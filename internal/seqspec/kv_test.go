@@ -198,6 +198,32 @@ func kvRandOp(r *rand.Rand, pool []int64) Op {
 	return Op{Kind: "len"}
 }
 
+// TestKVHasStoredEmpty: presence is the trie's, not get's: a key that
+// holds Empty is present, and a key that never was or was deleted is not,
+// including one that shares all but its last hash bits with a present key.
+func TestKVHasStoredEmpty(t *testing.T) {
+	s := KV{}.Init()
+	base := kvHash(7) &^ 0xf
+	near, far := kvUnhash(base|1), kvUnhash(base|2)
+	s.Apply(Op{Kind: "put", Args: []int64{near, Empty}})
+	s.Apply(Op{Kind: "put", Args: []int64{3, 0}})
+	for _, c := range []struct {
+		k    int64
+		want bool
+	}{{near, true}, {3, true}, {far, false}, {4, false}} {
+		if got := KVHas(s, c.k); got != c.want {
+			t.Errorf("KVHas(%d) = %v, want %v", c.k, got, c.want)
+		}
+	}
+	s.Apply(Op{Kind: "del", Args: []int64{near}})
+	if KVHas(s, near) {
+		t.Error("KVHas after del = true")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { KVHas(s, 3) }); allocs != 0 {
+		t.Errorf("KVHas allocates %.0f times", allocs)
+	}
+}
+
 // TestKVStateDifferential drives random put/get/del/len against a map
 // model over three key pools, cloning at random points after which both
 // sides keep mutating; every response and every live replica's Key and
@@ -218,6 +244,11 @@ func TestKVStateDifferential(t *testing.T) {
 				op := kvRandOp(r, pool)
 				if got, want := rp.s.Apply(op), kvModelApply(rp.m, op); got != want {
 					t.Fatalf("op %d %v: got %d, want %d", i, op, got, want)
+				}
+				if len(op.Args) > 0 {
+					if _, in := rp.m[op.Arg(0)]; KVHas(rp.s, op.Arg(0)) != in {
+						t.Fatalf("op %d %v: KVHas = %v, want %v", i, op, !in, in)
+					}
 				}
 			}
 			for i, rp := range reps {

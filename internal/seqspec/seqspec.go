@@ -845,6 +845,15 @@ func (s *kvState) Key() string {
 	return string(b)
 }
 
+// KVHas reports whether k is present in st, which must come from KV (any
+// other State panics), without allocating. Presence is not get(k) != Empty:
+// a put may store Empty.
+func KVHas(st State, k int64) bool {
+	var path [kvMaxDepth]kvFrame
+	_, leaf, hit := st.(*kvState).descend(kvHash(k), &path)
+	return hit && leaf.key == k
+}
+
 // KVPairs returns the contents of a KV state as a fresh map the caller
 // owns. It is how the server persists a shard's state; st must come from
 // KV (any other State panics).

@@ -45,7 +45,10 @@
 // flight on any shard. A read that is not inline is routed through the
 // committer's FIFO behind those writes (read-your-writes in program
 // order): the committer answers a get from the newest of the drain's
-// writes to its key queued ahead of it, or from its shard's head.
+// writes to its key queued ahead of it, or from its shard's head, and a
+// len from every shard's head plus the net change in keys of the drain's
+// writes queued ahead of it — one atomic cut, since only the committer
+// conses in durable mode.
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -434,22 +437,25 @@ func checkRoute(sh, shards int, key int64) error {
 // runCommitter is every shard's single writer: it drains a batch of pending
 // requests from all shards (one blocking receive, then a non-blocking
 // sweep), assigns each shard's writes their dense seqs, persists the whole
-// drain as one frame through AppendBatch, then applies it in arrival order.
-// Each shard's writes wait in a pending run that one InvokeBatch call
-// applies; a routed get reads the newest write to its key in its shard's
-// run so far (pendingGet), else the shard's head, and a routed len applies
-// every shard's run first, so each read sees the writes queued ahead of it
-// and none behind. Only then are the replies encoded, one pooled buffer per
-// connection, and sent: written by the committer itself when a connection
-// has two or more and nobody else is writing to it, else handed to its
-// writer. Building them strictly after AppendBatch returns is the
-// durability contract — no client can observe a write that a crash could
-// lose; wfvet's ackpersist analyzer checks that every marked ack below is
-// dominated by the marked group commit. The committer never waits on a
-// connection: it takes the connection's mutex only by TryLock, writes only
-// what the socket takes without blocking, and the window's slot tokens make
-// every completion send non-blocking. It returns a reply's slot token only
-// after its last use of the connection.
+// drain as one frame through AppendBatch, then answers its reads in arrival
+// order and applies each shard's run of writes with one InvokeBatch. No
+// write is applied before the drain's last read: a routed get reads the
+// newest write to its key in its shard's run ahead of it (pendingWrite),
+// else the shard's head; a routed len adds to the shards' heads the net
+// change in keys of the writes ahead of it (presence from the run's newest
+// earlier write to the key, else the head's trie), counting each write once
+// per drain. So each read sees the writes queued ahead of it and none
+// behind, and a len is one atomic cut of every shard. Only then are the
+// replies encoded, one pooled buffer per connection, and sent: written by
+// the committer itself when a connection has two or more and nobody else is
+// writing to it, else handed to its writer. Building them strictly after
+// AppendBatch returns is the durability contract — no client can observe a
+// write that a crash could lose; wfvet's ackpersist analyzer checks that
+// every marked ack below is dominated by the marked group commit. The
+// committer never waits on a connection: it takes the connection's mutex
+// only by TryLock, writes only what the socket takes without blocking, and
+// the window's slot tokens make every completion send non-blocking. It
+// returns a reply's slot token only after its last use of the connection.
 //
 // Every SnapshotEvery records of a shard it persists the shard's own
 // state: as the shard's only writer, between drains its recovered initial
@@ -467,28 +473,12 @@ func (s *Server) runCommitter(boots []shardBoot) {
 	}
 	batch := make([]applyReq, 0, drainCap*len(boots))
 	recs := make([]logstore.Record, 0, cap(batch))
-	pending := make([][]int, len(boots)) // per shard: drain indices of unapplied writes
+	pending := make([][]int, len(boots))       // per shard: drain indices of unapplied writes
+	counted := make([]int, len(boots))         // per shard: the pending writes a len has counted
+	heads := make([]seqspec.State, len(boots)) // per shard: its head, taken once per drain by a len
 	runOps := make([]seqspec.Op, 0, cap(batch))
 	runOut := make([]int64, cap(batch))
 	acked := make([]*connState, 0, cap(batch)) // the drain's connections, each with its replies in ack
-	// applyRun applies shard sh's pending writes in one InvokeBatch call
-	// and keeps each result in its request for the ack.
-	applyRun := func(sh int) {
-		run := pending[sh]
-		if len(run) == 0 {
-			return
-		}
-		runOps = runOps[:0]
-		for _, i := range run {
-			runOps = append(runOps, batch[i].op)
-		}
-		s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
-		for k, i := range run {
-			batch[i].v = runOut[k]
-		}
-		sinceSnap[sh] += len(run)
-		pending[sh] = run[:0]
-	}
 	for req := range s.commits {
 		batch = append(batch[:0], req)
 	gather:
@@ -528,25 +518,61 @@ func (s *Server) runCommitter(boots []shardBoot) {
 				seq[sh] += n
 			}
 			s.recsLogged.Add(int64(len(recs)))
+			var grown int64 // the net change in keys of the writes the drain's lens have counted
 			for i := range batch {
 				switch it := &batch[i]; {
 				case !it.read:
 					pending[it.sh] = append(pending[it.sh], i)
 				case it.sh >= 0: // a get, behind its connection's writes to its shard
-					var ok bool
-					if it.v, ok = pendingGet(batch, pending[it.sh], it.op.Arg(0)); !ok {
+					switch w, ok := pendingWrite(batch, pending[it.sh], it.op.Arg(0)); {
+					case !ok:
 						it.v = s.kv.Invoke(pid, it.op)
+					case w.Kind == "del":
+						it.v = seqspec.Empty
+					default:
+						it.v = w.Arg(1)
 					}
 				default: // a len, behind its connection's writes to every shard
-					for sh := range pending {
-						applyRun(sh)
+					for sh, run := range pending {
+						for k := counted[sh]; k < len(run); k++ {
+							op := batch[run[k]].op
+							w, ok := pendingWrite(batch, run[:k], op.Arg(0))
+							had := ok && w.Kind == "put"
+							if !ok {
+								if heads[sh] == nil {
+									heads[sh] = s.kv.Shard(sh).State(pid)
+								}
+								had = seqspec.KVHas(heads[sh], op.Arg(0))
+							}
+							if op.Kind == "put" && !had {
+								grown++
+							} else if op.Kind == "del" && had {
+								grown--
+							}
+						}
+						counted[sh] = len(run)
 					}
-					it.v = s.kv.Invoke(pid, it.op)
+					it.v = s.kv.Invoke(pid, it.op) + grown
 				}
 			}
-			for sh := range pending {
-				applyRun(sh)
+			// One InvokeBatch per shard, keeping each result for the ack.
+			for sh, run := range pending {
+				if len(run) == 0 {
+					continue
+				}
+				runOps = runOps[:0]
+				for _, i := range run {
+					runOps = append(runOps, batch[i].op)
+				}
+				s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
+				for k, i := range run {
+					batch[i].v = runOut[k]
+				}
+				sinceSnap[sh] += len(run)
+				pending[sh] = run[:0]
 			}
+			clear(counted)
+			clear(heads)
 		}
 		clear(drained)
 		for i := range batch {
@@ -963,19 +989,15 @@ func validateOp(op seqspec.Op) string {
 	return ""
 }
 
-// pendingGet answers a get of key from its shard's pending run (drain
-// indices into batch, oldest first): a put's value or Empty for a del, from
-// the newest write to key; false when none writes key.
-func pendingGet(batch []applyReq, run []int, key int64) (v int64, ok bool) {
+// pendingWrite returns the newest write to key in a shard's pending run
+// (drain indices into batch, oldest first); false when none writes key.
+func pendingWrite(batch []applyReq, run []int, key int64) (seqspec.Op, bool) {
 	for k := len(run) - 1; k >= 0; k-- {
 		if op := batch[run[k]].op; op.Arg(0) == key {
-			if op.Kind == "del" {
-				return seqspec.Empty, true
-			}
-			return op.Arg(1), true
+			return op, true
 		}
 	}
-	return 0, false
+	return seqspec.Op{}, false
 }
 
 // Close stops accepting, waits for in-flight connections, drains the

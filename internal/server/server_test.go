@@ -129,16 +129,20 @@ func TestServerPipelining(t *testing.T) {
 // sequential run's response at the same stream position. The 2-key input
 // puts same-drain put k; get k; put k sequences on every run, so a routed
 // get that read the shard's head instead of the writes queued ahead of it,
-// or saw a write queued behind it, would answer wrongly.
+// or saw a write queued behind it, would answer wrongly. The lens input
+// does the same for a routed len's count of the writes queued ahead of it.
 func TestServerPipelinedDifferential(t *testing.T) {
 	const depth = 32
 	for _, in := range []struct {
 		name string
-		nOps int
-		keys int64
-	}{{"16keys", 600, 16}, {"2keys", 5000, 2}} {
+		ops  []seqspec.Op
+	}{
+		{"16keys", mixedOps(rand.New(rand.NewSource(42)), 600, 16)},
+		{"2keys", mixedOps(rand.New(rand.NewSource(42)), 5000, 2)},
+		{"lens", lensOps(rand.New(rand.NewSource(42)), 3000)},
+	} {
 		t.Run(in.name, func(t *testing.T) {
-			ops := mixedOps(rand.New(rand.NewSource(42)), in.nOps, in.keys)
+			ops := in.ops
 			want := runDifferential(t, ops, false, depth)
 			got := runDifferential(t, ops, true, depth)
 			for i := range ops {
@@ -149,6 +153,30 @@ func TestServerPipelinedDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lensOps draws n ops over 2 keys that a len's count of pending writes can
+// get wrong: puts of Empty and of 0 (a key holding Empty is present, so a
+// presence test read from get's value fails), dels that often find their
+// key absent, re-puts of present keys, and a len after three writes in
+// four.
+func lensOps(rng *rand.Rand, n int) []seqspec.Op {
+	ops := make([]seqspec.Op, 0, n+1)
+	for len(ops) < n {
+		k := rng.Int63n(2)
+		switch rng.Intn(3) {
+		case 0:
+			ops = append(ops, seqspec.Op{Kind: "put", Args: []int64{k, seqspec.Empty}})
+		case 1:
+			ops = append(ops, seqspec.Op{Kind: "put", Args: []int64{k, 0}})
+		default:
+			ops = append(ops, seqspec.Op{Kind: "del", Args: []int64{k}})
+		}
+		if rng.Intn(4) != 0 {
+			ops = append(ops, seqspec.Op{Kind: "len"})
+		}
+	}
+	return ops[:n]
 }
 
 // mixedOps draws n ops over keys keys: a third puts, a sixth dels, a sixth
@@ -445,10 +473,16 @@ func TestServerPoolExhausted(t *testing.T) {
 
 // TestServerConcurrentLinearizable: concurrent clients over real sockets
 // record a history that must linearize against the sequential KV. In the
-// durable case every client pipelines put k; get k on 2 shared keys, so
-// each get is routed behind its own put and answered by the committer from
-// a drain that also holds other connections' writes to k. Pipelined ops of
-// one client are concurrent, so each is recorded as its own process.
+// durable case every client pipelines rounds of put k; get k; then a put,
+// a put of Empty or a del of k; then len, on 2 shared keys, so each read
+// is routed behind its own writes and answered by the committer from a
+// drain that also holds other connections' writes. Pipelined ops of one
+// client overlap in real time, so each is recorded with the op before it
+// as its program-order predecessor: the server promises that a read sees
+// its connection's earlier writes to its key (to every key for a len) and
+// that a write follows its connection's earlier ops on its key. Put values
+// are unique, so a read that saw a stale write or one queued behind it
+// cannot be explained by another client's write of the same value.
 func TestServerConcurrentLinearizable(t *testing.T) {
 	const (
 		clients = 6
@@ -485,36 +519,48 @@ func TestServerConcurrentLinearizable(t *testing.T) {
 		checkLinearizable(t, s, clients, func(p int, cl *Client, rec *linearize.Recorder) error {
 			rng := rand.New(rand.NewSource(int64(p) * 7919))
 			for i := 0; i < rounds; i++ {
-				k := rng.Int63n(keys)
-				pair := [2]seqspec.Op{
-					{Kind: "put", Args: []int64{k, rng.Int63n(50)}},
-					{Kind: "get", Args: []int64{k}},
+				k, val := rng.Int63n(keys), int64(p*1000+i*10)
+				second := seqspec.Op{Kind: "put", Args: []int64{k, val + 1}}
+				switch rng.Intn(3) {
+				case 0:
+					second = seqspec.Op{Kind: "put", Args: []int64{k, seqspec.Empty}}
+				case 1:
+					second = seqspec.Op{Kind: "del", Args: []int64{k}}
 				}
-				var ids [2]uint64
-				var ts [2]int64
-				for j, op := range pair {
+				round := [4]seqspec.Op{
+					{Kind: "put", Args: []int64{k, val}},
+					{Kind: "get", Args: []int64{k}},
+					second,
+					{Kind: "len"},
+				}
+				ids := make(map[uint64]int, len(round))
+				var ts [len(round)]int64
+				for j, op := range round {
 					ts[j] = rec.Invoke()
 					id, err := cl.Send(op)
 					if err != nil {
 						return fmt.Errorf("Send(%s): %w", op, err)
 					}
-					ids[j] = id
+					ids[id] = j
 				}
 				if err := cl.Flush(); err != nil {
 					return fmt.Errorf("Flush: %w", err)
 				}
-				for range pair {
+				for range round {
 					id, v, err := cl.Recv()
 					if err != nil {
 						return fmt.Errorf("Recv: %w", err)
 					}
-					j := 0
-					if id == ids[1] {
-						j = 1
-					} else if id != ids[0] {
-						return fmt.Errorf("response id %d, want %d or %d", id, ids[0], ids[1])
+					j, ok := ids[id]
+					if !ok {
+						return fmt.Errorf("response id %d: duplicate or never requested", id)
 					}
-					rec.Complete((p*rounds+i)*2+j, pair[j], v, ts[j])
+					delete(ids, id)
+					var after int64
+					if j > 0 {
+						after = ts[j-1]
+					}
+					rec.CompleteAfter((p*rounds+i)*len(round)+j, round[j], v, ts[j], after)
 				}
 			}
 			return nil
