@@ -26,7 +26,7 @@ func main() {
 	addr := flag.String("addr", ":7450", "TCP listen address for the KV protocol")
 	stats := flag.String("stats", "", "HTTP listen address for /stats, /stats.txt, /healthz (empty disables)")
 	shards := flag.Int("shards", 8, "KV shard count")
-	procs := flag.Int("procs", 256, "connection pid pool size (max concurrent connections)")
+	procs := flag.Int("procs", 256, "in-memory connection pid pool size (max concurrent connections without -dir)")
 	dir := flag.String("dir", "", "log store directory (empty runs without persistence)")
 	snapshotEvery := flag.Int("snap-every", 4096, "records per shard between snapshots")
 	flag.Parse()

@@ -287,8 +287,8 @@ func (u *Universal) readFast(pid int, op seqspec.Op) int64 {
 // list Observe loads, as a private copy the caller may mutate or keep.
 // Like a fast read it conses nothing and linearizes at that load, but it
 // neither reads nor fills the read cache. pid is bound by Invoke's
-// sequential-use contract. The server's committer persists shard
-// snapshots from it.
+// sequential-use contract. Settled reads the same state without a pid or
+// a clone once the head carries its snapshot.
 func (u *Universal) State(pid int) seqspec.State {
 	u.gcAttach(pid)
 	return u.replay(pid, u.fac.Observe())
@@ -435,4 +435,18 @@ func (u *Universal) FastReads() int64 {
 func (u *Universal) BatchStats() (batches int64, mean float64, max int64) {
 	h := u.stats.batchLen
 	return h.Count(), h.Mean(), h.Max()
+}
+
+// Settled returns the Section 4.1 snapshot of the head entry Observe loads:
+// the state after every operation of the decided list, frozen, so any
+// number of callers may apply read-only operations to it at once and none
+// may mutate it. It is nil while the head is in flight, when the list is
+// empty and with truncation off. It takes no pid: no replay, no clone, no
+// GC register. The server's committer, the only writer of a durable
+// server's shards, publishes each shard's settled state after each apply.
+func (u *Universal) Settled() seqspec.State {
+	if head := u.fac.Observe(); head != nil {
+		return head.Entry.snapshot()
+	}
+	return nil
 }

@@ -108,6 +108,7 @@ func TestServerBootReportsRejectedSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
+		t.Cleanup(func() { cl.Close() }) // before the server's Close, which waits for every connection
 		for k, want := range img.model {
 			if got, err := cl.Get(k); err != nil || got != want {
 				t.Fatalf("after boot get(%d) = (%d, %v), want %d", k, got, err, want)

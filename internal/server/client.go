@@ -12,7 +12,7 @@ import (
 // two goroutines to share a role — but the roles split: exactly one
 // goroutine may Send/Flush while exactly one other Recvs, which is the
 // shape a pipelined load generator wants (that is the point: one client,
-// one leased pid on the server side).
+// one connection on the server side).
 //
 // The split Send/Flush/Recv surface exists for pipelining: a sender
 // queues several requests and flushes once, a receiver drains the
@@ -111,12 +111,15 @@ func (cl *Client) Del(k int64) (int64, error) {
 	return cl.Do(seqspec.Op{Kind: "del", Args: []int64{k}})
 }
 
-// Len reads the map size (a cross-shard sum; see the Sharded contract).
+// Len reads the map size. In memory it is a cross-shard sum of per-shard
+// instants (see the Sharded contract); a durable server's committer reads
+// every shard at one point of its order.
 //
 //wf:blocking one round trip
 func (cl *Client) Len() (int64, error) {
 	return cl.Do(seqspec.Op{Kind: "len"})
 }
 
-// Close closes the connection (the server Detaches the leased pid).
+// Close closes the connection (an in-memory server detaches its leased pid
+// and returns it to the pool).
 func (cl *Client) Close() error { return cl.c.Close() }

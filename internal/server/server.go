@@ -4,13 +4,14 @@
 //
 // Division of labour with the core: everything in this package is ordinary
 // blocking Go — goroutines, channels, sockets, fsync — while every shared
-// datum behind it is the wait-free universal construction. The boundary is
-// the pid lease pool: a connection leases a process id for its lifetime,
-// drives reads through it, and on disconnect calls Detach(pid) before
-// returning the pid to the pool, releasing the departed client's log-GC pin
-// (the PR 8 bugfix; without the Detach, every pid that ever went idle pinned
-// the low-water mark forever and the decided logs grew without bound under
-// connection churn).
+// datum behind it is the wait-free universal construction. In memory the
+// boundary is the pid lease pool: a connection leases a process id for its
+// lifetime and drives every operation through it. Its reader detaches the
+// pid once a read has waited idleDetach for a frame, so an idle connection
+// pins no shard's log GC, and the pid goes back to the pool on disconnect
+// (without a Detach, every pid that ever went quiet pinned the low-water
+// mark and the decided logs grew without bound). A durable server's shards have one
+// writer, the committer, and its connections lease no pid at all (below).
 //
 // Each connection is pipelined. A reader goroutine decodes a stream of
 // frames (many per read syscall, through wire.Decoder) and writes the
@@ -37,18 +38,24 @@
 // committer, when the committer writes its ack, and a second, to the
 // connection's writer, when it does not. An acked write is therefore on
 // disk before any client observes it, and boot starts each shard from
-// exactly those writes — durable linearizability. Snapshots are each
-// shard's own state (core.Universal.State); the server keeps no second
-// copy of the KV. Reads never touch the store; a get is answered inline
-// from the connection's leased pid unless this same connection has writes
-// still in flight on the key's shard, and a len unless it has writes in
-// flight on any shard. A read that is not inline is routed through the
-// committer's FIFO behind those writes (read-your-writes in program
-// order): the committer answers a get from the newest of the drain's
-// writes to its key queued ahead of it, or from its shard's head, and a
-// len from every shard's head plus the net change in keys of the drain's
-// writes queued ahead of it — one atomic cut, since only the committer
-// conses in durable mode.
+// exactly those writes — durable linearizability. After each shard's
+// apply, and before the drain's acks, the committer publishes the shard's
+// settled state: the Section 4.1 snapshot its head entry carries
+// (core.Universal.Settled), frozen, with no clone; boot publishes the
+// recovered states. Snapshots persist those published states; the server
+// keeps no second copy of the KV. Reads never touch the store or the
+// construction. A get is answered inline from its shard's published state
+// unless this same connection has writes still in flight on that shard;
+// then it is routed through the committer's FIFO behind them
+// (read-your-writes in program order), and the committer answers it from
+// the newest of the drain's writes to its key queued ahead of it, or from
+// the shard's published state. Every len is routed: the committer answers
+// it from every shard's published state plus the net change in keys of
+// the drain's writes queued ahead of it. So a durable len reads every
+// shard at one point of the committer's order, exact with respect to
+// every write and every routed read. A concurrent inline get on another
+// shard may still see one shard's drain writes before a later shard's
+// are published, as the sharding contract allows.
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -61,10 +68,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -83,7 +92,7 @@ type Config struct {
 	Addr          string                           // TCP listen address, e.g. ":7450"; ":0" for ephemeral
 	StatsAddr     string                           // HTTP stats address; "" disables the stats server
 	Shards        int                              // KV shard count (default 8)
-	Procs         int                              // connection pid pool size (default 64)
+	Procs         int                              // in-memory mode: connection pid pool size (default 64); durable connections lease no pid
 	Window        int                              // max requests routed to the committer and not yet flushed, per connection (default 256)
 	Dir           string                           // log store directory; "" runs without persistence
 	SnapshotEvery int                              // records per shard between snapshots (default 4096)
@@ -155,11 +164,10 @@ type connState struct {
 	// any more.
 	slots chan struct{}
 	// outW[sh] counts this connection's writes to shard sh handed to the
-	// committer and not yet applied; outWT is the total. The reader consults
-	// them to decide whether a read may take the inline fast path or must
-	// queue behind the connection's own writes.
-	outW  []atomic.Int64
-	outWT atomic.Int64
+	// committer and not yet published. The reader consults it to decide
+	// whether a durable get may read its shard's settled state inline or
+	// must queue behind the connection's own writes.
+	outW []atomic.Int64
 	// Committer-only: the replies of the current drain encoded so far
 	// (ack, ackN frames), and the non-blocking write's descriptor, its
 	// callback (bound once, so a write allocates nothing), argument and
@@ -218,7 +226,8 @@ type Server struct {
 	statsLn net.Listener
 	pool    chan int // free connection pids
 
-	commits     chan applyReq // the committer's FIFO; nil when store == nil
+	commits     chan applyReq  // the committer's FIFO; nil when store == nil
+	settled     []atomic.Value // durable mode: each shard's frozen state after the committer's last apply
 	commitDrain *wfstats.Histogram
 	boot        bootReport
 
@@ -264,6 +273,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var st *logstore.Store
 	var boots []shardBoot
+	settled := make([]atomic.Value, cfg.Shards) // published in durable mode only
 	var boot bootReport
 	if cfg.Dir != "" {
 		start := time.Now()
@@ -277,6 +287,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		for sh, b := range boots {
 			seqs[sh] = seqspec.KVFrom(b.state)
+			settled[sh].Store(b.state)
 		}
 		opened := st.Stats()
 		boot.SnapshotsRejected, boot.RecordsSkipped = opened.SnapshotsRejected, opened.RecordsSkipped
@@ -288,7 +299,8 @@ func New(cfg Config) (*Server, error) {
 		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
 		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
 	}
-	// Connections lease pids 0..Procs-1; the committer applies as pid Procs.
+	// In-memory connections lease pids 0..Procs-1; the committer applies as
+	// pid Procs.
 	kv := shard.New(seqs, cfg.Procs+1,
 		func() core.FetchAndCons { return core.NewSwapFAC() },
 		shard.Defaults(core.WithMetrics(reg))...)
@@ -298,6 +310,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:           cfg,
 		kv:            kv,
 		store:         st,
+		settled:       settled,
 		reg:           reg,
 		boot:          boot,
 		pool:          make(chan int, cfg.Procs),
@@ -441,11 +454,15 @@ func checkRoute(sh, shards int, key int64) error {
 // order and applies each shard's run of writes with one InvokeBatch. No
 // write is applied before the drain's last read: a routed get reads the
 // newest write to its key in its shard's run ahead of it (pendingWrite),
-// else the shard's head; a routed len adds to the shards' heads the net
-// change in keys of the writes ahead of it (presence from the run's newest
-// earlier write to the key, else the head's trie), counting each write once
-// per drain. So each read sees the writes queued ahead of it and none
-// behind, and a len is one atomic cut of every shard. Only then are the
+// else the shard's published state; a len adds to every shard's published
+// state the net change in keys of the writes ahead of it (presence from the
+// run's newest earlier write to the key, else the published trie), counting
+// each write once per drain. So each read sees the writes queued ahead of
+// it and none behind, and a len reads every shard at one point of the
+// committer's order. Each shard's InvokeBatch leaves its head entry
+// settled, and the committer publishes that frozen state at once, before
+// any ack: a reader that finds no write of its own in flight on a shard
+// finds them all in the shard's published state. Only then are the
 // replies encoded, one pooled buffer per connection, and sent: written by
 // the committer itself when a connection has two or more and nobody else is
 // writing to it, else handed to its writer. Building them strictly after
@@ -457,9 +474,9 @@ func checkRoute(sh, shards int, key int64) error {
 // the window's slot tokens make every completion send non-blocking. It
 // returns a reply's slot token only after its last use of the connection.
 //
-// Every SnapshotEvery records of a shard it persists the shard's own
-// state: as the shard's only writer, between drains its recovered initial
-// state and its decided list together hold exactly the records 1..seq-1.
+// Every SnapshotEvery records of a shard it persists the shard's published
+// state: as the shard's only writer, between drains that state holds
+// exactly the records 1..seq-1.
 //
 //wf:blocking waits on the commit channel and the store's group commit
 func (s *Server) runCommitter(boots []shardBoot) {
@@ -473,9 +490,8 @@ func (s *Server) runCommitter(boots []shardBoot) {
 	}
 	batch := make([]applyReq, 0, drainCap*len(boots))
 	recs := make([]logstore.Record, 0, cap(batch))
-	pending := make([][]int, len(boots))       // per shard: drain indices of unapplied writes
-	counted := make([]int, len(boots))         // per shard: the pending writes a len has counted
-	heads := make([]seqspec.State, len(boots)) // per shard: its head, taken once per drain by a len
+	pending := make([][]int, len(boots)) // per shard: drain indices of unapplied writes
+	counted := make([]int, len(boots))   // per shard: the pending writes a len has counted
 	runOps := make([]seqspec.Op, 0, cap(batch))
 	runOut := make([]int64, cap(batch))
 	acked := make([]*connState, 0, cap(batch)) // the drain's connections, each with its replies in ack
@@ -526,23 +542,22 @@ func (s *Server) runCommitter(boots []shardBoot) {
 				case it.sh >= 0: // a get, behind its connection's writes to its shard
 					switch w, ok := pendingWrite(batch, pending[it.sh], it.op.Arg(0)); {
 					case !ok:
-						it.v = s.kv.Invoke(pid, it.op)
+						it.v = s.settledState(it.sh).Apply(it.op)
 					case w.Kind == "del":
 						it.v = seqspec.Empty
 					default:
 						it.v = w.Arg(1)
 					}
-				default: // a len, behind its connection's writes to every shard
+				default: // a len: every durable len is routed, behind its connection's writes
 					for sh, run := range pending {
+						st := s.settledState(sh)
+						it.v += st.Apply(it.op)
 						for k := counted[sh]; k < len(run); k++ {
 							op := batch[run[k]].op
 							w, ok := pendingWrite(batch, run[:k], op.Arg(0))
 							had := ok && w.Kind == "put"
 							if !ok {
-								if heads[sh] == nil {
-									heads[sh] = s.kv.Shard(sh).State(pid)
-								}
-								had = seqspec.KVHas(heads[sh], op.Arg(0))
+								had = seqspec.KVHas(st, op.Arg(0))
 							}
 							if op.Kind == "put" && !had {
 								grown++
@@ -552,7 +567,7 @@ func (s *Server) runCommitter(boots []shardBoot) {
 						}
 						counted[sh] = len(run)
 					}
-					it.v = s.kv.Invoke(pid, it.op) + grown
+					it.v += grown
 				}
 			}
 			// One InvokeBatch per shard, keeping each result for the ack.
@@ -565,6 +580,11 @@ func (s *Server) runCommitter(boots []shardBoot) {
 					runOps = append(runOps, batch[i].op)
 				}
 				s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
+				st := s.kv.Shard(sh).Settled()
+				if st == nil {
+					panic("server: shard head unsettled after the committer's InvokeBatch (truncation off?)")
+				}
+				s.settled[sh].Store(st) //wf:ack durable before visible: inline gets read it once the acks below drop outW
 				for k, i := range run {
 					batch[i].v = runOut[k]
 				}
@@ -572,14 +592,12 @@ func (s *Server) runCommitter(boots []shardBoot) {
 				pending[sh] = run[:0]
 			}
 			clear(counted)
-			clear(heads)
 		}
 		clear(drained)
 		for i := range batch {
 			it, w := &batch[i], batch[i].w
 			if !it.read {
 				w.outW[it.sh].Add(-1)
-				w.outWT.Add(-1)
 			}
 			if w.ack == nil {
 				w.ack = wire.GetBuf()
@@ -632,7 +650,7 @@ func (s *Server) runCommitter(boots []shardBoot) {
 				continue
 			}
 			sinceSnap[sh] = 0
-			snap := logstore.Snapshot{Shard: uint32(sh), Seq: seq[sh] - 1, State: seqspec.KVPairs(s.kv.Shard(sh).State(pid))}
+			snap := logstore.Snapshot{Shard: uint32(sh), Seq: seq[sh] - 1, State: seqspec.KVPairs(s.settledState(sh))}
 			if err := s.store.WriteSnapshot(snap); err != nil {
 				s.cfg.Logf("server: shard %d snapshot: %v", sh, err)
 				continue
@@ -722,18 +740,19 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// errNoFreePid is the reason sent (with request id 0) when the pid pool is
-// exhausted; the connection is then closed.
+// errNoFreePid is the reason sent (with request id 0) when an in-memory
+// server's pid pool is exhausted; the connection is then closed.
 const errNoFreePid = "no free pid: connection pool exhausted"
 
-// serveConn runs a connection's lifetime: lease a pid, start the writer,
-// run the read loop (which flushes the reader's own replies on exit), then
-// hand the window back. The shutdown edge is the slot reclaim: once the
-// reader re-acquires all Window slot tokens, every request it routed has
-// been written, by the committer or the writer (or dropped after a failed
-// write) — the committer holds no reference to the connection any more —
-// so closing the completion channel is safe and the writer's range drains
-// out.
+// serveConn runs a connection's lifetime: lease a pid in memory (a durable
+// connection reads the committer's published states and leases none),
+// start the writer, run the read loop (which flushes the reader's own
+// replies on exit), then hand the window back. The shutdown edge is the
+// slot reclaim: once the reader re-acquires all Window slot tokens, every
+// request it routed has been written, by the committer or the writer (or
+// dropped after a failed write) — the committer holds no reference to the
+// connection any more — so closing the completion channel is safe and the
+// writer's range drains out.
 //
 //wf:blocking socket reads and writes, pid-pool handoff and the window reclaim
 func (s *Server) serveConn(c net.Conn) {
@@ -741,23 +760,25 @@ func (s *Server) serveConn(c net.Conn) {
 	defer c.Close()
 	s.connsTotal.Inc()
 
-	var pid int
-	select {
-	case pid = <-s.pool:
-	default:
-		s.leaseMiss.Inc()
-		wire.WriteFrame(c, wire.AppendError(nil, 0, errNoFreePid))
-		return
-	}
 	s.connsActive.Add(1)
-	defer func() {
-		// The departed-client fix: swing this pid's observed-prefix
-		// register out of every shard's min-scan before the pid goes
-		// back in the pool, so an idle pool slot cannot pin log GC.
-		s.kv.Detach(pid)
-		s.connsActive.Add(-1)
-		s.pool <- pid
-	}()
+	defer s.connsActive.Add(-1) // after the Detach below
+	pid := -1
+	if s.store == nil {
+		select {
+		case pid = <-s.pool:
+		default:
+			s.leaseMiss.Inc()
+			wire.WriteFrame(c, wire.AppendError(nil, 0, errNoFreePid))
+			return
+		}
+		defer func() {
+			// The departed-client fix: swing this pid's observed-prefix
+			// register out of every shard's min-scan before the pid goes
+			// back in the pool, so an idle pool slot cannot pin log GC.
+			s.kv.Detach(pid)
+			s.pool <- pid
+		}()
+	}
 
 	w := &connState{
 		c:     c,
@@ -793,8 +814,9 @@ func (s *Server) serveConn(c net.Conn) {
 // and inline reads complete right here, into w.out, which it flushes when
 // the decoder runs dry, when it reaches maxCoalesce, before any step that
 // blocks, and on exit; durable writes and routed reads go to the committer
-// and complete through the writer. A malformed request ends the loop,
-// which returns its error frame for serveConn to send last.
+// and complete through the writer. pid is the leased pid in memory and -1
+// in durable mode. A malformed request ends the loop, which returns its
+// error frame for serveConn to send last.
 //
 //wf:blocking socket reads and writes, window acquisition and the committer hand-off
 func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
@@ -805,13 +827,35 @@ func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
 	// keeps its own copy), and a routed request copies them into its
 	// applyReq.
 	var args [3]int64
+	// In memory, armed means a read deadline idleDetach after the first dry
+	// decoder is set, or has fired and pid is detached until the next frame.
+	armed, detached := false, false
 	for {
-		if dec.Buffered() == 0 && !s.flush(w) {
-			return nil // a failed write closed the connection
+		if dec.Buffered() == 0 {
+			if !s.flush(w) {
+				return nil // a failed write closed the connection
+			}
+			if pid >= 0 && !armed {
+				w.c.SetReadDeadline(time.Now().Add(idleDetach))
+				armed = true
+			}
 		}
 		payload, err := dec.Next()
+		if pid >= 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+			// Between this pid's operations: detach it, so a quiet
+			// connection pins no shard's log GC, and wait for the next
+			// frame with no deadline. The next Invoke re-attaches through
+			// gcAttach's gate check.
+			s.kv.Detach(pid)
+			w.c.SetReadDeadline(time.Time{})
+			detached = true
+			continue
+		}
 		if err != nil {
 			return nil // clean EOF, torn frame or oversize — all end the conn
+		}
+		if detached {
+			armed, detached = false, false
 		}
 		id, op, err := wire.DecodeRequestInto(payload, args[:0])
 		if err != nil {
@@ -836,7 +880,6 @@ func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
 		} else if s.store != nil {
 			sh := s.kv.ShardOf(op.Arg(0))
 			w.outW[sh].Add(1)
-			w.outWT.Add(1)
 			s.route(w, sh, op, id, false)
 			continue
 		} else {
@@ -848,29 +891,33 @@ func (s *Server) readLoop(pid int, w *connState) (bad []byte) {
 	}
 }
 
-// serveRead answers a read-only operation. Reads never touch the store;
-// the only question is ordering against the connection's own in-flight
-// writes: a get on a shard where this connection still has writes queued,
-// or a len while any shard is, must not be answered from pre-write state,
-// so it is routed through the committer's FIFO behind them, and serveRead
-// returns false. Otherwise it returns the value from the wait-free read
-// fast path and true. Nothing is persisted on either path.
+// serveRead answers a read-only operation and reports whether it did so
+// inline; nothing is persisted on any path. In memory, pid's wait-free
+// read fast path answers it. In durable mode a get whose shard holds none
+// of this connection's writes in flight reads that shard's settled state,
+// which the committer publishes before it acks a write: the get
+// linearizes at that load. A get behind the connection's own writes, and
+// every len, is routed through the committer's FIFO, so a len always reads
+// every shard at one point of the committer's order.
 //
 //wf:blocking a routed read queues behind the committer's FIFO
 func (s *Server) serveRead(pid int, w *connState, id uint64, op seqspec.Op) (int64, bool) {
-	if s.store != nil {
-		sh, dirty := -1, w.outWT.Load() > 0 // a len reads every shard
-		if op.Kind == "get" {
-			sh = s.kv.ShardOf(op.Arg(0))
-			dirty = w.outW[sh].Load() > 0
-		}
-		if dirty {
-			s.route(w, sh, op, id, true)
-			return 0, false
+	if s.store == nil {
+		return s.kv.Invoke(pid, op), true
+	}
+	sh := -1 // a len reads every shard
+	if op.Kind == "get" {
+		if sh = s.kv.ShardOf(op.Arg(0)); w.outW[sh].Load() == 0 {
+			return s.settledState(sh).Apply(op), true
 		}
 	}
-	return s.kv.Invoke(pid, op), true
+	s.route(w, sh, op, id, true)
+	return 0, false
 }
+
+// settledState is shard sh's state as the committer last published it:
+// frozen, so readers may apply read-only ops to it concurrently.
+func (s *Server) settledState(sh int) seqspec.State { return s.settled[sh].Load().(seqspec.State) }
 
 // route admits op, on shard sh (-1 for a len), to the window and hands it
 // to the committer, its argument words copied by value out of the reader's
@@ -894,6 +941,11 @@ func (s *Server) route(w *connState, sh int, op seqspec.Op, id uint64, read bool
 		s.commits <- r
 	}
 }
+
+// idleDetach is how long an in-memory connection's reader may go without a
+// frame before it detaches its pid from log GC. A busy connection pays one
+// deadline, one timeout and one detach per interval, not one per read.
+const idleDetach = 10 * time.Millisecond
 
 // maxCoalesce bounds the bytes one coalesced socket write carries.
 const maxCoalesce = 64 << 10

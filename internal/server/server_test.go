@@ -201,6 +201,9 @@ func mixedOps(rng *rand.Rand, n int, keys int64) []seqspec.Op {
 
 // runDifferential runs ops on a fresh persistent server, one at a time or
 // pipelined with up to depth in flight, and returns each op's response.
+// Durable reads never reach the construction: inline gets read the
+// committer's settled states and the committer answers the rest, so the
+// shards' read fast path must serve none of them.
 func runDifferential(t *testing.T, ops []seqspec.Op, pipelined bool, depth int) []int64 {
 	s := startServer(t, Config{Shards: 4, Procs: 8, Dir: t.TempDir(), Window: depth})
 	cl, err := Dial(s.Addr().String())
@@ -208,6 +211,11 @@ func runDifferential(t *testing.T, ops []seqspec.Op, pipelined bool, depth int) 
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cl.Close()
+	defer func() {
+		if n := s.KV().FastReads(); n != 0 {
+			t.Errorf("the shards' read fast path served %d durable reads, want 0", n)
+		}
+	}()
 	out := make([]int64, len(ops))
 	if !pipelined {
 		for i, op := range ops {
@@ -429,46 +437,79 @@ func TestServerMalformedFrame(t *testing.T) {
 	}
 }
 
-// TestServerPoolExhausted: with a single pid, a second concurrent
-// connection is refused with the documented reason, and the slot frees up
-// once the first client leaves.
+// TestServerPoolExhausted: in memory, with a single pid, a second
+// concurrent connection is refused with the documented reason, and the slot
+// frees up once the first client leaves. A durable connection leases no
+// pid, so with the same single pid three concurrent durable connections
+// are all served.
 func TestServerPoolExhausted(t *testing.T) {
-	s := startServer(t, Config{Shards: 2, Procs: 1})
-	first, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	if _, err := first.Put(1, 1); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	second, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	_, _, err = second.Recv()
-	re, ok := err.(*wire.RemoteError)
-	if !ok || re.Reason != errNoFreePid {
-		t.Fatalf("second conn err = %v, want RemoteError(%q)", err, errNoFreePid)
-	}
-	second.Close()
-	first.Close()
-	// The leased pid must come back: poll until a fresh connection works.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		third, err := Dial(s.Addr().String())
+	t.Run("memory", func(t *testing.T) {
+		s := startServer(t, Config{Shards: 2, Procs: 1})
+		first, err := Dial(s.Addr().String())
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
-		v, err := third.Get(1)
-		third.Close()
-		if err == nil && v == 1 {
-			return
+		if _, err := first.Put(1, 1); err != nil {
+			t.Fatalf("put: %v", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pid never returned to the pool: get = (%d, %v)", v, err)
+		second, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		_, _, err = second.Recv()
+		re, ok := err.(*wire.RemoteError)
+		if !ok || re.Reason != errNoFreePid {
+			t.Fatalf("second conn err = %v, want RemoteError(%q)", err, errNoFreePid)
+		}
+		second.Close()
+		first.Close()
+		// The leased pid must come back: poll until a fresh connection works.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			third, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			v, err := third.Get(1)
+			third.Close()
+			if err == nil && v == 1 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pid never returned to the pool: get = (%d, %v)", v, err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+	t.Run("durable", func(t *testing.T) {
+		s := startServer(t, Config{Shards: 2, Procs: 1, Dir: t.TempDir()})
+		var cls [3]*Client
+		for i := range cls {
+			cl, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer cl.Close()
+			cls[i] = cl
+		}
+		// Every connection stays open while each one writes, reads its key
+		// back inline and through the committer, and counts.
+		for i, cl := range cls {
+			k := int64(i)
+			if _, err := cl.Put(k, 10+k); err != nil {
+				t.Fatalf("conn %d: put: %v", i, err)
+			}
+			if v, err := cl.Get(k); err != nil || v != 10+k {
+				t.Fatalf("conn %d: get(%d) = (%d, %v), want %d", i, k, v, err, 10+k)
+			}
+			if v, err := cl.Len(); err != nil || v != k+1 {
+				t.Fatalf("conn %d: len = (%d, %v), want %d", i, v, err, k+1)
+			}
+		}
+		if n := s.leaseMiss.Load(); n != 0 {
+			t.Fatalf("server.lease_miss = %d, want 0: durable connections lease no pid", n)
+		}
+	})
 }
 
 // TestServerConcurrentLinearizable: concurrent clients over real sockets
@@ -662,6 +703,74 @@ func TestServerLeaseChurnGC(t *testing.T) {
 		t.Fatalf("Retired() advanced only %d times over %d sessions; GC is effectively pinned", grew, sessions)
 	}
 	t.Logf("retired %d log entries across %d churned sessions", lastRetired, sessions)
+}
+
+// TestServerIdleConnDoesNotPinGC: a connected client that has gone quiet
+// must not pin log GC. Client A sends one get and stays connected; client B
+// then pipelines puts into the same single shard, in two rounds. Each round
+// writes batches, 5 ms apart, until the shard's anchor has advanced and
+// Retired() grown, and fails if that has not happened within 40 batches
+// (an unpinned mark advances every 64 puts). An in-memory reader
+// detaches its pid once a read has waited idleDetach, and a durable
+// connection has no pid to pin anything with; before either, A's register
+// froze at its get and held the low-water mark there for as long as A
+// stayed connected.
+func TestServerIdleConnDoesNotPinGC(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		dir  bool
+	}{{"memory", false}, {"durable", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := Config{Shards: 1, Procs: 8}
+			if mode.dir {
+				cfg.Dir = t.TempDir()
+			}
+			s := startServer(t, cfg)
+			a, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer a.Close()
+			if _, err := a.Get(1); err != nil {
+				t.Fatalf("idle client's get: %v", err)
+			}
+			b, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer b.Close()
+			const depth = 256 // puts per batch: a window's worth per flush
+			var anchor, retired int64
+			for r, batch := 0, 0; r < 2; r++ {
+				for tries := 1; ; tries++ {
+					for j := 0; j < depth; j++ {
+						if _, err := b.Send(seqspec.Op{Kind: "put", Args: []int64{int64(j), int64(batch)}}); err != nil {
+							t.Fatalf("Send: %v", err)
+						}
+					}
+					if err := b.Flush(); err != nil {
+						t.Fatalf("Flush: %v", err)
+					}
+					for j := 0; j < depth; j++ {
+						if _, _, err := b.Recv(); err != nil {
+							t.Fatalf("Recv: %v", err)
+						}
+					}
+					batch++
+					nowAnchor, nowRetired := s.KV().Anchors()[0], s.KV().Retired()
+					if nowAnchor > anchor && nowRetired > retired {
+						anchor, retired = nowAnchor, nowRetired
+						break
+					}
+					if tries == 40 {
+						t.Fatalf("round %d, %d batches of %d puts with an idle client connected: anchor %d → %d, retired %d → %d; want both to grow",
+							r, tries, depth, anchor, nowAnchor, retired, nowRetired)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		})
+	}
 }
 
 // TestServerStatsEndpoint: the HTTP side serves JSON with the server,
