@@ -106,22 +106,24 @@ func kvKeyPools() map[string][]int64 {
 
 // kvCheckShape asserts the trie's structural invariants: every leaf sits on
 // its hash's path, no node is deeper than kvMaxDepth, only the root may be
-// empty (a nil pointer with an empty bitmap), every non-root node has two
-// or more slots or a single internal slot (collapse on delete), and the
-// cached length matches the leaf count. It walks through kvNode, as every
-// production walk does. It returns the deepest leaf's level.
+// empty, the root's slots past its bitmap's popcount are zero, every
+// non-root node has two or more slots or a single internal slot (collapse
+// on delete), and the cached length matches the leaf count. It walks
+// through rootNode and kvNode, as every production walk does. It returns
+// the deepest leaf's level.
 func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 	t.Helper()
+	for i := len(s.rootNode()); i < len(s.root); i++ {
+		if s.root[i] != (kvSlot{}) {
+			t.Fatalf("root slot %d, past the bitmap's %d slots, holds %+v", i, len(s.rootNode()), s.root[i])
+		}
+	}
 	leaves := 0
-	var walk func(p *kvSlot, bm uint32, level int, prefix uint64)
-	walk = func(p *kvSlot, bm uint32, level int, prefix uint64) {
+	var walk func(node []kvSlot, bm uint32, level int, prefix uint64)
+	walk = func(node []kvSlot, bm uint32, level int, prefix uint64) {
 		if level >= kvMaxDepth {
 			t.Fatalf("node at level %d, beyond kvMaxDepth", level)
 		}
-		if (p == nil) != (bm == 0) {
-			t.Fatalf("level %d: node pointer %p with bitmap %b", level, p, bm)
-		}
-		node := kvNode(p, bm)
 		if level > 0 && (len(node) == 0 || len(node) == 1 && node[0].kids == nil) {
 			t.Fatalf("level %d: uncollapsed node with %d slots", level, len(node))
 		}
@@ -141,10 +143,10 @@ func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 				}
 				continue
 			}
-			walk(sl.kids, uint32(sl.key), level+1, p)
+			walk(kvNode(sl.kids, uint32(sl.key)), uint32(sl.key), level+1, p)
 		}
 	}
-	walk(s.root, s.bm, 0, 0)
+	walk(s.rootNode(), s.bm, 0, 0)
 	if int64(leaves) != s.n {
 		t.Fatalf("cached len %d, %d leaves", s.n, leaves)
 	}
@@ -345,7 +347,7 @@ func TestKVWindowDifferential(t *testing.T) {
 						t.Fatalf("round %d op %d %v: window %d, want %d", round, i, op, out[i], want)
 					}
 				}
-				if ws := win.s.(*kvState); ws.editing || ws.owned {
+				if win.s.(*kvState).editing {
 					t.Fatalf("round %d: the window is still open after ApplyAll returned", round)
 				}
 				kvCheckShape(t, win.s.(*kvState))
@@ -375,33 +377,133 @@ func TestKVWindowDifferential(t *testing.T) {
 	}
 }
 
-// TestKVStateHeader pins the layout. A slot is 24 bytes: a child is one
-// pointer and its length is the popcount of the bitmap beside it, where a
-// slice header would make it 40 and every path copy 40 % more bytes. The
-// state header is 32 bytes, the size class Clone allocates per replay (a
-// slice root made it 48). Clone must also write nothing to its receiver,
-// so concurrent clones of a stored snapshot stay read-only.
+// TestKVStateHeader pins the layout and Clone. A slot is 24 bytes: a child
+// is one pointer and its length is the popcount of the bitmap beside it,
+// where a slice header would make it 40 and every path copy 40 % more
+// bytes. The state holds its root's 32 slots inline, 792 bytes in all, so
+// Clone is one allocation: it copies the root's slots, which shares every
+// child node, and writes nothing to its source, so concurrent clones of a
+// stored snapshot stay read-only.
 func TestKVStateHeader(t *testing.T) {
 	if size := unsafe.Sizeof(kvSlot{}); size != 24 {
 		t.Errorf("kvSlot is %d bytes, want 24", size)
 	}
-	if size := unsafe.Sizeof(kvState{}); size > 32 {
-		t.Errorf("kvState is %d bytes, want <= 32", size)
+	if size := unsafe.Sizeof(kvState{}); size != 792 {
+		t.Errorf("kvState is %d bytes, want 792", size)
 	}
 	s := KV{}.Init()
-	ops := make([]Op, 64)
+	ops := make([]Op, 2048)
 	for i := range ops {
 		ops[i] = Op{Kind: "put", Args: []int64{int64(i), int64(i)}}
 	}
 	ApplyAll(s, ops, make([]int64, len(ops)))
+	if a := testing.AllocsPerRun(100, func() { kvSink = s.Clone() }); a != 1 {
+		t.Errorf("Clone allocates %.1f times, want 1", a)
+	}
 	ks := s.(*kvState)
 	before := *ks
 	c := s.Clone().(*kvState)
 	if after := *ks; after != before {
-		t.Fatalf("Clone wrote to its receiver: %+v became %+v", before, after)
+		t.Fatalf("Clone wrote to its source: %+v became %+v", before, after)
 	}
-	if c.root != ks.root {
-		t.Fatal("Clone copied the root instead of sharing it")
+	// Equal root slots hold equal child pointers: every child is shared.
+	if *c != before {
+		t.Fatalf("Clone is not a copy of its source: %+v, want %+v", *c, before)
+	}
+	if &c.root[0] == &ks.root[0] {
+		t.Fatal("Clone shares its source's root instead of copying its slots")
+	}
+}
+
+// TestKVClonePutAllocs pins a replay's cost on a 2 048-key state: a put on
+// a fresh clone allocates the clone, then one node per level below the
+// root on the key's path, and nothing else. The root, held in the clone,
+// takes the new slot in place. Both overwrites and inserts into a free
+// slot are checked; an insert that lands on another key's leaf also builds
+// kvSplit's chain, so it is left out.
+func TestKVClonePutAllocs(t *testing.T) {
+	s := KV{}.Init()
+	for k := int64(0); k < 2048; k++ {
+		s.Apply(Op{Kind: "put", Args: []int64{k, k}})
+	}
+	ks := s.(*kvState)
+	checked := map[bool]int{} // by overwrite (true) or insert (false)
+	for k := int64(0); checked[true] < 16 || checked[false] < 16; k += 61 {
+		var path [kvMaxDepth]kvFrame
+		depth, leaf, hit := ks.descend(kvHash(k), &path)
+		if hit && leaf.key != k || checked[hit] == 16 {
+			continue
+		}
+		checked[hit]++
+		put := Op{Kind: "put", Args: []int64{k, -k}}
+		got := testing.AllocsPerRun(20, func() { c := s.Clone(); c.Apply(put); kvSink = c })
+		if want := float64(1 + depth); got != want {
+			t.Errorf("put(%d) on a fresh clone (overwrite %v) allocates %.0f times, want the clone plus %d levels below the root", k, hit, got, depth)
+		}
+	}
+}
+
+// TestKVCloneRootEdits: put and del edit a clone's root in place, so none
+// of them may reach the source's root. Ops that insert into a non-full
+// root before, between and after its slots (so the root grows and its
+// slots shift), overwrite a root leaf, split one into a child, copy a
+// child's path, collapse a child so its last leaf moves up into the root,
+// and delete down to the empty root run on one clone op by op and on
+// another in one edit window. Every response, each clone's Key and shape
+// must match a map model, and the source's Key and root must not change.
+func TestKVCloneRootEdits(t *testing.T) {
+	// keyAt is a key whose hash puts it in root slot idx and, one level
+	// down, in slot sub.
+	keyAt := func(idx, sub uint64) int64 { return kvUnhash(idx<<59 | sub<<54 | 0x5eed) }
+	src := &kvReplica{s: KV{}.Init(), m: map[int64]int64{}}
+	for i, k := range []int64{keyAt(4, 0), keyAt(9, 1), keyAt(9, 2), keyAt(20, 0)} {
+		op := Op{Kind: "put", Args: []int64{k, int64(i)}}
+		src.s.Apply(op)
+		kvModelApply(src.m, op)
+	}
+	put := func(k int64) Op { return Op{Kind: "put", Args: []int64{k, k % 1000}} }
+	del := func(k int64) Op { return Op{Kind: "del", Args: []int64{k}} }
+	ops := []Op{
+		put(keyAt(0, 0)), put(keyAt(12, 0)), put(keyAt(31, 0)), // grow: first, middle, last
+		put(keyAt(4, 0)),                   // overwrite a root leaf
+		put(keyAt(20, 1)),                  // split a root leaf into a child
+		put(keyAt(9, 3)),                   // copy a child's path
+		del(keyAt(9, 1)), del(keyAt(9, 2)), // collapse: keyAt(9, 3) moves up
+		del(keyAt(20, 0)), del(keyAt(20, 1)), // the split child collapses, then goes
+		del(keyAt(0, 0)), del(keyAt(31, 0)), // shrink at both ends
+		del(keyAt(4, 0)), del(keyAt(12, 0)), del(keyAt(9, 3)), // down to empty
+	}
+	before, root := src.s.Key(), src.s.(*kvState).root
+	check := func(what string) {
+		t.Helper()
+		if src.s.Key() != before || src.s.(*kvState).root != root {
+			t.Fatalf("%s changed the source", what)
+		}
+	}
+	perOp := src.clone()
+	for i, op := range ops {
+		if got, want := perOp.s.Apply(op), kvModelApply(perOp.m, op); got != want {
+			t.Fatalf("op %d %v: got %d, want %d", i, op, got, want)
+		}
+		if got, want := perOp.s.Key(), kvModelKey(perOp.m); got != want {
+			t.Fatalf("op %d %v: Key\n got %q\nwant %q", i, op, got, want)
+		}
+		kvCheckShape(t, perOp.s.(*kvState))
+		check(fmt.Sprintf("op %d %v on a clone", i, op))
+	}
+	windowed := src.clone()
+	out := make([]int64, len(ops))
+	ApplyAll(windowed.s, ops, out)
+	for i, op := range ops {
+		if want := kvModelApply(windowed.m, op); out[i] != want {
+			t.Fatalf("window op %d %v: got %d, want %d", i, op, out[i], want)
+		}
+	}
+	check("a window on a clone")
+	for _, c := range []*kvReplica{perOp, windowed} {
+		if st := c.s.(*kvState); c.s.Key() != "" || st.root != [32]kvSlot{} || st.bm != 0 {
+			t.Fatalf("after deleting every key: Key %q, root %+v", c.s.Key(), st.rootNode())
+		}
 	}
 }
 
@@ -429,8 +531,8 @@ func TestKVDeleteToEmpty(t *testing.T) {
 			if n := s.Apply(Op{Kind: "len"}); n != 0 {
 				t.Errorf("len after deleting everything = %d", n)
 			}
-			if st := s.(*kvState); st.root != nil || st.bm != 0 {
-				t.Errorf("empty trie keeps a root: %p, bitmap %b", st.root, st.bm)
+			if st := s.(*kvState); st.root != [32]kvSlot{} || st.bm != 0 {
+				t.Errorf("empty trie keeps a root: %+v, bitmap %b", st.rootNode(), st.bm)
 			}
 		})
 	}
@@ -459,8 +561,9 @@ func TestKVKeyMatchesMap(t *testing.T) {
 
 var kvSink State
 
-// TestKVAllocs pins the cost model: get and len allocate nothing, Clone is
-// one allocation (the state header), and put copies one path.
+// TestKVAllocs pins the cost model: get and len allocate nothing, and put
+// copies one path below the root (Clone's one allocation is
+// TestKVStateHeader's).
 func TestKVAllocs(t *testing.T) {
 	s := KV{}.Init()
 	for k := int64(0); k < 2048; k++ {
@@ -470,11 +573,8 @@ func TestKVAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { s.Apply(get); s.Apply(length) }); a != 0 {
 		t.Errorf("get+len allocate %.1f times, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { kvSink = s.Clone() }); a != 1 {
-		t.Errorf("Clone allocates %.1f times, want 1", a)
-	}
 	put := Op{Kind: "put", Args: []int64{77, 1}}
-	if a := testing.AllocsPerRun(100, func() { s.Apply(put) }); a > kvMaxDepth {
+	if a := testing.AllocsPerRun(100, func() { s.Apply(put) }); a > kvMaxDepth-1 {
 		t.Errorf("overwriting put allocates %.1f times, want at most one per level", a)
 	}
 }
@@ -625,12 +725,11 @@ var kvBuildPool = func() []int64 {
 // edit token tok.
 func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 	t.Helper()
-	var walk func(pa, pb *kvSlot, bma, bmb uint32, level int)
-	walk = func(pa, pb *kvSlot, bma, bmb uint32, level int) {
+	var walk func(na, nb []kvSlot, bma, bmb uint32, level int)
+	walk = func(na, nb []kvSlot, bma, bmb uint32, level int) {
 		if bma != bmb {
 			t.Fatalf("level %d: bitmap %032b, want %032b", level, bma, bmb)
 		}
-		na, nb := kvNode(pa, bma), kvNode(pb, bmb)
 		for i := range na {
 			sa, sb := na[i], nb[i]
 			switch {
@@ -644,11 +743,12 @@ func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 				if sa.val != tok {
 					t.Fatalf("level %d slot %d: internal slot stamped %d, want edit token %d", level, i, sa.val, tok)
 				}
-				walk(sa.kids, sb.kids, uint32(sa.key), uint32(sb.key), level+1)
+				bma, bmb := uint32(sa.key), uint32(sb.key)
+				walk(kvNode(sa.kids, bma), kvNode(sb.kids, bmb), bma, bmb, level+1)
 			}
 		}
 	}
-	walk(a.root, b.root, a.bm, b.bm, 0)
+	walk(a.rootNode(), b.rootNode(), a.bm, b.bm, 0)
 	if a.n != b.n {
 		t.Fatalf("len %d, want %d", a.n, b.n)
 	}

@@ -11,14 +11,14 @@
 // States are mutable for efficiency, with explicit Clone for the snapshot
 // (strongly-wait-free) variant and Key for the linearizability checker's
 // memoization. KV, the object the server and every benchmark workload
-// serve, keeps its state in a persistent hash trie, so its Clone really is
-// one step and its Apply walks at most 13 levels of at most 32 slots; the
-// other objects' Clones still copy their whole state. A trie slot is 24
-// bytes: a child is one pointer, and its node's length is the popcount of
-// the bitmap the same slot carries (kvNode, this package's one use of
-// unsafe). A trie node is never edited once the call that built it
-// returns: only an edit Window edits in place, and only the nodes it
-// built itself.
+// serve, keeps its state in a persistent hash trie whose root node the
+// state holds inline, so its Clone is one fixed-size copy and its Apply
+// walks at most 13 levels of at most 32 slots; the other objects' Clones
+// still copy their whole state. A trie slot is 24 bytes: a child is one
+// pointer, and its node's length is the popcount of the bitmap the same
+// slot carries (kvNode, this package's one use of unsafe). A child node is
+// never edited once the call that built it returns: only an edit Window
+// edits children in place, and only the ones it built itself.
 //
 //wf:waitfree
 package seqspec
@@ -70,9 +70,10 @@ const Empty int64 = -1 << 62
 // the universal construction's step bounds count sequential-object calls as
 // single steps, so an implementation whose Apply or Clone is super-constant
 // scales every certified bound by that factor. KV honours the contract: its
-// Clone is a struct copy and its Apply costs at most kvMaxDepth (13) levels
-// × 32 slots, independent of the key count. Set, Queue, Stack, PQueue, List
-// and Bank clone in time linear in their size.
+// Clone is one struct copy of a fixed 792 bytes (the root's 32 slots held
+// inline) and its Apply costs at most kvMaxDepth (13) levels × 32 slots,
+// independent of the key count. Set, Queue, Stack, PQueue, List and Bank
+// clone in time linear in their size.
 type Object interface {
 	// Name identifies the type.
 	//
@@ -493,13 +494,15 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 // KV is a key-value map: put(k,v) returns the old value or Empty, get(k)
 // returns the value or Empty, del(k) returns the old value or Empty.
 //
-// The state is a persistent hash array mapped trie, so Clone is a struct
-// copy and put/del copy one root-to-leaf path (at most kvMaxDepth nodes of
-// at most 32 slots of 24 bytes each); nodes are never edited once the call
-// that built them returns, which is what lets clones, snapshots and the
-// read fast path share them across goroutines. Inside one edit Window a
-// put edits in place the nodes that window built (see kvState). The zero KV
-// starts empty.
+// The state is a persistent hash array mapped trie whose root node the
+// state holds inline, so Clone is one struct copy that copies the root's
+// slots and shares every child node. put/del edit that private root in
+// place and copy the rest of one root-to-leaf path (at most kvMaxDepth-1
+// child nodes of at most 32 slots of 24 bytes each); child nodes are never
+// edited once the call that built them returns, which is what lets clones,
+// snapshots and the read fast path share them across goroutines. Inside
+// one edit Window a put edits in place the children that window built (see
+// kvState). The zero KV starts empty.
 type KV struct{ from *kvState }
 
 // KVFrom returns a KV that starts from st, a KV state the caller no longer
@@ -539,70 +542,82 @@ type kvSlot struct {
 	kids *kvSlot
 }
 
-// kvNode views the node whose first slot is p and whose bitmap is bm. It
-// is the package's one use of unsafe, and it is sound because every node
-// pointer (a slot's kids, or kvState.root) is &node[0] of a
-// make([]kvSlot, popcount(bm)), and that bm travels with the pointer: in
-// the same slot's key, or in kvState.bm. The race detector's checkptr mode
-// checks every view against its allocation.
+// kvNode views the child node whose first slot is p and whose bitmap is
+// bm. It is the package's one use of unsafe, and it is sound because every
+// child pointer, a slot's kids, is &node[0] of a
+// make([]kvSlot, popcount(bm)) (never empty), and that bm travels with the
+// pointer in the same slot's key. The root needs no view: it is
+// kvState.root[:popcount(bm)] (rootNode). The race detector's checkptr
+// mode checks every view against its allocation.
 func kvNode(p *kvSlot, bm uint32) []kvSlot {
-	if p == nil {
-		return nil
-	}
 	return unsafe.Slice(p, bits.OnesCount32(bm))
-}
-
-// kvFirst is the pointer a slot or the root stores for node: its first
-// slot, or nil for an empty node, which only the root can be.
-func kvFirst(node []kvSlot) *kvSlot {
-	if len(node) == 0 {
-		return nil
-	}
-	return &node[0]
 }
 
 // kvFrame is one level of a root-to-leaf path: the node visited, its
 // bitmap, the key's index bit at that level, and whether the open edit
-// window built the node (so a put may edit it in place).
+// window built the node, so a put may edit it in place (a child only: put
+// and del edit the root, which no other state reaches, in place always).
 type kvFrame struct {
 	node    []kvSlot
 	bm, bit uint32
 	own     bool
 }
 
-// kvState is one trie root plus its edit-window bookkeeping. OpenWindow
-// bumps edit and opens a window; a put inside it stamps every node it copies
-// with edit (in the parent slot's val, or owned for the root) and edits in
-// place only a node stamped with the open token. That is race-free without
-// any owner retiring a token:
-//   - every node a state reaches carries a stamp no greater than its edit,
-//     so a fresh window can only edit nodes it built itself;
-//   - those nodes are reachable only from this private state until the
+// kvState is one trie, its root node held inline, plus its edit-window
+// bookkeeping. No other state reaches the root, since Clone copies its
+// slots, so put and del edit it in place; child nodes are shared. OpenWindow
+// bumps edit and opens a window; a put inside it stamps every child it
+// copies with edit (in the parent slot's val) and edits in place only a
+// child stamped with the open token. That is race-free without any owner
+// retiring a token:
+//   - every child a state reaches carries a stamp no greater than its edit,
+//     so a fresh window can only edit children it built itself;
+//   - those children are reachable only from this private state until the
 //     window closes (before ApplyAll returns, or at Window.Close);
 //   - Clone is a struct copy that writes nothing, so concurrent clones of
 //     one stored snapshot stay read-only. Two of them may open windows with
-//     the same token value, but they share no node built after the clone.
+//     the same token value, but they share no child built after the clone.
 //
-// The root is one pointer beside its bitmap, as in a slot, which keeps the
-// struct at 32 bytes, the size class Clone allocates per replay.
+// The struct is 792 bytes: Clone is one allocation in the 896-byte size
+// class, the class Go's malloc header puts a full 768-byte node in anyway.
 type kvState struct {
-	root *kvSlot
-	n    int64
-	edit uint64 // the lineage's window counter: the open window's token
-	bm   uint32
-	// owned: the open window built root; editing: a window is open.
-	owned, editing bool
+	root    [32]kvSlot // the root node is root[:popcount(bm)]; the rest stay zero
+	n       int64
+	edit    uint64 // the lineage's window counter: the open window's token
+	bm      uint32
+	editing bool // a window is open
 }
 
 // openWindow starts an edit window under a token no reachable node
 // carries.
 func (s *kvState) openWindow() {
 	s.edit++
-	s.owned, s.editing = false, true
+	s.editing = true
 }
 
-// closeWindow ends the window: from here on every node is immutable again.
-func (s *kvState) closeWindow() { s.owned, s.editing = false, false }
+// closeWindow ends the window: from here on every child is immutable again.
+func (s *kvState) closeWindow() { s.editing = false }
+
+// rootNode is the root's occupied slots.
+func (s *kvState) rootNode() []kvSlot { return s.root[:bits.OnesCount32(s.bm)] }
+
+// rootSet sets bit's root slot to rep in place, inserting it when bit is
+// absent; rootDel removes bit's (present) root slot in place.
+func (s *kvState) rootSet(bit uint32, rep kvSlot) {
+	pos := kvPos(s.bm, bit)
+	if s.bm&bit == 0 {
+		copy(s.root[pos+1:], s.root[pos:bits.OnesCount32(s.bm)])
+		s.bm |= bit
+	}
+	s.root[pos] = rep
+}
+
+func (s *kvState) rootDel(bit uint32) {
+	pos, last := kvPos(s.bm, bit), bits.OnesCount32(s.bm)-1
+	copy(s.root[pos:], s.root[pos+1:last+1])
+	s.root[last] = kvSlot{}
+	s.bm &^= bit
+}
 
 // kvHash is the splitmix64 finalizer: a fixed (unseeded, so replicas agree)
 // bijective mixer, so distinct keys never share a full hash.
@@ -644,11 +659,9 @@ func kvWith(node []kvSlot, bm, bit uint32, rep kvSlot) ([]kvSlot, uint32) {
 	return out, bm | bit
 }
 
-// kvWithout returns a copy of node with bit's (present) slot removed.
+// kvWithout returns a copy of node, which has two or more slots, with
+// bit's (present) slot removed.
 func kvWithout(node []kvSlot, bm, bit uint32) ([]kvSlot, uint32) {
-	if len(node) == 1 {
-		return nil, 0
-	}
 	pos := kvPos(bm, bit)
 	out := make([]kvSlot, len(node)-1)
 	copy(out, node[:pos])
@@ -691,7 +704,7 @@ func (s *kvState) Apply(op Op) int64 {
 
 func (s *kvState) get(k int64) int64 {
 	h := kvHash(k)
-	node, bm := kvNode(s.root, s.bm), s.bm
+	node, bm := s.rootNode(), s.bm
 	for level := 0; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		if bm&bit == 0 {
@@ -713,7 +726,7 @@ func (s *kvState) get(k int64) int64 {
 // descend records hash h's root-to-leaf path and returns the level where it
 // ends: at a leaf slot (hit) or at a free slot (!hit).
 func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf kvSlot, hit bool) {
-	node, bm, own := kvNode(s.root, s.bm), s.bm, s.editing && s.owned
+	node, bm, own := s.rootNode(), s.bm, false
 	for level := 0; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		path[level] = kvFrame{node: node, bm: bm, bit: bit, own: own}
@@ -744,28 +757,29 @@ func (s *kvState) put(k, v int64) int64 {
 		rep = kvSplit(sl, kvHash(sl.key), rep, h, depth+1)
 		s.n++
 	}
-	// Copy the path back up: at most kvMaxDepth nodes. A node the open
-	// window built takes rep in place when rep replaces one of its slots;
-	// its ancestors still hold it unchanged, so the walk ends there. Every
-	// copy is stamped with the token.
-	for i := depth; i >= 0; i-- {
+	// Copy the path back up to the root, which takes rep in place: at most
+	// kvMaxDepth-1 children. A child the open window built takes rep in
+	// place when rep replaces one of its slots; its ancestors still hold it
+	// unchanged, so the walk ends there. Every copy is stamped with the
+	// token.
+	for i := depth; i > 0; i-- {
 		f := path[i]
 		if f.own && f.bm&f.bit != 0 {
 			f.node[kvPos(f.bm, f.bit)] = rep
 			return old
 		}
 		nn, nbm := kvWith(f.node, f.bm, f.bit, rep)
-		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: kvFirst(nn)}
+		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: &nn[0]}
 	}
-	s.root, s.bm, s.owned = rep.kids, uint32(rep.key), s.editing
+	s.rootSet(path[0].bit, rep)
 	return old
 }
 
-// del removes k by copying its path minus the leaf, inside a window too. A
-// non-root node left holding a single leaf is dropped and the leaf moves up
-// into the parent, so the trie's shape depends only on its contents. The
-// copies are stamped 0, so no window edits them; only the root, which del
-// always rebuilds, is left to the open window.
+// del removes k by copying its path minus the leaf, inside a window too,
+// and editing the root in place. A non-root node left holding a single
+// leaf is dropped and the leaf moves up into the parent, so the trie's
+// shape depends only on its contents. The copies are stamped 0, so no
+// window edits them.
 func (s *kvState) del(k int64) int64 {
 	var path [kvMaxDepth]kvFrame
 	depth, sl, hit := s.descend(kvHash(k), &path)
@@ -775,21 +789,20 @@ func (s *kvState) del(k int64) int64 {
 	s.n--
 	var rep kvSlot
 	gone := true // the slot below is removed rather than replaced by rep
-	// Copy the path back up: at most kvMaxDepth nodes.
-	for i := depth; i >= 0; i-- {
+	// Copy the path back up to the root: at most kvMaxDepth-1 children.
+	for i := depth; i > 0; i-- {
 		f := path[i]
-		if i > 0 && gone && len(f.node) == 2 {
+		if gone && len(f.node) == 2 {
 			if other := f.node[1-kvPos(f.bm, f.bit)]; other.kids == nil {
 				rep, gone = other, false // the sibling leaf moves up
 				continue
 			}
 		}
-		if i > 0 && !gone && len(f.node) == 1 && rep.kids == nil {
+		if !gone && len(f.node) == 1 && rep.kids == nil {
 			continue // a single-slot chain node collapses; the leaf keeps moving up
 		}
-		// Only the root can lose its last slot: a non-root node holds two
-		// or more slots, or one internal slot, and the leaf cases above
-		// never leave it empty.
+		// A non-root node holds two or more slots, or one internal slot,
+		// and the leaf cases above never leave it empty.
 		var nn []kvSlot
 		var nbm uint32
 		if gone {
@@ -797,14 +810,19 @@ func (s *kvState) del(k int64) int64 {
 		} else {
 			nn, nbm = kvWith(f.node, f.bm, f.bit, rep)
 		}
-		rep, gone = kvSlot{key: int64(nbm), kids: kvFirst(nn)}, false
+		rep, gone = kvSlot{key: int64(nbm), kids: &nn[0]}, false
 	}
-	s.root, s.bm, s.owned = rep.kids, uint32(rep.key), s.editing
+	if gone {
+		s.rootDel(path[0].bit)
+	} else {
+		s.rootSet(path[0].bit, rep)
+	}
 	return sl.val
 }
 
-// Clone shares every node and writes nothing: it is never called inside a
-// window, and between windows every node is immutable.
+// Clone copies the root's slots, shares every child and writes nothing: it
+// is never called inside a window, and between windows every child is
+// immutable. It is one allocation.
 func (s *kvState) Clone() State { c := *s; return &c }
 
 // each calls fn on every leaf slot, in trie order. The walk keeps one
@@ -812,7 +830,7 @@ func (s *kvState) Clone() State { c := *s; return &c }
 // slot is visited once.
 func (s *kvState) each(fn func(leaf kvSlot)) {
 	var stack [kvMaxDepth][]kvSlot
-	stack[0] = kvNode(s.root, s.bm)
+	stack[0] = s.rootNode()
 	top := 0
 	for top >= 0 {
 		if len(stack[top]) == 0 {
@@ -930,25 +948,21 @@ func KVOf(pairs map[int64]int64) State { return kvOf(pairs, false) }
 func OpenKVWindow(pairs map[int64]int64) Window { return Window{kvOf(pairs, true)} }
 
 // kvOf is KVOf, and OpenKVWindow when open: the build then stamps every
-// internal slot, and the root, with the token of the window it opens.
+// internal slot with the token of the window it opens. The root is built
+// in place.
 func kvOf(pairs map[int64]int64, open bool) *kvState {
 	s := &kvState{n: int64(len(pairs))}
 	var tok int64
 	if open {
 		s.openWindow()
-		s.owned, tok = true, int64(s.edit)
+		tok = int64(s.edit)
 	}
 	leaves := make([]kvLeaf, 0, len(pairs))
 	for k, v := range pairs {
 		leaves = append(leaves, kvLeaf{h: kvHash(k), key: k, val: v})
 	}
 	kvSortLeaves(leaves)
-	if len(leaves) == 0 {
-		return s
-	}
 	s.bm = kvBitmap(leaves, 0)
-	root := make([]kvSlot, bits.OnesCount32(s.bm))
-	s.root = &root[0]
 	// A depth-first fill with one frame per level, as in each: the node
 	// being filled, its level, its next slot and the leaves left below it.
 	type frame struct {
@@ -958,7 +972,7 @@ func kvOf(pairs map[int64]int64, open bool) *kvState {
 		leaves []kvLeaf
 	}
 	var stack [kvMaxDepth]frame
-	stack[0] = frame{node: root, leaves: leaves}
+	stack[0] = frame{node: s.rootNode(), leaves: leaves}
 	top := 0
 	for top >= 0 {
 		f := &stack[top]

@@ -11,7 +11,7 @@
 // pins no shard's log GC, and the pid goes back to the pool on disconnect
 // (without a Detach, every pid that ever went quiet pinned the low-water
 // mark and the decided logs grew without bound). A durable server's shards have one
-// writer, the committer, and its connections lease no pid at all (below).
+// process, the committer, and its connections lease no pid at all (below).
 //
 // Each connection is pipelined. A reader goroutine decodes a stream of
 // frames (many per read syscall, through wire.Decoder) and writes the
@@ -92,7 +92,7 @@ type Config struct {
 	Addr          string                           // TCP listen address, e.g. ":7450"; ":0" for ephemeral
 	StatsAddr     string                           // HTTP stats address; "" disables the stats server
 	Shards        int                              // KV shard count (default 8)
-	Procs         int                              // in-memory mode: connection pid pool size (default 64); durable connections lease no pid
+	Procs         int                              // in-memory mode: connection pid pool size and each shard's process count (default 64); a durable server's shards have one process, the committer, and its connections lease no pid
 	Window        int                              // max requests routed to the committer and not yet flushed, per connection (default 256)
 	Dir           string                           // log store directory; "" runs without persistence
 	SnapshotEvery int                              // records per shard between snapshots (default 4096)
@@ -299,9 +299,14 @@ func New(cfg Config) (*Server, error) {
 		reg.GaugeFunc("logstore.batches", func() int64 { return st.Stats().Batches })
 		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
 	}
-	// In-memory connections lease pids 0..Procs-1; the committer applies as
-	// pid Procs.
-	kv := shard.New(seqs, cfg.Procs+1,
+	// In-memory connections lease pids 0..Procs-1 from the pool. A durable
+	// server's shards have one process, the committer, as pid 0, and its
+	// pool stays empty.
+	procs := cfg.Procs
+	if st != nil {
+		procs = 1
+	}
+	kv := shard.New(seqs, procs,
 		func() core.FetchAndCons { return core.NewSwapFAC() },
 		shard.Defaults(core.WithMetrics(reg))...)
 	kv.Instrument(reg)
@@ -325,8 +330,10 @@ func New(cfg Config) (*Server, error) {
 		acksDirect:    reg.Counter("server.acks_direct"),
 	}
 	reg.GaugeFunc("server.conns_active", s.connsActive.Load)
-	for pid := 0; pid < cfg.Procs; pid++ {
-		s.pool <- pid
+	if st == nil {
+		for pid := 0; pid < cfg.Procs; pid++ {
+			s.pool <- pid
+		}
 	}
 
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -481,7 +488,7 @@ func checkRoute(sh, shards int, key int64) error {
 //wf:blocking waits on the commit channel and the store's group commit
 func (s *Server) runCommitter(boots []shardBoot) {
 	defer s.loopWG.Done()
-	pid := s.cfg.Procs
+	const pid = 0                     // the shards' one process (see New)
 	seq := make([]uint64, len(boots)) // each shard's next record seq
 	drained := make([]uint64, len(boots))
 	sinceSnap := make([]int, len(boots))

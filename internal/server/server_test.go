@@ -512,6 +512,37 @@ func TestServerPoolExhausted(t *testing.T) {
 	})
 }
 
+// TestServerShardProcs: a durable server builds every shard for one
+// process, the committer, and leaves its pid pool empty; an in-memory
+// server builds them for Procs processes, every pid in the pool. A
+// shard's process count is the pids its Handle accepts.
+func TestServerShardProcs(t *testing.T) {
+	procs := func(u *core.Universal) (n int) {
+		defer func() { recover() }() // Handle panics past the last pid
+		for ; n < 64; n++ {
+			u.Handle(n)
+		}
+		return n
+	}
+	for _, c := range []struct {
+		name        string
+		dir         string
+		procs, pool int
+	}{{"memory", "", 4, 4}, {"durable", t.TempDir(), 1, 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := startServer(t, Config{Shards: 3, Procs: 4, Dir: c.dir})
+			for sh := 0; sh < s.kv.Shards(); sh++ {
+				if n := procs(s.kv.Shard(sh)); n != c.procs {
+					t.Errorf("shard %d has %d processes, want %d", sh, n, c.procs)
+				}
+			}
+			if n := len(s.pool); n != c.pool {
+				t.Errorf("%d pids in the pool, want %d", n, c.pool)
+			}
+		})
+	}
+}
+
 // TestServerConcurrentLinearizable: concurrent clients over real sockets
 // record a history that must linearize against the sequential KV. In the
 // durable case every client pipelines rounds of put k; get k; then a put,
