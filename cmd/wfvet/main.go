@@ -197,7 +197,7 @@ func printOps(ops []wfcheck.OpCert) {
 var paramGloss = map[string]string{
 	"n": "number of processes (MaxProcs)",
 	"S": "shard count of a sharded object",
-	"B": "records in one `InvokeBatch` call (the server's committer drains at most `drainCap` × S = 64·S requests)",
+	"B": "ops in one `Sharded.InvokeBatch` call, a loop of Invoke",
 	"g": "GC interval: operations between log-GC anchor swings",
 	"M": "registered metrics in a wfstats registry",
 	"C": "live-sample cap of the space accountant",

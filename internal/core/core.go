@@ -34,9 +34,8 @@ import (
 // Seq) is a human-readable identity for reports and tests.
 //
 // An entry owns its whole announcement, so announcing an operation
-// allocates at most one object (InvokeBatch takes its entries from chunks
-// of up to four). initEntry copies up to two argument words into argv
-// and points Op.Args at them (a wider op gets one fresh copy), so a caller
+// allocates at most one object. newEntry copies up to two argument words
+// into argv and points Op.Args at them (a wider op gets one fresh copy), so a caller
 // may reuse its own Args buffer as soon as its invocation returns, and the
 // decided log still replays the words it announced. cell is the list cell
 // the swap fetch-and-cons threads the entry with (Figures 4-3/4-4 cons the
@@ -67,43 +66,36 @@ type Entry struct {
 	snapped   atomic.Bool
 
 	// resp and respDone are the entry's result slot: the entry announces
-	// the operation, the slot carries its response back. Any process that
-	// replays a decided list through this entry may publish the response it
-	// computed (Publish); InvokeBatch collects each earlier entry of its
-	// wave from its slot (Result). Publication is two atomic stores — resp
-	// then the respDone flag — so a reader that observes the flag observes
-	// the response; double publication is harmless because the decided order
-	// below this entry is fixed (Lemma 24) and Apply is deterministic, so
-	// every publisher computes the same value.
+	// the operation, the slot carries its response back. The entry's own
+	// process publishes it (Publish) before it stores the snapshot, so a
+	// visible snapshot implies a visible response (Result). Publication is
+	// two atomic stores — resp then the respDone flag — so a reader that
+	// observes the flag observes the response; a second publication would be
+	// harmless because the decided order below this entry is fixed (Lemma
+	// 24) and Apply is deterministic, so every publisher computes the same
+	// value.
 	respDone atomic.Bool
 	resp     atomic.Int64
 }
 
-// newEntry builds pid's seq-th announcement of op in a fresh Entry: the
-// only allocation an announcement makes unless op has more than two
-// arguments.
+// newEntry builds pid's seq-th announcement of op in a fresh Entry,
+// copying op's arguments into it (see Entry): the only allocation an
+// announcement makes unless op has more than two arguments. An op without
+// arguments keeps its Args as given.
 func newEntry(pid int, seq int64, op seqspec.Op) *Entry {
-	e := new(Entry)
-	initEntry(e, pid, seq, op)
-	return e
-}
-
-// initEntry fills the zero Entry e as pid's seq-th announcement of op,
-// copying op's arguments into it (see Entry). An op without arguments
-// keeps its Args as given. InvokeBatch fills entries it takes from a chunk.
-func initEntry(e *Entry, pid int, seq int64, op seqspec.Op) {
-	e.Pid, e.Seq, e.Op = pid, seq, op
+	e := &Entry{Pid: pid, Seq: seq, Op: op}
 	if n := len(op.Args); n > len(e.argv) {
 		e.Op.Args = append([]int64(nil), op.Args...)
 	} else if n > 0 {
 		copy(e.argv[:], op.Args)
 		e.Op.Args = e.argv[:n:n]
 	}
+	return e
 }
 
 // Publish stores the entry's response into its result slot. Idempotent:
-// concurrent publishers replay the same decided prefix and therefore store
-// the same value.
+// every publisher replays the same decided prefix and therefore stores the
+// same value.
 func (e *Entry) Publish(v int64) {
 	e.resp.Store(v)
 	e.respDone.Store(true)

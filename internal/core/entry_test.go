@@ -23,24 +23,9 @@ func TestEntrySize(t *testing.T) {
 // argument buffer that the caller overwrites after every call returns; the
 // log's entries must still hold the announced words and the state must be
 // the one they build. The bank case covers an op wider than the entry's two
-// inline words. The batched path sends five ops a call, so each of its
-// waves fills one chunk of entries and starts another.
+// inline words.
 func TestEntryOwnsArgs(t *testing.T) {
-	type path struct {
-		name  string
-		per   int // ops a call
-		write func(u *Universal, ops []seqspec.Op)
-	}
-	batch := func(u *Universal, ops []seqspec.Op) { u.InvokeBatch(0, ops, make([]int64, len(ops))) }
-	paths := []path{
-		{"invoke", 2, func(u *Universal, ops []seqspec.Op) {
-			for _, op := range ops {
-				u.Invoke(0, op)
-			}
-		}},
-		{"batched", entryChunk + 1, batch},
-		{"invoke-batch", 2, batch},
-	}
+	const per = 2 // ops a round
 	objects := []struct {
 		obj  seqspec.Object
 		kind string
@@ -50,45 +35,45 @@ func TestEntryOwnsArgs(t *testing.T) {
 		{seqspec.KV{}, "put", func(i int64) []int64 { return []int64{i, 10 * i} }, seqspec.Op{Kind: "len"}},
 		{seqspec.Bank{Accounts: 2}, "transfer", func(i int64) []int64 { return []int64{i % 2, 1 - i%2, 1} }, seqspec.Op{Kind: "total"}},
 	}
-	for _, p := range paths {
-		for _, o := range objects {
-			t.Run(p.name+"/"+o.obj.Name(), func(t *testing.T) {
-				fac := NewSwapFAC()
-				u := NewUniversal(o.obj, fac, 1)
-				ref := o.obj.Init()
-				var announced []string // newest first, like Entries
-				for i := 0; i < 8; i++ {
-					// p.per ops per call, each from its own caller-owned buffer.
-					ops := make([]seqspec.Op, p.per)
-					for j := range ops {
-						ops[j] = seqspec.Op{Kind: o.kind, Args: o.args(int64(i*p.per + j))}
-						announced = append([]string{ops[j].String()}, announced...)
-						ref.Apply(ops[j])
-					}
-					p.write(u, ops)
-					for _, op := range ops {
-						for j := range op.Args {
-							op.Args[j] = -7 // the caller reuses its buffers
-						}
-					}
+	for _, o := range objects {
+		t.Run("invoke/"+o.obj.Name(), func(t *testing.T) {
+			fac := NewSwapFAC()
+			u := NewUniversal(o.obj, fac, 1)
+			ref := o.obj.Init()
+			var announced []string // newest first, like Entries
+			for i := 0; i < 8; i++ {
+				// per ops a round, each from its own caller-owned buffer.
+				ops := make([]seqspec.Op, per)
+				for j := range ops {
+					ops[j] = seqspec.Op{Kind: o.kind, Args: o.args(int64(i*per + j))}
+					announced = append([]string{ops[j].String()}, announced...)
+					ref.Apply(ops[j])
 				}
-				entries := Entries(fac.Head())
-				if len(entries) != len(announced) {
-					t.Fatalf("log holds %d entries, want %d", len(entries), len(announced))
+				for _, op := range ops {
+					u.Invoke(0, op)
 				}
-				for i, e := range entries {
-					if got := e.Op.String(); got != announced[i] {
-						t.Fatalf("entry %d holds %s, announced %s: it aliases the caller's buffer", i, got, announced[i])
+				for _, op := range ops {
+					for j := range op.Args {
+						op.Args[j] = -7 // the caller reuses its buffers
 					}
 				}
-				if got, want := u.State(0).Key(), ref.Key(); got != want {
-					t.Errorf("state %s, want %s", got, want)
+			}
+			entries := Entries(fac.Head())
+			if len(entries) != len(announced) {
+				t.Fatalf("log holds %d entries, want %d", len(entries), len(announced))
+			}
+			for i, e := range entries {
+				if got := e.Op.String(); got != announced[i] {
+					t.Fatalf("entry %d holds %s, announced %s: it aliases the caller's buffer", i, got, announced[i])
 				}
-				if got, want := u.Invoke(0, o.read), ref.Apply(o.read); got != want {
-					t.Errorf("%s = %d, want %d", o.read, got, want)
-				}
-			})
-		}
+			}
+			if got, want := u.State(0).Key(), ref.Key(); got != want {
+				t.Errorf("state %s, want %s", got, want)
+			}
+			if got, want := u.Invoke(0, o.read), ref.Apply(o.read); got != want {
+				t.Errorf("%s = %d, want %d", o.read, got, want)
+			}
+		})
 	}
 }
 

@@ -219,13 +219,10 @@ func (u *Universal) gcObserve(pid int, stop int64) {
 
 // gcSettle ends pid's write operation e: publish stop, the snapshot index
 // its replay stopped at, and advance the mark on schedule (every gcEvery-th
-// seq, or at once after a pass that published a wave's responses, paying
-// the min-scan once for the whole wave). Call it only once pid has no walk
-// left to make in the operation: a straggler's replay in InvokeBatch walks
-// below the settling pass's stop, which the register must not pass first.
-func (u *Universal) gcSettle(pid int, e *Entry, stop int64, published bool) {
+// seq).
+func (u *Universal) gcSettle(pid int, e *Entry, stop int64) {
 	u.gcObserve(pid, stop)
-	if u.gcEvery > 0 && (published || e.Seq%u.gcEvery == 0) {
+	if u.gcEvery > 0 && e.Seq%u.gcEvery == 0 {
 		u.gcAdvance()
 	}
 }
@@ -348,9 +345,8 @@ func (u *Universal) gcAdvance() {
 }
 
 // gcSwing applies a won cut: walk from the head to the anchor node (log
-// index mark) and sever its tail, and the tails of the few cells below it
-// that may share its InvokeBatch chunk. The walk is cut short harmlessly if
-// a later swing already severed above mark — everything below is then
+// index mark) and sever its tail. The walk is cut short harmlessly if a
+// later swing already severed above mark — everything below is then
 // already unreachable.
 func (u *Universal) gcSwing(old, mark int64) {
 	head := u.fac.Observe()
@@ -362,20 +358,7 @@ func (u *Universal) gcSwing(old, mark int64) {
 		}
 		scanned++
 		if int64(n.Len) == mark {
-			below := n.Rest()
 			n.sever()
-			// The cells just below may share an InvokeBatch chunk with the
-			// anchor (see entryChunk), which keeps them alive: cut theirs
-			// too, so they pin nothing older. Only a cell embedded in its
-			// entry can share one; ConsFAC's cells are its own.
-			for i := 1; i < entryChunk; i++ {
-				if below == nil || below != &below.Entry.cell {
-					break
-				}
-				next := below.Rest()
-				below.sever()
-				below = next
-			}
 			break
 		}
 		if int64(n.Len) < mark {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -122,17 +121,18 @@ func TestWithLogGCValidation(t *testing.T) {
 // completed replay's stopping snapshot index, so the collective minimum —
 // the index the swing severs at — always lands on a snapshot-carrying
 // node, and a replay that walks all the way down to the anchor stops at
-// its snapshot instead of reading the severed pointer. The writers issue
-// InvokeBatch waves of three, of which only the last entry stores a
-// snapshot, so the invariant is not vacuous.
+// its snapshot instead of reading the severed pointer. Pid 2 leaves an
+// entry in flight every third round (stall), which stores no snapshot, so
+// the invariant is not vacuous.
 func TestAnchorIsSnapshotNode(t *testing.T) {
 	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, 2, WithLogGC(1))
-	wave := []seqspec.Op{inc, inc, inc}
-	out := make([]int64, len(wave))
+	u := NewUniversal(seqspec.Counter{}, fac, 3, WithLogGC(1))
 	for i := 0; i < 120; i++ {
-		u.InvokeBatch(0, wave, out)
-		u.InvokeBatch(1, wave, out)
+		u.Invoke(0, inc)
+		if i%3 == 2 {
+			stall(u, 2, inc)
+		}
+		u.Invoke(1, inc)
 		u.Invoke(0, get)
 	}
 	bare := 0
@@ -142,7 +142,7 @@ func TestAnchorIsSnapshotNode(t *testing.T) {
 		}
 	}
 	if bare == 0 {
-		t.Fatal("every live entry carries a snapshot: the waves left nothing sparse to test")
+		t.Fatal("every live entry carries a snapshot: the stalls left nothing sparse to test")
 	}
 	anchor := u.Anchor()
 	if anchor == 0 {
@@ -236,14 +236,8 @@ func TestReadCacheEpochMiss(t *testing.T) {
 // writes with GC on must leave a live region bounded by O(n + n·gcEvery),
 // not by the op count. (The heap-level version of this claim is
 // BenchmarkSteadyStateHeap at the repo root; this is the node-count pin.)
-// The invoke-batch case drains waves of 1–16 ops from one pid, as the
-// server's committer does on each shard, and pins the heap as well: InvokeBatch takes its
-// entries from shared chunks, and a chunk that outlives the swing retiring
-// its entries would keep their list cells, and the log below them, alive
-// where no Rest walk can see it (see entryChunk).
 func TestLogGCSpacePin(t *testing.T) {
 	t.Run("invoke", testLogGCSpacePinInvoke)
-	t.Run("invoke-batch", testLogGCSpacePinBatch)
 }
 
 func testLogGCSpacePinInvoke(t *testing.T) {
@@ -296,48 +290,6 @@ func testLogGCSpacePinInvoke(t *testing.T) {
 	if got := u.Invoke(0, get); got != int64(total) {
 		t.Errorf("counter reads %d, want %d", got, total)
 	}
-}
-
-func testLogGCSpacePinBatch(t *testing.T) {
-	const gcEvery, width, waves = 8, 16, 20_000
-	fac := NewSwapFAC()
-	u := NewUniversal(seqspec.Counter{}, fac, 1, WithLogGC(gcEvery))
-	ops := make([]seqspec.Op, width)
-	for i := range ops {
-		ops[i] = inc
-	}
-	out := make([]int64, width)
-	rng := rand.New(rand.NewSource(1))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	total := 0
-	for w := 0; w < waves; w++ {
-		k := 1 + rng.Intn(width)
-		if w >= waves/2 {
-			// Even widths: no wave's newest entry is alone in its chunk,
-			// so every anchor has chunk mates just below it for gcSwing
-			// to cut.
-			k = 2 + 2*rng.Intn(width/2)
-		}
-		u.InvokeBatch(0, ops[:k], out)
-		total += k
-		if out[k-1] != int64(total-1) {
-			t.Fatalf("wave %d: last inc returned %d, want %d", w, out[k-1], total-1)
-		}
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	// One pid: the mark trails its newest snapshot by at most one wave.
-	if got, bound := listLen(fac.Head()), 2*width+gcEvery; got > bound {
-		t.Errorf("live list %d nodes after %d ops, want <= %d", got, total, bound)
-	}
-	// A pinned log would hold every one of the ~175 000 entries: over
-	// 20 MB. The bound leaves room for the runtime's own noise.
-	if grown, limit := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(1<<20); grown > limit {
-		t.Errorf("heap grew %d bytes over %d InvokeBatch ops with GC on, want <= %d: retired entries stay reachable", grown, total, limit)
-	}
-	runtime.KeepAlive(u)
 }
 
 // TestDetachUnpinsMark is the departed-client regression test: a pid that
@@ -474,22 +426,80 @@ func TestLogGCSpacePinUnderChurn(t *testing.T) {
 // -race: every worker detaches between bursts, so each burst's first walk
 // is a genuine re-attach racing the dedicated advancer's sever — the
 // interleaving the gate-validate/rescan rules exist for. Histories must
-// stay linearizable across both fetch-and-cons forms, batched and not; the
-// batched variant drives every pid in InvokeBatch waves, so it runs over
-// sparse snapshots (see soakRun).
+// stay linearizable across both fetch-and-cons forms; every op is its own
+// Invoke (batched=false: the construction has no batch path).
 func TestDetachSoakLinearizable(t *testing.T) {
 	const n = 4
 	obj := seqspec.KV{}
 	for name, mk := range facMakers(n) {
-		for _, batched := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/batched=%v", name, batched), func(t *testing.T) {
+		t.Run(name+"/batched=false", func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				u := NewUniversal(obj, mk(), n, WithLogGC(1))
+				var rec linearize.Recorder
+				stop := make(chan struct{})
+				var adv sync.WaitGroup
+				adv.Add(1)
+				go func() {
+					defer adv.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							u.gcAdvance()
+							runtime.Gosched()
+						}
+					}
+				}()
+				var wg sync.WaitGroup
+				for p := 0; p < n; p++ {
+					p := p
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(trial*n + p)))
+						for burst := 0; burst < 4; burst++ {
+							soakRun(u, &rec, p, soakOps(obj, rng, 4))
+							u.Detach(p)
+							runtime.Gosched()
+						}
+					}()
+				}
+				wg.Wait()
+				close(stop)
+				adv.Wait()
+				h := rec.History()
+				if res := linearize.Check(obj, h); !res.OK {
+					for _, e := range h {
+						t.Logf("  %s", e)
+					}
+					t.Fatalf("trial %d: history not linearizable under detach churn", trial)
+				}
+			}
+		})
+	}
+}
+
+// TestLogGCSoakLinearizable is the -race soak hammer: concurrent writers and
+// readers over both fetch-and-cons constructions, with the mark advanced as
+// aggressively as possible — every write attempts it (WithLogGC(1)) and a
+// dedicated goroutine hammers gcAdvance continuously. Every recorded
+// history must still linearize; under -race this also checks the
+// sever/replay and cache-invalidation rendezvous. Every op is its own
+// Invoke (batched=false: the construction has no batch path).
+func TestLogGCSoakLinearizable(t *testing.T) {
+	const n = 4
+	objects := []seqspec.Object{seqspec.KV{}, seqspec.Queue{}}
+	for name, mk := range facMakers(n) {
+		for _, obj := range objects {
+			t.Run(name+"/"+obj.Name()+"/batched=false", func(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
 					u := NewUniversal(obj, mk(), n, WithLogGC(1))
 					var rec linearize.Recorder
 					stop := make(chan struct{})
 					var adv sync.WaitGroup
 					adv.Add(1)
-					go func() {
+					go func() { // the concurrent mark-advancer
 						defer adv.Done()
 						for {
 							select {
@@ -508,11 +518,7 @@ func TestDetachSoakLinearizable(t *testing.T) {
 						go func() {
 							defer wg.Done()
 							rng := rand.New(rand.NewSource(int64(trial*n + p)))
-							for burst := 0; burst < 4; burst++ {
-								soakRun(u, &rec, p, soakOps(obj, rng, 4), soakWidth(batched, p))
-								u.Detach(p)
-								runtime.Gosched()
-							}
+							soakRun(u, &rec, p, soakOps(obj, rng, 8))
 						}()
 					}
 					wg.Wait()
@@ -523,129 +529,10 @@ func TestDetachSoakLinearizable(t *testing.T) {
 						for _, e := range h {
 							t.Logf("  %s", e)
 						}
-						t.Fatalf("trial %d: history not linearizable under detach churn", trial)
+						t.Fatalf("trial %d: history not linearizable under log GC", trial)
 					}
 				}
 			})
-		}
-	}
-}
-
-// hookFAC runs before, when set, ahead of each cons it forwards: a test's
-// way to land another pid's whole operation between two entries of a wave.
-type hookFAC struct {
-	*SwapFAC
-	before func(pid int)
-}
-
-func (f *hookFAC) FetchAndCons(pid int, e *Entry) *Node {
-	if f.before != nil {
-		f.before(pid)
-	}
-	return f.SwapFAC.FetchAndCons(pid, e)
-}
-
-// TestBatchStragglerSurvivesSwing forces InvokeBatch's straggler path next
-// to an anchor swing. Pid 1's put lands between the second and third entry
-// of pid 0's wave and stores its snapshot there, then pid 1 detaches; so
-// the settling pass stops at pid 1's snapshot and the wave's first two
-// entries are stragglers. The second straggler replays from the first
-// entry's cell, which carries no snapshot. Pid 0's register must stay
-// below the stragglers until they are resolved: were it raised to pid 1's
-// snapshot first, the swing at that snapshot would sever the cells below
-// it (the chunk rule of gcSwing), the second straggler's walk would reach
-// nil and answer put(1,12) from an empty state. The swing itself happens
-// once the stragglers are resolved.
-func TestBatchStragglerSurvivesSwing(t *testing.T) {
-	fac := &hookFAC{SwapFAC: NewSwapFAC()}
-	u := NewUniversal(seqspec.KV{}, fac, 2, WithLogGC(1))
-	put := func(k, v int64) seqspec.Op { return seqspec.Op{Kind: "put", Args: []int64{k, v}} }
-	if got := u.Invoke(0, put(1, 10)); got != seqspec.Empty {
-		t.Fatalf("first put = %d, want Empty", got)
-	}
-	conses := 0
-	fac.before = func(pid int) {
-		if pid != 0 {
-			return
-		}
-		if conses++; conses == 3 {
-			u.Invoke(1, put(3, 30))
-			u.Detach(1)
-		}
-	}
-	out := make([]int64, 3)
-	u.InvokeBatch(0, []seqspec.Op{put(2, 20), put(1, 12), put(2, 21)}, out)
-	fac.before = nil
-	if want := []int64{seqspec.Empty, 10, 20}; fmt.Sprint(out) != fmt.Sprint(want) {
-		t.Fatalf("wave answered %v, want %v", out, want)
-	}
-	// Log indices: the first put 1, the wave's entries 2, 3 and 5, pid 1's
-	// put 4. Its snapshot is the newest pid 0 stopped at, so the swing
-	// anchors there.
-	if got := u.Anchor(); got != 4 {
-		t.Fatalf("anchor at %d, want 4 (pid 1's snapshot): no swing after the stragglers", got)
-	}
-	if got := u.Invoke(0, seqspec.Op{Kind: "get", Args: []int64{1}}); got != 12 {
-		t.Fatalf("get(1) = %d, want 12", got)
-	}
-}
-
-// TestLogGCSoakLinearizable is the -race soak hammer: concurrent writers and
-// readers over both fetch-and-cons constructions, batched and not, with the
-// mark advanced as aggressively as possible — every write attempts it
-// (WithLogGC(1)) and a dedicated goroutine hammers gcAdvance continuously.
-// Every recorded history must still linearize; under -race this also checks
-// the sever/replay and cache-invalidation rendezvous. The batched variant
-// drives every pid in InvokeBatch waves, so it runs over sparse snapshots
-// (see soakRun).
-func TestLogGCSoakLinearizable(t *testing.T) {
-	const n = 4
-	objects := []seqspec.Object{seqspec.KV{}, seqspec.Queue{}}
-	for name, mk := range facMakers(n) {
-		for _, obj := range objects {
-			for _, batched := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/batched=%v", name, obj.Name(), batched), func(t *testing.T) {
-					for trial := 0; trial < 4; trial++ {
-						u := NewUniversal(obj, mk(), n, WithLogGC(1))
-						var rec linearize.Recorder
-						stop := make(chan struct{})
-						var adv sync.WaitGroup
-						adv.Add(1)
-						go func() { // the concurrent mark-advancer
-							defer adv.Done()
-							for {
-								select {
-								case <-stop:
-									return
-								default:
-									u.gcAdvance()
-									runtime.Gosched()
-								}
-							}
-						}()
-						var wg sync.WaitGroup
-						for p := 0; p < n; p++ {
-							p := p
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								rng := rand.New(rand.NewSource(int64(trial*n + p)))
-								soakRun(u, &rec, p, soakOps(obj, rng, 8), soakWidth(batched, p))
-							}()
-						}
-						wg.Wait()
-						close(stop)
-						adv.Wait()
-						h := rec.History()
-						if res := linearize.Check(obj, h); !res.OK {
-							for _, e := range h {
-								t.Logf("  %s", e)
-							}
-							t.Fatalf("trial %d: history not linearizable under log GC", trial)
-						}
-					}
-				})
-			}
 		}
 	}
 }
@@ -659,28 +546,11 @@ func soakOps(obj seqspec.Object, rng *rand.Rand, count int) []seqspec.Op {
 	return ops
 }
 
-// soakWidth is the wave width of pid p in a soak: 1 unbatched, else 2–5,
-// so pid 3's waves of five take their entries from two chunks.
-func soakWidth(batched bool, p int) int {
-	if !batched {
-		return 1
-	}
-	return 2 + p%4
-}
-
-// soakRun invokes ops on behalf of p and records each in rec, as
-// InvokeBatch waves of size ops (a wave of one is an Invoke). A wave's ops
-// are recorded as concurrent with each other. Only a wave's last entry
-// stores a snapshot, so a soak that gives pids waves runs the GC over
-// sparse snapshots.
-func soakRun(u *Universal, rec *linearize.Recorder, p int, ops []seqspec.Op, size int) {
-	out := make([]int64, size)
-	for i := 0; i < len(ops); i += size {
-		wave := ops[i:min(i+size, len(ops))]
+// soakRun invokes ops on behalf of p, one Invoke each, and records each in
+// rec.
+func soakRun(u *Universal, rec *linearize.Recorder, p int, ops []seqspec.Op) {
+	for _, op := range ops {
 		ts := rec.Invoke()
-		u.InvokeBatch(p, wave, out)
-		for j, op := range wave {
-			rec.Complete(p, op, out[j], ts)
-		}
+		rec.Complete(p, op, u.Invoke(p, op), ts)
 	}
 }

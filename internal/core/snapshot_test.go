@@ -1,8 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"strings"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,10 +39,8 @@ func (s countingState) Clone() seqspec.State {
 // TestReplayStopAppliesNothing: a snapshot holds the state after its entry's
 // op, so a replay that stops there applies nothing for that entry. With one
 // process every call's replay stops at the snapshot its previous call
-// stored, so a call applies exactly its own ops: the batch's earlier entries
-// its replay walks past, plus the newest. The batched case is a wave of six,
-// whose entries come from two chunks. The pre-state rule would add one
-// apply per replay, for the entry the replay stopped at. In fast-read-miss
+// stored, so a call applies exactly its own op. The pre-state rule would
+// add one apply per replay, for the entry the replay stopped at. In fast-read-miss
 // pid 1's put is in flight while pid 0 reads, so the read misses the settled
 // path and replays: it applies the put above the snapshot it stops at and
 // its own get, and the put's execute then applies the put once more.
@@ -56,16 +55,10 @@ func TestReplayStopAppliesNothing(t *testing.T) {
 		misses int64              // read-cache misses the call makes
 	}{
 		{"invoke", nil, func(u *Universal) { u.Invoke(0, put) }, 1, 0},
-		{"batched", nil, func(u *Universal) {
-			u.InvokeBatch(0, []seqspec.Op{put, put, put, put, put, put}, make([]int64, 6))
-		}, 6, 0},
-		{"invoke-batch", nil, func(u *Universal) {
-			u.InvokeBatch(0, []seqspec.Op{put, put, put, put}, make([]int64, 4))
-		}, 4, 0},
 		{"fast-read-miss", nil, func(u *Universal) {
 			e, prior := stall(u, 1, put) // an unsettled head: the read below replays
 			u.Invoke(0, get)
-			u.execute(1, e, prior, false)
+			u.execute(1, e, prior)
 		}, 3, 1},
 	}
 	const rounds = 8
@@ -102,12 +95,11 @@ func TestKVPutGetOnePathCopy(t *testing.T) {
 	const keys = 2048
 	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 2)
 	base := seqspec.KV{}.Init()
-	fill := make([]seqspec.Op, keys)
-	for k := range fill {
-		fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
-		base.Apply(fill[k])
+	for k := int64(0); k < keys; k++ {
+		fill := seqspec.Op{Kind: "put", Args: []int64{k, k}}
+		base.Apply(fill)
+		u.Invoke(0, fill)
 	}
-	u.InvokeBatch(0, fill, make([]int64, keys))
 	put := seqspec.Op{Kind: "put", Args: []int64{7, 70}}
 	get := seqspec.Op{Kind: "get", Args: []int64{7}}
 
@@ -132,17 +124,98 @@ func TestKVPutGetOnePathCopy(t *testing.T) {
 	}
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// kvKeys is the key count of the KV cost pins below: keys 0..keys-1, each
+// its own value.
+func kvKeys(keys int64) map[int64]int64 {
+	pairs := make(map[int64]int64, keys)
+	for k := int64(0); k < keys; k++ {
+		pairs[k] = k
+	}
+	return pairs
+}
+
+// TestKVWriteBytes pins the bytes a KV write copies on a 2 048-key state:
+// a 16-put run as a durable server's committer applies it (a Clone of the
+// published state, then one seqspec.ApplyAll window), and a single Invoke
+// put. A trie slot is 24 bytes (a child pointer whose node length is its
+// bitmap's popcount), and a state holds its root inline, so the Clone is
+// one allocation in the 896-byte size class; the run copies the 31 child
+// nodes its 16 paths share once each: 12 176 bytes. The put pays its 128-byte Entry, its
+// replay's Clone and one path copy: 1 728 bytes.
+func TestKVWriteBytes(t *testing.T) {
+	const keys = 2048
+	published := seqspec.KVOf(kvKeys(keys))
+	ops := make([]seqspec.Op, 16)
+	for i := range ops {
+		ops[i] = seqspec.Op{Kind: "put", Args: []int64{int64(i * 97), -1}}
+	}
+	out := make([]int64, len(ops))
+	if got, limit := bytesPerRun(50, func() { seqspec.ApplyAll(published.Clone(), ops, out) }), 12192.0; got > limit {
+		t.Errorf("a 16-put run on a clone of %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
+	}
+	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 1)
+	for k := int64(0); k < keys; k++ {
+		u.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
+	}
+	put := seqspec.Op{Kind: "put", Args: []int64{77, 70}}
+	if got, limit := bytesPerRun(50, func() { u.Invoke(0, put) }), 1744.0; got > limit {
+		t.Errorf("a put into %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
+	}
+}
+
+// BenchmarkCommitterApply prices a durable server committer's apply of one
+// shard's run: a Clone of the shard's published 2 048-key state (built by
+// seqspec.KVOf, as boot builds it) and one seqspec.ApplyAll of 1, 4 or 16
+// puts. ns/op and B/op are per run: divide by the op count for a put's
+// share.
+func BenchmarkCommitterApply(b *testing.B) {
+	const keys = 2048
+	pairs := kvKeys(keys)
+	for _, n := range []int{1, 4, 16} {
+		args := make([][2]int64, n)
+		ops := make([]seqspec.Op, n)
+		for j := range ops {
+			ops[j] = seqspec.Op{Kind: "put", Args: args[j][:]}
+		}
+		out := make([]int64, n)
+		b.Run(fmt.Sprintf("ApplyAll/%d", n), func(b *testing.B) {
+			st := seqspec.KVOf(pairs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range args {
+					args[j] = [2]int64{int64((i*n+j)*97) % keys, int64(i)}
+				}
+				st = st.Clone()
+				seqspec.ApplyAll(st, ops, out)
+			}
+		})
+	}
+}
+
 // TestSnapshotImpliesResult: every write path publishes an entry's response
 // before storing its snapshot, so a scanner that sees a snapshot must also
-// see the result. Writers race a scanner walking the decided list, over
-// both fetch-and-cons forms: batched, every writer runs InvokeBatch waves of
-// three; unbatched, all but one writer Invoke. Run it under -race.
+// see the result. Writers Invoke and race a scanner walking the decided
+// list, over both fetch-and-cons forms. Run it under -race.
 func TestSnapshotImpliesResult(t *testing.T) {
 	const n, per = 4, 300
 	makers := facMakers(n)
-	for _, name := range []string{"swap/batched", "consensus-cas/batched", "swap/unbatched"} {
-		t.Run(name, func(t *testing.T) {
-			form, mode, _ := strings.Cut(name, "/")
+	for _, form := range []string{"swap", "consensus-cas"} {
+		t.Run(form+"/unbatched", func(t *testing.T) {
 			fac := makers[form]()
 			u := NewUniversal(seqspec.KV{}, fac, n)
 			var wg sync.WaitGroup
@@ -152,12 +225,7 @@ func TestSnapshotImpliesResult(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						op := seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}}
-						if p == n-1 || mode == "batched" {
-							u.InvokeBatch(p, []seqspec.Op{op, op, op}, make([]int64, 3))
-							continue
-						}
-						u.Invoke(p, op)
+						u.Invoke(p, seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}})
 					}
 				}()
 			}
@@ -191,44 +259,26 @@ func TestSnapshotImpliesResult(t *testing.T) {
 }
 
 // TestWindowSnapshotHammer is the edit window's sharing contract under
-// -race. Pid 0 runs InvokeBatch waves of puts into a 2 048-key KV, each
-// wave one ApplyAll window on a clone of the newest snapshot. Meanwhile pid
-// 1 takes State copies and runs windows on them, pid 2 serves fast reads,
-// and pid 3 clones the newest stored snapshot and runs windows on its
-// clones, under the same token value pid 0's next wave opens. Pid 0 keeps
-// writing until the others finish. No stored snapshot's Key may change
-// after the store.
-//
-// The seeded input starts the construction from a 2 048-key state
-// (seqspec.KVFrom), as a recovered server shard starts, with truncation
-// off: no entry stores a snapshot, so every replay clones the shared seed,
-// and pid 3 runs its windows on clones of the seed, which must not change.
+// -race. Pid 0 puts into a 2 048-key KV, each put a replay on a clone of
+// the newest snapshot. Meanwhile pid 1 takes State copies and runs windows
+// on them, pid 2 serves fast reads, and pid 3 clones the newest stored
+// snapshot and runs windows on its clones, under the same token value pid
+// 0's next replay opens. Pid 0 keeps writing until the others finish. No
+// stored snapshot's Key may change after the store.
 func TestWindowSnapshotHammer(t *testing.T) {
 	const n, keys = 4, 2048
 	t.Run("empty", func(t *testing.T) {
 		u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n, WithLogGC(8))
-		fill := make([]seqspec.Op, keys)
-		for k := range fill {
-			fill[k] = seqspec.Op{Kind: "put", Args: []int64{int64(k), int64(k)}}
-		}
-		u.InvokeBatch(0, fill, make([]int64, keys))
-		windowHammer(t, u, keys, nil)
-	})
-	t.Run("seeded", func(t *testing.T) {
-		pairs := make(map[int64]int64, keys)
 		for k := int64(0); k < keys; k++ {
-			pairs[k] = k
+			u.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
 		}
-		seed := seqspec.KVOf(pairs)
-		u := NewUniversal(seqspec.KVFrom(seed), NewSwapFAC(), n, WithoutTruncation())
-		windowHammer(t, u, keys, seed)
+		windowHammer(t, u, keys)
 	})
 }
 
 // windowHammer is TestWindowSnapshotHammer's run on u, a KV construction
-// for 4 pids holding keys keys. Pid 3 falls back to seed while no entry
-// stores a snapshot.
-func windowHammer(t *testing.T, u *Universal, keys int64, seed seqspec.State) {
+// for 4 pids holding keys keys, whose head carries a snapshot.
+func windowHammer(t *testing.T, u *Universal, keys int64) {
 	const n, waves, iters, width = 4, 60, 40, 16
 	puts := func(rng *rand.Rand) []seqspec.Op {
 		ops := make([]seqspec.Op, width)
@@ -243,7 +293,7 @@ func windowHammer(t *testing.T, u *Universal, keys int64, seed seqspec.State) {
 				return s
 			}
 		}
-		return seed
+		panic("no stored snapshot")
 	}
 	type seen struct {
 		state seqspec.State
@@ -257,9 +307,10 @@ func windowHammer(t *testing.T, u *Universal, keys int64, seed seqspec.State) {
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(1))
-		out := make([]int64, width)
 		for w := 0; w < waves || busy.Load() > 0; w++ {
-			u.InvokeBatch(0, puts(rng), out)
+			for _, op := range puts(rng) {
+				u.Invoke(0, op)
+			}
 		}
 	}()
 	for pid := 1; pid < n; pid++ {
@@ -301,38 +352,24 @@ func windowHammer(t *testing.T, u *Universal, keys int64, seed seqspec.State) {
 // k=1: every write stores a snapshot, so a replay walks past at most one
 // committed entry per process plus one in flight, n·(k+1) = 2n.
 func TestSnapshotInterval(t *testing.T) {
-	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, 1, 2*replayN) })
-}
-
-// TestBatchedSnapshotBound: the replay bound survives InvokeBatch waves.
-// Only a wave's newest entry stores a snapshot, and it does so before the
-// pid conses its next wave, so above the newest snapshot a replay finds at
-// most one unfinished wave of three per pid: 3n ≤ 4n.
-func TestBatchedSnapshotBound(t *testing.T) {
-	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, 3, 4*replayN) })
+	t.Run("k=1", func(t *testing.T) { checkReplayBound(t, 2*replayN) })
 }
 
 const replayN = 4
 
-// checkReplayBound runs replayN concurrent incrementers, each in InvokeBatch
-// waves of width incs (a wave of one is an Invoke), and checks the final
-// count and that no replay walked more than bound entries.
-func checkReplayBound(t *testing.T, width int, bound int64) {
+// checkReplayBound runs replayN concurrent incrementers and checks the
+// final count and that no replay walked more than bound entries.
+func checkReplayBound(t *testing.T, bound int64) {
 	const n, per = replayN, 200
 	u := NewUniversal(seqspec.Counter{}, NewSwapFAC(), n)
-	wave := make([]seqspec.Op, width)
-	for i := range wave {
-		wave[i] = seqspec.Op{Kind: "inc"}
-	}
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		p := p
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := make([]int64, width)
-			for i := 0; i < per; i += width {
-				u.InvokeBatch(p, wave[:min(width, per-i)], out)
+			for i := 0; i < per; i++ {
+				u.Invoke(p, seqspec.Op{Kind: "inc"})
 			}
 		}()
 	}
@@ -345,49 +382,29 @@ func checkReplayBound(t *testing.T, width int, bound int64) {
 	}
 }
 
-// TestOneSnapshotPerPass: each write path stores exactly one snapshot per
-// executor pass (execute). Unbatched, every write is its own pass. An
-// InvokeBatch wave is one pass, whatever stragglers it resolves: fixed
-// waves of three, and batched waves of one to six, where a wave of one is
-// an Invoke and waves of five or six take entries from two chunks.
+// TestOneSnapshotPerPass: the write path stores exactly one snapshot per
+// executor pass (execute), and every write is its own pass.
 func TestOneSnapshotPerPass(t *testing.T) {
 	const n, per = 4, 200
 	put := func(p, i int) seqspec.Op {
 		return seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}}
 	}
-	wave := func(u *Universal, p, width int, op seqspec.Op) {
-		ops := make([]seqspec.Op, width)
-		for j := range ops {
-			ops[j] = op
+	t.Run("unbatched", func(t *testing.T) {
+		u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n)
+		var wg sync.WaitGroup
+		for p := 0; p < n; p++ {
+			p := p
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					u.Invoke(p, put(p, i))
+				}
+			}()
 		}
-		u.InvokeBatch(p, ops, make([]int64, width))
-	}
-	cases := []struct {
-		name  string
-		write func(u *Universal, p, i int)
-	}{
-		{"unbatched", func(u *Universal, p, i int) { u.Invoke(p, put(p, i)) }},
-		{"batched", func(u *Universal, p, i int) { wave(u, p, 1+(p+i)%6, put(p, i)) }},
-		{"invoke-batch", func(u *Universal, p, i int) { wave(u, p, 3, put(p, i)) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			u := NewUniversal(seqspec.KV{}, NewSwapFAC(), n)
-			var wg sync.WaitGroup
-			for p := 0; p < n; p++ {
-				p := p
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						c.write(u, p, i)
-					}
-				}()
-			}
-			wg.Wait()
-			if stores := u.stats.snapStores.Load(); stores != n*per {
-				t.Errorf("%d snapshot stores, want one per executor pass: %d", stores, n*per)
-			}
-		})
-	}
+		wg.Wait()
+		if stores := u.stats.snapStores.Load(); stores != n*per {
+			t.Errorf("%d snapshot stores, want one per executor pass: %d", stores, n*per)
+		}
+	})
 }

@@ -92,9 +92,6 @@ type universalStats struct {
 	// replay, the Section 4.1 strong-wait-freedom quantity (bounded by n
 	// with snapshots, by the object's age without).
 	replayLen *wfstats.Histogram
-	// batchLen is the batch-size histogram: responses each InvokeBatch pass
-	// settled, its own plus every earlier entry it published.
-	batchLen *wfstats.Histogram
 	// retired counts log entries severed by the low-water-mark GC, and
 	// logLen gauges the live log length (head index minus retired) as of
 	// the latest anchor swing or sample. Flat zeros with GC off.
@@ -113,16 +110,13 @@ type universalStats struct {
 }
 
 // replayScratch is one pid's reusable replay buffer (single writer: the
-// pid's own front end). pending, ops and out are replayPublish's window
-// buffers, entries and priors InvokeBatch's per-wave buffers; each call
-// clears its own before returning, so scratch never pins decided log
-// nodes, snapshot states or op arguments beyond the call.
+// pid's own front end): replayPublish's window buffers, which it clears
+// before returning, so scratch never pins decided log nodes, snapshot
+// states or op arguments beyond the call.
 type replayScratch struct {
 	pending []*Entry
 	ops     []seqspec.Op
 	out     []int64
-	entries []*Entry
-	priors  []*Node
 }
 
 // readSnap pairs an observed decided list with the state it replays to,
@@ -185,7 +179,6 @@ func NewUniversal(seq seqspec.Object, fac FetchAndCons, n int, opts ...Option) *
 		fastHits:   u.metrics.StripedCounter("universal.fast_read_hit", n),
 		fastMisses: u.metrics.StripedCounter("universal.fast_read_miss", n),
 		replayLen:  u.metrics.Histogram("universal.replay_len"),
-		batchLen:   u.metrics.Histogram("universal.batch_len"),
 		retired:    u.metrics.Counter("universal.retired"),
 		logLen:     u.metrics.Gauge("universal.log_len"),
 		gcScanLen:  u.metrics.Histogram("universal.gc_scan_len"),
@@ -215,30 +208,23 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 	}
 	e := newEntry(pid, u.seqs[pid].Add(1), op)
 	u.stats.consOps.Inc()
-	resp, stop, _ := u.execute(pid, e, u.fac.FetchAndCons(pid, e), false)
-	u.gcSettle(pid, e, stop, false)
+	resp, stop := u.execute(pid, e, u.fac.FetchAndCons(pid, e))
+	u.gcSettle(pid, e, stop)
 	return resp
 }
 
 // execute is the second step of every write path (Figure 4-2's replay,
 // then Section 4.1's snapshot): replay prior — the decided list below e —
 // and e's own operation in one edit window, publish e's response and store
-// the resulting state as e's snapshot. It returns e's response, the log
-// index its replay stopped at and how many responses it published; the
-// caller hands the stop to gcSettle once pid has no walk left to make.
-// With help set (InvokeBatch) the replay publishes the response of every
-// entry it applies whose slot is still empty and the pass counts as one
-// batch.
-func (u *Universal) execute(pid int, e *Entry, prior *Node, help bool) (int64, int64, int) {
-	state, resp, published, stop := u.replayPublish(pid, prior, e, help)
+// the resulting state as e's snapshot. It returns e's response and the log
+// index its replay stopped at, which the caller hands to gcSettle.
+func (u *Universal) execute(pid int, e *Entry, prior *Node) (int64, int64) {
+	state, resp, stop := u.replayPublish(pid, prior, e)
 	e.Publish(resp)
 	if u.truncate {
 		u.storeSnapshot(e, state)
 	}
-	if help {
-		u.stats.batchLen.Observe(int64(published) + 1)
-	}
-	return resp, stop, published
+	return resp, stop
 }
 
 // storeSnapshot stores state, the state after e's own operation, as e's
@@ -287,8 +273,7 @@ func (u *Universal) readFast(pid int, op seqspec.Op) int64 {
 // list Observe loads, as a private copy the caller may mutate or keep.
 // Like a fast read it conses nothing and linearizes at that load, but it
 // neither reads nor fills the read cache. pid is bound by Invoke's
-// sequential-use contract. Settled reads the same state without a pid or
-// a clone once the head carries its snapshot.
+// sequential-use contract.
 func (u *Universal) State(pid int) seqspec.State {
 	u.gcAttach(pid)
 	return u.replay(pid, u.fac.Observe())
@@ -298,28 +283,21 @@ func (u *Universal) State(pid int) seqspec.State {
 // first), stopping early at snapshots when present. The result is private:
 // a clone of the snapshot the walk stopped at, or a fresh Init.
 func (u *Universal) replay(pid int, list *Node) seqspec.State {
-	state, _, _, stop := u.replayPublish(pid, list, nil, false)
+	state, _, stop := u.replayPublish(pid, list, nil)
 	u.gcObserve(pid, stop)
 	return state
 }
 
-// replayPublish is replay plus the caller's own operation and InvokeBatch's
-// helping write. It gathers the ops of the entries above the
-// snapshot it stops at, oldest first, followed by own's op when own is
-// non-nil, and applies them in one seqspec.ApplyAll: one edit window, so a
-// KV replay copies each trie node the window's puts share once, not once
-// per put. It returns the state, own's response, with help set how many of
-// the applied entries' empty result slots it filled from the window's
-// responses, and the log index of the snapshot it stopped at (0 at the
-// log's origin), which it leaves to the caller to publish to pid's GC
-// register (gcObserve). The entry it stops at needs neither: its snapshot is
-// the state after its op, and execute publishes an entry's response before
-// storing its snapshot, so that entry's slot is already full. Publication
-// is sound because list is decided — every replayer reconstructs the same
-// state below each entry (Lemma 24's coherence plus snapshot correctness),
-// and Apply is deterministic (the seqspec response-publication contract),
-// so concurrent publishers store identical values.
-func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (seqspec.State, int64, int, int64) {
+// replayPublish is replay plus the caller's own operation, whose response
+// execute publishes. It gathers the ops of the entries above the snapshot
+// it stops at, oldest first, followed by own's op when own is non-nil, and
+// applies them in one seqspec.ApplyAll: one edit window, so a KV replay
+// copies each trie node the window's puts share once, not once per put. It
+// returns the state, own's response and the log index of the snapshot it
+// stopped at (0 at the log's origin), which it leaves to the caller to
+// publish to pid's GC register (gcObserve). The entry it stops at needs
+// nothing applied: its snapshot is the state after its op.
+func (u *Universal) replayPublish(pid int, list *Node, own *Entry) (seqspec.State, int64, int64) {
 	sc := &u.scratch[pid]
 	pending := sc.pending[:0]
 	var state seqspec.State
@@ -353,13 +331,6 @@ func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (s
 	}
 	out = out[:len(ops)]
 	seqspec.ApplyAll(state, ops, out)
-	published := 0
-	if help {
-		//wf:bounded [n] publishes each applied entry's response from the window's out — same bound, paid a third time
-		for i := range pending {
-			published += publishIfEmpty(pending[i], out[len(pending)-1-i])
-		}
-	}
 	var resp int64
 	if own != nil {
 		resp = out[len(ops)-1]
@@ -374,17 +345,7 @@ func (u *Universal) replayPublish(pid int, list *Node, own *Entry, help bool) (s
 	// len(pending) entries, and the operation around this replay spends a
 	// constant on its cons or observe, its own apply, and publication.
 	u.stats.opSteps.Observe(2*int64(len(pending)) + 4)
-	return state, resp, published, stop
-}
-
-// publishIfEmpty fills e's result slot if no one has, reporting 1 when this
-// call published.
-func publishIfEmpty(e *Entry, resp int64) int {
-	if _, ok := e.Result(); ok {
-		return 0
-	}
-	e.Publish(resp)
-	return 1
+	return state, resp, stop
 }
 
 // Handle returns pid's front end (Figure 4-1): a single thread of control
@@ -427,26 +388,4 @@ func (u *Universal) ReplayStats() (ops int64, mean float64, max int64) {
 // reads count here but not in ReplayStats (they replay nothing).
 func (u *Universal) FastReads() int64 {
 	return u.stats.fastHits.Load() + u.stats.fastMisses.Load()
-}
-
-// BatchStats reports (passes, mean batch size, max batch size) from the
-// universal.batch_len histogram: how many responses each InvokeBatch replay
-// pass settled. Invoke records nothing here.
-func (u *Universal) BatchStats() (batches int64, mean float64, max int64) {
-	h := u.stats.batchLen
-	return h.Count(), h.Mean(), h.Max()
-}
-
-// Settled returns the Section 4.1 snapshot of the head entry Observe loads:
-// the state after every operation of the decided list, frozen, so any
-// number of callers may apply read-only operations to it at once and none
-// may mutate it. It is nil while the head is in flight, when the list is
-// empty and with truncation off. It takes no pid: no replay, no clone, no
-// GC register. The server's committer, the only writer of a durable
-// server's shards, publishes each shard's settled state after each apply.
-func (u *Universal) Settled() seqspec.State {
-	if head := u.fac.Observe(); head != nil {
-		return head.Entry.snapshot()
-	}
-	return nil
 }

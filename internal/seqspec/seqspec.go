@@ -129,9 +129,11 @@ type State interface {
 // Two or more ops share one edit Window, closed before ApplyAll returns;
 // a single op has nothing to share. Every op goes through State.Apply,
 // whose //wf:steps 1 contract covers the window's puts too. The [n + 1]
-// bracket below is the construction's; boot recovery in internal/server,
-// a blocking caller outside the certified closure, holds a Window of its
-// own open across a whole log tail instead.
+// bracket below is the construction's. Two blocking callers in
+// internal/server sit outside the certified closure: a durable server's
+// committer applies each shard's run of a drain, up to drainCap ops, in
+// one ApplyAll on a clone of the shard's published state, and boot
+// recovery holds a Window of its own open across a whole log tail.
 func ApplyAll(s State, ops []Op, out []int64) {
 	if len(ops) > 1 {
 		defer OpenWindow(s).Close()
@@ -502,23 +504,14 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 // edited once the call that built them returns, which is what lets clones,
 // snapshots and the read fast path share them across goroutines. Inside
 // one edit Window a put edits in place the children that window built (see
-// kvState). The zero KV starts empty.
-type KV struct{ from *kvState }
-
-// KVFrom returns a KV that starts from st, a KV state the caller no longer
-// mutates; st stays reachable from the object, whose Init clones it.
-func KVFrom(st State) KV { return KV{from: st.(*kvState)} }
+// kvState). A KV starts empty.
+type KV struct{}
 
 // Name implements Object.
 func (KV) Name() string { return "kv" }
 
 // Init implements Object.
-func (o KV) Init() State {
-	if o.from == nil {
-		return &kvState{}
-	}
-	return o.from.Clone()
-}
+func (KV) Init() State { return &kvState{} }
 
 // ReadOnly implements Object.
 func (KV) ReadOnly(op Op) bool { return op.Kind == "get" || op.Kind == "len" }

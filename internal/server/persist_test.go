@@ -116,9 +116,12 @@ func TestServerPersistRecovery(t *testing.T) {
 }
 
 // TestServerBootReplaysRuns: boot rebuilds each shard's state from its
-// snapshot and the log above it without the universal construction, so a
-// server fresh from New on a non-empty store has consed nothing, stored no
-// snapshot and retired nothing. A store holding a snapshot per shard plus
+// snapshot and the log above it without the universal construction, and
+// the committer applies without it too, so a server on a non-empty store
+// has consed nothing, stored no snapshot and retired nothing, fresh from
+// New and again after serving writes, gets and a routed len. The states
+// boot publishes stay frozen: the committer applies to clones of them. A
+// store holding a snapshot per shard plus
 // hundreds of records per shard above it, interleaved across shards and
 // full of repeated keys, must boot to the model of every shard's history
 // in order, key by key; a write acked after boot must survive the next
@@ -189,20 +192,30 @@ func TestServerBootReplaysRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("boot %d: %v", boot, err)
 		}
-		seen := 0
-		for _, smp := range s.Metrics().Snapshot() {
-			if smp.Name == "universal.cons_ops" || smp.Name == "universal.snapshot_stores" {
-				seen++
-				if smp.Value != 0 {
-					t.Errorf("boot %d: %s = %d after New, want 0", boot, smp.Name, smp.Value)
+		untouched := func(when string) {
+			t.Helper()
+			seen := 0
+			for _, smp := range s.Metrics().Snapshot() {
+				if smp.Name == "universal.cons_ops" || smp.Name == "universal.snapshot_stores" {
+					seen++
+					if smp.Value != 0 {
+						t.Errorf("boot %d: %s = %d %s, want 0", boot, smp.Name, smp.Value, when)
+					}
 				}
 			}
+			if seen != 2 {
+				t.Fatalf("boot %d: %d of universal.cons_ops and universal.snapshot_stores registered, want both", boot, seen)
+			}
+			if r := s.KV().Retired(); r != 0 {
+				t.Errorf("boot %d: %d log entries retired %s, want 0", boot, r, when)
+			}
 		}
-		if seen != 2 {
-			t.Fatalf("boot %d: %d of universal.cons_ops and universal.snapshot_stores registered, want both", boot, seen)
-		}
-		if r := s.KV().Retired(); r != 0 {
-			t.Errorf("boot %d: %d log entries retired after New, want 0", boot, r)
+		untouched("after New")
+		published := make([]seqspec.State, shards)
+		frozen := make([]string, shards)
+		for sh := range published {
+			published[sh] = s.settledState(sh)
+			frozen[sh] = published[sh].Key()
 		}
 		s.Start()
 		cl, err := Dial(s.Addr().String())
@@ -215,6 +228,13 @@ func TestServerBootReplaysRuns(t *testing.T) {
 				t.Fatalf("put: %v", err)
 			}
 			model[keys+1] = 7
+		}
+		check(cl)
+		untouched("after serving")
+		for sh, st := range published {
+			if st.Key() != frozen[sh] {
+				t.Errorf("boot %d: shard %d's boot state changed after New: the committer applied to a published state", boot, sh)
+			}
 		}
 		cl.Close()
 		if err := s.Close(); err != nil {

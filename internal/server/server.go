@@ -3,15 +3,15 @@
 // optional crash recovery through internal/logstore.
 //
 // Division of labour with the core: everything in this package is ordinary
-// blocking Go — goroutines, channels, sockets, fsync — while every shared
-// datum behind it is the wait-free universal construction. In memory the
-// boundary is the pid lease pool: a connection leases a process id for its
-// lifetime and drives every operation through it. Its reader detaches the
-// pid once a read has waited idleDetach for a frame, so an idle connection
-// pins no shard's log GC, and the pid goes back to the pool on disconnect
-// (without a Detach, every pid that ever went quiet pinned the low-water
-// mark and the decided logs grew without bound). A durable server's shards have one
-// process, the committer, and its connections lease no pid at all (below).
+// blocking Go — goroutines, channels, sockets, fsync — while in memory
+// every shared datum behind it is the wait-free universal construction, and
+// the boundary is the pid lease pool: a connection leases a process id for
+// its lifetime and drives every operation through it. Its reader detaches
+// the pid once a read has waited idleDetach for a frame, so an idle
+// connection pins no shard's log GC, and the pid goes back to the pool on
+// disconnect (without a Detach, every pid that ever went quiet pinned the
+// low-water mark and the decided logs grew without bound). A durable
+// server's connections lease no pid at all (below).
 //
 // Each connection is pipelined. A reader goroutine decodes a stream of
 // frames (many per read syscall, through wire.Decoder) and writes the
@@ -32,30 +32,29 @@
 // routed to one committer goroutine, which drains every shard's pending
 // requests, assigns each shard's next dense sequence numbers, appends the
 // whole drain to the log store as one frame (logstore.AppendBatch, one
-// fsync), and only then applies it to the in-memory KV — each shard's
-// writes through the construction's one batch path (shard.InvokeBatch) —
-// and acks each client. A durable write makes one channel hop, reader →
-// committer, when the committer writes its ack, and a second, to the
-// connection's writer, when it does not. An acked write is therefore on
-// disk before any client observes it, and boot starts each shard from
-// exactly those writes — durable linearizability. After each shard's
-// apply, and before the drain's acks, the committer publishes the shard's
-// settled state: the Section 4.1 snapshot its head entry carries
-// (core.Universal.Settled), frozen, with no clone; boot publishes the
-// recovered states. Snapshots persist those published states; the server
-// keeps no second copy of the KV. Reads never touch the store or the
-// construction. A get is answered inline from its shard's published state
-// unless this same connection has writes still in flight on that shard;
-// then it is routed through the committer's FIFO behind them
-// (read-your-writes in program order), and the committer answers it from
-// the newest of the drain's writes to its key queued ahead of it, or from
-// the shard's published state. Every len is routed: the committer answers
-// it from every shard's published state plus the net change in keys of
-// the drain's writes queued ahead of it. So a durable len reads every
-// shard at one point of the committer's order, exact with respect to
-// every write and every routed read. A concurrent inline get on another
-// shard may still see one shard's drain writes before a later shard's
-// are published, as the sharding contract allows.
+// fsync), and only then applies it and acks each client. A durable write
+// makes one channel hop, reader → committer, when the committer writes its
+// ack, and a second, to the connection's writer, when it does not. An acked
+// write is therefore on disk before any client observes it, and boot starts
+// each shard from exactly those writes — durable linearizability. As every
+// shard's one writer, the committer needs no construction to order writes:
+// it applies each shard's run to a clone of the shard's published state in
+// one seqspec.ApplyAll edit window (the construction's replay step without
+// the log) and publishes the result before the acks. A published state is
+// frozen: Clone only reads it, and nothing applies to it again. Boot
+// publishes the recovered states; snapshots persist the published states.
+// Reads never touch the store or the construction. A get is answered inline
+// from its shard's published state unless this same connection has writes
+// still in flight on that shard; then it is routed through the committer's
+// FIFO behind them (read-your-writes in program order), and the committer
+// answers it from the newest of the drain's writes to its key queued ahead
+// of it, or from the shard's published state. Every len is routed: the
+// committer answers it from every shard's published state plus the net
+// change in keys of the drain's writes queued ahead of it. So a durable len
+// reads every shard at one point of the committer's order, exact with
+// respect to every write and every routed read. A concurrent inline get on
+// another shard may still see one shard's drain writes before a later
+// shard's are published, as the sharding contract allows.
 //
 // The package sits at the syscall boundary — sockets, fsync and channels
 // block by design, and every function that does carries its own
@@ -92,7 +91,7 @@ type Config struct {
 	Addr          string                           // TCP listen address, e.g. ":7450"; ":0" for ephemeral
 	StatsAddr     string                           // HTTP stats address; "" disables the stats server
 	Shards        int                              // KV shard count (default 8)
-	Procs         int                              // in-memory mode: connection pid pool size and each shard's process count (default 64); a durable server's shards have one process, the committer, and its connections lease no pid
+	Procs         int                              // in-memory mode: connection pid pool size and each shard's process count (default 64); a durable server's connections lease no pid
 	Window        int                              // max requests routed to the committer and not yet flushed, per connection (default 256)
 	Dir           string                           // log store directory; "" runs without persistence
 	SnapshotEvery int                              // records per shard between snapshots (default 4096)
@@ -117,9 +116,8 @@ func (c *Config) fill() {
 	}
 }
 
-// kvSpec classifies the service's operation surface (ReadOnly detection is
-// what routes gets and lens onto the inline fast path) and is the empty
-// shard a server without a store starts from.
+// kvSpec classifies the service's operation surface: ReadOnly detection is
+// what routes gets and lens onto the inline fast path.
 var kvSpec = seqspec.KV{}
 
 // completion is one drain's replies to one connection that the committer
@@ -267,10 +265,6 @@ type bootReport struct {
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	reg := wfstats.NewRegistry()
-	seqs := make([]seqspec.Object, cfg.Shards)
-	for sh := range seqs {
-		seqs[sh] = kvSpec
-	}
 	var st *logstore.Store
 	var boots []shardBoot
 	settled := make([]atomic.Value, cfg.Shards) // published in durable mode only
@@ -286,7 +280,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		for sh, b := range boots {
-			seqs[sh] = seqspec.KVFrom(b.state)
 			settled[sh].Store(b.state)
 		}
 		opened := st.Stats()
@@ -300,13 +293,13 @@ func New(cfg Config) (*Server, error) {
 		reg.GaugeFunc("logstore.torn_bytes", func() int64 { return boot.TornBytes })
 	}
 	// In-memory connections lease pids 0..Procs-1 from the pool. A durable
-	// server's shards have one process, the committer, as pid 0, and its
-	// pool stays empty.
+	// server's shards only route keys: they get one process, which never
+	// invokes, and its pool stays empty.
 	procs := cfg.Procs
 	if st != nil {
 		procs = 1
 	}
-	kv := shard.New(seqs, procs,
+	kv := shard.NewKV(cfg.Shards, procs,
 		func() core.FetchAndCons { return core.NewSwapFAC() },
 		shard.Defaults(core.WithMetrics(reg))...)
 	kv.Instrument(reg)
@@ -369,7 +362,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // drainCap is the most requests one committer drain takes per shard; a
-// drain takes at most drainCap × Shards, and so one shard.InvokeBatch call
+// drain takes at most drainCap × Shards, and so one shard's ApplyAll
 // applies at most that many operations.
 const drainCap = 64
 
@@ -458,20 +451,20 @@ func checkRoute(sh, shards int, key int64) error {
 // requests from all shards (one blocking receive, then a non-blocking
 // sweep), assigns each shard's writes their dense seqs, persists the whole
 // drain as one frame through AppendBatch, then answers its reads in arrival
-// order and applies each shard's run of writes with one InvokeBatch. No
-// write is applied before the drain's last read: a routed get reads the
-// newest write to its key in its shard's run ahead of it (pendingWrite),
-// else the shard's published state; a len adds to every shard's published
-// state the net change in keys of the writes ahead of it (presence from the
-// run's newest earlier write to the key, else the published trie), counting
-// each write once per drain. So each read sees the writes queued ahead of
-// it and none behind, and a len reads every shard at one point of the
-// committer's order. Each shard's InvokeBatch leaves its head entry
-// settled, and the committer publishes that frozen state at once, before
-// any ack: a reader that finds no write of its own in flight on a shard
-// finds them all in the shard's published state. Only then are the
-// replies encoded, one pooled buffer per connection, and sent: written by
-// the committer itself when a connection has two or more and nobody else is
+// order and applies each shard's run of writes with one seqspec.ApplyAll on
+// a clone of the shard's published state. No write is applied before the
+// drain's last read: a routed get reads the newest write to its key in its
+// shard's run ahead of it (pendingWrite), else the shard's published state;
+// a len adds to every shard's published state the net change in keys of the
+// writes ahead of it (presence from the run's newest earlier write to the
+// key, else the published trie), counting each write once per drain. So each
+// read sees the writes queued ahead of it and none behind, and a len reads
+// every shard at one point of the committer's order. The committer publishes
+// each shard's new state at once, before any ack, and never applies to it
+// again: a reader that finds no write of its own in flight on a shard finds
+// them all in the shard's published state. Only then are the replies
+// encoded, one pooled buffer per connection, and sent: written by the
+// committer itself when a connection has two or more and nobody else is
 // writing to it, else handed to its writer. Building them strictly after
 // AppendBatch returns is the durability contract — no client can observe a
 // write that a crash could lose; wfvet's ackpersist analyzer checks that
@@ -488,7 +481,6 @@ func checkRoute(sh, shards int, key int64) error {
 //wf:blocking waits on the commit channel and the store's group commit
 func (s *Server) runCommitter(boots []shardBoot) {
 	defer s.loopWG.Done()
-	const pid = 0                     // the shards' one process (see New)
 	seq := make([]uint64, len(boots)) // each shard's next record seq
 	drained := make([]uint64, len(boots))
 	sinceSnap := make([]int, len(boots))
@@ -518,8 +510,8 @@ func (s *Server) runCommitter(boots []shardBoot) {
 		}
 		s.commitDrain.Observe(int64(len(batch)))
 		// Each op's words stay in place in batch until the next drain:
-		// AppendBatch encodes them and InvokeBatch copies them into the
-		// shard's log entries before either returns.
+		// AppendBatch encodes them and ApplyAll reads them before either
+		// returns.
 		recs = recs[:0]
 		for i := range batch {
 			it := &batch[i]
@@ -577,7 +569,8 @@ func (s *Server) runCommitter(boots []shardBoot) {
 					it.v += grown
 				}
 			}
-			// One InvokeBatch per shard, keeping each result for the ack.
+			// One ApplyAll per shard on a clone of its published state,
+			// keeping each result for the ack.
 			for sh, run := range pending {
 				if len(run) == 0 {
 					continue
@@ -586,11 +579,8 @@ func (s *Server) runCommitter(boots []shardBoot) {
 				for _, i := range run {
 					runOps = append(runOps, batch[i].op)
 				}
-				s.kv.InvokeBatch(sh, pid, runOps, runOut[:len(run)])
-				st := s.kv.Shard(sh).Settled()
-				if st == nil {
-					panic("server: shard head unsettled after the committer's InvokeBatch (truncation off?)")
-				}
+				st := s.settledState(sh).Clone()
+				seqspec.ApplyAll(st, runOps, runOut[:len(run)])
 				s.settled[sh].Store(st) //wf:ack durable before visible: inline gets read it once the acks below drop outW
 				for k, i := range run {
 					batch[i].v = runOut[k]
@@ -726,7 +716,9 @@ func (s *Server) StatsAddr() net.Addr {
 // Metrics exposes the server's registry (shared with the KV shards).
 func (s *Server) Metrics() *wfstats.Registry { return s.reg }
 
-// KV exposes the underlying sharded object for white-box tests.
+// KV exposes the underlying sharded object for white-box tests. In durable
+// mode it only routes keys (ShardOf): its shards stay empty, because the
+// committer applies to the published states instead.
 func (s *Server) KV() *shard.Sharded { return s.kv }
 
 // Store exposes the log store (nil without persistence) for white-box

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -512,8 +513,8 @@ func TestServerPoolExhausted(t *testing.T) {
 	})
 }
 
-// TestServerShardProcs: a durable server builds every shard for one
-// process, the committer, and leaves its pid pool empty; an in-memory
+// TestServerShardProcs: a durable server builds every shard, a router
+// only, for one process and leaves its pid pool empty; an in-memory
 // server builds them for Procs processes, every pid in the pool. A
 // shard's process count is the pids its Handle accepts.
 func TestServerShardProcs(t *testing.T) {
@@ -737,71 +738,86 @@ func TestServerLeaseChurnGC(t *testing.T) {
 }
 
 // TestServerIdleConnDoesNotPinGC: a connected client that has gone quiet
-// must not pin log GC. Client A sends one get and stays connected; client B
-// then pipelines puts into the same single shard, in two rounds. Each round
-// writes batches, 5 ms apart, until the shard's anchor has advanced and
-// Retired() grown, and fails if that has not happened within 40 batches
-// (an unpinned mark advances every 64 puts). An in-memory reader
-// detaches its pid once a read has waited idleDetach, and a durable
-// connection has no pid to pin anything with; before either, A's register
-// froze at its get and held the low-water mark there for as long as A
-// stayed connected.
+// must not pin what a busy one writes. Client A sends one get and stays
+// connected; client B then pipelines batches of puts into the same single
+// shard. In memory B writes in two rounds, each of batches 5 ms apart until
+// the shard's anchor has advanced and Retired() grown, and fails if that
+// has not happened within 40 batches (an unpinned mark advances every 64
+// puts): the reader detaches its pid once a read has waited idleDetach,
+// where before A's register froze at its get and held the low-water mark
+// there for as long as A stayed connected. A durable server keeps no log
+// for A to pin: after B's 40 batches the heap must stay under 16 MB, where
+// a log pinned at A's get held about 58 MB.
 func TestServerIdleConnDoesNotPinGC(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		dir  bool
-	}{{"memory", false}, {"durable", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := Config{Shards: 1, Procs: 8}
-			if mode.dir {
-				cfg.Dir = t.TempDir()
-			}
-			s := startServer(t, cfg)
-			a, err := Dial(s.Addr().String())
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			defer a.Close()
-			if _, err := a.Get(1); err != nil {
-				t.Fatalf("idle client's get: %v", err)
-			}
-			b, err := Dial(s.Addr().String())
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			defer b.Close()
-			const depth = 256 // puts per batch: a window's worth per flush
-			var anchor, retired int64
-			for r, batch := 0, 0; r < 2; r++ {
-				for tries := 1; ; tries++ {
-					for j := 0; j < depth; j++ {
-						if _, err := b.Send(seqspec.Op{Kind: "put", Args: []int64{int64(j), int64(batch)}}); err != nil {
-							t.Fatalf("Send: %v", err)
-						}
-					}
-					if err := b.Flush(); err != nil {
-						t.Fatalf("Flush: %v", err)
-					}
-					for j := 0; j < depth; j++ {
-						if _, _, err := b.Recv(); err != nil {
-							t.Fatalf("Recv: %v", err)
-						}
-					}
-					batch++
-					nowAnchor, nowRetired := s.KV().Anchors()[0], s.KV().Retired()
-					if nowAnchor > anchor && nowRetired > retired {
-						anchor, retired = nowAnchor, nowRetired
-						break
-					}
-					if tries == 40 {
-						t.Fatalf("round %d, %d batches of %d puts with an idle client connected: anchor %d → %d, retired %d → %d; want both to grow",
-							r, tries, depth, anchor, nowAnchor, retired, nowRetired)
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
-			}
-		})
+	const depth = 256 // puts per batch: a window's worth per flush
+	// start parks client A after one get on a server built from cfg and
+	// returns the server and client B.
+	start := func(t *testing.T, cfg Config) (*Server, *Client) {
+		s := startServer(t, cfg)
+		a, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		t.Cleanup(func() { a.Close() })
+		if _, err := a.Get(1); err != nil {
+			t.Fatalf("idle client's get: %v", err)
+		}
+		b, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		t.Cleanup(func() { b.Close() })
+		return s, b
 	}
+	// putBatch pipelines depth puts from b, tagged batch, and waits for
+	// their replies.
+	putBatch := func(t *testing.T, b *Client, batch int) {
+		for j := 0; j < depth; j++ {
+			if _, err := b.Send(seqspec.Op{Kind: "put", Args: []int64{int64(j), int64(batch)}}); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		for j := 0; j < depth; j++ {
+			if _, _, err := b.Recv(); err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+		}
+	}
+	t.Run("memory", func(t *testing.T) {
+		s, b := start(t, Config{Shards: 1, Procs: 8})
+		var anchor, retired int64
+		for r, batch := 0, 0; r < 2; r++ {
+			for tries := 1; ; tries++ {
+				putBatch(t, b, batch)
+				batch++
+				nowAnchor, nowRetired := s.KV().Anchors()[0], s.KV().Retired()
+				if nowAnchor > anchor && nowRetired > retired {
+					anchor, retired = nowAnchor, nowRetired
+					break
+				}
+				if tries == 40 {
+					t.Fatalf("round %d, %d batches of %d puts with an idle client connected: anchor %d → %d, retired %d → %d; want both to grow",
+						r, tries, depth, anchor, nowAnchor, retired, nowRetired)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	})
+	t.Run("durable", func(t *testing.T) {
+		_, b := start(t, Config{Shards: 1, Procs: 8, Dir: t.TempDir()})
+		for batch := 0; batch < 40; batch++ {
+			putBatch(t, b, batch)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if limit := uint64(16 << 20); ms.HeapAlloc > limit {
+			t.Fatalf("heap %d bytes after %d puts with an idle client connected, want under %d", ms.HeapAlloc, 40*depth, limit)
+		}
+	})
 }
 
 // TestServerStatsEndpoint: the HTTP side serves JSON with the server,

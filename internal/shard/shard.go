@@ -2,8 +2,7 @@
 // construction: KVRouter hashes each key to one of S independent Universal
 // instances over seqspec.KV, each with its own fetch-and-cons. The front end
 // is KV-only, because the KV is the one object the server and every
-// benchmark serve; a shard may start from a recovered state
-// (seqspec.KVFrom), which is how the server boots.
+// benchmark serve.
 //
 // The paper's construction serializes every operation through one shared
 // log, so throughput is bounded by one cons per operation no matter how
@@ -21,9 +20,7 @@
 // have exhibited.
 //
 // Sharding splits contention across logs; within a shard every Invoke is
-// the paper's one cons plus one replay. The one batch path is InvokeBatch:
-// the server's committer retires a drained run of one shard's writes in
-// one replay pass.
+// the paper's one cons plus one replay, and nothing batches.
 //
 //wf:waitfree
 package shard
@@ -68,32 +65,22 @@ type Sharded struct {
 	crossOps *wfstats.Counter
 }
 
-// New builds a sharded KV front end: shard i is a Universal instance over
-// seqs[i] (a seqspec.KV, maybe seeded by seqspec.KVFrom) for procs
-// processes, with its own fetch-and-cons from mk. Options apply to every
-// shard; the shards share one metrics registry, a private one unless opts
-// carry core.WithMetrics, so the aggregate accessors read it once.
-func New(seqs []seqspec.Object, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
-	if len(seqs) < 1 {
+// NewKV builds a sharded key-value map: shard i is a Universal instance
+// over an empty seqspec.KV for procs processes, with its own
+// fetch-and-cons from mk. Options apply to every shard; the shards share
+// one metrics registry, a private one unless opts carry core.WithMetrics,
+// so the aggregate accessors read it once. It panics when shards < 1.
+func NewKV(shards, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
+	if shards < 1 {
 		panic("shard: need at least one shard")
 	}
 	opts = append([]core.Option{core.WithMetrics(wfstats.NewRegistry())}, opts...)
-	s := &Sharded{shards: make([]*core.Universal, len(seqs)),
-		shardOps: make([]*wfstats.Counter, len(seqs))}
-	for i, seq := range seqs {
-		s.shards[i] = core.NewUniversal(seq, mk(), procs, opts...)
+	s := &Sharded{shards: make([]*core.Universal, shards),
+		shardOps: make([]*wfstats.Counter, shards)}
+	for i := range s.shards {
+		s.shards[i] = core.NewUniversal(seqspec.KV{}, mk(), procs, opts...)
 	}
 	return s
-}
-
-// NewKV builds a sharded key-value map over shards empty seqspec.KV shards;
-// like New, it panics when shards < 1.
-func NewKV(shards, procs int, mk func() core.FetchAndCons, opts ...core.Option) *Sharded {
-	seqs := make([]seqspec.Object, max(shards, 0))
-	for i := range seqs {
-		seqs[i] = seqspec.KV{}
-	}
-	return New(seqs, procs, mk, opts...)
 }
 
 // Defaults returns the options of waitfree.NewShardedKV and the server:
@@ -108,7 +95,7 @@ func Defaults(opts ...core.Option) []core.Option {
 // loaded shard's share of the mean, in percent (100 = perfectly balanced).
 // Call before the front end is used concurrently; nil reg leaves the no-op
 // mode in place. The shards' own universal.* metrics stay in their shared
-// private registry — pass core.WithMetrics(reg) among New's options to
+// private registry — pass core.WithMetrics(reg) among NewKV's options to
 // record those into reg as well.
 func (s *Sharded) Instrument(reg *wfstats.Registry) {
 	if reg == nil {
@@ -159,17 +146,18 @@ func (s *Sharded) Invoke(pid int, op seqspec.Op) int64 {
 	return total
 }
 
-// InvokeBatch executes ops — every one already routed to shard sh by the
-// caller (its one production caller, the server's committer, partitions
-// work with ShardOf) — as one announced wave on that shard: one
-// replay pass settles the whole batch, one snapshot covers it (see
-// core.Universal.InvokeBatch).
-// Responses land in out[i]. The per-pid sequential contract applies; the
-// caller is responsible for sh being each op's ShardOf route — this method
-// deliberately skips per-op routing, which is the point of batching.
+// InvokeBatch invokes ops, every one already routed to shard sh by the
+// caller, one Invoke each on that shard, and writes op i's response to
+// out[i]. The per-pid sequential contract applies. It batches nothing and
+// has no caller in this module: the benchmark harness's layer timings
+// (bench/layers.go) still call it, and it goes once they route their own
+// runs.
 func (s *Sharded) InvokeBatch(sh, pid int, ops []seqspec.Op, out []int64) {
 	s.shardOps[sh].Add(int64(len(ops)))
-	s.shards[sh].InvokeBatch(pid, ops, out)
+	//wf:bounded [B] one Invoke per op: B is the caller's run length
+	for i, op := range ops {
+		out[i] = s.shards[sh].Invoke(pid, op)
+	}
 }
 
 // Detach releases pid's log-GC pin on every shard (core.Universal.Detach):
@@ -211,16 +199,10 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Shard exposes shard i for tests, inspection and the server's snapshots.
 func (s *Sharded) Shard(i int) *core.Universal { return s.shards[i] }
 
-// FastReads reports the read-fast-path operations across shards. It,
-// BatchStats and ReplayStats read the registry the shards share (see New)
-// once, through shard 0.
+// FastReads reports the read-fast-path operations across shards. It and
+// ReplayStats read the registry the shards share (see NewKV) once, through
+// shard 0.
 func (s *Sharded) FastReads() int64 { return s.shards[0].FastReads() }
-
-// BatchStats reports InvokeBatch statistics across shards: replay passes,
-// mean batch size and max batch size.
-func (s *Sharded) BatchStats() (batches int64, mean float64, max int64) {
-	return s.shards[0].BatchStats()
-}
 
 // Retired sums the log-GC retirement counts across shards: how many decided
 // log entries the low-water-mark protocol (core.WithLogGC) has severed in

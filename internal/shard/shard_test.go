@@ -173,7 +173,7 @@ func TestShardedStatsSharedRegistry(t *testing.T) {
 	for k := int64(0); k < keys; k++ {
 		s.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
 	}
-	// One two-put wave per shard: S InvokeBatch passes of 2.
+	// One two-put run per shard through InvokeBatch: 2S Invokes.
 	for sh := 0; sh < shards; sh++ {
 		var wave []seqspec.Op
 		for k := int64(0); len(wave) < 2; k++ {
@@ -189,13 +189,10 @@ func TestShardedStatsSharedRegistry(t *testing.T) {
 	if got := s.FastReads(); got != keys {
 		t.Errorf("FastReads = %d, want %d", got, keys)
 	}
-	if batches, mean, _ := s.BatchStats(); batches != shards || mean != 2 {
-		t.Errorf("BatchStats = (%d, %v), want (%d, 2)", batches, mean, shards)
-	}
-	// Every put and every wave replays once; every get reads its shard's
-	// settled head from the head's snapshot and replays nothing.
-	if ops, _, _ := s.ReplayStats(); ops != keys+shards {
-		t.Errorf("ReplayStats ops = %d, want %d", ops, keys+shards)
+	// Every put replays once; every get reads its shard's settled head
+	// from the head's snapshot and replays nothing.
+	if ops, _, _ := s.ReplayStats(); ops != keys+2*shards {
+		t.Errorf("ReplayStats ops = %d, want %d", ops, keys+2*shards)
 	}
 	off := NewKV(shards, 1, mkSwap, core.WithMetrics(nil))
 	off.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{1, 1}})

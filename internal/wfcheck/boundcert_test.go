@@ -78,12 +78,10 @@ func TestTreeBoundsReport(t *testing.T) {
 	}
 }
 
-// TestCoreBoundsReport pins the certifier's headline on internal/core:
-// InvokeBatch's per-entry loops are ranges over the caller's slice the
-// certifier proves outright, the replay and anchor walks — trusted on their
-// Section 4.1 arguments until the structural-walk class landed — are now
-// machine-verified self-projection descents, and nothing in the package is
-// contradicted.
+// TestCoreBoundsReport pins the certifier's headline on internal/core: the
+// replay and anchor walks — trusted on their Section 4.1 arguments until
+// the structural-walk class landed — are machine-verified self-projection
+// descents, and nothing in the package is contradicted.
 func TestCoreBoundsReport(t *testing.T) {
 	res := treeResult(t)
 	if diags := analyzerDiags(res, "boundcert"); len(diags) != 0 {
@@ -95,9 +93,6 @@ func TestCoreBoundsReport(t *testing.T) {
 			t.Errorf("contradicted bound at %s:%d: %s", r.Pos.Filename, r.Pos.Line, r.Detail)
 		}
 		byScope[r.Scope] = r.Status
-	}
-	if got := byScope["loop in InvokeBatch"]; got != BoundVerified {
-		t.Errorf("InvokeBatch per-entry loop certified %q, want %q (range over the batch)", got, BoundVerified)
 	}
 	if got := byScope["loop in replayPublish"]; got != BoundVerified {
 		t.Errorf("replayPublish walk certified %q, want %q (structural walk)", got, BoundVerified)
@@ -129,14 +124,14 @@ func TestTreeBoundsTotals(t *testing.T) {
 		// The structural-walk class moved the replay walks and the gcSwing
 		// anchor walk from trusted to verified; the GC min-scans are plain
 		// range loops, machine-bounded by their operand, so they carry no
-		// directive and add no record. Universal.InvokeBatch's two [B]
-		// brackets (one cons and one collection pass per batch entry) are
-		// ranges over the caller's slice — trip count fixed at loop entry,
-		// so both verify. The replay's edit window adds one [n] bracket, the
-		// range that publishes each applied entry's response from the
-		// window's out, and it verifies the same way. Deleting the batched
-		// Invoke path took out awaitHelp's counted help-wait loop.
-		BoundVerified: 11, BoundTrusted: 11, BoundLockFree: 4, BoundContradicted: 0,
+		// directive and add no record. Sharded.InvokeBatch's [B] bracket,
+		// one Invoke per op, is a range over the caller's slice — trip
+		// count fixed at loop entry — so it verifies. The construction has
+		// no batch path: neither Universal.InvokeBatch's two per-entry
+		// brackets nor the replay's helping range that published each
+		// applied entry's response remain, and deleting the batched Invoke
+		// path before them took out awaitHelp's counted help-wait loop.
+		BoundVerified: 9, BoundTrusted: 11, BoundLockFree: 4, BoundContradicted: 0,
 	}
 	for status, n := range want {
 		if counts[status] != n {

@@ -56,20 +56,19 @@ func TestFacadeCertsComplete(t *testing.T) {
 }
 
 // TestCertifiedBoundCoversRuntime is the static/dynamic cross-check: it
-// instantiates the certified Invoke and InvokeBatch bounds at a concrete
-// configuration (n processes, GC period g) and asserts that the
-// universal.op_steps histogram — the replay walk plus applies plus constant
-// overhead an operation actually performed — never exceeded either
-// evaluated certificate during a concurrent workload. It logs the observed
-// max beside each certificate, so the slack a certificate leaves is on
-// record.
+// instantiates the certified Invoke bound at a concrete configuration (n
+// processes, GC period g) and asserts that the universal.op_steps
+// histogram — the replay walk plus applies plus constant overhead an
+// operation actually performed — never exceeded the evaluated certificate
+// during a concurrent workload. It logs the observed max beside the
+// certificate, so the slack it leaves is on record.
 func TestCertifiedBoundCoversRuntime(t *testing.T) {
 	const (
 		procs   = 4
 		gcEvery = 8
 		opsPer  = 300
 	)
-	names := []string{"core.Universal.Invoke", "core.Universal.InvokeBatch"}
+	names := []string{"core.Universal.Invoke"}
 	certs := map[string]*OpCert{}
 	ops := loadFacadeCerts(t)
 	for i := range ops {
@@ -105,15 +104,9 @@ func TestCertifiedBoundCoversRuntime(t *testing.T) {
 		go func(pid int) {
 			defer wg.Done()
 			h := u.Handle(pid)
-			out := make([]int64, 4)
 			for i := 0; i < opsPer; i++ {
 				key := int64(i % 7)
-				put := seqspec.Op{Kind: "put", Args: []int64{key, int64(pid*opsPer + i)}}
-				if pid == 0 && i%4 == 0 {
-					u.InvokeBatch(pid, []seqspec.Op{put, put, put, put}, out)
-					continue
-				}
-				h.Invoke(put)
+				h.Invoke(seqspec.Op{Kind: "put", Args: []int64{key, int64(pid*opsPer + i)}})
 				h.Invoke(seqspec.Op{Kind: "get", Args: []int64{key}})
 			}
 		}(pid)

@@ -182,37 +182,6 @@ func TestFastReadsFacade(t *testing.T) {
 	}
 }
 
-// TestBatchingDefaults pins the batching surface: neither New nor
-// NewShardedKV batches an Invoke, so a run of Invokes records no batch
-// pass (BatchStats), and the one batch path, InvokeBatch, records one pass
-// per wave.
-func TestBatchingDefaults(t *testing.T) {
-	put := func(k, v int64) waitfree.Op {
-		return waitfree.Op{Kind: "put", Args: []int64{k, v}}
-	}
-
-	plain := waitfree.New(waitfree.KV{}, waitfree.NewSwapFetchAndCons(), 1)
-	sharded := waitfree.NewShardedKV(4, 2, waitfree.NewSwapFetchAndCons)
-	for k := int64(0); k < 10; k++ {
-		plain.Invoke(0, put(k, k))
-		sharded.Invoke(0, put(k, k))
-	}
-	if b, _, _ := plain.BatchStats(); b != 0 {
-		t.Errorf("New: %d batch passes after Invokes, want 0", b)
-	}
-	if b, _, _ := sharded.BatchStats(); b != 0 {
-		t.Errorf("NewShardedKV: %d batch passes after Invokes, want 0", b)
-	}
-
-	out := make([]int64, 3)
-	for w := int64(0); w < 10; w++ {
-		plain.InvokeBatch(0, []waitfree.Op{put(w, 1), put(w, 2), put(w, 3)}, out)
-	}
-	if b, mean, _ := plain.BatchStats(); b != 10 || mean != 3 {
-		t.Errorf("InvokeBatch: (%d passes, mean %v), want (10, 3)", b, mean)
-	}
-}
-
 // TestLogGCDefaults pins the facade defaults: New leaves the log GC off
 // (the paper-faithful ever-growing log), NewShardedKV turns it on, and
 // WithoutLogGC switches the sharded default back off.
