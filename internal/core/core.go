@@ -42,9 +42,10 @@ import (
 // announced record itself). ConsFAC leaves it unused: its proposal lists
 // put one entry into many cells, so it allocates them with Cons.
 //
-// The layout is 128 bytes, two cache lines: the flags snapped and
-// respDone share one word beside the response, which keeps the embedded
-// cell and argv from growing the object past that.
+// The layout is 120 bytes, in the 128-byte size class: the embedded cell
+// and argv beside one snapshot slot and its flag. The entry carries no
+// response: its invoker computes it in its own replay and returns it, and a
+// replayer that stops at the entry's snapshot needs none.
 type Entry struct {
 	Pid int
 	Seq int64
@@ -57,25 +58,11 @@ type Entry struct {
 	// *after* this entry's operation, stored by the strongly-wait-free
 	// refinement: a replayer that reaches this entry starts from a clone of
 	// it and applies nothing for it, instead of replaying further history.
-	// The entry's own process writes it once, only after the entry's
-	// response is published, and then sets snapped, so a visible snapshot
-	// implies Result reports ok. Read it only through snapshot: the atomic
-	// store of snapped → its load is the happens-before edge, as with
-	// resp/respDone, and it needs no box of its own.
+	// The entry's own process writes it once and then sets snapped. Read it
+	// only through snapshot: the atomic store of snapped → its load is the
+	// happens-before edge, and it needs no box of its own.
 	snapState seqspec.State
 	snapped   atomic.Bool
-
-	// resp and respDone are the entry's result slot: the entry announces
-	// the operation, the slot carries its response back. The entry's own
-	// process publishes it (Publish) before it stores the snapshot, so a
-	// visible snapshot implies a visible response (Result). Publication is
-	// two atomic stores — resp then the respDone flag — so a reader that
-	// observes the flag observes the response; a second publication would be
-	// harmless because the decided order below this entry is fixed (Lemma
-	// 24) and Apply is deterministic, so every publisher computes the same
-	// value.
-	respDone atomic.Bool
-	resp     atomic.Int64
 }
 
 // newEntry builds pid's seq-th announcement of op in a fresh Entry,
@@ -91,22 +78,6 @@ func newEntry(pid int, seq int64, op seqspec.Op) *Entry {
 		e.Op.Args = e.argv[:n:n]
 	}
 	return e
-}
-
-// Publish stores the entry's response into its result slot. Idempotent:
-// every publisher replays the same decided prefix and therefore stores the
-// same value.
-func (e *Entry) Publish(v int64) {
-	e.resp.Store(v)
-	e.respDone.Store(true)
-}
-
-// Result returns the published response, if any.
-func (e *Entry) Result() (int64, bool) {
-	if !e.respDone.Load() {
-		return 0, false
-	}
-	return e.resp.Load(), true
 }
 
 // snapshot returns the entry's stored snapshot, or nil until it is set.

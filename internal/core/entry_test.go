@@ -7,14 +7,14 @@ import (
 	"waitfree/internal/seqspec"
 )
 
-// TestEntrySize pins the entry's layout at two cache lines. The entry owns
-// its whole announcement (its list cell and up to two argument words), and
-// the two flags share one word beside the response; a field added or moved
-// carelessly would push every write's one allocation into the next size
-// class (144 bytes).
+// TestEntrySize pins the entry's layout at 120 bytes, in the 128-byte size
+// class. The entry owns its whole announcement (its list cell and up to two
+// argument words) beside its snapshot slot, and carries no response; a
+// field added or moved carelessly would push every write's one allocation
+// into the next size class (144 bytes).
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 128 {
-		t.Errorf("Entry is %d bytes, want 128", got)
+	if got := unsafe.Sizeof(Entry{}); got != 120 {
+		t.Errorf("Entry is %d bytes, want 120", got)
 	}
 }
 

@@ -152,10 +152,11 @@ func kvKeys(keys int64) map[int64]int64 {
 // a 16-put run as a durable server's committer applies it (a Clone of the
 // published state, then one seqspec.ApplyAll window), and a single Invoke
 // put. A trie slot is 24 bytes (a child pointer whose node length is its
-// bitmap's popcount), and a state holds its root inline, so the Clone is
-// one allocation in the 896-byte size class; the run copies the 31 child
-// nodes its 16 paths share once each: 12 176 bytes. The put pays its 128-byte Entry, its
-// replay's Clone and one path copy: 1 728 bytes.
+// bitmap's popcount), and a state holds its root as 32 child pointers, so
+// the Clone is one 416-byte allocation; the run copies the 31 child nodes
+// its 16 paths share once each, 11 280 bytes: 11 696 in all. The put pays
+// its Entry (128 bytes), its replay's Clone (416) and one path copy (704):
+// 1 248 bytes.
 func TestKVWriteBytes(t *testing.T) {
 	const keys = 2048
 	published := seqspec.KVOf(kvKeys(keys))
@@ -164,7 +165,7 @@ func TestKVWriteBytes(t *testing.T) {
 		ops[i] = seqspec.Op{Kind: "put", Args: []int64{int64(i * 97), -1}}
 	}
 	out := make([]int64, len(ops))
-	if got, limit := bytesPerRun(50, func() { seqspec.ApplyAll(published.Clone(), ops, out) }), 12192.0; got > limit {
+	if got, limit := bytesPerRun(50, func() { seqspec.ApplyAll(published.Clone(), ops, out) }), 11712.0; got > limit {
 		t.Errorf("a 16-put run on a clone of %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
 	}
 	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 1)
@@ -172,7 +173,7 @@ func TestKVWriteBytes(t *testing.T) {
 		u.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
 	}
 	put := seqspec.Op{Kind: "put", Args: []int64{77, 70}}
-	if got, limit := bytesPerRun(50, func() { u.Invoke(0, put) }), 1744.0; got > limit {
+	if got, limit := bytesPerRun(50, func() { u.Invoke(0, put) }), 1264.0; got > limit {
 		t.Errorf("a put into %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
 	}
 }
@@ -203,57 +204,6 @@ func BenchmarkCommitterApply(b *testing.B) {
 				st = st.Clone()
 				seqspec.ApplyAll(st, ops, out)
 			}
-		})
-	}
-}
-
-// TestSnapshotImpliesResult: every write path publishes an entry's response
-// before storing its snapshot, so a scanner that sees a snapshot must also
-// see the result. Writers Invoke and race a scanner walking the decided
-// list, over both fetch-and-cons forms. Run it under -race.
-func TestSnapshotImpliesResult(t *testing.T) {
-	const n, per = 4, 300
-	makers := facMakers(n)
-	for _, form := range []string{"swap", "consensus-cas"} {
-		t.Run(form+"/unbatched", func(t *testing.T) {
-			fac := makers[form]()
-			u := NewUniversal(seqspec.KV{}, fac, n)
-			var wg sync.WaitGroup
-			for p := 0; p < n; p++ {
-				p := p
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						u.Invoke(p, seqspec.Op{Kind: "put", Args: []int64{int64(i % 64), int64(p)}})
-					}
-				}()
-			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			checked := 0
-			for scanning := true; scanning; {
-				select {
-				case <-done:
-					scanning = false // one last scan over the final list
-				default:
-				}
-				depth := 0
-				for node := fac.Observe(); node != nil && depth < 64; node = node.Rest() {
-					depth++
-					if node.Entry.snapshot() == nil {
-						continue
-					}
-					checked++
-					if _, ok := node.Entry.Result(); !ok {
-						t.Fatalf("%s carries a snapshot but no published result", node.Entry)
-					}
-				}
-			}
-			if checked == 0 {
-				t.Fatal("the scanner saw no snapshot")
-			}
-			t.Logf("%d snapshots checked", checked)
 		})
 	}
 }

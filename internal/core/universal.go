@@ -215,12 +215,11 @@ func (u *Universal) Invoke(pid int, op seqspec.Op) int64 {
 
 // execute is the second step of every write path (Figure 4-2's replay,
 // then Section 4.1's snapshot): replay prior — the decided list below e —
-// and e's own operation in one edit window, publish e's response and store
-// the resulting state as e's snapshot. It returns e's response and the log
-// index its replay stopped at, which the caller hands to gcSettle.
+// and e's own operation in one edit window, and store the resulting state
+// as e's snapshot. It returns e's response and the log index its replay
+// stopped at, which the caller hands to gcSettle.
 func (u *Universal) execute(pid int, e *Entry, prior *Node) (int64, int64) {
 	state, resp, stop := u.replayPublish(pid, prior, e)
-	e.Publish(resp)
 	if u.truncate {
 		u.storeSnapshot(e, state)
 	}
@@ -230,9 +229,7 @@ func (u *Universal) execute(pid int, e *Entry, prior *Node) (int64, int64) {
 // storeSnapshot stores state, the state after e's own operation, as e's
 // Section 4.1 snapshot. state is execute's private replay result, which it
 // never touches again: replayers only Clone a stored state, so it is stored
-// as is. e's response is already published, so a visible snapshot always
-// means a published result and a replay that stops at it has nothing left
-// to apply or publish.
+// as is. A replay that stops at it has nothing left to apply.
 func (u *Universal) storeSnapshot(e *Entry, state seqspec.State) {
 	u.stats.snapStores.Inc()
 	e.snapState = state
@@ -289,7 +286,7 @@ func (u *Universal) replay(pid int, list *Node) seqspec.State {
 }
 
 // replayPublish is replay plus the caller's own operation, whose response
-// execute publishes. It gathers the ops of the entries above the snapshot
+// execute returns. It gathers the ops of the entries above the snapshot
 // it stops at, oldest first, followed by own's op when own is non-nil, and
 // applies them in one seqspec.ApplyAll: one edit window, so a KV replay
 // copies each trie node the window's puts share once, not once per put. It
@@ -309,8 +306,7 @@ func (u *Universal) replayPublish(pid int, list *Node, own *Entry) (seqspec.Stat
 			break
 		}
 		if s := n.Entry.snapshot(); s != nil {
-			// s is the state after n.Entry's op, stored only once that op's
-			// response was published: nothing to apply or publish.
+			// s is the state after n.Entry's op: nothing to apply.
 			state = s.Clone()
 			stop = int64(n.Len)
 			break

@@ -133,11 +133,11 @@ func pick(table string) func(r uint64) Op {
 	}
 }
 
-// TestApplyDeterminismContract is the response-publication contract of the
-// universal construction's helping protocol: two replicas that apply the
-// same operation sequence from the same initial state must produce
-// bit-identical responses and states, so one process may publish another's
-// response. Checked on independent Init replicas and on a mid-sequence
+// TestApplyDeterminismContract is the determinism contract the universal
+// construction's replays rest on: two replicas that apply the same
+// operation sequence from the same initial state must produce
+// bit-identical responses and states, so one process may continue from
+// another's snapshot. Checked on independent Init replicas and on a mid-sequence
 // Clone for every spec.
 func TestApplyDeterminismContract(t *testing.T) {
 	if len(opGens) != len(contracts) {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -104,19 +106,18 @@ func kvKeyPools() map[string][]int64 {
 	return map[string][]int64{"dense": dense, "full-range": full, "shared-prefix": shared}
 }
 
-// kvCheckShape asserts the trie's structural invariants: every leaf sits on
-// its hash's path, no node is deeper than kvMaxDepth, only the root may be
-// empty, the root's slots past its bitmap's popcount are zero, every
-// non-root node has two or more slots or a single internal slot (collapse
-// on delete), and the cached length matches the leaf count. It walks
-// through rootNode and kvNode, as every production walk does. It returns
-// the deepest leaf's level.
+// kvCheckShape asserts the trie's structural invariants: a root entry's
+// pointer is nil exactly when its bitmap is 0, every leaf sits on its
+// hash's path, no node is deeper than kvMaxDepth or empty, every node below
+// level 1 has two or more slots or a single internal slot (collapse on
+// delete), so a level-1 node is the only one that may hold a lone leaf,
+// the cached length matches the leaf count, and no own bit is set outside
+// a window. It walks through kvNode, as every production walk does. It
+// returns the deepest leaf's level.
 func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 	t.Helper()
-	for i := len(s.rootNode()); i < len(s.root); i++ {
-		if s.root[i] != (kvSlot{}) {
-			t.Fatalf("root slot %d, past the bitmap's %d slots, holds %+v", i, len(s.rootNode()), s.root[i])
-		}
+	if !s.editing && s.own != 0 {
+		t.Fatalf("own bits %b outside a window", s.own)
 	}
 	leaves := 0
 	var walk func(node []kvSlot, bm uint32, level int, prefix uint64)
@@ -124,7 +125,7 @@ func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 		if level >= kvMaxDepth {
 			t.Fatalf("node at level %d, beyond kvMaxDepth", level)
 		}
-		if level > 0 && (len(node) == 0 || len(node) == 1 && node[0].kids == nil) {
+		if len(node) == 0 || level > 1 && len(node) == 1 && node[0].kids == nil {
 			t.Fatalf("level %d: uncollapsed node with %d slots", level, len(node))
 		}
 		i := 0
@@ -138,7 +139,7 @@ func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 			if sl.kids == nil {
 				leaves++
 				deepest = max(deepest, level)
-				if got := kvHash(sl.key) << (5 * level) >> 59; got != idx || (level > 0 && kvHash(sl.key)>>(64-5*level) != prefix) {
+				if got := kvHash(sl.key) << (5 * level) >> 59; got != idx || kvHash(sl.key)>>(64-5*level) != prefix {
 					t.Fatalf("leaf %d at level %d slot %d is off its hash path", sl.key, level, idx)
 				}
 				continue
@@ -146,7 +147,14 @@ func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 			walk(kvNode(sl.kids, uint32(sl.key)), uint32(sl.key), level+1, p)
 		}
 	}
-	walk(s.rootNode(), s.bm, 0, 0)
+	for i, p := range s.kids {
+		if (p == nil) != (s.bms[i] == 0) {
+			t.Fatalf("root entry %d: pointer %p beside bitmap %b", i, p, s.bms[i])
+		}
+		if p != nil {
+			walk(kvNode(p, s.bms[i]), s.bms[i], 1, uint64(i))
+		}
+	}
 	if int64(leaves) != s.n {
 		t.Fatalf("cached len %d, %d leaves", s.n, leaves)
 	}
@@ -377,19 +385,35 @@ func TestKVWindowDifferential(t *testing.T) {
 	}
 }
 
+// kvBytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// one call of f allocates, after one warm-up call, on one P.
+func kvBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestKVStateHeader pins the layout and Clone. A slot is 24 bytes: a child
 // is one pointer and its length is the popcount of the bitmap beside it,
 // where a slice header would make it 40 and every path copy 40 % more
-// bytes. The state holds its root's 32 slots inline, 792 bytes in all, so
-// Clone is one allocation: it copies the root's slots, which shares every
-// child node, and writes nothing to its source, so concurrent clones of a
-// stored snapshot stay read-only.
+// bytes. The state holds its root as 32 child pointers and their bitmaps,
+// 408 bytes in all: under the 512 bytes past which Go's malloc header
+// would push a Clone from the 416-byte size class into the 896-byte one.
+// So Clone is one allocation of 416 bytes: it copies the root's pointers,
+// which shares every child node, and writes nothing to its source, so
+// concurrent clones of a stored snapshot stay read-only.
 func TestKVStateHeader(t *testing.T) {
 	if size := unsafe.Sizeof(kvSlot{}); size != 24 {
 		t.Errorf("kvSlot is %d bytes, want 24", size)
 	}
-	if size := unsafe.Sizeof(kvState{}); size != 792 {
-		t.Errorf("kvState is %d bytes, want 792", size)
+	if size := unsafe.Sizeof(kvState{}); size > 416 || size >= 512 {
+		t.Errorf("kvState is %d bytes, want at most 416 (and under 512)", size)
 	}
 	s := KV{}.Init()
 	ops := make([]Op, 2048)
@@ -400,25 +424,28 @@ func TestKVStateHeader(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { kvSink = s.Clone() }); a != 1 {
 		t.Errorf("Clone allocates %.1f times, want 1", a)
 	}
+	if b := kvBytesPerRun(100, func() { kvSink = s.Clone() }); b > 416 {
+		t.Errorf("Clone allocates %.0f bytes, want at most 416", b)
+	}
 	ks := s.(*kvState)
 	before := *ks
 	c := s.Clone().(*kvState)
 	if after := *ks; after != before {
 		t.Fatalf("Clone wrote to its source: %+v became %+v", before, after)
 	}
-	// Equal root slots hold equal child pointers: every child is shared.
+	// Equal root entries hold equal child pointers: every child is shared.
 	if *c != before {
 		t.Fatalf("Clone is not a copy of its source: %+v, want %+v", *c, before)
 	}
-	if &c.root[0] == &ks.root[0] {
-		t.Fatal("Clone shares its source's root instead of copying its slots")
+	if &c.kids[0] == &ks.kids[0] {
+		t.Fatal("Clone shares its source's root instead of copying its pointers")
 	}
 }
 
 // TestKVClonePutAllocs pins a replay's cost on a 2 048-key state: a put on
 // a fresh clone allocates the clone, then one node per level below the
 // root on the key's path, and nothing else. The root, held in the clone,
-// takes the new slot in place. Both overwrites and inserts into a free
+// is repointed at the new level-1 node in place. Both overwrites and inserts into a free
 // slot are checked; an insert that lands on another key's leaf also builds
 // kvSplit's chain, so it is left out.
 func TestKVClonePutAllocs(t *testing.T) {
@@ -443,44 +470,46 @@ func TestKVClonePutAllocs(t *testing.T) {
 	}
 }
 
-// TestKVCloneRootEdits: put and del edit a clone's root in place, so none
-// of them may reach the source's root. Ops that insert into a non-full
-// root before, between and after its slots (so the root grows and its
-// slots shift), overwrite a root leaf, split one into a child, copy a
-// child's path, collapse a child so its last leaf moves up into the root,
-// and delete down to the empty root run on one clone op by op and on
-// another in one edit window. Every response, each clone's Key and shape
-// must match a map model, and the source's Key and root must not change.
-func TestKVCloneRootEdits(t *testing.T) {
-	// keyAt is a key whose hash puts it in root slot idx and, one level
-	// down, in slot sub.
-	keyAt := func(idx, sub uint64) int64 { return kvUnhash(idx<<59 | sub<<54 | 0x5eed) }
-	src := &kvReplica{s: KV{}.Init(), m: map[int64]int64{}}
-	for i, k := range []int64{keyAt(4, 0), keyAt(9, 1), keyAt(9, 2), keyAt(20, 0)} {
+// kvKeyAt is a key whose hash's 5-bit groups from the top, root index
+// first, are path, above fixed low bits: every group past path is 0.
+func kvKeyAt(path ...uint64) int64 {
+	h := uint64(0x5eed)
+	for level, idx := range path {
+		h |= idx << (59 - 5*level)
+	}
+	return kvUnhash(h)
+}
+
+// kvReplicaOf is a replica holding keys, key i valued i.
+func kvReplicaOf(keys ...int64) *kvReplica {
+	r := &kvReplica{s: KV{}.Init(), m: map[int64]int64{}}
+	for i, k := range keys {
 		op := Op{Kind: "put", Args: []int64{k, int64(i)}}
-		src.s.Apply(op)
-		kvModelApply(src.m, op)
+		r.s.Apply(op)
+		kvModelApply(r.m, op)
 	}
-	put := func(k int64) Op { return Op{Kind: "put", Args: []int64{k, k % 1000}} }
-	del := func(k int64) Op { return Op{Kind: "del", Args: []int64{k}} }
-	ops := []Op{
-		put(keyAt(0, 0)), put(keyAt(12, 0)), put(keyAt(31, 0)), // grow: first, middle, last
-		put(keyAt(4, 0)),                   // overwrite a root leaf
-		put(keyAt(20, 1)),                  // split a root leaf into a child
-		put(keyAt(9, 3)),                   // copy a child's path
-		del(keyAt(9, 1)), del(keyAt(9, 2)), // collapse: keyAt(9, 3) moves up
-		del(keyAt(20, 0)), del(keyAt(20, 1)), // the split child collapses, then goes
-		del(keyAt(0, 0)), del(keyAt(31, 0)), // shrink at both ends
-		del(keyAt(4, 0)), del(keyAt(12, 0)), del(keyAt(9, 3)), // down to empty
-	}
-	before, root := src.s.Key(), src.s.(*kvState).root
+	return r
+}
+
+func kvPut(k int64) Op { return Op{Kind: "put", Args: []int64{k, k % 1000}} }
+func kvDel(k int64) Op { return Op{Kind: "del", Args: []int64{k}} }
+
+// kvCloneEdits runs ops on two clones of src, one op by op and one in a
+// single edit window, and returns both. Every response, each clone's Key
+// and shape must match a map model, the window must be closed, and
+// neither clone may reach the source: its Key and its root entries must
+// not change.
+func kvCloneEdits(t *testing.T, src *kvReplica, ops []Op) (perOp, windowed *kvReplica) {
+	t.Helper()
+	root := *src.s.(*kvState)
+	before := src.s.Key()
 	check := func(what string) {
 		t.Helper()
-		if src.s.Key() != before || src.s.(*kvState).root != root {
+		if st := src.s.(*kvState); src.s.Key() != before || st.kids != root.kids || st.bms != root.bms {
 			t.Fatalf("%s changed the source", what)
 		}
 	}
-	perOp := src.clone()
+	perOp = src.clone()
 	for i, op := range ops {
 		if got, want := perOp.s.Apply(op), kvModelApply(perOp.m, op); got != want {
 			t.Fatalf("op %d %v: got %d, want %d", i, op, got, want)
@@ -491,7 +520,7 @@ func TestKVCloneRootEdits(t *testing.T) {
 		kvCheckShape(t, perOp.s.(*kvState))
 		check(fmt.Sprintf("op %d %v on a clone", i, op))
 	}
-	windowed := src.clone()
+	windowed = src.clone()
 	out := make([]int64, len(ops))
 	ApplyAll(windowed.s, ops, out)
 	for i, op := range ops {
@@ -499,11 +528,83 @@ func TestKVCloneRootEdits(t *testing.T) {
 			t.Fatalf("window op %d %v: got %d, want %d", i, op, out[i], want)
 		}
 	}
+	if got, want := windowed.s.Key(), kvModelKey(windowed.m); got != want {
+		t.Fatalf("window Key\n got %q\nwant %q", got, want)
+	}
+	if windowed.s.(*kvState).editing {
+		t.Fatal("the window is still open after ApplyAll returned")
+	}
+	kvCheckShape(t, windowed.s.(*kvState))
 	check("a window on a clone")
+	return perOp, windowed
+}
+
+// TestKVCloneRootEdits: put and del repoint a clone's root entries in
+// place, so none of them may reach the source's root. Ops that fill empty
+// root entries at both ends and in the middle, overwrite a lone key, grow
+// a level-1 node, split a level-1 leaf into a child, copy a child's path,
+// shrink a level-1 node to a lone leaf, collapse a child so its last leaf
+// moves up into level 1, and delete down to the empty root run on one
+// clone op by op and on another in one edit window (kvCloneEdits).
+func TestKVCloneRootEdits(t *testing.T) {
+	src := kvReplicaOf(kvKeyAt(4, 0), kvKeyAt(9, 1), kvKeyAt(9, 2), kvKeyAt(20, 0))
+	ops := []Op{
+		kvPut(kvKeyAt(0, 0)), kvPut(kvKeyAt(12, 0)), kvPut(kvKeyAt(31, 0)), // fill: first, middle, last
+		kvPut(kvKeyAt(4, 0)),                       // overwrite a lone key
+		kvPut(kvKeyAt(9, 3)),                       // grow a level-1 node
+		kvPut(kvKeyAt(20, 0, 1)),                   // split a level-1 leaf into a child
+		kvPut(kvKeyAt(20, 0, 2)),                   // copy a child's path
+		kvDel(kvKeyAt(9, 1)), kvDel(kvKeyAt(9, 2)), // shrink: kvKeyAt(9, 3) is left alone
+		kvDel(kvKeyAt(20, 0)), kvDel(kvKeyAt(20, 0, 1)), // collapse: kvKeyAt(20, 0, 2) moves up
+		kvDel(kvKeyAt(0, 0)), kvDel(kvKeyAt(31, 0)), // empty both ends
+		kvDel(kvKeyAt(4, 0)), kvDel(kvKeyAt(12, 0)), kvDel(kvKeyAt(9, 3)), kvDel(kvKeyAt(20, 0, 2)), // down to empty
+	}
+	perOp, windowed := kvCloneEdits(t, src, ops)
 	for _, c := range []*kvReplica{perOp, windowed} {
-		if st := c.s.(*kvState); c.s.Key() != "" || st.root != [32]kvSlot{} || st.bm != 0 {
-			t.Fatalf("after deleting every key: Key %q, root %+v", c.s.Key(), st.rootNode())
+		if st := c.s.(*kvState); c.s.Key() != "" || st.kids != [32]*kvSlot{} || st.bms != [32]uint32{} {
+			t.Fatalf("after deleting every key: Key %q, root %v, bitmaps %v", c.s.Key(), st.kids, st.bms)
 		}
+	}
+}
+
+// TestKVLoneKeyRootIndex: a key alone under its root index sits in a
+// one-slot level-1 node, the only single-leaf node the trie has. Through
+// put into an empty entry, overwrite and del, of a new key and of one the
+// source already holds alone, on a clone op by op and in one window (where
+// a put builds the node, an overwrite edits it in place and a del empties
+// the entry), each case must leave its index lone or empty as it says, and
+// the source's Key and root entries must not change (kvCloneEdits).
+func TestKVLoneKeyRootIndex(t *testing.T) {
+	held, fresh := kvKeyAt(4, 0), kvKeyAt(7, 3)
+	src := kvReplicaOf(held, kvKeyAt(9, 1), kvKeyAt(9, 2))
+	for _, c := range []struct {
+		name string
+		ops  []Op
+		idx  uint64
+		lone int64 // the key alone under idx afterwards, or 0 for an empty entry
+	}{
+		{"put", []Op{kvPut(fresh)}, 7, fresh},
+		{"overwrite", []Op{kvPut(fresh), kvPut(fresh)}, 7, fresh},
+		{"del", []Op{kvPut(fresh), kvDel(fresh)}, 7, 0},
+		{"del-put", []Op{kvPut(fresh), kvPut(fresh), kvDel(fresh), kvPut(fresh)}, 7, fresh},
+		{"held/overwrite", []Op{kvPut(held)}, 4, held},
+		{"held/del", []Op{kvDel(held)}, 4, 0},
+		{"held/grow-shrink", []Op{kvPut(kvKeyAt(4, 1)), kvDel(kvKeyAt(4, 1))}, 4, held},
+		{"held/split-collapse", []Op{kvPut(kvKeyAt(4, 0, 1)), kvDel(held)}, 4, kvKeyAt(4, 0, 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			perOp, windowed := kvCloneEdits(t, src, c.ops)
+			for _, r := range []*kvReplica{perOp, windowed} {
+				st := r.s.(*kvState)
+				node := kvNode(st.kids[c.idx], st.bms[c.idx])
+				switch {
+				case c.lone == 0 && (st.kids[c.idx] != nil || st.bms[c.idx] != 0):
+					t.Fatalf("root entry %d is not empty: %+v", c.idx, node)
+				case c.lone != 0 && (bits.OnesCount32(st.bms[c.idx]) != 1 || node[0].kids != nil || node[0].key != c.lone):
+					t.Fatalf("root entry %d holds %+v, want %d alone", c.idx, node, c.lone)
+				}
+			}
+		})
 	}
 }
 
@@ -531,8 +632,8 @@ func TestKVDeleteToEmpty(t *testing.T) {
 			if n := s.Apply(Op{Kind: "len"}); n != 0 {
 				t.Errorf("len after deleting everything = %d", n)
 			}
-			if st := s.(*kvState); st.root != [32]kvSlot{} || st.bm != 0 {
-				t.Errorf("empty trie keeps a root: %+v, bitmap %b", st.rootNode(), st.bm)
+			if st := s.(*kvState); st.kids != [32]*kvSlot{} || st.bms != [32]uint32{} {
+				t.Errorf("empty trie keeps a root: %v, bitmaps %v", st.kids, st.bms)
 			}
 		})
 	}
@@ -722,7 +823,8 @@ var kvBuildPool = func() []int64 {
 // kvSameShape fails unless a and b are the same trie node for node: equal
 // bitmaps, equal leaves in equal slots and internal slots in the same
 // places, single-slot chains included. Every internal slot of a must carry
-// edit token tok.
+// edit token tok, and a's own bit must be set for each level-1 node exactly
+// when tok is not 0.
 func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 	t.Helper()
 	var walk func(na, nb []kvSlot, bma, bmb uint32, level int)
@@ -748,7 +850,12 @@ func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 			}
 		}
 	}
-	walk(a.rootNode(), b.rootNode(), a.bm, b.bm, 0)
+	for i := range a.kids {
+		if a.kids[i] != nil && a.own>>i&1 != 0 != (tok != 0) {
+			t.Fatalf("root entry %d: own bit %d with edit token %d", i, a.own>>i&1, tok)
+		}
+		walk(kvNode(a.kids[i], a.bms[i]), kvNode(b.kids[i], b.bms[i]), a.bms[i], b.bms[i], 1)
+	}
 	if a.n != b.n {
 		t.Fatalf("len %d, want %d", a.n, b.n)
 	}

@@ -11,14 +11,14 @@
 // States are mutable for efficiency, with explicit Clone for the snapshot
 // (strongly-wait-free) variant and Key for the linearizability checker's
 // memoization. KV, the object the server and every benchmark workload
-// serve, keeps its state in a persistent hash trie whose root node the
-// state holds inline, so its Clone is one fixed-size copy and its Apply
-// walks at most 13 levels of at most 32 slots; the other objects' Clones
-// still copy their whole state. A trie slot is 24 bytes: a child is one
-// pointer, and its node's length is the popcount of the bitmap the same
-// slot carries (kvNode, this package's one use of unsafe). A child node is
-// never edited once the call that built it returns: only an edit Window
-// edits children in place, and only the ones it built itself.
+// serve, keeps its state in a persistent hash trie whose root is an array
+// of 32 child pointers held in the state, so its Clone is one fixed-size
+// copy and its Apply walks at most 13 levels of at most 32 slots; the
+// other objects' Clones still copy their whole state. A trie slot is 24
+// bytes: a child is one pointer, and its node's length is the popcount of
+// the bitmap beside it (kvNode, this package's one use of unsafe). A child
+// node is never edited once the call that built it returns: only an edit
+// Window edits children in place, and only the ones it built itself.
 //
 //wf:waitfree
 package seqspec
@@ -70,9 +70,9 @@ const Empty int64 = -1 << 62
 // the universal construction's step bounds count sequential-object calls as
 // single steps, so an implementation whose Apply or Clone is super-constant
 // scales every certified bound by that factor. KV honours the contract: its
-// Clone is one struct copy of a fixed 792 bytes (the root's 32 slots held
-// inline) and its Apply costs at most kvMaxDepth (13) levels × 32 slots,
-// independent of the key count. Set, Queue, Stack, PQueue, List and Bank
+// Clone is one struct copy of a fixed 408 bytes (the root's 32 child
+// pointers and their bitmaps) and its Apply costs at most kvMaxDepth (13)
+// levels × 32 slots, independent of the key count. Set, Queue, Stack, PQueue, List and Bank
 // clone in time linear in their size.
 type Object interface {
 	// Name identifies the type.
@@ -99,15 +99,16 @@ type Object interface {
 type State interface {
 	// Apply executes op, mutating the state and returning the response.
 	//
-	// Response-publication contract: Apply must be deterministic and total —
+	// Determinism contract: Apply must be deterministic and total —
 	// a pure function of the state *value* and the op, never of the replica
 	// identity, iteration order of an unordered container, randomness, or
-	// time. The universal construction's helping protocol depends on this:
-	// any process that replays a decided log prefix may publish the response
-	// it computed into another operation's result slot, and the operation's
-	// invoker returns that value as its own. Two replicas replaying the same
-	// prefix must therefore compute bit-identical responses and states (the
-	// cross-spec determinism test in contract_test.go enforces both).
+	// time. The universal construction depends on this: a replay that stops
+	// at another process's snapshot continues from the state that process
+	// computed, and every process that replays a decided log prefix must
+	// reach the same state and responses as the one that stored it. Two
+	// replicas replaying the same prefix must therefore compute
+	// bit-identical responses and states (the cross-spec determinism test
+	// in contract_test.go enforces both).
 	//
 	//wf:steps 1
 	Apply(op Op) int64
@@ -496,15 +497,15 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 // KV is a key-value map: put(k,v) returns the old value or Empty, get(k)
 // returns the value or Empty, del(k) returns the old value or Empty.
 //
-// The state is a persistent hash array mapped trie whose root node the
-// state holds inline, so Clone is one struct copy that copies the root's
-// slots and shares every child node. put/del edit that private root in
-// place and copy the rest of one root-to-leaf path (at most kvMaxDepth-1
-// child nodes of at most 32 slots of 24 bytes each); child nodes are never
-// edited once the call that built them returns, which is what lets clones,
-// snapshots and the read fast path share them across goroutines. Inside
-// one edit Window a put edits in place the children that window built (see
-// kvState). A KV starts empty.
+// The state is a persistent hash array mapped trie whose root is a
+// direct-indexed array of 32 child pointers held in the state, so Clone is
+// one struct copy that copies the root's pointers and shares every child
+// node. put/del repoint one root entry in place and copy the rest of one
+// root-to-leaf path (at most kvMaxDepth-1 child nodes of at most 32 slots
+// of 24 bytes each); child nodes are never edited once the call that built
+// them returns, which is what lets clones, snapshots and the read fast
+// path share them across goroutines. Inside one edit Window a put edits in
+// place the children that window built (see kvState). A KV starts empty.
 type KV struct{}
 
 // Name implements Object.
@@ -537,79 +538,74 @@ type kvSlot struct {
 
 // kvNode views the child node whose first slot is p and whose bitmap is
 // bm. It is the package's one use of unsafe, and it is sound because every
-// child pointer, a slot's kids, is &node[0] of a
-// make([]kvSlot, popcount(bm)) (never empty), and that bm travels with the
-// pointer in the same slot's key. The root needs no view: it is
-// kvState.root[:popcount(bm)] (rootNode). The race detector's checkptr
-// mode checks every view against its allocation.
+// child pointer, a slot's kids or a root entry kvState.kids[i], is &node[0]
+// of a make([]kvSlot, popcount(bm)) (never empty), and that bm travels
+// with the pointer: in the same slot's key, or in kvState.bms[i]. An empty
+// root entry is nil beside bitmap 0, whose view is an empty node. The race
+// detector's checkptr mode checks every view against its allocation.
 func kvNode(p *kvSlot, bm uint32) []kvSlot {
 	return unsafe.Slice(p, bits.OnesCount32(bm))
 }
 
-// kvFrame is one level of a root-to-leaf path: the node visited, its
-// bitmap, the key's index bit at that level, and whether the open edit
-// window built the node, so a put may edit it in place (a child only: put
-// and del edit the root, which no other state reaches, in place always).
+// kvFrame is one level of a root-to-leaf path below the root: the node
+// visited, its bitmap, the key's index bit at that level, and whether the
+// open edit window built the node, so a put may edit it in place.
 type kvFrame struct {
 	node    []kvSlot
 	bm, bit uint32
 	own     bool
 }
 
-// kvState is one trie, its root node held inline, plus its edit-window
-// bookkeeping. No other state reaches the root, since Clone copies its
-// slots, so put and del edit it in place; child nodes are shared. OpenWindow
-// bumps edit and opens a window; a put inside it stamps every child it
-// copies with edit (in the parent slot's val) and edits in place only a
-// child stamped with the open token. That is race-free without any owner
-// retiring a token:
+// kvState is one trie plus its edit-window bookkeeping. The root is
+// direct-indexed: a key hash's top 5 bits, i, select kids[i], the level-1
+// node, whose bitmap is bms[i]; both are zero when no key has index i. The
+// root holds no leaves, so a key alone under its index sits in a one-slot
+// level-1 node, the only single-leaf node the trie has. No other state
+// reaches the root, since Clone copies it, so put and del repoint its
+// entries in place; child nodes are shared. OpenWindow bumps edit and
+// opens a window; a put inside it stamps every child it copies with edit
+// (below level 1 in the parent slot's val, at level 1 as bit i of own) and
+// edits in place only a child stamped with the open token. That is
+// race-free without any owner retiring a token:
 //   - every child a state reaches carries a stamp no greater than its edit,
-//     so a fresh window can only edit children it built itself;
+//     and own is cleared when a window opens, so a fresh window can only
+//     edit children it built itself;
 //   - those children are reachable only from this private state until the
 //     window closes (before ApplyAll returns, or at Window.Close);
 //   - Clone is a struct copy that writes nothing, so concurrent clones of
 //     one stored snapshot stay read-only. Two of them may open windows with
 //     the same token value, but they share no child built after the clone.
 //
-// The struct is 792 bytes: Clone is one allocation in the 896-byte size
-// class, the class Go's malloc header puts a full 768-byte node in anyway.
+// Outside a window own is 0. The struct is 408 bytes, under the 512 above
+// which Go's malloc header would add 8: Clone is one allocation in the
+// 416-byte size class, and only its 256 bytes of kids hold pointers for
+// the collector to scan.
 type kvState struct {
-	root    [32]kvSlot // the root node is root[:popcount(bm)]; the rest stay zero
+	kids    [32]*kvSlot // kids[i] is the level-1 node under root index i, or nil
+	bms     [32]uint32  // bms[i] is kids[i]'s bitmap, 0 when kids[i] is nil
 	n       int64
 	edit    uint64 // the lineage's window counter: the open window's token
-	bm      uint32
-	editing bool // a window is open
+	own     uint32 // bit i: the open window built kids[i]
+	editing bool   // a window is open
 }
 
 // openWindow starts an edit window under a token no reachable node
 // carries.
 func (s *kvState) openWindow() {
 	s.edit++
-	s.editing = true
+	s.own, s.editing = 0, true
 }
 
 // closeWindow ends the window: from here on every child is immutable again.
-func (s *kvState) closeWindow() { s.editing = false }
+func (s *kvState) closeWindow() { s.own, s.editing = 0, false }
 
-// rootNode is the root's occupied slots.
-func (s *kvState) rootNode() []kvSlot { return s.root[:bits.OnesCount32(s.bm)] }
-
-// rootSet sets bit's root slot to rep in place, inserting it when bit is
-// absent; rootDel removes bit's (present) root slot in place.
-func (s *kvState) rootSet(bit uint32, rep kvSlot) {
-	pos := kvPos(s.bm, bit)
-	if s.bm&bit == 0 {
-		copy(s.root[pos+1:], s.root[pos:bits.OnesCount32(s.bm)])
-		s.bm |= bit
+// setRoot points root entry i at the level-1 node p with bitmap bm, which
+// the open window, if any, built.
+func (s *kvState) setRoot(i uint64, p *kvSlot, bm uint32) {
+	s.kids[i], s.bms[i] = p, bm
+	if s.editing {
+		s.own |= 1 << i
 	}
-	s.root[pos] = rep
-}
-
-func (s *kvState) rootDel(bit uint32) {
-	pos, last := kvPos(s.bm, bit), bits.OnesCount32(s.bm)-1
-	copy(s.root[pos:], s.root[pos+1:last+1])
-	s.root[last] = kvSlot{}
-	s.bm &^= bit
 }
 
 // kvHash is the splitmix64 finalizer: a fixed (unseeded, so replicas agree)
@@ -697,8 +693,9 @@ func (s *kvState) Apply(op Op) int64 {
 
 func (s *kvState) get(k int64) int64 {
 	h := kvHash(k)
-	node, bm := s.rootNode(), s.bm
-	for level := 0; level < kvMaxDepth; level++ {
+	bm := s.bms[h>>59]
+	node := kvNode(s.kids[h>>59], bm)
+	for level := 1; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		if bm&bit == 0 {
 			return Empty
@@ -716,11 +713,13 @@ func (s *kvState) get(k int64) int64 {
 	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
 
-// descend records hash h's root-to-leaf path and returns the level where it
-// ends: at a leaf slot (hit) or at a free slot (!hit).
+// descend records hash h's path below the root, from level 1 on, and
+// returns the level where it ends: at a leaf slot (hit) or at a free slot
+// (!hit). An empty root entry's path ends at level 1, in an empty node.
 func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf kvSlot, hit bool) {
-	node, bm, own := s.rootNode(), s.bm, false
-	for level := 0; level < kvMaxDepth; level++ {
+	i := h >> 59
+	node, bm, own := kvNode(s.kids[i], s.bms[i]), s.bms[i], s.editing && s.own>>i&1 != 0
+	for level := 1; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		path[level] = kvFrame{node: node, bm: bm, bit: bit, own: own}
 		if bm&bit == 0 {
@@ -750,10 +749,10 @@ func (s *kvState) put(k, v int64) int64 {
 		rep = kvSplit(sl, kvHash(sl.key), rep, h, depth+1)
 		s.n++
 	}
-	// Copy the path back up to the root, which takes rep in place: at most
-	// kvMaxDepth-1 children. A child the open window built takes rep in
-	// place when rep replaces one of its slots; its ancestors still hold it
-	// unchanged, so the walk ends there. Every copy is stamped with the
+	// Copy the path back up to the root, whose entry is repointed in place:
+	// at most kvMaxDepth-1 children. A child the open window built takes rep
+	// in place when rep replaces one of its slots; its ancestors still hold
+	// it unchanged, so the walk ends there. Every copy is stamped with the
 	// token.
 	for i := depth; i > 0; i-- {
 		f := path[i]
@@ -764,18 +763,20 @@ func (s *kvState) put(k, v int64) int64 {
 		nn, nbm := kvWith(f.node, f.bm, f.bit, rep)
 		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: &nn[0]}
 	}
-	s.rootSet(path[0].bit, rep)
+	s.setRoot(h>>59, rep.kids, uint32(rep.key))
 	return old
 }
 
 // del removes k by copying its path minus the leaf, inside a window too,
-// and editing the root in place. A non-root node left holding a single
-// leaf is dropped and the leaf moves up into the parent, so the trie's
-// shape depends only on its contents. The copies are stamped 0, so no
-// window edits them.
+// and repointing the root entry in place. A node below level 1 left
+// holding a single leaf is dropped and the leaf moves up into the parent,
+// so the trie's shape depends only on its contents; a level-1 node keeps a
+// lone leaf, and one left empty empties its root entry. The copies are
+// stamped 0, so no window edits them.
 func (s *kvState) del(k int64) int64 {
+	h := kvHash(k)
 	var path [kvMaxDepth]kvFrame
-	depth, sl, hit := s.descend(kvHash(k), &path)
+	depth, sl, hit := s.descend(h, &path)
 	if !hit || sl.key != k {
 		return Empty
 	}
@@ -785,17 +786,20 @@ func (s *kvState) del(k int64) int64 {
 	// Copy the path back up to the root: at most kvMaxDepth-1 children.
 	for i := depth; i > 0; i-- {
 		f := path[i]
-		if gone && len(f.node) == 2 {
+		if i > 1 && gone && len(f.node) == 2 {
 			if other := f.node[1-kvPos(f.bm, f.bit)]; other.kids == nil {
 				rep, gone = other, false // the sibling leaf moves up
 				continue
 			}
 		}
-		if !gone && len(f.node) == 1 && rep.kids == nil {
+		if i > 1 && !gone && len(f.node) == 1 && rep.kids == nil {
 			continue // a single-slot chain node collapses; the leaf keeps moving up
 		}
-		// A non-root node holds two or more slots, or one internal slot,
-		// and the leaf cases above never leave it empty.
+		if gone && len(f.node) == 1 {
+			break // k was alone under its root index, which empties: rep stays zero
+		}
+		// A node below level 1 holds two or more slots, or one internal
+		// slot, and the leaf cases above never leave it empty.
 		var nn []kvSlot
 		var nbm uint32
 		if gone {
@@ -805,39 +809,37 @@ func (s *kvState) del(k int64) int64 {
 		}
 		rep, gone = kvSlot{key: int64(nbm), kids: &nn[0]}, false
 	}
-	if gone {
-		s.rootDel(path[0].bit)
-	} else {
-		s.rootSet(path[0].bit, rep)
-	}
+	s.kids[h>>59], s.bms[h>>59] = rep.kids, uint32(rep.key)
+	s.own &^= 1 << (h >> 59)
 	return sl.val
 }
 
-// Clone copies the root's slots, shares every child and writes nothing: it
-// is never called inside a window, and between windows every child is
-// immutable. It is one allocation.
+// Clone copies the root's 32 child pointers, shares every child and
+// writes nothing: it is never called inside a window, and between windows
+// every child is immutable. It is one allocation.
 func (s *kvState) Clone() State { c := *s; return &c }
 
-// each calls fn on every leaf slot, in trie order. The walk keeps one
-// pending-slot cursor per level on an explicit stack (no recursion): every
-// slot is visited once.
+// each calls fn on every leaf slot, in trie order. Under each root entry
+// the walk keeps one pending-slot cursor per level on an explicit stack
+// (no recursion): every slot is visited once.
 func (s *kvState) each(fn func(leaf kvSlot)) {
 	var stack [kvMaxDepth][]kvSlot
-	stack[0] = s.rootNode()
-	top := 0
-	for top >= 0 {
-		if len(stack[top]) == 0 {
-			top--
-			continue
+	for i, p := range s.kids {
+		stack[0] = kvNode(p, s.bms[i])
+		for top := 0; top >= 0; {
+			if len(stack[top]) == 0 {
+				top--
+				continue
+			}
+			sl := stack[top][0]
+			stack[top] = stack[top][1:]
+			if sl.kids == nil {
+				fn(sl)
+				continue
+			}
+			top++
+			stack[top] = kvNode(sl.kids, uint32(sl.key))
 		}
-		sl := stack[top][0]
-		stack[top] = stack[top][1:]
-		if sl.kids == nil {
-			fn(sl)
-			continue
-		}
-		top++
-		stack[top] = kvNode(sl.kids, uint32(sl.key))
 	}
 }
 
@@ -941,8 +943,9 @@ func KVOf(pairs map[int64]int64) State { return kvOf(pairs, false) }
 func OpenKVWindow(pairs map[int64]int64) Window { return Window{kvOf(pairs, true)} }
 
 // kvOf is KVOf, and OpenKVWindow when open: the build then stamps every
-// internal slot with the token of the window it opens. The root is built
-// in place.
+// internal slot with the token of the window it opens, and every level-1
+// node with its own bit (setRoot). The root is the fill's bottom frame, whose groups
+// become root entries rather than slots.
 func kvOf(pairs map[int64]int64, open bool) *kvState {
 	s := &kvState{n: int64(len(pairs))}
 	var tok int64
@@ -955,9 +958,9 @@ func kvOf(pairs map[int64]int64, open bool) *kvState {
 		leaves = append(leaves, kvLeaf{h: kvHash(k), key: k, val: v})
 	}
 	kvSortLeaves(leaves)
-	s.bm = kvBitmap(leaves, 0)
 	// A depth-first fill with one frame per level, as in each: the node
-	// being filled, its level, its next slot and the leaves left below it.
+	// being filled (none at the root, level 0), its level, its next slot
+	// and the leaves left below it.
 	type frame struct {
 		node   []kvSlot
 		level  int
@@ -965,7 +968,7 @@ func kvOf(pairs map[int64]int64, open bool) *kvState {
 		leaves []kvLeaf
 	}
 	var stack [kvMaxDepth]frame
-	stack[0] = frame{node: s.rootNode(), leaves: leaves}
+	stack[0] = frame{leaves: leaves}
 	top := 0
 	for top >= 0 {
 		f := &stack[top]
@@ -981,17 +984,21 @@ func kvOf(pairs map[int64]int64, open bool) *kvState {
 		}
 		group := f.leaves[:n]
 		f.leaves = f.leaves[n:]
-		sl := &f.node[f.next]
-		f.next++
-		if n == 1 {
-			*sl = kvSlot{key: group[0].key, val: group[0].val}
+		if n == 1 && f.level > 0 {
+			f.node[f.next] = kvSlot{key: group[0].key, val: group[0].val}
+			f.next++
 			continue
 		}
-		// Two or more leaves: a child one level down, a single-slot chain
-		// node when they share its bit too.
+		// A root entry, or two or more leaves: a child one level down, a
+		// single-slot chain node when they share its bit too.
 		bm := kvBitmap(group, f.level+1)
 		child := make([]kvSlot, bits.OnesCount32(bm))
-		*sl = kvSlot{key: int64(bm), val: tok, kids: &child[0]}
+		if f.level == 0 {
+			s.setRoot(group[0].h>>59, &child[0], bm)
+		} else {
+			f.node[f.next] = kvSlot{key: int64(bm), val: tok, kids: &child[0]}
+			f.next++
+		}
 		top++
 		stack[top] = frame{node: child, level: f.level + 1, leaves: group}
 	}
