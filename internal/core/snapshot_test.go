@@ -149,31 +149,39 @@ func kvKeys(keys int64) map[int64]int64 {
 }
 
 // TestKVWriteBytes pins the bytes a KV write copies on a 2 048-key state:
-// a 16-put run as a durable server's committer applies it (a Clone of the
-// published state, then one seqspec.ApplyAll window), and a single Invoke
-// put. A trie slot is 24 bytes (a child pointer whose node length is its
-// bitmap's popcount), and a state holds its root as 32 child pointers, so
-// the Clone is one 416-byte allocation; the run copies the 31 child nodes
-// its 16 paths share once each, 11 280 bytes: 11 696 in all. The put pays
-// its Entry (128 bytes), its replay's Clone (416) and one path copy (704):
-// 1 248 bytes.
+// runs of 1, 4 and 16 puts as a durable server's committer applies them (a
+// Clone of the published state, then one seqspec.ApplyAll), and a single
+// Invoke put. A trie slot is 24 bytes (a child pointer whose node length
+// is its bitmap's popcount), a level-1 node carries one more slot, its
+// header, and a state holds its root as 32 child pointers, so the Clone
+// is one 288-byte allocation. The 1-put run copies one path, 800 bytes:
+// 1 088 in all. The 4-put run copies four paths, each under its own root
+// index, 3 456 bytes: 3 744. The 16-put run copies the 31 child nodes its
+// 16 paths share once each, 11 664 bytes: 11 952. The Invoke put pays its
+// Entry (128 bytes), its replay's Clone (288) and one path copy (768):
+// 1 184 bytes.
 func TestKVWriteBytes(t *testing.T) {
 	const keys = 2048
 	published := seqspec.KVOf(kvKeys(keys))
-	ops := make([]seqspec.Op, 16)
-	for i := range ops {
-		ops[i] = seqspec.Op{Kind: "put", Args: []int64{int64(i * 97), -1}}
-	}
-	out := make([]int64, len(ops))
-	if got, limit := bytesPerRun(50, func() { seqspec.ApplyAll(published.Clone(), ops, out) }), 11712.0; got > limit {
-		t.Errorf("a 16-put run on a clone of %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
+	for _, c := range []struct {
+		puts  int
+		limit float64
+	}{{1, 1104}, {4, 3760}, {16, 11968}} {
+		ops := make([]seqspec.Op, c.puts)
+		for i := range ops {
+			ops[i] = seqspec.Op{Kind: "put", Args: []int64{int64(i * 97), -1}}
+		}
+		out := make([]int64, len(ops))
+		if got := bytesPerRun(50, func() { seqspec.ApplyAll(published.Clone(), ops, out) }); got > c.limit {
+			t.Errorf("a %d-put run on a clone of %d keys allocates %.0f bytes, want <= %.0f", c.puts, keys, got, c.limit)
+		}
 	}
 	u := NewUniversal(seqspec.KV{}, NewSwapFAC(), 1)
 	for k := int64(0); k < keys; k++ {
 		u.Invoke(0, seqspec.Op{Kind: "put", Args: []int64{k, k}})
 	}
 	put := seqspec.Op{Kind: "put", Args: []int64{77, 70}}
-	if got, limit := bytesPerRun(50, func() { u.Invoke(0, put) }), 1264.0; got > limit {
+	if got, limit := bytesPerRun(50, func() { u.Invoke(0, put) }), 1200.0; got > limit {
 		t.Errorf("a put into %d keys allocates %.0f bytes, want <= %.0f", keys, got, limit)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,19 +107,17 @@ func kvKeyPools() map[string][]int64 {
 	return map[string][]int64{"dense": dense, "full-range": full, "shared-prefix": shared}
 }
 
-// kvCheckShape asserts the trie's structural invariants: a root entry's
-// pointer is nil exactly when its bitmap is 0, every leaf sits on its
-// hash's path, no node is deeper than kvMaxDepth or empty, every node below
-// level 1 has two or more slots or a single internal slot (collapse on
-// delete), so a level-1 node is the only one that may hold a lone leaf,
-// the cached length matches the leaf count, and no own bit is set outside
-// a window. It walks through kvNode, as every production walk does. It
+// kvCheckShape asserts the trie's structural invariants: every non-nil
+// root entry points at a level-1 header (kids nil, a nonzero bitmap),
+// every edit token, in a header or an internal slot, is at most the
+// state's edit, every leaf sits on its hash's path, no node is deeper than
+// kvMaxDepth or empty, every node below level 1 has two or more slots or a
+// single internal slot (collapse on delete), so a level-1 node is the only
+// one that may hold a lone leaf, and the cached length matches the leaf
+// count. It walks through kvNode, as every production walk does. It
 // returns the deepest leaf's level.
 func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 	t.Helper()
-	if !s.editing && s.own != 0 {
-		t.Fatalf("own bits %b outside a window", s.own)
-	}
 	leaves := 0
 	var walk func(node []kvSlot, bm uint32, level int, prefix uint64)
 	walk = func(node []kvSlot, bm uint32, level int, prefix uint64) {
@@ -144,16 +143,21 @@ func kvCheckShape(t *testing.T, s *kvState) (deepest int) {
 				}
 				continue
 			}
-			walk(kvNode(sl.kids, uint32(sl.key)), uint32(sl.key), level+1, p)
+			if uint64(sl.val) > s.edit {
+				t.Fatalf("level %d slot %d: stamped %d, past the state's edit %d", level, idx, sl.val, s.edit)
+			}
+			walk(kvNode(sl.kids, uint32(sl.key), 0), uint32(sl.key), level+1, p)
 		}
 	}
 	for i, p := range s.kids {
-		if (p == nil) != (s.bms[i] == 0) {
-			t.Fatalf("root entry %d: pointer %p beside bitmap %b", i, p, s.bms[i])
+		if p == nil {
+			continue
 		}
-		if p != nil {
-			walk(kvNode(p, s.bms[i]), s.bms[i], 1, uint64(i))
+		if p.kids != nil || uint32(p.key) == 0 || uint64(p.val) > s.edit {
+			t.Fatalf("root entry %d: header %+v, want kids nil, a bitmap and a stamp at most %d", i, *p, s.edit)
 		}
+		node, bm, _ := s.level1(uint64(i))
+		walk(node, bm, 1, uint64(i))
 	}
 	if int64(leaves) != s.n {
 		t.Fatalf("cached len %d, %d leaves", s.n, leaves)
@@ -402,18 +406,18 @@ func kvBytesPerRun(runs int, f func()) float64 {
 // TestKVStateHeader pins the layout and Clone. A slot is 24 bytes: a child
 // is one pointer and its length is the popcount of the bitmap beside it,
 // where a slice header would make it 40 and every path copy 40 % more
-// bytes. The state holds its root as 32 child pointers and their bitmaps,
-// 408 bytes in all: under the 512 bytes past which Go's malloc header
-// would push a Clone from the 416-byte size class into the 896-byte one.
-// So Clone is one allocation of 416 bytes: it copies the root's pointers,
-// which shares every child node, and writes nothing to its source, so
-// concurrent clones of a stored snapshot stay read-only.
+// bytes. The state holds its root as 32 child pointers, each level-1
+// node's bitmap and edit token living in a header slot at the node's
+// front, 280 bytes in all. So Clone is one allocation in the 288-byte size
+// class: it copies the root's pointers, which shares every child node,
+// and writes nothing to its source, so concurrent clones of a stored
+// snapshot stay read-only.
 func TestKVStateHeader(t *testing.T) {
 	if size := unsafe.Sizeof(kvSlot{}); size != 24 {
 		t.Errorf("kvSlot is %d bytes, want 24", size)
 	}
-	if size := unsafe.Sizeof(kvState{}); size > 416 || size >= 512 {
-		t.Errorf("kvState is %d bytes, want at most 416 (and under 512)", size)
+	if size := unsafe.Sizeof(kvState{}); size > 288 {
+		t.Errorf("kvState is %d bytes, want at most 288", size)
 	}
 	s := KV{}.Init()
 	ops := make([]Op, 2048)
@@ -424,8 +428,8 @@ func TestKVStateHeader(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { kvSink = s.Clone() }); a != 1 {
 		t.Errorf("Clone allocates %.1f times, want 1", a)
 	}
-	if b := kvBytesPerRun(100, func() { kvSink = s.Clone() }); b > 416 {
-		t.Errorf("Clone allocates %.0f bytes, want at most 416", b)
+	if b := kvBytesPerRun(100, func() { kvSink = s.Clone() }); b > 288 {
+		t.Errorf("Clone allocates %.0f bytes, want at most 288", b)
 	}
 	ks := s.(*kvState)
 	before := *ks
@@ -494,6 +498,99 @@ func kvReplicaOf(keys ...int64) *kvReplica {
 func kvPut(k int64) Op { return Op{Kind: "put", Args: []int64{k, k % 1000}} }
 func kvDel(k int64) Op { return Op{Kind: "del", Args: []int64{k}} }
 
+// TestKVLevel1Stamp pins the stamp rule at level 1, where a node's edit
+// token lives in its header. Inside one window, a second put under a root
+// index the window already copied edits that level-1 node in place: it
+// allocates only the nodes below level 1 on its own path. A level-1 node
+// the window did not build, from KVOf, from an OpenKVWindow already
+// closed, or from an earlier window on the same lineage, is copied and
+// never edited: the copy carries the window's token, and a Clone taken
+// before the window keeps its Key, its headers and its level-1 slots.
+func TestKVLevel1Stamp(t *testing.T) {
+	leafA, leafB := kvKeyAt(5, 0), kvKeyAt(5, 1) // leaves of one level-1 node
+	deepA, deepB := kvKeyAt(7, 0, 0), kvKeyAt(7, 1, 0)
+	pairs := map[int64]int64{leafA: 1, leafB: 2, deepA: 3, kvKeyAt(7, 0, 1): 4, deepB: 5, kvKeyAt(7, 1, 1): 6}
+	set := func(k int64) Op { return Op{Kind: "put", Args: []int64{k, -7}} }
+	src := KVOf(pairs)
+	for _, c := range []struct {
+		name          string
+		first, second int64
+		allocs        float64 // the Clone, the first put's path, the second's below level 1
+	}{
+		{"leaves", leafA, leafB, 1 + 1 + 0},
+		{"children", deepA, deepB, 1 + 2 + 1},
+	} {
+		first, second := set(c.first), set(c.second)
+		got := testing.AllocsPerRun(100, func() {
+			st := src.Clone()
+			w := OpenWindow(st)
+			w.Apply(first)
+			w.Apply(second)
+			w.Close()
+			kvSink = st
+		})
+		if got != c.allocs {
+			t.Errorf("%s: two puts under one root index in one window allocate %.0f times, want %.0f", c.name, got, c.allocs)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		src  func() State
+	}{
+		{"KVOf", func() State { return KVOf(pairs) }},
+		{"OpenKVWindow", func() State { w := OpenKVWindow(pairs); w.Close(); return w.State() }},
+		{"earlier-window", func() State {
+			s := KVOf(pairs)
+			ApplyAll(s, []Op{kvPut(leafA), kvPut(deepA)}, make([]int64, 2))
+			return s
+		}},
+	} {
+		for _, onClone := range []bool{false, true} {
+			s := c.src()
+			fork := s.Clone().(*kvState)
+			if onClone {
+				s = s.Clone()
+			}
+			key := fork.Key()
+			type frozen struct {
+				hdr   kvSlot
+				slots []kvSlot
+			}
+			var before [32]frozen
+			for i, p := range fork.kids {
+				if p != nil {
+					node, _, _ := fork.level1(uint64(i))
+					before[i] = frozen{*p, slices.Clone(node)}
+				}
+			}
+			w := OpenWindow(s)
+			st := s.(*kvState)
+			for _, k := range []int64{leafA, deepA} {
+				w.Apply(set(k))
+				i := kvHash(k) >> 59
+				if _, _, tok := st.level1(i); st.kids[i] == fork.kids[i] || tok != st.edit {
+					t.Errorf("%s (clone %v): put(%d) left root entry %d at %p stamped %d, want a copy stamped %d",
+						c.name, onClone, k, i, st.kids[i], tok, st.edit)
+				}
+			}
+			w.Close()
+			if fork.Key() != key {
+				t.Fatalf("%s (clone %v): the window edited a level-1 node it did not build", c.name, onClone)
+			}
+			for i, p := range fork.kids {
+				if p == nil {
+					continue
+				}
+				node, _, _ := fork.level1(uint64(i))
+				if *p != before[i].hdr || !slices.Equal(node, before[i].slots) {
+					t.Fatalf("%s (clone %v): root entry %d's level-1 node changed under a clone", c.name, onClone, i)
+				}
+			}
+		}
+	}
+}
+
 // kvCloneEdits runs ops on two clones of src, one op by op and one in a
 // single edit window, and returns both. Every response, each clone's Key
 // and shape must match a map model, the window must be closed, and
@@ -505,7 +602,7 @@ func kvCloneEdits(t *testing.T, src *kvReplica, ops []Op) (perOp, windowed *kvRe
 	before := src.s.Key()
 	check := func(what string) {
 		t.Helper()
-		if st := src.s.(*kvState); src.s.Key() != before || st.kids != root.kids || st.bms != root.bms {
+		if st := src.s.(*kvState); src.s.Key() != before || st.kids != root.kids {
 			t.Fatalf("%s changed the source", what)
 		}
 	}
@@ -561,8 +658,8 @@ func TestKVCloneRootEdits(t *testing.T) {
 	}
 	perOp, windowed := kvCloneEdits(t, src, ops)
 	for _, c := range []*kvReplica{perOp, windowed} {
-		if st := c.s.(*kvState); c.s.Key() != "" || st.kids != [32]*kvSlot{} || st.bms != [32]uint32{} {
-			t.Fatalf("after deleting every key: Key %q, root %v, bitmaps %v", c.s.Key(), st.kids, st.bms)
+		if st := c.s.(*kvState); c.s.Key() != "" || st.kids != [32]*kvSlot{} {
+			t.Fatalf("after deleting every key: Key %q, root %v", c.s.Key(), st.kids)
 		}
 	}
 }
@@ -596,11 +693,11 @@ func TestKVLoneKeyRootIndex(t *testing.T) {
 			perOp, windowed := kvCloneEdits(t, src, c.ops)
 			for _, r := range []*kvReplica{perOp, windowed} {
 				st := r.s.(*kvState)
-				node := kvNode(st.kids[c.idx], st.bms[c.idx])
+				node, bm, _ := st.level1(c.idx)
 				switch {
-				case c.lone == 0 && (st.kids[c.idx] != nil || st.bms[c.idx] != 0):
+				case c.lone == 0 && st.kids[c.idx] != nil:
 					t.Fatalf("root entry %d is not empty: %+v", c.idx, node)
-				case c.lone != 0 && (bits.OnesCount32(st.bms[c.idx]) != 1 || node[0].kids != nil || node[0].key != c.lone):
+				case c.lone != 0 && (bits.OnesCount32(bm) != 1 || node[0].kids != nil || node[0].key != c.lone):
 					t.Fatalf("root entry %d holds %+v, want %d alone", c.idx, node, c.lone)
 				}
 			}
@@ -632,8 +729,8 @@ func TestKVDeleteToEmpty(t *testing.T) {
 			if n := s.Apply(Op{Kind: "len"}); n != 0 {
 				t.Errorf("len after deleting everything = %d", n)
 			}
-			if st := s.(*kvState); st.kids != [32]*kvSlot{} || st.bms != [32]uint32{} {
-				t.Errorf("empty trie keeps a root: %v, bitmaps %v", st.kids, st.bms)
+			if st := s.(*kvState); st.kids != [32]*kvSlot{} {
+				t.Errorf("empty trie keeps a root: %v", st.kids)
 			}
 		})
 	}
@@ -822,9 +919,8 @@ var kvBuildPool = func() []int64 {
 
 // kvSameShape fails unless a and b are the same trie node for node: equal
 // bitmaps, equal leaves in equal slots and internal slots in the same
-// places, single-slot chains included. Every internal slot of a must carry
-// edit token tok, and a's own bit must be set for each level-1 node exactly
-// when tok is not 0.
+// places, single-slot chains included. Every internal slot and every
+// level-1 header of a must carry edit token tok.
 func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 	t.Helper()
 	var walk func(na, nb []kvSlot, bma, bmb uint32, level int)
@@ -846,15 +942,17 @@ func kvSameShape(t *testing.T, a, b *kvState, tok int64) {
 					t.Fatalf("level %d slot %d: internal slot stamped %d, want edit token %d", level, i, sa.val, tok)
 				}
 				bma, bmb := uint32(sa.key), uint32(sb.key)
-				walk(kvNode(sa.kids, bma), kvNode(sb.kids, bmb), bma, bmb, level+1)
+				walk(kvNode(sa.kids, bma, 0), kvNode(sb.kids, bmb, 0), bma, bmb, level+1)
 			}
 		}
 	}
 	for i := range a.kids {
-		if a.kids[i] != nil && a.own>>i&1 != 0 != (tok != 0) {
-			t.Fatalf("root entry %d: own bit %d with edit token %d", i, a.own>>i&1, tok)
+		na, bma, toka := a.level1(uint64(i))
+		nb, bmb, _ := b.level1(uint64(i))
+		if a.kids[i] != nil && int64(toka) != tok {
+			t.Fatalf("root entry %d: header stamped %d, want edit token %d", i, toka, tok)
 		}
-		walk(kvNode(a.kids[i], a.bms[i]), kvNode(b.kids[i], b.bms[i]), a.bms[i], b.bms[i], 1)
+		walk(na, nb, bma, bmb, 1)
 	}
 	if a.n != b.n {
 		t.Fatalf("len %d, want %d", a.n, b.n)

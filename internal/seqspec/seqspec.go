@@ -16,9 +16,11 @@
 // copy and its Apply walks at most 13 levels of at most 32 slots; the
 // other objects' Clones still copy their whole state. A trie slot is 24
 // bytes: a child is one pointer, and its node's length is the popcount of
-// the bitmap beside it (kvNode, this package's one use of unsafe). A child
-// node is never edited once the call that built it returns: only an edit
-// Window edits children in place, and only the ones it built itself.
+// the bitmap beside it, in the parent slot or, for a level-1 node, in a
+// header slot at the node's front (kvNode, this package's one use of
+// unsafe). A child node is never edited once the call that built it
+// returns: only an edit Window edits children in place, and only the ones
+// it built itself.
 //
 //wf:waitfree
 package seqspec
@@ -70,8 +72,8 @@ const Empty int64 = -1 << 62
 // the universal construction's step bounds count sequential-object calls as
 // single steps, so an implementation whose Apply or Clone is super-constant
 // scales every certified bound by that factor. KV honours the contract: its
-// Clone is one struct copy of a fixed 408 bytes (the root's 32 child
-// pointers and their bitmaps) and its Apply costs at most kvMaxDepth (13)
+// Clone is one struct copy of a fixed 280 bytes (the root's 32 child
+// pointers, a length and an edit counter) and its Apply costs at most kvMaxDepth (13)
 // levels × 32 slots, independent of the key count. Set, Queue, Stack, PQueue, List and Bank
 // clone in time linear in their size.
 type Object interface {
@@ -502,10 +504,11 @@ func (s *listState) Key() string { return encodeInts(s.items) }
 // one struct copy that copies the root's pointers and shares every child
 // node. put/del repoint one root entry in place and copy the rest of one
 // root-to-leaf path (at most kvMaxDepth-1 child nodes of at most 32 slots
-// of 24 bytes each); child nodes are never edited once the call that built
-// them returns, which is what lets clones, snapshots and the read fast
-// path share them across goroutines. Inside one edit Window a put edits in
-// place the children that window built (see kvState). A KV starts empty.
+// of 24 bytes each, a level-1 node behind one more header slot); child
+// nodes are never edited once the call that built them returns, which is
+// what lets clones, snapshots and the read fast path share them across
+// goroutines. Inside one edit Window a put edits in place the children
+// that window built (see kvState). A KV starts empty.
 type KV struct{}
 
 // Name implements Object.
@@ -528,23 +531,26 @@ const kvMaxDepth = 13
 // node's first slot in kids, the child's bitmap in key, and in val the edit
 // token of the window that built the child (0 for a child built by del,
 // kvSplit or KVOf, which no window ever edits; OpenKVWindow's build carries
-// its window's token). The child's length is not
-// stored: it is the popcount of the bitmap beside the pointer (kvNode).
+// its window's token). A level-1 node has no parent slot, so it carries
+// its own: a header slot (kids == nil) at the front of its allocation,
+// holding its bitmap and token, ahead of its slots. A node's length is not
+// stored: it is the popcount of its bitmap (kvNode).
 type kvSlot struct {
 	key  int64
 	val  int64
 	kids *kvSlot
 }
 
-// kvNode views the child node whose first slot is p and whose bitmap is
-// bm. It is the package's one use of unsafe, and it is sound because every
-// child pointer, a slot's kids or a root entry kvState.kids[i], is &node[0]
-// of a make([]kvSlot, popcount(bm)) (never empty), and that bm travels
-// with the pointer: in the same slot's key, or in kvState.bms[i]. An empty
-// root entry is nil beside bitmap 0, whose view is an empty node. The race
-// detector's checkptr mode checks every view against its allocation.
-func kvNode(p *kvSlot, bm uint32) []kvSlot {
-	return unsafe.Slice(p, bits.OnesCount32(bm))
+// kvNode views the node with bitmap bm whose allocation starts at p,
+// past its lead header slots: 0 below level 1, 1 at level 1. It is the
+// package's one use of unsafe, and it is sound because every child
+// pointer, a slot's kids or a root entry kvState.kids[i], is &out[0] of a
+// make([]kvSlot, lead+popcount(bm)) (kvAlloc, never empty), and that bm
+// travels with the pointer: in the same slot's key, or in the level-1
+// header out[0]. The race detector's checkptr mode checks every view
+// against its allocation.
+func kvNode(p *kvSlot, bm uint32, lead int) []kvSlot {
+	return unsafe.Slice(p, lead+bits.OnesCount32(bm))[lead:]
 }
 
 // kvFrame is one level of a root-to-leaf path below the root: the node
@@ -557,55 +563,50 @@ type kvFrame struct {
 }
 
 // kvState is one trie plus its edit-window bookkeeping. The root is
-// direct-indexed: a key hash's top 5 bits, i, select kids[i], the level-1
-// node, whose bitmap is bms[i]; both are zero when no key has index i. The
-// root holds no leaves, so a key alone under its index sits in a one-slot
-// level-1 node, the only single-leaf node the trie has. No other state
-// reaches the root, since Clone copies it, so put and del repoint its
-// entries in place; child nodes are shared. OpenWindow bumps edit and
-// opens a window; a put inside it stamps every child it copies with edit
-// (below level 1 in the parent slot's val, at level 1 as bit i of own) and
-// edits in place only a child stamped with the open token. That is
-// race-free without any owner retiring a token:
+// direct-indexed: a key hash's top 5 bits, i, select kids[i], the header
+// of the level-1 node, nil when no key has index i. The root holds no
+// leaves, so a key alone under its index sits in a one-slot level-1 node,
+// the only single-leaf node the trie has. No other state reaches the root,
+// since Clone copies it, so put and del repoint its entries in place;
+// child nodes are shared. OpenWindow bumps edit and opens a window; a put
+// inside it stamps every child it copies with edit (below level 1 in the
+// parent slot's val, at level 1 in the header's) and edits in place only a
+// child stamped with the open token. That is race-free without any owner
+// retiring a token:
 //   - every child a state reaches carries a stamp no greater than its edit,
-//     and own is cleared when a window opens, so a fresh window can only
-//     edit children it built itself;
+//     and a window opens under edit+1, so a fresh window can only edit
+//     children it built itself;
 //   - those children are reachable only from this private state until the
 //     window closes (before ApplyAll returns, or at Window.Close);
 //   - Clone is a struct copy that writes nothing, so concurrent clones of
 //     one stored snapshot stay read-only. Two of them may open windows with
 //     the same token value, but they share no child built after the clone.
 //
-// Outside a window own is 0. The struct is 408 bytes, under the 512 above
-// which Go's malloc header would add 8: Clone is one allocation in the
-// 416-byte size class, and only its 256 bytes of kids hold pointers for
-// the collector to scan.
+// The struct is 280 bytes: Clone is one allocation in the 288-byte size
+// class, and only its 256 bytes of kids hold pointers for the collector
+// to scan.
 type kvState struct {
-	kids    [32]*kvSlot // kids[i] is the level-1 node under root index i, or nil
-	bms     [32]uint32  // bms[i] is kids[i]'s bitmap, 0 when kids[i] is nil
+	kids    [32]*kvSlot // kids[i] is the header of the level-1 node under root index i, or nil
 	n       int64
 	edit    uint64 // the lineage's window counter: the open window's token
-	own     uint32 // bit i: the open window built kids[i]
 	editing bool   // a window is open
 }
 
 // openWindow starts an edit window under a token no reachable node
 // carries.
-func (s *kvState) openWindow() {
-	s.edit++
-	s.own, s.editing = 0, true
-}
+func (s *kvState) openWindow() { s.edit, s.editing = s.edit+1, true }
 
 // closeWindow ends the window: from here on every child is immutable again.
-func (s *kvState) closeWindow() { s.own, s.editing = 0, false }
+func (s *kvState) closeWindow() { s.editing = false }
 
-// setRoot points root entry i at the level-1 node p with bitmap bm, which
-// the open window, if any, built.
-func (s *kvState) setRoot(i uint64, p *kvSlot, bm uint32) {
-	s.kids[i], s.bms[i] = p, bm
-	if s.editing {
-		s.own |= 1 << i
+// level1 views root entry i from its header: the level-1 node, its bitmap
+// and its edit token. An empty entry is an empty node with bitmap 0.
+func (s *kvState) level1(i uint64) (node []kvSlot, bm uint32, tok uint64) {
+	p := s.kids[i]
+	if p == nil {
+		return nil, 0, 0
 	}
+	return kvNode(p, uint32(p.key), 1), uint32(p.key), uint64(p.val)
 }
 
 // kvHash is the splitmix64 finalizer: a fixed (unseeded, so replicas agree)
@@ -631,31 +632,45 @@ func kvBit(h uint64, level int) uint32 {
 // kvPos is the slot index of bit in a node with bitmap bm.
 func kvPos(bm, bit uint32) int { return bits.OnesCount32(bm & (bit - 1)) }
 
-// kvWith returns a copy of node with bit's slot set to rep, inserting it
-// when bit is absent.
-func kvWith(node []kvSlot, bm, bit uint32, rep kvSlot) ([]kvSlot, uint32) {
-	pos := kvPos(bm, bit)
-	if bm&bit != 0 {
-		out := make([]kvSlot, len(node))
-		copy(out, node)
-		out[pos] = rep
-		return out, bm
+// kvAlloc allocates a node with bitmap bm, which is not 0, and returns
+// its slots and the internal slot that points at it, stamped tok. A
+// level-1 node (head) gets a header slot with the same bitmap and stamp
+// in front of its slots, and the returned slot points at the header.
+func kvAlloc(bm uint32, tok int64, head bool) ([]kvSlot, kvSlot) {
+	lead := 0
+	if head {
+		lead = 1
 	}
-	out := make([]kvSlot, len(node)+1)
-	copy(out, node[:pos])
-	out[pos] = rep
-	copy(out[pos+1:], node[pos:])
-	return out, bm | bit
+	out := make([]kvSlot, lead+bits.OnesCount32(bm))
+	link := kvSlot{key: int64(bm), val: tok, kids: &out[0]}
+	if head {
+		out[0] = kvSlot{key: int64(bm), val: tok}
+	}
+	return out[lead:], link
 }
 
-// kvWithout returns a copy of node, which has two or more slots, with
-// bit's (present) slot removed.
-func kvWithout(node []kvSlot, bm, bit uint32) ([]kvSlot, uint32) {
+// kvWith copies node with bit's slot set to rep, inserting it when bit is
+// absent, and returns the slot that points at the copy (kvAlloc).
+func kvWith(node []kvSlot, bm, bit uint32, rep kvSlot, tok int64, head bool) kvSlot {
+	pos, rest := kvPos(bm, bit), node
+	if bm&bit != 0 {
+		rest = node[1:]
+	}
+	out, link := kvAlloc(bm|bit, tok, head)
+	copy(out, node[:pos])
+	out[pos] = rep
+	copy(out[pos+1:], rest[pos:])
+	return link
+}
+
+// kvWithout copies node, which has two or more slots, with bit's (present)
+// slot removed, and returns the slot that points at the copy, stamped 0.
+func kvWithout(node []kvSlot, bm, bit uint32, head bool) kvSlot {
 	pos := kvPos(bm, bit)
-	out := make([]kvSlot, len(node)-1)
+	out, link := kvAlloc(bm&^bit, 0, head)
 	copy(out, node[:pos])
 	copy(out[pos:], node[pos+1:])
-	return out, bm &^ bit
+	return link
 }
 
 // kvSplit builds the subtree that replaces leaf a when leaf b lands on its
@@ -693,8 +708,7 @@ func (s *kvState) Apply(op Op) int64 {
 
 func (s *kvState) get(k int64) int64 {
 	h := kvHash(k)
-	bm := s.bms[h>>59]
-	node := kvNode(s.kids[h>>59], bm)
+	node, bm, _ := s.level1(h >> 59)
 	for level := 1; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		if bm&bit == 0 {
@@ -708,7 +722,7 @@ func (s *kvState) get(k int64) int64 {
 			return Empty
 		}
 		bm = uint32(sl.key)
-		node = kvNode(sl.kids, bm)
+		node = kvNode(sl.kids, bm, 0)
 	}
 	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
@@ -717,8 +731,8 @@ func (s *kvState) get(k int64) int64 {
 // returns the level where it ends: at a leaf slot (hit) or at a free slot
 // (!hit). An empty root entry's path ends at level 1, in an empty node.
 func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf kvSlot, hit bool) {
-	i := h >> 59
-	node, bm, own := kvNode(s.kids[i], s.bms[i]), s.bms[i], s.editing && s.own>>i&1 != 0
+	node, bm, tok := s.level1(h >> 59)
+	own := s.editing && tok == s.edit
 	for level := 1; level < kvMaxDepth; level++ {
 		bit := kvBit(h, level)
 		path[level] = kvFrame{node: node, bm: bm, bit: bit, own: own}
@@ -730,7 +744,7 @@ func (s *kvState) descend(h uint64, path *[kvMaxDepth]kvFrame) (depth int, leaf 
 			return level, sl, true
 		}
 		bm, own = uint32(sl.key), s.editing && uint64(sl.val) == s.edit
-		node = kvNode(sl.kids, bm)
+		node = kvNode(sl.kids, bm, 0)
 	}
 	panic("seqspec: kv: trie deeper than kvMaxDepth")
 }
@@ -753,17 +767,16 @@ func (s *kvState) put(k, v int64) int64 {
 	// at most kvMaxDepth-1 children. A child the open window built takes rep
 	// in place when rep replaces one of its slots; its ancestors still hold
 	// it unchanged, so the walk ends there. Every copy is stamped with the
-	// token.
+	// token, a level-1 copy in its header.
 	for i := depth; i > 0; i-- {
 		f := path[i]
 		if f.own && f.bm&f.bit != 0 {
 			f.node[kvPos(f.bm, f.bit)] = rep
 			return old
 		}
-		nn, nbm := kvWith(f.node, f.bm, f.bit, rep)
-		rep = kvSlot{key: int64(nbm), val: int64(s.edit), kids: &nn[0]}
+		rep = kvWith(f.node, f.bm, f.bit, rep, int64(s.edit), i == 1)
 	}
-	s.setRoot(h>>59, rep.kids, uint32(rep.key))
+	s.kids[h>>59] = rep.kids
 	return old
 }
 
@@ -771,8 +784,8 @@ func (s *kvState) put(k, v int64) int64 {
 // and repointing the root entry in place. A node below level 1 left
 // holding a single leaf is dropped and the leaf moves up into the parent,
 // so the trie's shape depends only on its contents; a level-1 node keeps a
-// lone leaf, and one left empty empties its root entry. The copies are
-// stamped 0, so no window edits them.
+// lone leaf, and one left empty empties its root entry (nil). The copies
+// are stamped 0, so no window edits them.
 func (s *kvState) del(k int64) int64 {
 	h := kvHash(k)
 	var path [kvMaxDepth]kvFrame
@@ -800,23 +813,21 @@ func (s *kvState) del(k int64) int64 {
 		}
 		// A node below level 1 holds two or more slots, or one internal
 		// slot, and the leaf cases above never leave it empty.
-		var nn []kvSlot
-		var nbm uint32
 		if gone {
-			nn, nbm = kvWithout(f.node, f.bm, f.bit)
+			rep = kvWithout(f.node, f.bm, f.bit, i == 1)
 		} else {
-			nn, nbm = kvWith(f.node, f.bm, f.bit, rep)
+			rep = kvWith(f.node, f.bm, f.bit, rep, 0, i == 1)
 		}
-		rep, gone = kvSlot{key: int64(nbm), kids: &nn[0]}, false
+		gone = false
 	}
-	s.kids[h>>59], s.bms[h>>59] = rep.kids, uint32(rep.key)
-	s.own &^= 1 << (h >> 59)
+	s.kids[h>>59] = rep.kids
 	return sl.val
 }
 
-// Clone copies the root's 32 child pointers, shares every child and
-// writes nothing: it is never called inside a window, and between windows
-// every child is immutable. It is one allocation.
+// Clone copies the root's 32 child pointers, shares every child (each
+// level-1 node with its header) and writes nothing: it is never called
+// inside a window, and between windows every child is immutable. It is
+// one allocation of 288 bytes.
 func (s *kvState) Clone() State { c := *s; return &c }
 
 // each calls fn on every leaf slot, in trie order. Under each root entry
@@ -824,8 +835,8 @@ func (s *kvState) Clone() State { c := *s; return &c }
 // (no recursion): every slot is visited once.
 func (s *kvState) each(fn func(leaf kvSlot)) {
 	var stack [kvMaxDepth][]kvSlot
-	for i, p := range s.kids {
-		stack[0] = kvNode(p, s.bms[i])
+	for i := range s.kids {
+		stack[0], _, _ = s.level1(uint64(i))
 		for top := 0; top >= 0; {
 			if len(stack[top]) == 0 {
 				top--
@@ -838,7 +849,7 @@ func (s *kvState) each(fn func(leaf kvSlot)) {
 				continue
 			}
 			top++
-			stack[top] = kvNode(sl.kids, uint32(sl.key))
+			stack[top] = kvNode(sl.kids, uint32(sl.key), 0)
 		}
 	}
 }
@@ -943,9 +954,9 @@ func KVOf(pairs map[int64]int64) State { return kvOf(pairs, false) }
 func OpenKVWindow(pairs map[int64]int64) Window { return Window{kvOf(pairs, true)} }
 
 // kvOf is KVOf, and OpenKVWindow when open: the build then stamps every
-// internal slot with the token of the window it opens, and every level-1
-// node with its own bit (setRoot). The root is the fill's bottom frame, whose groups
-// become root entries rather than slots.
+// internal slot and every level-1 header with the token of the window it
+// opens. The root is the fill's bottom frame, whose groups become root
+// entries (level-1 headers) rather than slots.
 func kvOf(pairs map[int64]int64, open bool) *kvState {
 	s := &kvState{n: int64(len(pairs))}
 	var tok int64
@@ -991,12 +1002,11 @@ func kvOf(pairs map[int64]int64, open bool) *kvState {
 		}
 		// A root entry, or two or more leaves: a child one level down, a
 		// single-slot chain node when they share its bit too.
-		bm := kvBitmap(group, f.level+1)
-		child := make([]kvSlot, bits.OnesCount32(bm))
+		child, link := kvAlloc(kvBitmap(group, f.level+1), tok, f.level == 0)
 		if f.level == 0 {
-			s.setRoot(group[0].h>>59, &child[0], bm)
+			s.kids[group[0].h>>59] = link.kids
 		} else {
-			f.node[f.next] = kvSlot{key: int64(bm), val: tok, kids: &child[0]}
+			f.node[f.next] = link
 			f.next++
 		}
 		top++
